@@ -73,6 +73,7 @@ from .lattice import (
     lattice_equal,
     m_of_curve,
     motion_preserves_lattice,
+    on_curve,
     parity_multiplier_bound,
     triangle_multiplier,
 )

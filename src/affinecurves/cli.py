@@ -42,6 +42,7 @@ from .lattice import (
     enumerate_near_curve,
     enumerate_on_arc,
     m_of_curve,
+    on_curve,
 )
 from .odekernel import (
     SolverError,
@@ -350,32 +351,14 @@ def _window_constraints(args) -> tuple[LinearConstraint, ...]:
     return tuple(cons)
 
 
-def _on_arc(curve, p, tol: float = 1e-6) -> tuple[bool, float]:
-    """Float check that an (exact) conic point lies on the parameterized
-    arc; returns its parameter."""
-    from scipy.optimize import minimize_scalar
-    px, py = float(p[0]), float(p[1])
-
-    def dist2(s: float) -> float:
-        q = curve.point(s)
-        return (q[0] - px) ** 2 + (q[1] - py) ** 2
-
-    ss = np.linspace(curve.domain.lo, curve.domain.hi, 1024)
-    d2 = [dist2(float(s)) for s in ss]
-    i = int(np.argmin(d2))
-    step = curve.domain.length / 1023
-    lo = max(curve.domain.lo, ss[i] - 2 * step)
-    hi = min(curve.domain.hi, ss[i] + 2 * step)
-    res = minimize_scalar(dist2, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    # the bounded minimizer stays strictly interior, so re-check the
-    # bracket endpoints for minima at the arc ends
-    best_s, best_d2 = float(res.x), float(res.fun)
-    for cand in (lo, hi, float(ss[i])):
-        d = dist2(cand)
-        if d < best_d2:
-            best_s, best_d2 = cand, d
-    return math.sqrt(max(best_d2, 0.0)) <= tol, best_s
+# theorem id -> certificate from (k0, k1, lam, multiplier, cell area)
+COUNT_BOUNDS = {
+    "2pts1": lambda k0, k1, lam, m, cell: bound_two_points(k0, lam, m, cell),
+    "low_aff_bd": lambda k0, k1, lam, m, cell: bound_general(k0, lam, m, cell),
+    "2pts2": lambda k0, k1, lam, m, cell: bound_three_points(k0, k1, lam, m, cell),
+    "sharp_lat": lambda k0, k1, lam, m, cell: bound_sharp(k0, k1, lam, m, cell),
+    "rigid_lat": lambda k0, k1, lam, m, cell: bound_rigid(k0, k1, lam, m, cell),
+}
 
 
 def cmd_count(args) -> int:
@@ -388,19 +371,7 @@ def cmd_count(args) -> int:
         bbox = curve_bbox(curve)
         arc = ConicArc(conic=spec.conic, constraints=_window_constraints(args),
                        bbox=bbox)
-        candidates = enumerate_on_arc(arc, lat)
-        coords, positions, params = [], [], []
-        for co, po in zip(candidates.coords, candidates.positions):
-            ok, s = _on_arc(curve, po)
-            if ok:
-                coords.append(co)
-                positions.append(po)
-                params.append(s)
-        order = sorted(range(len(coords)), key=lambda i: params[i])
-        from .lattice import LatticePointSet
-        points = LatticePointSet([coords[i] for i in order],
-                                 [positions[i] for i in order],
-                                 [params[i] for i in order])
+        points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, 1e-6)
     else:
         warning = ("no exact membership test for this curve type; "
                    "using 1e-9 proximity membership")
@@ -413,24 +384,14 @@ def cmd_count(args) -> int:
     cell = float(lat.cell_area)
     multiplier = args.multiplier or m_of_curve(lat, points.positions)
 
-    theorem = args.theorem
-    if theorem == "auto":
+    bound_args = (k0, k1, lam, multiplier, cell)
+    if args.theorem == "auto":
         try:
-            cert = bound_rigid(k0, k1, lam, multiplier, cell)
-            theorem = "rigid_lat"
+            cert = COUNT_BOUNDS["rigid_lat"](*bound_args)
         except ValueError:
-            cert = bound_sharp(k0, k1, lam, multiplier, cell)
-            theorem = "sharp_lat"
-    elif theorem == "sharp_lat":
-        cert = bound_sharp(k0, k1, lam, multiplier, cell)
-    elif theorem == "rigid_lat":
-        cert = bound_rigid(k0, k1, lam, multiplier, cell)
-    elif theorem == "2pts1":
-        cert = bound_two_points(k0, lam, multiplier, cell)
-    elif theorem == "2pts2":
-        cert = bound_three_points(k0, k1, lam, multiplier, cell)
+            cert = COUNT_BOUNDS["sharp_lat"](*bound_args)
     else:
-        cert = bound_general(k0, lam, multiplier, cell)
+        cert = COUNT_BOUNDS[args.theorem](*bound_args)
 
     count = len(points)
     payload = {
@@ -642,9 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="lattice points on an arc vs bound")
     sp.add_argument("curve")
     sp.add_argument("lattice")
-    sp.add_argument("--theorem", default="auto",
-                    choices=("auto", "2pts1", "low_aff_bd", "2pts2",
-                             "sharp_lat", "rigid_lat"))
+    sp.add_argument("--theorem", default="auto", choices=("auto", *COUNT_BOUNDS))
     sp.add_argument("--multiplier", type=int, default=None)
     for name in ("xmin", "xmax", "ymin", "ymax"):
         sp.add_argument(f"--{name}", default=None)

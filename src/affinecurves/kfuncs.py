@@ -151,11 +151,6 @@ def ybar(k: float, s: float) -> float:
     return s * s * _c2(k * s * s)
 
 
-def dybar(k: float, s: float) -> float:
-    """d/ds ybar = sk."""
-    return sk(k, s)
-
-
 def abar(k: float, s: float) -> float:
     """Area profile of the constant-curvature-k curve.
 

@@ -14,6 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
+import numpy as np
+from scipy.optimize import brentq
+
 from .conics import Conic, RationalLike, frac
 from .kfuncs import DomainError, abar, fk, gk, hk
 from .reports import Hypothesis
@@ -23,6 +26,7 @@ Vec2 = tuple[Fraction, Fraction]
 SPACING_TOL = 1e-9
 EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
+CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
 
 
 def _vec2(x: RationalLike, y: RationalLike) -> Vec2:
@@ -275,66 +279,68 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
     )
 
 
-def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9,
-                         samples: int = 2048) -> LatticePointSet:
-    """Float fallback when no exact membership test exists: lattice points
-    within distance tol of the curve, located by dense sampling plus local
-    refinement.  The result is flagged inexact."""
-    from scipy.optimize import minimize_scalar
+def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
+             tol: float, exact: bool = True) -> LatticePointSet:
+    """The lattice points with the given coordinates (all those in the
+    curve's bounding window when coords is None) that lie within distance
+    tol of the curve, ordered by the parameter of their closest curve
+    point.
 
-    ss = [curve.domain.lo + i * curve.domain.length / (samples - 1)
-          for i in range(samples)]
-    pts = [curve.point(s) for s in ss]
-    xmin = min(p[0] for p in pts) - 0.5
-    xmax = max(p[0] for p in pts) + 0.5
-    ymin = min(p[1] for p in pts) - 0.5
-    ymax = max(p[1] for p in pts) + 0.5
-
-    corners = [(xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)]
-    mns = [lat.coords_of((Fraction(x), Fraction(y))) for x, y in corners]
-    m_range = range(math.floor(min(m for m, _ in mns)) - 1,
-                    math.ceil(max(m for m, _ in mns)) + 2)
-    n_range = range(math.floor(min(n for _, n in mns)) - 1,
-                    math.ceil(max(n for _, n in mns)) + 2)
-
-    step = curve.domain.length / (samples - 1)
-    max_gap = max(math.hypot(a[0] - b[0], a[1] - b[1])
-                  for a, b in zip(pts, pts[1:]))
-    reach2 = (tol + max_gap) ** 2
+    The curve is sampled once.  A point's nearest sample brackets its
+    closest parameter between that sample's two neighbours, where it is
+    the root of the tangency condition (c(s) - p) . c'(s) = 0; without a
+    sign change in the bracket the nearer bracket end is taken.  The root
+    fixes the distance to about eps |p|, where minimising the squared
+    distance would only fix it to about sqrt(eps) |p|.
+    """
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
+    pts = np.array([curve.point(s) for s in ss])
+    if coords is None:
+        coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
+    reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
     found: list[tuple[tuple[int, int], Vec2, float]] = []
-    for m in m_range:
-        for n in n_range:
-            p = lat.point(m, n)
-            px, py = float(p[0]), float(p[1])
-            if not (xmin <= px <= xmax and ymin <= py <= ymax):
-                continue
-            d2 = [(q[0] - px) ** 2 + (q[1] - py) ** 2 for q in pts]
-            i = min(range(len(d2)), key=d2.__getitem__)
-            if d2[i] > reach2:
-                continue
-            lo = max(curve.domain.lo, ss[i] - 2 * step)
-            hi = min(curve.domain.hi, ss[i] + 2 * step)
+    for m, n in coords:
+        p = lat.point(m, n)
+        q = np.array([float(p[0]), float(p[1])])
+        d2 = np.sum((pts - q) ** 2, axis=1)
+        i = int(np.argmin(d2))
+        if d2[i] > reach * reach:
+            continue
+        lo, hi = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, len(ss) - 1)])
 
-            def dist2(s, px=px, py=py):
-                q = curve.point(s)
-                return (q[0] - px) ** 2 + (q[1] - py) ** 2
+        def tangency(s, q=q):
+            return float(np.dot(curve.point(s) - q, curve.velocity(s)))
 
-            res = minimize_scalar(dist2, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-13})
-            # bounded minimizers stay interior; re-check the arc ends
-            best_s, best_d2 = float(res.x), float(res.fun)
-            for cand in (lo, hi, ss[i]):
-                d = dist2(cand)
-                if d < best_d2:
-                    best_s, best_d2 = cand, d
-            if math.sqrt(max(best_d2, 0.0)) <= tol:
-                found.append(((m, n), p, best_s))
+        if tangency(lo) <= 0.0 <= tangency(hi):
+            s = brentq(tangency, lo, hi, xtol=1e-15)
+        else:
+            s = min((lo, hi), key=lambda t, q=q: math.dist(curve.point(t), q))
+        if math.dist(curve.point(s), q) <= tol:
+            found.append(((m, n), p, s))
 
     found.sort(key=lambda item: item[2])
     return LatticePointSet(coords=[f[0] for f in found],
                            positions=[f[1] for f in found],
                            params=[f[2] for f in found],
-                           exact=False)
+                           exact=exact)
+
+
+def _window_coords(lat: Lattice, lo, hi) -> list[tuple[int, int]]:
+    """Lattice coordinates covering the box [lo[0], hi[0]] x [lo[1], hi[1]]."""
+    corners = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+    mns = [lat.coords_of((Fraction(x), Fraction(y))) for x, y in corners]
+    return [(m, n)
+            for m in range(math.floor(min(m for m, _ in mns)) - 1,
+                           math.ceil(max(m for m, _ in mns)) + 2)
+            for n in range(math.floor(min(n for _, n in mns)) - 1,
+                           math.ceil(max(n for _, n in mns)) + 2)]
+
+
+def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9) -> LatticePointSet:
+    """Float fallback when no exact membership test exists: the lattice
+    points of the curve's bounding window within distance tol of the
+    curve, placed by `on_curve`.  The result is flagged inexact."""
+    return on_curve(curve, lat, None, tol, exact=False)
 
 
 def _m_scan_range(arc: ConicArc, lat: Lattice) -> tuple[int, int]:

@@ -199,49 +199,7 @@ def _zxz_coords(j: int) -> tuple[int, int]:
 def hyperbola_zxz_instance(m0: int, rigid: bool = False) -> SharpInstance:
     """Arc of x^2 - xy - y^2 = 1 through the odd-index Fibonacci points of
     the standard lattice; constant curvature -alpha^2."""
-    if m0 < 1:
-        raise ValueError("m0 must be at least 1")
-    lat = Lattice.standard()
-    j_start = 2 if rigid else 1
-    j_end = 2 * m0 + 2
-    domain = Interval((j_start - 1) * ZXZ_SPACING, (j_end - 1) * ZXZ_SPACING)
-    sqrt5 = math.sqrt(5.0)
-
-    def position(s: float) -> Vec:
-        ch, sh = math.cosh(ALPHA * s), math.sinh(ALPHA * s)
-        return np.array((ch - sh / sqrt5, -2.0 * sh / sqrt5))
-
-    def derivatives(s: float):
-        ch, sh = math.cosh(ALPHA * s), math.sinh(ALPHA * s)
-        d1 = ALPHA * np.array((sh - ch / sqrt5, -2.0 * ch / sqrt5))
-        d2 = ALPHA ** 2 * np.array((ch - sh / sqrt5, -2.0 * sh / sqrt5))
-        return d1, d2, ALPHA ** 2 * d1
-
-    curve = AffineCurve(domain, position, derivatives, lambda s: -ALPHA ** 2,
-                        label=f"hyperbola instance m0={m0}")
-
-    y_top = -fibonacci(2 * j_start - 2)   # 0 for sharp, -1 for rigid
-    y_bot = -fibonacci(2 * j_end - 2)
-    arc = ConicArc(
-        conic=ZXZ_CONIC,
-        constraints=(LinearConstraint.make(1, 0, 0),
-                     LinearConstraint.make(0, 1, -y_bot),
-                     LinearConstraint.make(0, -1, y_top)),
-        bbox=(0.0, fibonacci(2 * j_end - 3) + 1.0, y_bot - 1.0, y_top + 1.0),
-        param_of=lambda x, y: math.asinh(-sqrt5 * y / 2.0) / ALPHA,
-    )
-
-    coords = tuple(_zxz_coords(j) for j in range(j_start, j_end + 1))
-    count = len(coords)
-    return SharpInstance(
-        curve=curve, lattice=lat, arc=arc,
-        expected_coords=coords, expected_bound=count,
-        theorem="rigid_lat" if rigid else "sharp_lat",
-        k0=-ALPHA ** 2, k1=-ALPHA ** 2, lam=domain.length, multiplier=1,
-        spacing=ZXZ_SPACING,
-        seed_params=tuple((j - 1) * ZXZ_SPACING
-                          for j in range(j_start, j_start + 4)),
-    )
+    return hyperbola_general_instance(Lattice.standard(), m0, rigid)
 
 
 def hyperbola_general_instance(lat: Lattice, m0: int,

@@ -1,9 +1,17 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from affinecurves.cli import main
+from affinecurves.lattice import Lattice, enumerate_near_curve
+from affinecurves.sharp_instances import (
+    hyperbola_general_instance,
+    hyperbola_zxz_instance,
+    parabola_instance,
+)
+from affinecurves.specfiles import parse_curve_spec
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -252,3 +260,67 @@ class TestExamples:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert {c["name"] for c in payload["configs"]} == {"square", "hexagonal"}
+
+
+def _expected_instance(name, m0, rigid):
+    if name == "parabola":
+        return parabola_instance(m0=m0, rigid=rigid)
+    if name == "hyperbola":
+        return hyperbola_zxz_instance(m0, rigid=rigid)
+    return hyperbola_general_instance(Lattice.make((0, 0), (2, 0), (0, 4)), m0,
+                                      rigid=rigid)
+
+
+class TestCountOnArc:
+    # exact on-arc points far from the origin, which a closest-point search
+    # accurate only to sqrt(eps) |p| rejected
+    @pytest.mark.parametrize("name,m0,rigid", [
+        ("parabola", 12, False), ("parabola", 14, False),
+        ("parabola", 9, True), ("parabola", 12, True),
+        ("hyperbola", 3, False), ("hyperbola", 4, False), ("hyperbola", 5, True),
+        ("hyperbola-general", 3, False), ("hyperbola-general", 4, True),
+    ])
+    def test_exported_instance_is_sharp(self, tmp_path, capsys, name, m0, rigid):
+        argv = ["examples", name, "--m0", str(m0), "--outdir", str(tmp_path)]
+        assert main(argv + (["--rigid"] if rigid else [])) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rc = main(["count", payload["curve_spec"], payload["lattice_spec"]])
+        out = capsys.readouterr().out
+        assert rc == 0
+        inst = _expected_instance(name, m0, rigid)
+        bound = inst.expected_bound
+        assert f"bound {bound} count {bound} SHARP" in out
+        points = json.loads(out[:out.rindex("}") + 1])["points"]
+        assert sorted((m, n) for m, n, _, _ in points) == sorted(inst.expected_coords)
+
+    # the README graph and dyadic convex cubics (p'' > 0 on the domain), so
+    # that the lattice points on them follow from an exact scan over x
+    @pytest.mark.parametrize("coeffs,lo,hi", [
+        (("0", "0", "1", "0.05"), -1, 1),
+        (("1", "0.125", "0.5625", "0.0625"), -2, 1),
+        (("1", "-0.125", "0.875", "-0.0625"), -1, 2),
+        (("2", "0", "0.6875", "-0.03125"), -2, 1),
+        (("-0.5", "0.25", "0.5", "0.03125"), -2, 1),
+    ])
+    def test_near_curve_matches_exact_scan(self, coeffs, lo, hi):
+        spec = parse_curve_spec({"type": "graph", "coeffs": list(coeffs),
+                                 "domain": [str(lo), str(hi)]})
+        points = enumerate_near_curve(spec.curve, Lattice.standard())
+        exact = [Fraction(c) for c in coeffs]
+        expected = []
+        for x in range(lo, hi + 1):
+            y = sum(c * x ** k for k, c in enumerate(exact))
+            if y.denominator == 1:
+                expected.append((x, int(y)))
+        assert points.coords == expected
+        assert not points.exact
+
+    def test_readme_graph_count(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "graph.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+            "domain": ["-1", "1"]})
+        main(["count", spec, z2_spec])
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert payload["count"] == 1
+        assert payload["points"] == [[0, 0, 0.0, 0.0]]
