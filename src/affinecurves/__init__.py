@@ -69,7 +69,6 @@ from .lattice import (
     enumerate_near_curve,
     enumerate_on_arc,
     equal_spaced_orbit,
-    fundamental_area,
     lattice_equal,
     m_of_curve,
     motion_preserves_lattice,

@@ -24,9 +24,11 @@ from . import compare as cmp
 from .curve import (
     ConvexityError,
     OrientationError,
+    adapted_frame,
     affine_arclength,
     area_function,
     constant_curvature_curve,
+    graphing_parameter_set,
     reconstruct_from_curvature,
 )
 from .kfuncs import DomainError, Interval, abar, ck, sk
@@ -373,9 +375,10 @@ def cmd_count(args) -> int:
                        bbox=bbox)
         points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, 1e-6)
     else:
+        tol = args.tol or 1e-9
         warning = ("no exact membership test for this curve type; "
-                   "using 1e-9 proximity membership")
-        points = enumerate_near_curve(curve, lat, tol=args.tol or 1e-9)
+                   f"using {tol:g} proximity membership")
+        points = enumerate_near_curve(curve, lat, tol=tol)
 
     grid = np.linspace(curve.domain.lo, curve.domain.hi, 201)
     kv = [curve.curvature(s) for s in grid]
@@ -429,62 +432,60 @@ def cmd_count(args) -> int:
 # ------------------------------------------------------------------ figures
 
 
-def _figure_rows(figure: str) -> list[list]:
-    rows = []
+def _rows(series, pts, params=None, marker=1) -> list[list]:
+    return [[series, repr(float(i if params is None else params[i])), repr(float(p[0])),
+             repr(float(p[1])), marker] for i, p in enumerate(pts)]
 
-    def add_curve(series, curve, n=200):
-        for s in np.linspace(curve.domain.lo, curve.domain.hi, n):
-            p = curve.point(s)
-            rows.append([series, repr(float(s)), repr(float(p[0])),
-                         repr(float(p[1])), 0])
 
-    def add_marks(series, pts, params=None):
-        for i, p in enumerate(pts):
-            s = params[i] if params else i
-            rows.append([series, repr(float(s)), repr(float(p[0])),
-                         repr(float(p[1])), 1])
+def _curve_rows(series, curve, n=200) -> list[list]:
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, n)
+    return _rows(series, [curve.point(s) for s in ss], ss, marker=0)
 
-    if figure == "fig1":
-        steep = constant_curvature_curve(0.0, Interval(0.0, 2.0))
-        flat = constant_curvature_curve(-1.0, Interval(0.0, 2.0))
-        add_curve("reference", steep)
-        add_curve("comparison", flat)
-        add_marks("secant", [steep.point(0.0), steep.point(2.0)])
-        add_marks("secant_comparison", [flat.point(0.0), flat.point(2.0)])
-    elif figure == "fig5":
-        k0, L = -1.0, 1.0
-        c = constant_curvature_curve(k0, Interval(-L, L))
-        add_curve("conic", c)
-        add_marks("triangle", [c.point(-L), c.point(0.0), c.point(L)],
-                  [-L, 0.0, L])
-    elif figure == "fig6":
-        c = constant_curvature_curve(1.0, Interval(-1.2, 1.2))
-        add_curve("curve", c)
-        from .curve import adapted_frame, graphing_parameter_set
-        fr = adapted_frame(c, 0.0)
-        add_marks("frame_origin", [fr.origin])
-        add_marks("frame_tangent", [fr.origin + fr.tangent])
-        add_marks("frame_normal", [fr.origin + fr.normal])
-        gset = graphing_parameter_set(c, 0.0)
-        add_marks("graphing_param_endpoints",
-                  [c.point(gset.lo), c.point(gset.hi)], [gset.lo, gset.hi])
-    elif figure == "fig7":
-        inst = hyperbola_zxz_instance(1)
-        add_curve("hyperbola", inst.curve)
-        pts = inst.enumerate()
-        add_marks("lattice_points", pts.positions_float(), pts.params)
-    elif figure == "fig8":
-        inst = circle_instance(1.0)
-        add_curve("circle", inst.curve)
-        for config in inst.configs:
-            add_marks(config.name, inst.plane_points(config, 4))
-    else:
-        raise SpecError(f"unknown figure id {figure!r}")
+
+def _fig1() -> list[list]:
+    steep = constant_curvature_curve(0.0, Interval(0.0, 2.0))
+    flat = constant_curvature_curve(-1.0, Interval(0.0, 2.0))
+    return (_curve_rows("reference", steep) + _curve_rows("comparison", flat)
+            + _rows("secant", [steep.point(0.0), steep.point(2.0)])
+            + _rows("secant_comparison", [flat.point(0.0), flat.point(2.0)]))
+
+
+def _fig5() -> list[list]:
+    c = constant_curvature_curve(-1.0, Interval(-1.0, 1.0))
+    ends = [-1.0, 0.0, 1.0]
+    return _curve_rows("conic", c) + _rows("triangle", [c.point(s) for s in ends], ends)
+
+
+def _fig6() -> list[list]:
+    c = constant_curvature_curve(1.0, Interval(-1.2, 1.2))
+    fr, gset = adapted_frame(c, 0.0), graphing_parameter_set(c, 0.0)
+    return (_curve_rows("curve", c) + _rows("frame_origin", [fr.origin])
+            + _rows("frame_tangent", [fr.origin + fr.tangent])
+            + _rows("frame_normal", [fr.origin + fr.normal])
+            + _rows("graphing_param_endpoints", [c.point(gset.lo), c.point(gset.hi)],
+                    [gset.lo, gset.hi]))
+
+
+def _fig7() -> list[list]:
+    inst = hyperbola_zxz_instance(1)
+    pts = inst.enumerate()
+    return (_curve_rows("hyperbola", inst.curve)
+            + _rows("lattice_points", pts.positions_float(), pts.params))
+
+
+def _fig8() -> list[list]:
+    inst = circle_instance(1.0)
+    rows = _curve_rows("circle", inst.curve)
+    for config in inst.configs:
+        rows += _rows(config.name, inst.plane_points(config, 4))
     return rows
 
 
+FIGURES = {"fig1": _fig1, "fig5": _fig5, "fig6": _fig6, "fig7": _fig7, "fig8": _fig8}
+
+
 def cmd_figures(args) -> int:
-    rows = _figure_rows(args.figure)
+    rows = FIGURES[args.figure]()
     _emit(_csv_text(["series", "s", "x", "y", "marker"], rows), args.out)
     return OK
 
@@ -492,55 +493,59 @@ def cmd_figures(args) -> int:
 # ----------------------------------------------------------------- examples
 
 
-def cmd_examples(args) -> int:
-    name = args.name
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if name == "parabola":
-        inst = parabola_instance(m0=args.m0, rigid=args.rigid)
-    elif name == "hyperbola":
-        inst = hyperbola_zxz_instance(args.m0, rigid=args.rigid)
-    elif name == "hyperbola-general":
-        lat = Lattice.make((0, 0), (2, 0), (0, 4))
-        inst = hyperbola_general_instance(lat, args.m0, rigid=args.rigid)
-    elif name == "circle":
-        inst = circle_instance(1.0)
-        spec = {
-            "type": "conic",
-            "coeffs": ["1", "0", "1", "0", "0", "-1"],
-            "seed": ["1", "0"],
-            "domain": ["0", repr(inst.lam_full)],
-        }
-        (outdir / "circle-curve.json").write_text(
-            json.dumps(spec, sort_keys=True, indent=2))
-        payload = {"instance": "circle", "configs": [
-            {"name": c.name, "theta": c.theta, "trace": c.trace}
-            for c in inst.configs]}
-        _json_payload(payload, args.out)
-        return OK
-    else:
-        print(f"unknown example {name!r}", file=sys.stderr)
-        return PARSE
+def _write_spec(path: Path, spec: dict) -> str:
+    path.write_text(json.dumps(spec, sort_keys=True, indent=2))
+    return str(path)
 
-    curve_path = outdir / f"{name}-curve.json"
-    lattice_path = outdir / f"{name}-lattice.json"
-    curve_path.write_text(json.dumps(inst.to_curve_spec(), sort_keys=True, indent=2))
-    lattice_path.write_text(json.dumps(inst.to_lattice_spec(), sort_keys=True, indent=2))
-    payload = {
-        "instance": name,
+
+def _export_sharp(inst, args, outdir: Path) -> dict:
+    return {
         "m0": args.m0,
         "rigid": args.rigid,
         "theorem": inst.theorem,
         "expected_bound": inst.expected_bound,
         "expected_count": len(inst.expected_coords),
-        "curve_spec": str(curve_path),
-        "lattice_spec": str(lattice_path),
+        "curve_spec": _write_spec(outdir / f"{args.name}-curve.json", inst.to_curve_spec()),
+        "lattice_spec": _write_spec(outdir / f"{args.name}-lattice.json",
+                                    inst.to_lattice_spec()),
     }
-    _json_payload(payload, args.out)
+
+
+def _export_circle(args, outdir: Path) -> dict:
+    inst = circle_instance(1.0)
+    _write_spec(outdir / "circle-curve.json", {
+        "type": "conic", "coeffs": ["1", "0", "1", "0", "0", "-1"],
+        "seed": ["1", "0"], "domain": ["0", repr(inst.lam_full)]})
+    return {"configs": [{"name": c.name, "theta": c.theta, "trace": c.trace}
+                        for c in inst.configs]}
+
+
+# example name -> exporter writing its spec files and returning the rest of the payload
+EXAMPLES = {
+    "parabola": lambda a, d: _export_sharp(parabola_instance(m0=a.m0, rigid=a.rigid), a, d),
+    "hyperbola": lambda a, d: _export_sharp(hyperbola_zxz_instance(a.m0, a.rigid), a, d),
+    "hyperbola-general": lambda a, d: _export_sharp(hyperbola_general_instance(
+        Lattice.make((0, 0), (2, 0), (0, 4)), a.m0, a.rigid), a, d),
+    "circle": _export_circle,
+}
+
+
+def cmd_examples(args) -> int:
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _json_payload({"instance": args.name, **EXAMPLES[args.name](args, outdir)}, args.out)
     return OK
 
 
 # -------------------------------------------------------------------- main
+
+
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -549,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, samples=True):
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--tol", type=finite_float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
@@ -563,40 +568,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curvature", help="affine curvature of a curve spec")
     sp.add_argument("curve")
-    sp.add_argument("--at", type=float, default=None)
+    sp.add_argument("--at", type=finite_float, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_curvature)
 
     sp = sub.add_parser("area", help="swept area function of a curve spec")
     sp.add_argument("curve")
-    sp.add_argument("--base", type=float, default=None)
-    sp.add_argument("--apex", type=float, nargs=2, default=None)
+    sp.add_argument("--base", type=finite_float, default=None)
+    sp.add_argument("--apex", type=finite_float, nargs=2, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_area)
 
     sp = sub.add_parser("kernel", help="Lagrange kernel vs closed form")
     sp.add_argument("--family", choices=("second", "third"), default="third")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--lo", type=float, default=0.0)
-    sp.add_argument("--hi", type=float, default=1.0)
+    sp.add_argument("--k", type=finite_float, required=True)
+    sp.add_argument("--lo", type=finite_float, default=0.0)
+    sp.add_argument("--hi", type=finite_float, default=1.0)
     sp.add_argument("--grid", type=int, default=11)
     common(sp, samples=False)
     sp.set_defaults(fn=cmd_kernel)
 
     sp = sub.add_parser("bounds", help="area sandwich and triangle bounds")
-    sp.add_argument("--k0", type=float, required=True)
-    sp.add_argument("--k1", type=float, required=True)
-    sp.add_argument("--L", type=float, required=True)
+    sp.add_argument("--k0", type=finite_float, required=True)
+    sp.add_argument("--k1", type=finite_float, required=True)
+    sp.add_argument("--L", type=finite_float, required=True)
     common(sp, samples=False)
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("verify", help="randomized verification sweeps")
     sp.add_argument("theorem")
-    sp.add_argument("--k0", type=float, default=-1.0)
-    sp.add_argument("--k1", type=float, default=0.0)
-    sp.add_argument("--L", type=float, default=2.0)
+    sp.add_argument("--k0", type=finite_float, default=-1.0)
+    sp.add_argument("--k1", type=finite_float, default=0.0)
+    sp.add_argument("--L", type=finite_float, default=2.0)
     sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--constant", type=float, default=None)
+    sp.add_argument("--constant", type=finite_float, default=None)
     common(sp, samples=False)
     sp.set_defaults(fn=cmd_verify)
 
@@ -611,14 +616,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("figures", help="CSV data for the figures")
-    sp.add_argument("figure", choices=("fig1", "fig5", "fig6", "fig7", "fig8"))
+    sp.add_argument("figure", choices=tuple(FIGURES))
     common(sp, samples=False)
     sp.set_defaults(fn=cmd_figures)
 
     sp = sub.add_parser("examples", help="export sharp instances as spec files")
-    sp.add_argument("name",
-                    choices=("parabola", "hyperbola", "hyperbola-general",
-                             "circle"))
+    sp.add_argument("name", choices=tuple(EXAMPLES))
     sp.add_argument("--m0", type=int, default=1)
     sp.add_argument("--rigid", action="store_true")
     sp.add_argument("--outdir", default=".")

@@ -18,6 +18,7 @@ from scipy.integrate import solve_ivp as _sp_solve_ivp
 from scipy.optimize import brentq
 
 from .kfuncs import Interval, ck, sk, ybar
+from .odekernel import solve_ivp, third_order_op
 
 Vec = np.ndarray
 
@@ -155,12 +156,7 @@ def constant_curvature_curve(k: float, interval: Interval,
 
 def parabola_curve(interval: Interval) -> AffineCurve:
     """The canonical unit-speed parabola (s, s^2/2)."""
-
-    def derivatives(s: float):
-        return _vec(1.0, s), _vec(0.0, 1.0), _vec(0.0, 0.0)
-
-    return AffineCurve(interval, lambda s: _vec(s, s * s / 2), derivatives,
-                       lambda s: 0.0, label="parabola")
+    return constant_curvature_curve(0.0, interval, label="parabola")
 
 
 def _min_speed_check(d1, d2, t0: float, t1: float, n: int = 257) -> None:
@@ -320,46 +316,24 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
                                label: str = "") -> AffineCurve:
     """Curve with prescribed curvature, anchored by the frame at s = 0.
 
-    Solves the adapted-coordinate problems x''' + kappa x' = 0 (jet 0,1,0)
-    and y''' + kappa y' = 0 (jet 0,0,1) as one six-dimensional system; the
-    result is unique given the frame.
+    The adapted coordinates x and y both solve u''' + kappa u' = 0, with
+    jets (0, 1, 0) and (0, 0, 1) at s = 0, so they are the two columns of
+    one matrix solve; the result is unique given the frame.
     """
     if not interval.lo <= 0.0 <= interval.hi:
         raise ValueError("reconstruction interval must contain the anchor s = 0")
     fr = frame or AdaptedFrame.identity()
     kap = kappa if callable(kappa) else (lambda s, k=float(kappa): k)
-
-    def rhs(s, u):
-        k = kap(s)
-        return (u[1], u[2], -k * u[1], u[4], u[5], -k * u[4])
-
-    u0 = (0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    pieces = {}
-    for end, key in ((interval.hi, "right"), (interval.lo, "left")):
-        if end == 0.0:
-            pieces[key] = None
-            continue
-        sol = _sp_solve_ivp(rhs, (0.0, end), u0, method="DOP853",
-                            dense_output=True, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"reconstruction failed: {sol.message}")
-        pieces[key] = sol.sol
-
-    def state(s: float) -> np.ndarray:
-        s = interval.clamp(s)
-        piece = pieces["right"] if s >= 0.0 else pieces["left"]
-        if piece is None:
-            return np.asarray(u0, dtype=float)
-        return np.asarray(piece(s), dtype=float)
+    sol = solve_ivp(third_order_op(kap, interval), 0.0, 0.0,
+                    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), rtol, atol)
 
     def position(s: float) -> Vec:
-        u = state(s)
-        return fr.from_adapted((u[0], u[3]))
+        return fr.from_adapted(sol.eval(interval.clamp(s))[0])
 
     def derivatives(s: float):
-        u = state(s)
-        d1 = u[1] * fr.tangent + u[4] * fr.normal
-        d2 = u[2] * fr.tangent + u[5] * fr.normal
+        u = sol.eval(interval.clamp(s))
+        d1 = u[1, 0] * fr.tangent + u[1, 1] * fr.normal
+        d2 = u[2, 0] * fr.tangent + u[2, 1] * fr.normal
         return d1, d2, -kap(s) * d1
 
     return AffineCurve(interval, position, derivatives,

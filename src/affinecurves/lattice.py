@@ -87,11 +87,6 @@ class Lattice:
         return m.denominator == 1 and n.denominator == 1
 
 
-def fundamental_area(lat: Lattice) -> Fraction:
-    """|v1 wedge v2|, exact for exact generators."""
-    return lat.cell_area
-
-
 def triangle_multiplier(lat: Lattice, p1, p2, p3) -> int:
     """The integer m with Area = m/2 * cell area, via exact lattice coordinates.
 

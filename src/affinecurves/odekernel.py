@@ -39,10 +39,6 @@ def _as_fn(c: CoeffLike) -> Callable[[float], float]:
     return lambda s: value
 
 
-def _zero(_s: float) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class LinearOperator:
     """Coefficients a_0 .. a_{n-1} of a monic order-n operator on an interval."""
@@ -91,7 +87,7 @@ def power_op(n: int, ell: int, kappa: CoeffLike, interval: Interval) -> LinearOp
 
 @dataclass
 class IVPSolution:
-    """Dense-output solution carrying y and its first n-1 derivatives."""
+    """Dense-output jets (y, y', ..., y^(n-1)): one, or m as matrix columns."""
 
     op: LinearOperator
     r: float
@@ -137,7 +133,7 @@ class IVPSolution:
             acc = dtop - self.forcing(s)
             for j, a in enumerate(self.op.coeffs):
                 acc += a(s) * u[j]
-            worst = max(worst, abs(acc))
+            worst = max(worst, float(np.max(np.abs(acc))))
         return worst
 
 
@@ -145,10 +141,15 @@ def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: f
                rtol: float, atol: float):
     if t_end == r:
         return None
+    shape = init.T.shape
+    if init.ndim == 1:  # one jet, the hot loop of kernel columns: no reshapes
+        fun = lambda s, u: op.apply_to_state(s, u, forcing(s))
+    else:  # scipy's flat state holds the matrix of jets column by column
+        fun = lambda s, u: op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel()
     sol = _sp_solve_ivp(
-        lambda s, u: op.apply_to_state(s, u, forcing(s)),
+        fun,
         (r, t_end),
-        init,
+        init.T.ravel(),
         method="DOP853",
         dense_output=True,
         rtol=rtol,
@@ -157,22 +158,23 @@ def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: f
     if not sol.success:
         where = sol.t[-1] if len(sol.t) else r
         raise SolverError(f"integration failed near s = {where}: {sol.message}")
-    return sol.sol
+    return sol.sol if init.ndim == 1 else (lambda s: sol.sol(s).reshape(shape).T)
 
 
 def solve_ivp(op: LinearOperator, forcing: CoeffLike = 0.0, r: float | None = None,
-              init: Sequence[float] | None = None,
+              init: Sequence | None = None,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> IVPSolution:
     """Solve D y = f with given values of y .. y^(n-1) at r, dense output on
-    the operator's whole interval (both directions from r)."""
+    the operator's whole interval (both directions from r).  An (n, m)
+    `init` holds m jets as columns, solved as one system (a matrix solve)."""
     n = op.order
     if r is None:
         r = op.interval.lo
     if not op.interval.lo <= r <= op.interval.hi:
         raise ValueError(f"initial point {r} outside {op.interval}")
     y0 = np.zeros(n) if init is None else np.asarray(init, dtype=float)
-    if y0.shape != (n,):
-        raise ValueError(f"need {n} initial values, got {y0.shape}")
+    if y0.ndim not in (1, 2) or y0.shape[0] != n:
+        raise ValueError(f"need {n} initial values per column, got {y0.shape}")
     f = _as_fn(forcing)
     right = _integrate(op, f, r, y0, op.interval.hi, rtol, atol)
     left = _integrate(op, f, r, y0, op.interval.lo, rtol, atol)

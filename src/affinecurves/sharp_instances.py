@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conics import Conic
-from .curve import AffineCurve, Vec
+from .curve import AdaptedFrame, AffineCurve, constant_curvature_curve
 from .kfuncs import Interval
 from .lattice import (
     ConicArc,
@@ -159,18 +159,9 @@ def parabola_instance(lat: Lattice | None = None, m0: int = 1,
     j_end = 2 * m0 + 1
     domain = Interval(j_start * spacing, j_end * spacing)
 
-    def position(s: float) -> Vec:
-        u = alpha * s
-        return v0 + u * v1 + (u * (u - 1.0) / 2.0) * v2
-
-    def derivatives(s: float):
-        u = alpha * s
-        d1 = alpha * v1 + alpha * (u - 0.5) * v2
-        d2 = alpha * alpha * v2
-        return d1, d2, np.zeros(2)
-
-    curve = AffineCurve(domain, position, derivatives, lambda s: 0.0,
-                        label=f"parabola instance m0={m0}")
+    frame = AdaptedFrame(v0, alpha * (v1 - v2 / 2.0), alpha * alpha * v2)
+    curve = constant_curvature_curve(0.0, domain, frame,
+                                     label=f"parabola instance m0={m0}")
 
     arc = ConicArc(
         conic=Conic.make(1, 0, 0, -1, -2, 0),
@@ -218,7 +209,8 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
     cell = float(lat.cell_area)
     b = cell ** (1.0 / 3.0)
     spacing = b * ZXZ_SPACING
-    k0 = -(ALPHA / b) ** 2
+    w = ALPHA / b
+    k0 = -w ** 2
     sqrt5 = math.sqrt(5.0)
     v0 = np.array([float(c) for c in lat.v0])
     v1 = np.array([float(c) for c in lat.v1])
@@ -228,28 +220,9 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
     j_end = 2 * m0 + 2
     domain = Interval((j_start - 1) * spacing, (j_end - 1) * spacing)
 
-    def coords_at(s: float) -> tuple[float, float]:
-        t = s / b
-        ch, sh = math.cosh(ALPHA * t), math.sinh(ALPHA * t)
-        return ch - sh / sqrt5, -2.0 * sh / sqrt5
-
-    def position(s: float) -> Vec:
-        x, y = coords_at(s)
-        return v0 + x * v1 + y * v2
-
-    def derivatives(s: float):
-        t = s / b
-        ch, sh = math.cosh(ALPHA * t), math.sinh(ALPHA * t)
-        dx = ALPHA * (sh - ch / sqrt5) / b
-        dy = ALPHA * (-2.0 * ch / sqrt5) / b
-        d1 = dx * v1 + dy * v2
-        ddx = ALPHA ** 2 * (ch - sh / sqrt5) / b ** 2
-        ddy = ALPHA ** 2 * (-2.0 * sh / sqrt5) / b ** 2
-        d2 = ddx * v1 + ddy * v2
-        return d1, d2, -k0 * d1
-
-    curve = AffineCurve(domain, position, derivatives, lambda s: k0,
-                        label=f"transferred hyperbola m0={m0}")
+    frame = AdaptedFrame(v0 + v1, -w * (v1 + 2.0 * v2) / sqrt5, w * w * v1)
+    curve = constant_curvature_curve(k0, domain, frame,
+                                     label=f"transferred hyperbola m0={m0}")
 
     y_top = -fibonacci(2 * j_start - 2)
     y_bot = -fibonacci(2 * j_end - 2)
@@ -369,16 +342,8 @@ def circle_instance(k: float) -> CircleInstance:
     lam_full = 2.0 * math.pi / w
     domain = Interval(0.0, lam_full)
 
-    def position(s: float) -> Vec:
-        return np.array((r * math.cos(w * s), r * math.sin(w * s)))
-
-    def derivatives(s: float):
-        cws, sws = math.cos(w * s), math.sin(w * s)
-        d1 = np.array((-r * w * sws, r * w * cws))
-        d2 = np.array((-r * w * w * cws, -r * w * w * sws))
-        return d1, d2, -k * d1
-
-    curve = AffineCurve(domain, position, derivatives, lambda s: k,
-                        label=f"circle k={k}")
+    frame = AdaptedFrame(np.array((r, 0.0)), np.array((0.0, r * w)),
+                         np.array((-r * w * w, 0.0)))
+    curve = constant_curvature_curve(k, domain, frame, label=f"circle k={k}")
     return CircleInstance(curve=curve, k=k, radius=r, lam_full=lam_full,
                           configs=(_SQUARE, _HEX))

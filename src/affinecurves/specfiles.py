@@ -9,6 +9,7 @@ that feed exact lattice arithmetic also accept fraction strings like
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,9 +49,12 @@ def _floats(values, n: int, what: str) -> list[float]:
     if not isinstance(values, (list, tuple)) or len(values) != n:
         raise SpecError(f"{what} must be a list of {n} values")
     try:
-        return [float(v) for v in values]
+        floats = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad number in {what}: {exc}") from None
+    if not all(math.isfinite(v) for v in floats):
+        raise SpecError(f"non-finite number in {what}: {values}")
+    return floats
 
 
 def _interval(values, what: str = "domain") -> Interval:
@@ -143,10 +147,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
 
     if kind == "constant-curvature":
         k_str = _require(data, "k")
-        try:
-            k = float(k_str)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad curvature constant: {exc}") from None
+        k = _floats([k_str], 1, "k")[0]
         dom = _interval(_require(data, "domain"))
         frame = _frame(data)
         curve = constant_curvature_curve(k, dom, frame)

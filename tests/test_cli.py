@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affinecurves.cli import main
@@ -88,6 +89,39 @@ class TestBasicCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["area_sandwich"]["lower"] == pytest.approx(2 / 3)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("spec", [
+        {"type": "constant-curvature", "k": "nan", "domain": ["0", "1"]},
+        {"type": "graph", "coeffs": ["0", "0", "1"], "domain": ["-1", "inf"]},
+    ])
+    def test_nonfinite_spec_is_parse_error(self, tmp_path, capsys, spec):
+        assert main(["area", write_json(tmp_path / "c.json", spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k0", "nan", "--k1", "0", "--L", "1"],
+        ["bounds", "--k0", "-1", "--k1", "0", "--L", "inf"],
+        ["verify", "thm5.6", "--constant=-inf"],
+        ["kernel", "--k", "1", "--hi", "1e400"],
+        ["area", "never-read.json", "--base", "nan"],
+    ])
+    def test_nonfinite_option_is_parse_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid finite_float value" in captured.err
+
+    def test_reconstruction_failure_is_domain_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["-1e30"],
+            "domain": ["0", "1"]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["area", spec]) == 3
+        assert "domain error" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -196,6 +230,16 @@ class TestCount:
         # the flat reconstruction is (s, s^2/2): integer points at s = 0, 2
         assert payload["count"] == 2
         assert rc == 0
+
+    def test_inexact_warning_names_tolerance(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+            "domain": ["-1", "1"]})
+        for extra, tol in (([], "1e-09"), (["--tol", "1e-6"], "1e-06")):
+            main(["count", spec, z2_spec, "--theorem", "low_aff_bd", *extra])
+            out = capsys.readouterr().out
+            warning = json.loads(out[:out.rindex("}") + 1])["warning"]
+            assert f"using {tol} proximity membership" in warning
 
 
 class TestFigures:

@@ -25,6 +25,7 @@ from affinecurves.curve import (
     wedge,
 )
 from affinecurves.kfuncs import Interval, abar, sk, ybar
+from affinecurves.odekernel import SolverError
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -259,6 +260,15 @@ class TestReconstruction:
         d1, d2, _ = c.derivatives(0.0)
         assert d1 == pytest.approx(fr.tangent, abs=1e-12)
         assert d2 == pytest.approx(fr.normal, abs=1e-12)
+
+    def test_solver_failure_is_typed(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
+            reconstruct_from_curvature(-1e30, Interval(0.0, 1.0))
+
+    def test_evaluation_clamps_to_domain(self):
+        c = reconstruct_from_curvature(lambda s: s, Interval(-1.0, 1.0))
+        assert np.array_equal(c.point(1.5), c.point(1.0))
+        assert np.array_equal(c.derivatives(-3.0)[1], c.derivatives(-1.0)[1])
 
 
 class TestAreaFunction:

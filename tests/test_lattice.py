@@ -18,7 +18,6 @@ from affinecurves.lattice import (
     conic_in_lattice_coords,
     enumerate_on_arc,
     equal_spaced_orbit,
-    fundamental_area,
     lattice_equal,
     m_of_curve,
     motion_preserves_lattice,
@@ -55,10 +54,10 @@ def hyperbola_arc(y_lo, y_hi, x_hi):
 
 
 class TestLatticeBasics:
-    def test_fundamental_area(self):
-        assert fundamental_area(Z2) == 1
-        assert fundamental_area(Lattice.make((0, 0), (2, 0), (0, 3))) == 6
-        assert fundamental_area(Lattice.make((1, 1), (1, 2), (2, 3))) == 1
+    def test_cell_area(self):
+        assert Z2.cell_area == 1
+        assert Lattice.make((0, 0), (2, 0), (0, 3)).cell_area == 6
+        assert Lattice.make((1, 1), (1, 2), (2, 3)).cell_area == 1
 
     def test_membership(self):
         lat = Lattice.make((1, 1), (1, 2), (2, 3))
@@ -68,7 +67,7 @@ class TestLatticeBasics:
 
     def test_decimal_string_generators(self):
         lat = Lattice.make(("0", "0"), ("0.5", "0"), ("0", "0.5"))
-        assert fundamental_area(lat) == Fraction(1, 4)
+        assert lat.cell_area == Fraction(1, 4)
         assert ("1.5", "2.0") in lat
 
     def test_dependent_generators_rejected(self):

@@ -59,6 +59,31 @@ class TestSolveIVP:
         sol = solve_ivp(op, lambda s: math.cos(s), 0.0, (0.1, 0.0, -0.3))
         assert sol.residual() <= 1e-5
 
+    def test_matrix_jet_matches_column_solves(self):
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            coeffs = [poly_fn(rng.uniform(-5, 5, size=3)) for _ in range(n)]
+            op = make_operator(coeffs, Interval(-1.0, 1.0))
+            forcing = poly_fn(rng.uniform(-1, 1, size=2))
+            r = float(rng.uniform(-1.0, 1.0))
+            jets = rng.uniform(-1.0, 1.0, size=(n, m))
+            sol = solve_ivp(op, forcing, r, jets)
+            cols = [solve_ivp(op, forcing, r, jets[:, j]) for j in range(m)]
+            assert np.array_equal(sol.eval(r), jets)
+            for s in np.linspace(-1.0, 1.0, 9):
+                u = sol.eval(float(s))
+                assert u.shape == (n, m)
+                expected = np.column_stack([c.eval(float(s)) for c in cols])
+                assert np.allclose(u, expected, rtol=1e-8, atol=1e-9)
+            assert sol.residual() <= 1e-4
+
+    def test_jet_shape_checked(self):
+        op = third_order_op(1.0, UNIT)
+        for bad in (np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError):
+                solve_ivp(op, 0.0, 0.0, bad)
+
 
 class TestLagrangeKernel:
     @pytest.mark.parametrize("k", [-4.0, -1.0, 0.0, 1.0, 4.0])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affinecurves.conics import Conic
@@ -241,3 +242,39 @@ class TestSpecExport:
         conic = inst.plane_conic()
         assert (conic.a, conic.b, conic.c, conic.d, conic.e, conic.f) == (
             1, 0, 0, -1, -2, 0)
+
+
+class TestInstanceCurves:
+    """Each instance curve is the constant-curvature curve on its conic."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: parabola_instance(Lattice.make((0, 0), (1, 0), (0, 2)), 3, rigid=True),
+        lambda: hyperbola_general_instance(Lattice.make((0, 0), (2, 0), (0, 4)), 2),
+        lambda: hyperbola_general_instance(Lattice.make((1, 1), (3, 1), (1, 2)), 1,
+                                           rigid=True),
+    ])
+    def test_sharp_curve_on_conic(self, make):
+        inst = make()
+        curve, conic = inst.curve, inst.plane_conic()
+        assert curve.unit_speed_defect(200) <= 1e-10
+        assert curve.structure_defect(200) <= 1e-12
+        for s in np.linspace(curve.domain.lo, curve.domain.hi, 25):
+            x, y = curve.point(s)
+            assert abs(conic.evaluate_float(x, y)) <= 1e-11 * (1.0 + x * x + y * y)
+            assert curve.curvature(s) == inst.k0
+
+    @pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
+    def test_circle_curve(self, k):
+        inst = circle_instance(k)
+        curve, r = inst.curve, inst.radius
+        assert curve.unit_speed_defect(200) <= 1e-12
+        assert curve.structure_defect(200) <= 1e-12
+        for s in np.linspace(curve.domain.lo, curve.domain.hi, 25):
+            x, y = curve.point(s)
+            assert x * x + y * y == pytest.approx(r * r, rel=1e-14)
+        assert curve.point(curve.domain.hi) == pytest.approx((r, 0.0), abs=1e-14)
+
+    def test_spec_seed_is_lattice_point(self):
+        lat = Lattice.make((0, 0), (2, 0), (0, 4))
+        assert hyperbola_general_instance(lat, 1).to_curve_spec()["seed"] == ["2.0", "0.0"]
+        assert parabola_instance(lat, 1).to_curve_spec()["seed"] == ["0.0", "0.0"]

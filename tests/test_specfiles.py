@@ -80,6 +80,23 @@ class TestCurveSpecs:
                               "domain": ["2", "1"]})
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("spec", [
+        {"type": "constant-curvature", "k": "nan", "domain": ["0", "1"]},
+        {"type": "constant-curvature", "k": "-inf", "domain": ["0", "1"]},
+        {"type": "graph", "coeffs": ["0", "0", "1"], "domain": ["-1", "inf"]},
+        {"type": "graph", "coeffs": ["0", "nan", "1"], "domain": ["-1", "1"]},
+        {"type": "curvature-ivp", "kappa_coeffs": ["inf"], "domain": ["0", "1"]},
+        {"type": "conic", "coeffs": ["1", "0", "1", "0", "0", "-1"],
+         "seed": ["nan", "0"], "domain": ["0", "1"]},
+        {"type": "constant-curvature", "k": "0", "domain": ["0", "1"],
+         "origin": ["0", "nan"], "tangent": ["1", "0"], "normal": ["0", "1"]},
+    ])
+    def test_rejected(self, spec):
+        with pytest.raises(SpecError, match="non-finite"):
+            parse_curve_spec(spec)
+
+
 class TestLatticeSpecs:
     def test_fraction_strings(self):
         lat = parse_lattice_spec({"v0": ["0", "0"], "v1": ["1/3", "0"],
