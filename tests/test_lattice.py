@@ -54,7 +54,7 @@ def hyperbola_arc(y_lo, y_hi, x_hi):
 
 
 class TestLatticeBasics:
-    def test_cell_area(self):
+    def test_fundamental_area(self):
         assert Z2.cell_area == 1
         assert Lattice.make((0, 0), (2, 0), (0, 3)).cell_area == 6
         assert Lattice.make((1, 1), (1, 2), (2, 3)).cell_area == 1
