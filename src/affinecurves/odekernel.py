@@ -141,13 +141,9 @@ def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: f
                rtol: float, atol: float):
     if t_end == r:
         return None
-    shape = init.T.shape
-    if init.ndim == 1:  # one jet, the hot loop of kernel columns: no reshapes
-        fun = lambda s, u: op.apply_to_state(s, u, forcing(s))
-    else:  # scipy's flat state holds the matrix of jets column by column
-        fun = lambda s, u: op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel()
+    shape = init.T.shape  # scipy's flat state holds the jets column by column
     sol = _sp_solve_ivp(
-        fun,
+        lambda s, u: op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel(),
         (r, t_end),
         init.T.ravel(),
         method="DOP853",
@@ -158,7 +154,7 @@ def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: f
     if not sol.success:
         where = sol.t[-1] if len(sol.t) else r
         raise SolverError(f"integration failed near s = {where}: {sol.message}")
-    return sol.sol if init.ndim == 1 else (lambda s: sol.sol(s).reshape(shape).T)
+    return lambda s: sol.sol(s).reshape(shape).T
 
 
 def solve_ivp(op: LinearOperator, forcing: CoeffLike = 0.0, r: float | None = None,
