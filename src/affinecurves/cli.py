@@ -75,7 +75,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _json_payload(payload: dict, out: str | None) -> None:
     payload = {"schema": SCHEMA, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), out)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

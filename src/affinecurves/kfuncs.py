@@ -122,14 +122,46 @@ def _c3(z: float) -> float:
     return (_sinh(u) - u) / (u ** 3)
 
 
+def _finite(name: str, profile, k: float, s: float) -> float:
+    """profile(k, s) where it is a finite float, else DomainError.
+
+    The public profiles go through here, so they never return inf or nan
+    (the inversions below probe the saturating forms directly).
+    """
+    if math.isfinite(k * s * s):
+        try:
+            value = profile(k, s)
+        except OverflowError:  # s ** 3 or u ** 3 beyond the float range
+            value = _INF
+        if math.isfinite(value):
+            return value
+    raise DomainError(f"{name}({k!r}, {s!r}) is not a finite float")
+
+
+def _ck(k: float, s: float) -> float:
+    return _c0(k * s * s)
+
+
+def _sk(k: float, s: float) -> float:
+    return s * _c1(k * s * s)
+
+
+def _ybar(k: float, s: float) -> float:
+    return s * s * _c2(k * s * s)
+
+
+def _abar(k: float, s: float) -> float:
+    return 0.5 * s ** 3 * _c3(k * s * s)
+
+
 def ck(k: float, s: float) -> float:
     """cos(sqrt(k) s) continued through k <= 0; even in s; ck(k, 0) = 1."""
-    return _c0(k * s * s)
+    return _finite("ck", _ck, k, s)
 
 
 def sk(k: float, s: float) -> float:
     """sin(sqrt(k) s)/sqrt(k) continued through k <= 0; odd in s; sk' = ck."""
-    return s * _c1(k * s * s)
+    return _finite("sk", _sk, k, s)
 
 
 def dck(k: float, s: float) -> float:
@@ -148,7 +180,7 @@ def xbar(k: float, s: float) -> float:
 
 def ybar(k: float, s: float) -> float:
     """Second adapted coordinate: (1 - ck(k, s))/k, continued to s**2/2 at k = 0."""
-    return s * s * _c2(k * s * s)
+    return _finite("ybar", _ybar, k, s)
 
 
 def abar(k: float, s: float) -> float:
@@ -158,7 +190,7 @@ def abar(k: float, s: float) -> float:
     A''' + k A' = 1/2 with a triple zero at the origin and is strictly
     increasing in s >= 0 for k <= 0.
     """
-    return 0.5 * s ** 3 * _c3(k * s * s)
+    return _finite("abar", _abar, k, s)
 
 
 def dabar(k: float, s: float) -> float:
@@ -192,12 +224,7 @@ def _neg_three_halves(k: float) -> float:
         return _INF
 
 
-def hk(k: float, s: float) -> float:
-    """Half-rectangle area profile xbar * ybar, strictly increasing on profile_interval(k).
-
-    For k > 0 the right endpoint s = pi/(2 sqrt k) maps exactly to k**-1.5.
-    Raises DomainError outside the interval.
-    """
+def _hk(k: float, s: float) -> float:
     if s < 0.0:
         raise DomainError(f"hk: s = {s} < 0")
     if k > 0.0:
@@ -206,12 +233,25 @@ def hk(k: float, s: float) -> float:
             raise DomainError(f"hk: s = {s} beyond pi/(2 sqrt k) = {smax}")
         if s >= smax:
             return _neg_three_halves(k)
-    return xbar(k, s) * ybar(k, s)
+    return _sk(k, s) * _ybar(k, s)
+
+
+def hk(k: float, s: float) -> float:
+    """Half-rectangle area profile xbar * ybar, strictly increasing on profile_interval(k).
+
+    For k > 0 the right endpoint s = pi/(2 sqrt k) maps exactly to k**-1.5.
+    Raises DomainError outside the interval.
+    """
+    return _finite("hk", _hk, k, s)
+
+
+def _dhk(k: float, s: float) -> float:
+    return _ck(k, s) * _ybar(k, s) + _sk(k, s) ** 2
 
 
 def dhk(k: float, s: float) -> float:
     """d/ds hk = ck*ybar + sk**2."""
-    return ck(k, s) * ybar(k, s) + sk(k, s) ** 2
+    return _finite("dhk", _dhk, k, s)
 
 
 def _invert_increasing(f, df, target: float, hi0: float, hi_cap: float) -> float:
@@ -264,7 +304,7 @@ def gk(k: float, a: float) -> float:
     else:
         hi_cap = _INF
     hi0 = max(1.0, (2.0 * a) ** (1.0 / 3.0))
-    return _invert_increasing(lambda s: hk(k, s), lambda s: dhk(k, s), a, hi0, hi_cap)
+    return _invert_increasing(lambda s: _hk(k, s), lambda s: _dhk(k, s), a, hi0, hi_cap)
 
 
 def fk(k: float, a: float) -> float:
@@ -286,4 +326,4 @@ def fk(k: float, a: float) -> float:
     else:
         hi_cap = _INF
     hi0 = max(1.0, (12.0 * a) ** (1.0 / 3.0))
-    return _invert_increasing(lambda s: abar(k, s), lambda s: dabar(k, s), a, hi0, hi_cap)
+    return _invert_increasing(lambda s: _abar(k, s), lambda s: 0.5 * _ybar(k, s), a, hi0, hi_cap)

@@ -115,6 +115,17 @@ class TestBadInput:
         assert captured.out == ""
         assert "invalid finite_float value" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k0=-1e300", "--k1", "0", "--L", "1"],
+        ["bounds", "--k0", "-1", "--k1", "0", "--L", "1e300"],
+        ["bounds", "--k0=-1e6", "--k1", "0", "--L", "1"],
+    ])
+    def test_overflowing_bounds_are_domain_errors(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
     def test_reconstruction_failure_is_domain_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "ivp.json", {
             "type": "curvature-ivp", "kappa_coeffs": ["-1e30"],

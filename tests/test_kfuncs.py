@@ -243,3 +243,20 @@ class TestInverses:
         if s + ds >= hi:
             return
         assert hk(k, s + ds) > hk(k, s)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("profile, k, s", [
+        (abar, -1e300, 1.0), (abar, 0.0, 1e300), (abar, -1e6, 1.0),
+        (ck, -1e6, 1.0), (sk, -1e6, 1.0), (ybar, -1e6, 1.0), (hk, -1e6, 1.0),
+        (sk, 1e300, 1e300), (ck, math.nan, 1.0),
+    ])
+    def test_profiles_reject_nonfinite_values(self, profile, k, s):
+        with pytest.raises(DomainError):
+            profile(k, s)
+
+    def test_inversions_still_probe_past_overflow(self):
+        # the bracketing doubles s beyond the overflow of sinh before it
+        # pulls the upper end back
+        assert hk(-1.0, gk(-1.0, 1e300)) == pytest.approx(1e300, rel=1e-12)
+        assert abar(-1.0, fk(-1.0, 1e300)) == pytest.approx(1e300, rel=1e-12)

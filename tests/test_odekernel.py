@@ -78,6 +78,19 @@ class TestSolveIVP:
                 assert np.allclose(u, expected, rtol=1e-8, atol=1e-9)
             assert sol.residual() <= 1e-4
 
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_array_eval_equals_scalar_eval(self, m):
+        op = third_order_op(lambda s: -1.0 + math.sin(s), Interval(-1.0, 2.0))
+        init = np.arange(3.0) if m is None else np.arange(6.0).reshape(3, m)
+        sol = solve_ivp(op, 0.5, 0.25, init)
+        pts = np.array([2.0, -1.0, 0.25, -0.3, 1.1, 0.25 - 1e-12])
+        got = sol.eval(pts)
+        assert got.shape == (len(pts),) + init.shape
+        assert np.array_equal(got, np.stack([sol.eval(float(s)) for s in pts]))
+        for bad in ([0.0, 2.5], [-1.5]):
+            with pytest.raises(ValueError):
+                sol.eval(np.array(bad))
+
     def test_jet_shape_checked(self):
         op = third_order_op(1.0, UNIT)
         for bad in (np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2, 1))):
@@ -196,6 +209,50 @@ class TestForwardPositivity:
             u = solve_ivp(op, 0.0, a, (0.0, 1.0))
             vals = [u(s) for s in np.linspace(a + 1e-4, b - 1e-6, 200)]
             assert min(vals) > 0.0
+
+
+def column_scan(op, grid_n):
+    """check_forward_positive's scan, one Lagrange-kernel column per r."""
+    ker = lagrange_kernel(op)
+    grid = np.linspace(op.interval.lo, op.interval.hi, grid_n)
+    min_val = math.inf
+    for i, r in enumerate(grid[:-1]):
+        col = ker.column(float(r))
+        min_val = min([min_val] + [col(float(s)) for s in grid[i + 1:]])
+    return min_val
+
+
+class TestAnchoredPositivity:
+    def test_matches_column_scan_on_random_operators(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            if trial % 4 == 0:  # oscillators past pi violate positivity
+                k = (math.pi / 2.0) ** 2 * float(rng.uniform(0.5, 2.0))
+                op = oscillator_op(k, Interval(0.0, 2.0))
+            else:
+                n = int(rng.integers(2, 5))
+                coeffs = [poly_fn(rng.uniform(-6, 6, size=2)) for _ in range(n)]
+                op = make_operator(coeffs, Interval(0.0, float(rng.uniform(0.5, 2.0))))
+            rep = check_forward_positive(op, grid_n=13)
+            want = column_scan(op, 13)
+            # both routes hold rtol 1e-10: agreement to the certificate's own tol
+            assert rep.min_value == pytest.approx(want, abs=rep.tol)
+            assert rep.certified == (want >= -rep.tol)
+            s, r = rep.witness
+            assert s > r
+
+    def test_stiff_constant_curvature(self):
+        # K(s; r) = (cosh(5 (s - r)) - 1)/25, least at the grid step h = 0.02;
+        # one anchor at 0 reads a false violation here
+        rep = check_forward_positive(third_order_op(-25.0, Interval(0.0, 4.0)), grid_n=201)
+        assert rep.certified, rep.verdict
+        assert rep.min_value == pytest.approx((math.cosh(0.1) - 1.0) / 25.0, abs=1e-9)
+
+    def test_stiff_sinusoidal_band(self):
+        op = third_order_op(lambda s: -24.0 + math.sin(1.3 * s), Interval(0.0, 4.0))
+        rep = check_forward_positive(op, grid_n=41)
+        assert rep.certified, rep.verdict
+        assert rep.min_value == pytest.approx(column_scan(op, 41), abs=rep.tol)
 
 
 class TestConcurrency:
