@@ -548,6 +548,22 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite float greater than zero."""
+    value = finite_float(text)
+    if value <= 0.0:
+        raise ValueError(text)
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer greater than zero."""
+    value = int(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="affinecurves",
                                 description=__doc__.splitlines()[0])
@@ -599,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theorem")
     sp.add_argument("--k0", type=finite_float, default=-1.0)
     sp.add_argument("--k1", type=finite_float, default=0.0)
-    sp.add_argument("--L", type=finite_float, default=2.0)
+    sp.add_argument("--L", type=positive_float, default=2.0)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--constant", type=finite_float, default=None)
     common(sp, samples=False)
@@ -609,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("curve")
     sp.add_argument("lattice")
     sp.add_argument("--theorem", default="auto", choices=("auto", *COUNT_BOUNDS))
-    sp.add_argument("--multiplier", type=int, default=None)
+    sp.add_argument("--multiplier", type=positive_int, default=None)
     for name in ("xmin", "xmax", "ymin", "ymax"):
         sp.add_argument(f"--{name}", default=None)
     common(sp, samples=False)

@@ -85,18 +85,25 @@ class AdaptedFrame:
     def from_adapted(self, xy: Sequence[float]) -> Vec:
         return self.origin + xy[0] * self.tangent + xy[1] * self.normal
 
+    def from_adapted_rows(self, xy: np.ndarray) -> np.ndarray:
+        """`from_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
+        return self.origin + xy[:, :1] * self.tangent + xy[:, 1:] * self.normal
+
 
 @dataclass(frozen=True)
 class AffineCurve:
-    """Unit-affine-speed plane curve with three derivatives and curvature."""
+    """Unit-affine-speed plane curve with three derivatives and curvature.
+
+    `position` also takes a 1-D array of p parameters and returns the
+    (p, 2) array of the scalar reads, in one call."""
 
     domain: Interval
-    position: Callable[[float], Vec]
+    position: Callable[[float | np.ndarray], Vec]
     derivatives: Callable[[float], tuple[Vec, Vec, Vec]]
     curvature: Callable[[float], float]
     label: str = ""
 
-    def point(self, s: float) -> Vec:
+    def point(self, s: float | np.ndarray) -> Vec:
         return np.asarray(self.position(s), dtype=float)
 
     def velocity(self, s: float) -> Vec:
@@ -141,7 +148,9 @@ def constant_curvature_curve(k: float, interval: Interval,
     """Closed-form curve with curvature k through frame.origin at s = 0."""
     fr = frame or AdaptedFrame.identity()
 
-    def position(s: float) -> Vec:
+    def position(s: float | np.ndarray) -> Vec:
+        if isinstance(s, np.ndarray):
+            return fr.from_adapted_rows(np.array([(sk(k, u), ybar(k, u)) for u in s.tolist()]))
         return fr.from_adapted((sk(k, s), ybar(k, s)))
 
     def derivatives(s: float):
@@ -199,10 +208,13 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     t_of_s = sol.sol
     domain = Interval(0.0, lam)
 
-    def t_at(s: float) -> float:
-        return float(np.clip(t_of_s(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1)))
+    def t_at(s: float | np.ndarray) -> float | np.ndarray:
+        t = np.clip(t_of_s(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
+        return t if isinstance(s, np.ndarray) else float(t)
 
-    def position(s: float) -> Vec:
+    def position(s: float | np.ndarray) -> Vec:
+        if isinstance(s, np.ndarray):  # one dense-output read for all the points
+            return np.array([raw.position(t) for t in t_at(s).tolist()], dtype=float)
         return np.asarray(raw.position(t_at(s)), dtype=float)
 
     def base_derivs(s: float):
@@ -327,7 +339,9 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     sol = solve_ivp(third_order_op(kap, interval), 0.0, 0.0,
                     ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), rtol, atol)
 
-    def position(s: float) -> Vec:
+    def position(s: float | np.ndarray) -> Vec:
+        if isinstance(s, np.ndarray):
+            return fr.from_adapted_rows(sol.eval(np.clip(s, interval.lo, interval.hi))[:, 0])
         return fr.from_adapted(sol.eval(interval.clamp(s))[0])
 
     def derivatives(s: float):

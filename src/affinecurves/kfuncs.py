@@ -193,11 +193,6 @@ def abar(k: float, s: float) -> float:
     return _finite("abar", _abar, k, s)
 
 
-def dabar(k: float, s: float) -> float:
-    """d/ds abar = ybar/2."""
-    return 0.5 * ybar(k, s)
-
-
 def profile_interval(k: float) -> Interval:
     """Interval on which both adapted profiles increase: [0, inf) or [0, pi/(2 sqrt k)]."""
     if k <= 0.0:

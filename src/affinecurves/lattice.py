@@ -87,27 +87,84 @@ class Lattice:
         return m.denominator == 1 and n.denominator == 1
 
 
-def triangle_multiplier(lat: Lattice, p1, p2, p3) -> int:
-    """The integer m with Area = m/2 * cell area, via exact lattice coordinates.
-
-    Returns 0 for collinear points (degenerate)."""
+def _lattice_coords(lat: Lattice, points: Sequence) -> list[tuple[int, int]]:
+    """Integer lattice coordinates of the points; ValueError at the first
+    point off the lattice."""
     coords = []
-    for p in (p1, p2, p3):
+    for p in points:
         m, n = lat.coords_of(p)
         if m.denominator != 1 or n.denominator != 1:
             raise ValueError(f"{p} is not a lattice point")
         coords.append((int(m), int(n)))
-    (m1, n1), (m2, n2), (m3, n3) = coords
+    return coords
+
+
+def triangle_multiplier(lat: Lattice, p1, p2, p3) -> int:
+    """The integer m with Area = m/2 * cell area, via exact lattice coordinates.
+
+    Returns 0 for collinear points (degenerate)."""
+    (m1, n1), (m2, n2), (m3, n3) = _lattice_coords(lat, (p1, p2, p3))
     return abs((m2 - m1) * (n3 - n1) - (n2 - n1) * (m3 - m1))
+
+
+def _convex_turns(coords: list[tuple[int, int]]) -> list[int] | None:
+    """The multipliers |e_i wedge e_(i+1)| of the cyclic triples
+    (c_i, c_(i+1), c_(i+2)), e_i = c_(i+1) - c_i, when the closed polygon
+    c_0 .. c_(N-1) is strictly convex; None otherwise.
+
+    Strictly convex means that every turn e_i wedge e_(i+1) has the same
+    nonzero sign and that the edge directions wind exactly once.  With
+    turns of one sign the direction rotates monotonically, by less than pi
+    per edge, so it crosses the vertical twice per winding: the winding is
+    one exactly when the nonzero x-components of the edges change sign
+    twice around the cycle (a vertical edge is skipped; its neighbours lie
+    on either side of the vertical)."""
+    edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(coords, coords[1:] + coords[:1])]
+    turns = [_wedge(e, f) for e, f in zip(edges, edges[1:] + edges[:1])]
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
+        return None
+    signs = [dx > 0 for dx, _ in edges if dx != 0]
+    if sum(a != b for a, b in zip(signs, signs[1:] + signs[:1])) != 2:
+        return None
+    return [abs(t) for t in turns]
 
 
 def m_of_curve(lat: Lattice, points: Sequence) -> int:
     """Smallest triangle multiplier over all triples of the given lattice
     points on the curve: a certificate for the area-quantization integer
     restricted to the points actually found.  Fewer than three points give
-    the conservative default 1."""
+    the conservative default 1; a point off the lattice raises ValueError.
+
+    When the points, in the order given, are the vertices of a strictly
+    convex polygon (`_convex_turns`), the minimum is taken over the N
+    cyclically consecutive triples (i, i+1, i+2 mod N) in exact integer
+    lattice coordinates, in O(N).  Lemma: some minimum-area vertex
+    triangle of a strictly convex polygon has consecutive vertices.
+    Proof: along the chain of vertices strictly between v_i and v_k on one
+    side of the chord v_i v_k, the edge directions rotate monotonically
+    and, since the chain closes with the chord, pass the chord direction
+    at most once; so the distance to the chord's line first increases,
+    then decreases, and over the chain it is least at v_(i+1) or
+    v_(k-1).  Hence area(v_i, v_j, v_k) >= area(v_i, v_(i+1), v_k) or
+    area(v_i, v_(k-1), v_k), a triangle with one polygon edge.  The same
+    argument on the chord of that edge moves the third vertex next to it.
+    The argument is discrete, so it covers closed curves (the circle) and
+    arcs of any turning alike.
+
+    Otherwise (repeated or collinear points, or an order that is not
+    convex) every triple is scanned by `_m_of_all_triples`, which raises
+    ValueError on a collinear triple."""
     if len(points) < 3:
         return 1
+    turns = _convex_turns(_lattice_coords(lat, points))
+    if turns is None:
+        return _m_of_all_triples(lat, points)
+    return min(turns)
+
+
+def _m_of_all_triples(lat: Lattice, points: Sequence) -> int:
+    """Smallest triangle multiplier over all O(N^3) triples of at least
+    three points; ValueError on a collinear triple."""
     best: int | None = None
     for a, b, c in combinations(points, 3):
         mult = triangle_multiplier(lat, a, b, c)
@@ -281,15 +338,16 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     tol of the curve, ordered by the parameter of their closest curve
     point.
 
-    The curve is sampled once.  A point's nearest sample brackets its
-    closest parameter between that sample's two neighbours, where it is
-    the root of the tangency condition (c(s) - p) . c'(s) = 0; without a
-    sign change in the bracket the nearer bracket end is taken.  The root
-    fixes the distance to about eps |p|, where minimising the squared
-    distance would only fix it to about sqrt(eps) |p|.
+    The curve is sampled once, in one array call.  A point's nearest
+    sample brackets its closest parameter between that sample's two
+    neighbours, where it is the root of the tangency condition
+    (c(s) - p) . c'(s) = 0; without a sign change in the bracket the
+    nearer bracket end is taken.  The root fixes the distance to about
+    eps |p|, where minimising the squared distance would only fix it to
+    about sqrt(eps) |p|.
     """
     ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
-    pts = np.array([curve.point(s) for s in ss])
+    pts = curve.point(ss)
     if coords is None:
         coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
     reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))

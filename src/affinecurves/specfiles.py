@@ -210,8 +210,7 @@ def _load_json(path: str | Path) -> dict:
 
 def curve_bbox(curve: AffineCurve, samples: int = 512,
                margin: float = 1.0) -> tuple[float, float, float, float]:
-    pts = np.array([curve.point(s) for s in
-                    np.linspace(curve.domain.lo, curve.domain.hi, samples)])
+    pts = curve.point(np.linspace(curve.domain.lo, curve.domain.hi, samples))
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
     pad = margin + 1e-9 * max(abs(xmin), abs(xmax), abs(ymin), abs(ymax))

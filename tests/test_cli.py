@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -6,13 +7,24 @@ import numpy as np
 import pytest
 
 from affinecurves.cli import main
-from affinecurves.lattice import Lattice, enumerate_near_curve
+from affinecurves.lattice import (
+    ConicArc,
+    Lattice,
+    enumerate_near_curve,
+    enumerate_on_arc,
+    on_curve,
+)
 from affinecurves.sharp_instances import (
     hyperbola_general_instance,
     hyperbola_zxz_instance,
     parabola_instance,
 )
-from affinecurves.specfiles import parse_curve_spec
+from affinecurves.specfiles import (
+    curve_bbox,
+    load_curve_spec,
+    load_lattice_spec,
+    parse_curve_spec,
+)
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -125,6 +137,25 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "domain error" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm3.4", "--L", "0", "--trials", "1"],
+        ["verify", "thm4.1", "--L", "0", "--trials", "1"],
+        ["verify", "thm4.1", "--L=-2", "--trials", "1"],
+    ])
+    def test_nonpositive_length_is_parse_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid positive_float value" in captured.err
+
+    @pytest.mark.parametrize("multiplier", ["0", "-1"])
+    def test_nonpositive_multiplier_is_parse_error(self, parabola_spec, z2_spec,
+                                                   capsys, multiplier):
+        assert main(["count", parabola_spec, z2_spec, f"--multiplier={multiplier}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid positive_int value" in captured.err
 
     def test_reconstruction_failure_is_domain_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "ivp.json", {
@@ -369,6 +400,38 @@ class TestCountOnArc:
                 expected.append((x, int(y)))
         assert points.coords == expected
         assert not points.exact
+
+    @pytest.mark.parametrize("name,m0,rigid", [("parabola", 5, False),
+                                               ("hyperbola", 3, True)])
+    def test_on_curve_same_as_scalar_sampling(self, tmp_path, capsys, name, m0, rigid):
+        # count's exact path, with the curve sampled in one array call and
+        # by stacked scalar reads
+        argv = ["examples", name, "--m0", str(m0), "--outdir", str(tmp_path)]
+        assert main(argv + (["--rigid"] if rigid else [])) == 0
+        payload = json.loads(capsys.readouterr().out)
+        curve = load_curve_spec(payload["curve_spec"])
+        lat = load_lattice_spec(payload["lattice_spec"])
+        arc = ConicArc(conic=curve.conic, constraints=(), bbox=curve_bbox(curve.curve))
+        coords = enumerate_on_arc(arc, lat).coords
+        self._assert_same_points(curve.curve, lat, coords, 1e-6)
+
+    def test_on_curve_readme_graph_same_as_scalar_sampling(self):
+        spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+                                 "domain": ["-1", "1"]})
+        self._assert_same_points(spec.curve, Lattice.standard(), None, 1e-9)
+
+    @staticmethod
+    def _assert_same_points(curve, lat, coords, tol):
+        def stacked(s):
+            if isinstance(s, np.ndarray):
+                return np.array([curve.point(u) for u in s])
+            return curve.position(s)
+
+        got = on_curve(curve, lat, coords, tol)
+        ref = on_curve(dataclasses.replace(curve, position=stacked), lat, coords, tol)
+        assert len(got) > 0
+        assert got.coords == ref.coords
+        assert got.params == ref.params
 
     def test_readme_graph_count(self, tmp_path, z2_spec, capsys):
         spec = write_json(tmp_path / "graph.json", {

@@ -26,6 +26,7 @@ from affinecurves.curve import (
 )
 from affinecurves.kfuncs import Interval, abar, sk, ybar
 from affinecurves.odekernel import SolverError
+from affinecurves.specfiles import parse_curve_spec
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -384,3 +385,29 @@ class TestGraphingSet:
                                        Interval(-3.0, 3.0))
         got = graphing_parameter_set(c, 0.0)
         assert got.lo == -3.0 and got.hi == 3.0
+
+
+class TestArrayPosition:
+    """One array read of `position` equals the stacked scalar reads, bit
+    for bit, also past the domain ends."""
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]},
+        {"type": "parabola", "coeffs": ["0", "-0.5", "0.5"], "domain": ["0", "3"]},
+        {"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"],
+         "seed": ["1", "0"], "domain": ["0", "2"]},
+        {"type": "constant-curvature", "k": "2", "domain": ["-1", "1"],
+         "origin": ["1", "2"], "tangent": ["1", "0.5"], "normal": ["0", "1"]},
+        {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5", "0.2"],
+         "domain": ["-1", "1.5"]},
+    ])
+    def test_array_equals_stacked_scalars(self, spec):
+        curve = parse_curve_spec(spec).curve
+        lo, hi = curve.domain.lo, curve.domain.hi
+        ss = np.concatenate([[lo - 0.25, lo, hi, hi + 0.25], np.linspace(lo, hi, 257),
+                             np.random.default_rng(3).uniform(lo, hi, 40)])
+        got = curve.point(ss)
+        assert got.shape == (len(ss), 2)
+        stacked = np.array([curve.point(float(s)) for s in ss])
+        assert got.tobytes() == stacked.tobytes()
+

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from affinecurves import lattice as lattice_mod
 from affinecurves.conics import Conic
 from affinecurves.kfuncs import abar, fk, hk
 from affinecurves.lattice import (
@@ -24,6 +27,7 @@ from affinecurves.lattice import (
     parity_multiplier_bound,
     triangle_multiplier,
 )
+from affinecurves.sharp_instances import parabola_instance
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 BIG_L = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
@@ -114,6 +118,124 @@ class TestMultiplierCertificate:
 
     def test_too_few_points(self):
         assert m_of_curve(Z2, [(0, 0), (1, 0)]) == 1
+
+    def test_off_lattice_point_raises(self):
+        with pytest.raises(ValueError, match="not a lattice point"):
+            m_of_curve(Z2, [(0, 0), (1, 0), (Fraction(1, 2), 1)])
+
+
+def _convex_hull(points):
+    """Vertices of the strictly convex hull, counter-clockwise (monotone
+    chain with exact integer turns; collinear points are dropped)."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_vectors = st.tuples(_fractions, _fractions)
+
+
+@st.composite
+def _lattices(draw):
+    v1, v2 = draw(_vectors), draw(_vectors)
+    assume(v1[0] * v2[1] - v1[1] * v2[0] != 0)
+    return Lattice.make(draw(_vectors), v1, v2)
+
+
+@st.composite
+def _convex_polygons(draw):
+    """Vertex coordinates of a strictly convex lattice polygon, in a random
+    rotation and direction."""
+    cloud = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                          min_size=3, max_size=25))
+    hull = _convex_hull(cloud)
+    assume(len(hull) >= 3)
+    r = draw(st.integers(0, len(hull) - 1))
+    hull = hull[r:] + hull[:r]
+    return hull[::-1] if draw(st.booleans()) else hull
+
+
+class TestMultiplierProperty:
+    """m_of_curve against the all-triples scan it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lattices(), _convex_polygons(), st.data())
+    def test_matches_all_triples(self, lat, polygon, data):
+        order = data.draw(st.sampled_from(("cycle", "chain", "star", "shuffle")))
+        size = len(polygon)
+        if order == "chain":  # an open sub-chain, as the points of an arc
+            a = data.draw(st.integers(0, size - 3))
+            polygon = polygon[a:data.draw(st.integers(a + 3, size))]
+        elif order == "star":  # every step-th vertex: the turns may agree, the winding not
+            step = data.draw(st.integers(1, size - 1))
+            assume(math.gcd(step, size) == 1)
+            polygon = [polygon[i * step % size] for i in range(size)]
+        elif order == "shuffle":
+            polygon = data.draw(st.permutations(polygon))
+        coords = list(polygon)
+        points = [lat.point(m, n) for m, n in coords]
+        if order in ("cycle", "chain"):
+            assert lattice_mod._convex_turns(coords) is not None
+        assert m_of_curve(lat, points) == lattice_mod._m_of_all_triples(lat, points)
+
+    def test_pentagram_order_is_not_convex(self):
+        # every turn is positive, but the edges wind twice; consecutive
+        # triples would give 15 where the least triangle has multiplier 9
+        pentagon = [(0, 0), (3, 0), (4, 3), (1, 5), (-2, 3)]
+        star = [pentagon[2 * i % 5] for i in range(5)]
+        assert lattice_mod._convex_turns(star) is None
+        assert m_of_curve(Z2, star) == lattice_mod._m_of_all_triples(Z2, star) == 9
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lattices(), _convex_polygons(), st.data())
+    def test_duplicate_or_collinear_raises(self, lat, polygon, data):
+        i = data.draw(st.integers(0, len(polygon) - 1))
+        j = (i + 1) % len(polygon)
+        if data.draw(st.booleans()):  # repeat a vertex somewhere
+            coords = list(polygon)
+            coords.insert(data.draw(st.integers(0, len(coords))), polygon[i])
+        else:  # the midpoint of an edge of the doubled polygon
+            coords = [(2 * m, 2 * n) for m, n in polygon]
+            mid = (polygon[i][0] + polygon[j][0], polygon[i][1] + polygon[j][1])
+            coords.insert(i + 1, mid)
+        with pytest.raises(ValueError):
+            m_of_curve(lat, [lat.point(m, n) for m, n in coords])
+
+    def test_parabola_m0_40_is_linear(self, monkeypatch):
+        # structural, not timed: the 82 points found on the exported
+        # parabola at m0 = 40 take no cubic scan and at most N multiplier
+        # evaluations
+        small = parabola_instance(m0=6)
+        pts = small.enumerate().positions
+        assert m_of_curve(small.lattice, pts) == lattice_mod._m_of_all_triples(small.lattice, pts)
+
+        inst = parabola_instance(m0=40)
+        points = inst.enumerate()
+        assert len(points) == 82
+        calls = []
+        real = lattice_mod.triangle_multiplier
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def cubic(*args):
+            raise AssertionError("m_of_curve took the all-triples scan")
+
+        monkeypatch.setattr(lattice_mod, "triangle_multiplier", counted)
+        monkeypatch.setattr(lattice_mod, "_m_of_all_triples", cubic)
+        assert m_of_curve(inst.lattice, points.positions) == 1
+        assert len(calls) <= len(points)
 
 
 class TestEnumeration:
