@@ -25,7 +25,6 @@ from .curve import (
     ConvexityError,
     OrientationError,
     adapted_frame,
-    affine_arclength,
     area_function,
     constant_curvature_curve,
     graphing_parameter_set,
@@ -33,14 +32,10 @@ from .curve import (
 )
 from .kfuncs import DomainError, Interval, abar, ck, sk
 from .lattice import (
+    COUNT_BOUNDS,
     ConicArc,
     Lattice,
     LinearConstraint,
-    bound_general,
-    bound_rigid,
-    bound_sharp,
-    bound_three_points,
-    bound_two_points,
     enumerate_near_curve,
     enumerate_on_arc,
     m_of_curve,
@@ -99,16 +94,11 @@ def _exit_from_reports(reports) -> int:
 
 
 def cmd_arclength(args) -> int:
-    spec = load_curve_spec(args.curve)
-    if spec.raw is not None:
-        raw, t0, t1 = spec.raw
-        lam = affine_arclength(raw, t0, t1)
-    else:
-        lam = spec.curve.domain.length
-    print(lam)
+    dom = load_curve_spec(args.curve).curve.domain
+    print(dom.length)
     if args.out:
-        ss = np.linspace(spec.curve.domain.lo, spec.curve.domain.hi, args.samples)
-        rows = [[repr(float(s)), repr(float(s - spec.curve.domain.lo))] for s in ss]
+        ss = np.linspace(dom.lo, dom.hi, args.samples)
+        rows = [[repr(float(s)), repr(float(s - dom.lo))] for s in ss]
         _emit(_csv_text(["s", "arclength_from_start"], rows), args.out)
     return OK
 
@@ -310,10 +300,6 @@ VERIFY_REGISTRY = {
 
 
 def cmd_verify(args) -> int:
-    if args.theorem not in VERIFY_REGISTRY:
-        print(f"unknown theorem id {args.theorem!r}; known: "
-              f"{sorted(VERIFY_REGISTRY)}", file=sys.stderr)
-        return PARSE
     rng = np.random.default_rng(args.seed)
     reports = VERIFY_REGISTRY[args.theorem](args, rng)
     for i, rep in enumerate(reports):
@@ -351,16 +337,6 @@ def _window_constraints(args) -> tuple[LinearConstraint, ...]:
     if args.ymax is not None:
         cons.append(LinearConstraint.make(0, -1, Fraction(args.ymax)))
     return tuple(cons)
-
-
-# theorem id -> certificate from (k0, k1, lam, multiplier, cell area)
-COUNT_BOUNDS = {
-    "2pts1": lambda k0, k1, lam, m, cell: bound_two_points(k0, lam, m, cell),
-    "low_aff_bd": lambda k0, k1, lam, m, cell: bound_general(k0, lam, m, cell),
-    "2pts2": lambda k0, k1, lam, m, cell: bound_three_points(k0, k1, lam, m, cell),
-    "sharp_lat": lambda k0, k1, lam, m, cell: bound_sharp(k0, k1, lam, m, cell),
-    "rigid_lat": lambda k0, k1, lam, m, cell: bound_rigid(k0, k1, lam, m, cell),
-}
 
 
 def cmd_count(args) -> int:
@@ -437,8 +413,8 @@ def _rows(series, pts, params=None, marker=1) -> list[list]:
              repr(float(p[1])), marker] for i, p in enumerate(pts)]
 
 
-def _curve_rows(series, curve, n=200) -> list[list]:
-    ss = np.linspace(curve.domain.lo, curve.domain.hi, n)
+def _curve_rows(series, curve) -> list[list]:
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, 200)
     return _rows(series, [curve.point(s) for s in ss], ss, marker=0)
 
 
@@ -612,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("verify", help="randomized verification sweeps")
-    sp.add_argument("theorem")
+    sp.add_argument("theorem", choices=tuple(VERIFY_REGISTRY))
     sp.add_argument("--k0", type=finite_float, default=-1.0)
     sp.add_argument("--k1", type=finite_float, default=0.0)
     sp.add_argument("--L", type=positive_float, default=2.0)

@@ -36,7 +36,9 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
 
     Solves the reference area from its third-order initial value problem
     while the curve's own area comes from the sweep integral, so the two
-    sides of the inequality travel independent computational routes.
+    sides of the inequality travel independent computational routes.  A
+    sweep whose quadrature error estimate exceeds the report's slack fails
+    the hypothesis `swept-area-quadrature`, never the inequality.
     """
     if not (Interval(0.0, length).lo >= curve.domain.lo
             and length <= curve.domain.hi + 1e-12):
@@ -64,13 +66,16 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
         hyps.append(Hypothesis("curvature-ordering", False, "curvatures not ordered"))
 
     a_ref = solve_ivp(third_order_op(kbar, interval), 0.5, 0.0, (0.0, 0.0, 0.0))(length)
-    a_val = area_function(curve, 0.0)(length)
+    a_val, a_err = area_function(curve, 0.0).with_error(length)
 
     # kappa <= kappa_bar forces the swept area to dominate the reference
     if direction == "ge":
         lhs, rhs = a_val, a_ref
     else:
         lhs, rhs = a_ref, a_val
+    slack = _slack(rhs, tol)
+    hyps.append(Hypothesis("swept-area-quadrature", a_err <= slack,
+                           f"quadrature error estimate {a_err:.3g} vs slack {slack:.3g}"))
 
     eq = abs(a_val - a_ref) <= EQUALITY_RTOL * max(1.0, abs(a_ref))
     notes = ""
@@ -80,7 +85,7 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
                  else "area equality but curvatures differ beyond sampling tolerance")
 
     return BoundReport(theorem="area-comparison", hypotheses=hyps,
-                       lhs=lhs, rhs=rhs, slack=_slack(rhs, tol),
+                       lhs=lhs, rhs=rhs, slack=slack,
                        equality=eq, witness=length, notes=notes)
 
 
@@ -93,8 +98,7 @@ def area_bounds(k0: float, k1: float, length: float) -> tuple[float, float]:
 
 
 def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
-                       length: float, tol: float = DEFAULT_SLACK,
-                       samples: int = 101) -> BoundReport:
+                       length: float, tol: float = DEFAULT_SLACK) -> BoundReport:
     """Adapted-coordinate rectangle bounds around c(s0).
 
     Checks both two-sided profile bounds on a grid in (-L, L), and that
@@ -110,7 +114,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
     hyps.append(Hypothesis("k1-within-sturm-range", k1 <= k1_cap * (1 + 1e-12),
                            f"k1 = {k1}, cap = {k1_cap}"))
 
-    us = np.linspace(-length, length, samples)[1:-1]
+    us = np.linspace(-length, length, 101)[1:-1]
     kv = np.array([curve.curvature(s0 + u) for u in us])
     in_band = bool(np.all(kv >= k0 - 1e-9) and np.all(kv <= k1 + 1e-9))
     hyps.append(Hypothesis("curvature-in-band", in_band,
@@ -196,10 +200,10 @@ def triangle_ratio_asymptotic(k0: float, lam: float) -> float:
 
 
 def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, float],
-                          bound_kind: str = "arc", k0: float | None = None,
-                          k1: float | None = None,
+                          bound_kind: str = "arc",
                           tol: float = DEFAULT_SLACK) -> BoundReport:
-    """Check one inscribed triangle against the selected area bound."""
+    """Check one inscribed triangle against the selected area bound, with
+    k0 and k1 the least and greatest curvature on a 201-point grid."""
     s1, s2, s3 = vertices
     if not (s1 < s2 < s3):
         raise ValueError("vertex parameters must be strictly increasing")
@@ -209,10 +213,7 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
 
     grid = np.linspace(curve.domain.lo, curve.domain.hi, 201)
     kv = np.array([curve.curvature(s) for s in grid])
-    if k0 is None:
-        k0 = float(kv.min())
-    if k1 is None:
-        k1 = float(kv.max())
+    k0, k1 = float(kv.min()), float(kv.max())
     lam = curve.domain.length
 
     p1, p2, p3 = (curve.point(s) for s in vertices)

@@ -108,16 +108,14 @@ class Conic:
         normal = acoef * t0 + n0 / mu
         return AdaptedFrame(np.array((float(x), float(y))), tangent, normal)
 
-    def branch_curve(self, seed: tuple[float, float], interval: Interval,
-                     label: str = "") -> AffineCurve:
+    def branch_curve(self, seed: tuple[float, float], interval: Interval) -> AffineCurve:
         """Unit-speed parameterization of the branch through the seed point,
         anchored there at s = 0."""
         if abs(self.evaluate_float(*seed)) > 1e-9:
             raise DomainError(f"seed {seed} not on the conic")
         k = self.curvature()
         fr = self.frame_at(*seed)
-        return constant_curvature_curve(k, interval, fr,
-                                        label=label or "conic branch")
+        return constant_curvature_curve(k, interval, fr, label="conic branch")
 
     def coefficient_matrix(self) -> list[list[Fraction]]:
         b2, d2, e2 = self.b / 2, self.d / 2, self.e / 2

@@ -168,8 +168,8 @@ def parabola_curve(interval: Interval) -> AffineCurve:
     return constant_curvature_curve(0.0, interval, label="parabola")
 
 
-def _min_speed_check(d1, d2, t0: float, t1: float, n: int = 257) -> None:
-    for t in np.linspace(t0, t1, n):
+def _min_speed_check(d1, d2, t0: float, t1: float) -> None:
+    for t in np.linspace(t0, t1, 257):
         g = wedge(d1(t), d2(t))
         if g <= 0.0:
             raise OrientationError(
@@ -252,11 +252,10 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
                        label=label or "reparameterized")
 
 
-def _fd_vector(fn: Callable[[float], Vec], s: float, domain: Interval,
-               h: float = 1e-5) -> Vec:
-    """First derivative of a vector function by second-order differences,
-    one-sided at the domain edges."""
-    step = h * max(1.0, domain.length)
+def _fd_vector(fn: Callable[[float], Vec], s: float, domain: Interval) -> Vec:
+    """First derivative of a vector (or scalar) function by second-order
+    differences, one-sided at the domain edges."""
+    step = 1e-5 * max(1.0, domain.length)
     lo, hi = domain.lo, domain.hi
     if s - step >= lo and s + step <= hi:
         return (np.asarray(fn(s + step)) - np.asarray(fn(s - step))) / (2 * step)
@@ -265,11 +264,6 @@ def _fd_vector(fn: Callable[[float], Vec], s: float, domain: Interval,
                 - np.asarray(fn(s + 2 * step))) / (2 * step)
     return (3 * np.asarray(fn(s)) - 4 * np.asarray(fn(s - step))
             + np.asarray(fn(s - 2 * step))) / (2 * step)
-
-
-def _fd_scalar(fn: Callable[[float], float], s: float, domain: Interval,
-               h: float = 1e-5) -> float:
-    return float(_fd_vector(lambda u: np.array([fn(u)]), s, domain, h)[0])
 
 
 def curvature_from_graph(f2: Callable[[float], float], x: float,
@@ -323,9 +317,7 @@ def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineC
 
 def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
                                interval: Interval,
-                               frame: AdaptedFrame | None = None,
-                               rtol: float = 1e-11, atol: float = 1e-13,
-                               label: str = "") -> AffineCurve:
+                               frame: AdaptedFrame | None = None) -> AffineCurve:
     """Curve with prescribed curvature, anchored by the frame at s = 0.
 
     The adapted coordinates x and y both solve u''' + kappa u' = 0, with
@@ -337,7 +329,7 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     fr = frame or AdaptedFrame.identity()
     kap = kappa if callable(kappa) else (lambda s, k=float(kappa): k)
     sol = solve_ivp(third_order_op(kap, interval), 0.0, 0.0,
-                    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), rtol, atol)
+                    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), rtol=1e-11, atol=1e-13)
 
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):
@@ -351,7 +343,7 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
         return d1, d2, -kap(s) * d1
 
     return AffineCurve(interval, position, derivatives,
-                       lambda s: float(kap(s)), label=label or "reconstructed")
+                       lambda s: float(kap(s)), label="reconstructed")
 
 
 @dataclass(frozen=True)
@@ -367,10 +359,13 @@ class AreaFunction:
     p0: Vec
 
     def __call__(self, s: float) -> float:
+        return self.with_error(s)[0]
+
+    def with_error(self, s: float) -> tuple[float, float]:
+        """A(s) and quad's estimate of its absolute error."""
         if s == self.a:
-            return 0.0
-        val, _ = quad(lambda u: self.prime(u), self.a, s, **QUAD_KW)
-        return val
+            return 0.0, 0.0
+        return quad(lambda u: self.prime(u), self.a, s, **QUAD_KW)
 
     def prime(self, s: float) -> float:
         return 0.5 * wedge(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
@@ -386,16 +381,13 @@ def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = Non
     return AreaFunction(curve, a, apex)
 
 
-def area_ode_residual(curve: AffineCurve, area: AreaFunction,
-                      grid: Sequence[float] | None = None) -> float:
-    """Sup over the grid of |A''' + kappa A' - 1/2|, with A''' taken by
-    differencing A'' (the two lower derivatives are evaluated in closed
-    form from the wedge expressions)."""
-    if grid is None:
-        grid = np.linspace(curve.domain.lo, curve.domain.hi, 41)
+def area_ode_residual(curve: AffineCurve, area: AreaFunction) -> float:
+    """Sup over 41 points of the domain of |A''' + kappa A' - 1/2|, with
+    A''' taken by differencing A'' (the two lower derivatives are
+    evaluated in closed form from the wedge expressions)."""
     worst = 0.0
-    for s in grid:
-        a3 = _fd_scalar(area.second, s, curve.domain)
+    for s in np.linspace(curve.domain.lo, curve.domain.hi, 41):
+        a3 = float(_fd_vector(area.second, s, curve.domain))
         worst = max(worst, abs(a3 + curve.curvature(s) * area.prime(s) - 0.5))
     return worst
 
@@ -406,8 +398,7 @@ def adapted_frame(curve: AffineCurve, s0: float) -> AdaptedFrame:
     return AdaptedFrame(curve.point(s0), np.asarray(d1, float), np.asarray(d2, float))
 
 
-def graphing_parameter_set(curve: AffineCurve, s0: float,
-                           resolution: float = 1e-3) -> Interval:
+def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
     """Connected component of s0 where the adapted x-coordinate increases.
 
     Endpoints are domain endpoints or zeros of x', bracketed to 1e-10;
@@ -420,7 +411,7 @@ def graphing_parameter_set(curve: AffineCurve, s0: float,
         return float(fr.to_adapted_vector(curve.derivatives(s)[0])[0])
 
     lo, hi = curve.domain.lo, curve.domain.hi
-    step = max(resolution * curve.domain.length, 1e-12)
+    step = max(1e-3 * curve.domain.length, 1e-12)
 
     def hunt(direction: int) -> float:
         end = hi if direction > 0 else lo

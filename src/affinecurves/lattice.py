@@ -332,11 +332,12 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
 
 
 def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
-             tol: float, exact: bool = True) -> LatticePointSet:
+             tol: float) -> LatticePointSet:
     """The lattice points with the given coordinates (all those in the
     curve's bounding window when coords is None) that lie within distance
     tol of the curve, ordered by the parameter of their closest curve
-    point.
+    point.  The result is exact when the coordinates are given, the
+    candidates of an exact enumeration.
 
     The curve is sampled once, in one array call.  A point's nearest
     sample brackets its closest parameter between that sample's two
@@ -348,6 +349,7 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     """
     ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
     pts = curve.point(ss)
+    exact = coords is not None
     if coords is None:
         coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
     reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
@@ -378,34 +380,32 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
                            exact=exact)
 
 
+def _box_coord_ranges(lat: Lattice, xs, ys) -> tuple[int, int, int, int]:
+    """floor(min m), ceil(max m), floor(min n), ceil(max n) over the lattice
+    coordinates (m, n) of the four corners of the box xs x ys."""
+    ms, ns = zip(*(lat.coords_of((Fraction(x), Fraction(y))) for x in xs for y in ys))
+    return math.floor(min(ms)), math.ceil(max(ms)), math.floor(min(ns)), math.ceil(max(ns))
+
+
 def _window_coords(lat: Lattice, lo, hi) -> list[tuple[int, int]]:
     """Lattice coordinates covering the box [lo[0], hi[0]] x [lo[1], hi[1]]."""
-    corners = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
-    mns = [lat.coords_of((Fraction(x), Fraction(y))) for x, y in corners]
-    return [(m, n)
-            for m in range(math.floor(min(m for m, _ in mns)) - 1,
-                           math.ceil(max(m for m, _ in mns)) + 2)
-            for n in range(math.floor(min(n for _, n in mns)) - 1,
-                           math.ceil(max(n for _, n in mns)) + 2)]
+    m_lo, m_hi, n_lo, n_hi = _box_coord_ranges(lat, (lo[0], hi[0]), (lo[1], hi[1]))
+    return [(m, n) for m in range(m_lo - 1, m_hi + 2) for n in range(n_lo - 1, n_hi + 2)]
 
 
 def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9) -> LatticePointSet:
     """Float fallback when no exact membership test exists: the lattice
     points of the curve's bounding window within distance tol of the
     curve, placed by `on_curve`.  The result is flagged inexact."""
-    return on_curve(curve, lat, None, tol, exact=False)
+    return on_curve(curve, lat, None, tol)
 
 
 def _m_scan_range(arc: ConicArc, lat: Lattice) -> tuple[int, int]:
     xmin, xmax, ymin, ymax = arc.bbox
     if arc.frame == "lattice":
         return math.floor(xmin) - 1, math.ceil(xmax) + 1
-    corners = [(xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)]
-    ms = []
-    for x, y in corners:
-        m, _ = lat.coords_of((Fraction(x), Fraction(y)))
-        ms.append(m)
-    return math.floor(min(ms)) - 1, math.ceil(max(ms)) + 1
+    m_lo, m_hi, _, _ = _box_coord_ranges(lat, (xmin, xmax), (ymin, ymax))
+    return m_lo - 1, m_hi + 1
 
 
 @dataclass
@@ -568,20 +568,29 @@ def bound_rigid(k0: float, k1: float, lam: float, multiplier: int,
     )
 
 
+# theorem id -> certificate from (k0, k1, lam, multiplier, cell area); the
+# entries look the bound_* names up when called
+COUNT_BOUNDS = {
+    "2pts1": lambda k0, k1, lam, m, cell: bound_two_points(k0, lam, m, cell),
+    "low_aff_bd": lambda k0, k1, lam, m, cell: bound_general(k0, lam, m, cell),
+    "2pts2": lambda k0, k1, lam, m, cell: bound_three_points(k0, k1, lam, m, cell),
+    "sharp_lat": lambda k0, k1, lam, m, cell: bound_sharp(k0, k1, lam, m, cell),
+    "rigid_lat": lambda k0, k1, lam, m, cell: bound_rigid(k0, k1, lam, m, cell),
+}
+
+
+def _on_generators(lat: Lattice, v: Vec2) -> bool:
+    """Whether the vector v is an integer combination of the generators."""
+    return (lat.v0[0] + v[0], lat.v0[1] + v[1]) in lat
+
+
 def lattice_equal(lat_a: Lattice, lat_b: Lattice) -> bool:
     """Exact set equality: each origin lies in the other lattice and each
     generator pair is an integral combination of the other."""
 
     def absorbed(target: Lattice, other: Lattice) -> bool:
-        if other.v0 not in target:
-            return False
-        det = _wedge(target.v1, target.v2)
-        for v in (other.v1, other.v2):
-            m = _wedge(v, target.v2) / det
-            n = _wedge(target.v1, v) / det
-            if m.denominator != 1 or n.denominator != 1:
-                return False
-        return True
+        return other.v0 in target and all(_on_generators(target, v)
+                                          for v in (other.v1, other.v2))
 
     return absorbed(lat_a, lat_b) and absorbed(lat_b, lat_a)
 
@@ -653,13 +662,7 @@ def motion_preserves_lattice(motion: AffineMap, lat: Lattice,
         return False
     if triangle_area_exact(*images) != lat.cell_area / 2:
         return False
-    det = _wedge(lat.v1, lat.v2)
-    for v in (motion.linear(lat.v1), motion.linear(lat.v2)):
-        m = _wedge(v, lat.v2) / det
-        n = _wedge(lat.v1, v) / det
-        if m.denominator != 1 or n.denominator != 1:
-            return False
-    return True
+    return all(_on_generators(lat, motion.linear(v)) for v in (lat.v1, lat.v2))
 
 
 def equal_spaced_orbit(conic: Conic, k0: float, lat: Lattice,
@@ -714,11 +717,7 @@ def equal_spaced_orbit(conic: Conic, k0: float, lat: Lattice,
             raise ValueError(f"orbit point {current} left the lattice")
         orbit.append(current)
     orbit = orbit[:count]
-
-    coords = []
-    for p in orbit:
-        m, n = lat.coords_of(p)
-        coords.append((int(m), int(n)))
+    coords = _lattice_coords(lat, orbit)
     orbit_params = [params[0] + i * spacing for i in range(len(orbit))]
     return (LatticePointSet(coords=coords, positions=orbit,
                             params=orbit_params), motion)

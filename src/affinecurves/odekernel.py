@@ -1,11 +1,13 @@
 """Monic linear ODE initial value problems and their Lagrange kernels.
 
 An operator D y = y^(n) + a_{n-1} y^(n-1) + ... + a_0 y is represented by
-its coefficient functions on an interval.  The kernel K(s; r) solves, for
-each fixed r, the homogeneous equation in s with a unit jet on the top
-derivative at r; it reproduces solutions of the non-homogeneous problem
-with zero initial data as y(s) = integral_r^s K(s; t) f(t) dt, which this
-module uses as a cross-validation oracle against direct integration.
+its coefficient functions on an interval.  The forward kernel K(s; r),
+s >= r, solves, for each fixed r, the homogeneous equation in s with a
+unit jet on the top derivative at r; it reproduces solutions of the
+non-homogeneous problem with zero initial data as
+y(s) = integral_r^s K(s; t) f(t) dt for s >= r, which this module uses as
+a cross-validation oracle against direct integration.  The comparison
+theorems read K only there, so each column is solved rightward from r.
 
 Forward-positivity of K is certified from fundamental matrices instead
 of one solve per kernel column.  With Phi_a the solution of Phi' = A Phi,
@@ -24,7 +26,6 @@ re-anchored shooting of Ng & Reid (1979) and Davey (1973).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +39,7 @@ from .reports import BoundReport, Hypothesis
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 POSITIVITY_GRID = 201
+KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # Largest cond(Phi_a(r)) a kernel column is read through before the
 # positivity scan re-anchors at r: it bounds the error amplification of
 # Phi_a(r)^{-1} to three decimal digits of the solver's 1e-10 rtol.
@@ -85,6 +87,11 @@ class LinearOperator:
                 top -= a(s) * u[j]
         du[-1] = top
         return du
+
+
+def _forward(op: LinearOperator, a: float) -> LinearOperator:
+    """The operator restricted to [a, hi]: a solve from a runs rightward only."""
+    return LinearOperator(op.coeffs, Interval(a, op.interval.hi), op.label)
 
 
 def make_operator(coeffs: Sequence[CoeffLike], interval: Interval, label: str = "") -> LinearOperator:
@@ -161,14 +168,14 @@ class IVPSolution:
     def __call__(self, s: float, deriv: int = 0) -> float:
         return float(self.eval(s)[deriv])
 
-    def residual(self, n_samples: int = 50, h: float = 1e-6) -> float:
+    def residual(self) -> float:
         """Sup of |y^(n) + sum a_j y^(j) - f| with y^(n) taken by central
         differences of the top stored derivative (an honest re-check, not
         the solver's own right-hand side)."""
         lo, hi = self.domain.lo, self.domain.hi
-        step = h * max(1.0, hi - lo)
+        step = 1e-6 * max(1.0, hi - lo)
         worst = 0.0
-        for s in np.linspace(lo, hi, n_samples):
+        for s in np.linspace(lo, hi, 50):
             sm, sp = max(lo, s - step), min(hi, s + step)
             if sp - sm < step:
                 continue
@@ -224,54 +231,43 @@ def solve_ivp(op: LinearOperator, forcing: CoeffLike = 0.0, r: float | None = No
 
 
 class LagrangeKernel:
-    """K(s; r) for an operator, solved lazily one column (fixed r) at a time.
+    """The forward kernel K(s; r), s >= r, of an operator, solved lazily one
+    column (fixed r) at a time by a rightward solve on [r, hi]; reading a
+    column at s < r is IVPSolution's out-of-domain ValueError.  Columns are
+    memoized without a lock: `setdefault` keeps the first solve of each."""
 
-    Columns are memoized; the cache is guarded by a lock so concurrent
-    readers are safe.
-    """
-
-    def __init__(self, op: LinearOperator, rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL):
+    def __init__(self, op: LinearOperator):
         self.op = op
-        self.rtol = rtol
-        self.atol = atol
         self._columns: dict[float, IVPSolution] = {}
-        self._lock = threading.Lock()
 
     def column(self, r: float) -> IVPSolution:
-        with self._lock:
-            col = self._columns.get(r)
-        if col is not None:
-            return col
-        jet = np.zeros(self.op.order)
-        jet[-1] = 1.0
-        col = solve_ivp(self.op, 0.0, r, jet, rtol=self.rtol, atol=self.atol)
-        with self._lock:
-            self._columns.setdefault(r, col)
+        col = self._columns.get(r)
+        if col is None:
+            jet = np.zeros(self.op.order)
+            jet[-1] = 1.0
+            col = self._columns.setdefault(r, solve_ivp(_forward(self.op, r), 0.0, r, jet))
         return col
 
     def __call__(self, s: float, r: float, deriv: int = 0) -> float:
         return self.column(r)(s, deriv)
 
 
-def lagrange_kernel(op: LinearOperator, rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> LagrangeKernel:
-    return LagrangeKernel(op, rtol, atol)
+def lagrange_kernel(op: LinearOperator) -> LagrangeKernel:
+    return LagrangeKernel(op)
 
 
 class KernelSolution:
-    """y(s) = integral_r^s K(s; t) f(t) dt, evaluated by adaptive quadrature.
+    """y(s) = integral_r^s K(s; t) f(t) dt, s >= r, evaluated by adaptive
+    quadrature.
 
     Solves D y = f with zero initial data at r; derivatives up to order
     n-1 come from differentiating under the integral sign.
     """
 
-    def __init__(self, kernel: LagrangeKernel, forcing: CoeffLike, r: float,
-                 quad_tol: float = 1e-11):
+    def __init__(self, kernel: LagrangeKernel, forcing: CoeffLike, r: float):
         self.kernel = kernel
         self.r = r
         self.forcing = _as_fn(forcing)
-        self.quad_tol = quad_tol
 
     @property
     def domain(self) -> Interval:
@@ -284,20 +280,16 @@ class KernelSolution:
             return 0.0
         val, err = quad(
             lambda t: self.kernel(s, t, deriv) * self.forcing(t),
-            self.r, s, epsabs=self.quad_tol, epsrel=1e-10, limit=200,
+            self.r, s, epsabs=KERNEL_QUAD_TOL, epsrel=1e-10, limit=200,
         )
-        if abs(err) > 1e3 * self.quad_tol * max(1.0, abs(val)):
+        if abs(err) > 1e3 * KERNEL_QUAD_TOL * max(1.0, abs(val)):
             raise SolverError(f"kernel quadrature error {err} too large at s = {s}")
         return val
 
 
-def solve_via_kernel(op: LinearOperator, forcing: CoeffLike, r: float | None = None,
-                     quad_tol: float = 1e-11, kernel: LagrangeKernel | None = None) -> KernelSolution:
-    if r is None:
-        r = op.interval.lo
-    if kernel is None:
-        kernel = lagrange_kernel(op)
-    return KernelSolution(kernel, forcing, r, quad_tol)
+def solve_via_kernel(op: LinearOperator, forcing: CoeffLike,
+                     r: float | None = None) -> KernelSolution:
+    return KernelSolution(LagrangeKernel(op), forcing, op.interval.lo if r is None else r)
 
 
 @dataclass
@@ -334,8 +326,8 @@ class PositivityReport:
         }
 
 
-def check_forward_positive(op: LinearOperator, interval: Interval | None = None,
-                           grid_n: int = POSITIVITY_GRID, tol: float = 1e-9) -> PositivityReport:
+def check_forward_positive(op: LinearOperator, grid_n: int = POSITIVITY_GRID,
+                           tol: float = 1e-9) -> PositivityReport:
     """Evaluate K(s; r) on the triangular grid s > r and report the minimum.
 
     Kernel zeros are isolated, so a grid scan is a faithful certificate at
@@ -352,8 +344,7 @@ def check_forward_positive(op: LinearOperator, interval: Interval | None = None,
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    if interval is None:
-        interval = op.interval
+    interval = op.interval
     grid = np.linspace(interval.lo, interval.hi, grid_n)
     n = op.order
     e_n = np.eye(n)[-1]
@@ -361,8 +352,7 @@ def check_forward_positive(op: LinearOperator, interval: Interval | None = None,
     witness = None
     a = 0
     while a < grid_n - 1:
-        anchored = LinearOperator(op.coeffs, Interval(float(grid[a]), interval.hi), op.label)
-        phi = solve_ivp(anchored, 0.0, float(grid[a]), np.eye(n)).eval(grid[a:])
+        phi = solve_ivp(_forward(op, float(grid[a])), 0.0, float(grid[a]), np.eye(n)).eval(grid[a:])
         cond = np.linalg.cond(phi[1:-1])
         far = np.flatnonzero(cond > ANCHOR_COND)
         rows = 1 + (int(far[0]) if far.size else len(cond))  # columns r read from this anchor
@@ -381,8 +371,7 @@ def check_forward_positive(op: LinearOperator, interval: Interval | None = None,
 def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
                       forcing: CoeffLike, init: Sequence[float], interval: Interval,
                       tol: float = 1e-7, grid_n: int = 201,
-                      positivity_grid_n: int = 61,
-                      eq_rtol: float = 1e-6) -> BoundReport:
+                      positivity_grid_n: int = 61) -> BoundReport:
     """Executable form of the order-n comparison theorem.
 
     Solves y^(n) + kappa y^(ell) = f and the barred problem with shared
@@ -413,7 +402,7 @@ def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
         direction = "none"
         hyps.append(Hypothesis("curvature-ordering", False, "coefficients not ordered"))
 
-    pos = check_forward_positive(op_bar, interval, positivity_grid_n, tol)
+    pos = check_forward_positive(op_bar, positivity_grid_n, tol)
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
     jets, jets_bar = y.eval(grid), y_bar.eval(grid)
@@ -434,7 +423,7 @@ def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
         gaps = np.abs(yv - ybv)
     worst = int(np.argmax(gaps))
 
-    eq = bool(abs(yv[-1] - ybv[-1]) <= eq_rtol * max(1.0, abs(ybv[-1])))
+    eq = bool(abs(yv[-1] - ybv[-1]) <= 1e-6 * max(1.0, abs(ybv[-1])))
     notes = ""
     if eq:
         same = bool(np.all(np.abs(kv - kbv) <= 1e-6 * max(1.0, float(np.max(np.abs(kbv))))))

@@ -20,13 +20,12 @@ from .conics import Conic
 from .curve import AdaptedFrame, AffineCurve, constant_curvature_curve
 from .kfuncs import Interval
 from .lattice import (
+    COUNT_BOUNDS,
     ConicArc,
     CountBoundCertificate,
     Lattice,
     LatticePointSet,
     LinearConstraint,
-    bound_rigid,
-    bound_sharp,
     enumerate_on_arc,
     plane_conic_from_lattice_frame,
 )
@@ -53,20 +52,21 @@ def fibonacci(n: int) -> int:
 
 @dataclass(frozen=True)
 class SharpInstance:
-    """A curve/lattice pair attaining one of the counting bounds."""
+    """A curve/lattice pair attaining one of the counting bounds, with
+    constant curvature k0 over the whole curve domain."""
 
     curve: AffineCurve
     lattice: Lattice
     arc: ConicArc
     expected_coords: tuple[tuple[int, int], ...]
-    expected_bound: int
     theorem: str  # 'sharp_lat' or 'rigid_lat'
     k0: float
-    k1: float
-    lam: float
-    multiplier: int
     spacing: float
     seed_params: tuple[float, ...]
+
+    @property
+    def expected_bound(self) -> int:
+        return len(self.expected_coords)
 
     @property
     def cell_area(self) -> Fraction:
@@ -79,11 +79,8 @@ class SharpInstance:
         return enumerate_on_arc(self.arc, self.lattice)
 
     def certificate(self) -> CountBoundCertificate:
-        if self.theorem == "rigid_lat":
-            return bound_rigid(self.k0, self.k1, self.lam, self.multiplier,
-                               float(self.cell_area))
-        return bound_sharp(self.k0, self.k1, self.lam, self.multiplier,
-                           float(self.cell_area))
+        return COUNT_BOUNDS[self.theorem](self.k0, self.k0, self.curve.domain.length, 1,
+                                          float(self.cell_area))
 
     def plane_conic(self) -> Conic:
         if self.arc.frame == "lattice":
@@ -172,13 +169,11 @@ def parabola_instance(lat: Lattice | None = None, m0: int = 1,
         param_of=_lattice_param_map(lat, spacing, 0, lambda m: m),
     )
 
-    coords = tuple((j, j * (j - 1) // 2) for j in range(j_start, j_end + 1))
-    count = len(coords)
     return SharpInstance(
         curve=curve, lattice=lat, arc=arc,
-        expected_coords=coords, expected_bound=count,
+        expected_coords=tuple((j, j * (j - 1) // 2) for j in range(j_start, j_end + 1)),
         theorem="rigid_lat" if rigid else "sharp_lat",
-        k0=0.0, k1=0.0, lam=domain.length, multiplier=1, spacing=spacing,
+        k0=0.0, spacing=spacing,
         seed_params=tuple(j * spacing for j in range(j_start, j_start + 4)),
     )
 
@@ -238,13 +233,11 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
             lambda n: math.asinh(-sqrt5 * n / 2.0) / ALPHA / ZXZ_SPACING),
     )
 
-    coords = tuple(_zxz_coords(j) for j in range(j_start, j_end + 1))
-    count = len(coords)
     return SharpInstance(
         curve=curve, lattice=lat, arc=arc,
-        expected_coords=coords, expected_bound=count,
+        expected_coords=tuple(_zxz_coords(j) for j in range(j_start, j_end + 1)),
         theorem="rigid_lat" if rigid else "sharp_lat",
-        k0=k0, k1=k0, lam=domain.length, multiplier=1, spacing=spacing,
+        k0=k0, spacing=spacing,
         seed_params=tuple((j - 1) * spacing for j in range(j_start, j_start + 4)),
     )
 
@@ -284,11 +277,11 @@ def rotation_trace(theta: float) -> float:
     return 2.0 * math.cos(theta)
 
 
-def is_classified_angle(theta: float, tol: float = 1e-9) -> bool:
-    """Whether 2 cos(theta) is within tol of an integer, which happens
+def is_classified_angle(theta: float) -> bool:
+    """Whether 2 cos(theta) is within 1e-9 of an integer, which happens
     exactly at multiples of pi/3 and pi/2."""
     t = rotation_trace(theta)
-    return abs(t - round(t)) <= tol
+    return abs(t - round(t)) <= 1e-9
 
 
 # Square: quarter-turn orbit.  Hexagonal: sixth-turn orbit; a fundamental

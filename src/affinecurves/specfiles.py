@@ -24,7 +24,6 @@ from .curve import (
     AffineCurve,
     ConvexityError,
     GraphJet,
-    ParametricCurve,
     constant_curvature_curve,
     graph_curve,
     reconstruct_from_curvature,
@@ -86,13 +85,11 @@ def _frame(data: dict) -> AdaptedFrame | None:
 
 @dataclass
 class CurveSpec:
-    """A parsed curve document: the unit-speed curve, the raw parametric
-    form where one exists, and the exact conic when membership on the curve
-    is decidable in rational arithmetic."""
+    """A parsed curve document: the unit-speed curve and the exact conic
+    when membership on the curve is decidable in rational arithmetic."""
 
     kind: str
     curve: AffineCurve
-    raw: tuple[ParametricCurve, float, float] | None = None
     conic: Conic | None = None
 
     @property
@@ -118,19 +115,13 @@ def parse_curve_spec(data: dict) -> CurveSpec:
                 raise ConvexityError("parabola needs a positive quadratic coefficient")
         elif len(coeffs) < 3:
             raise SpecError("graph polynomial must have degree at least 2")
-        f, f1, f2, f3, f4 = _poly_fns(coeffs, 4)
         dom = _interval(_require(data, "domain"))
-        jet = GraphJet(f, f1, f2, f3, f4)
-        curve = graph_curve(jet, dom.lo, dom.hi, label=kind)
-        raw = (ParametricCurve(lambda t: (t, f(t)), lambda t: (1.0, f1(t)),
-                               lambda t: (0.0, f2(t)), lambda t: (0.0, f3(t)),
-                               lambda t: (0.0, f4(t))),
-               dom.lo, dom.hi)
+        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
         conic = None
         if len(coeffs) == 3:
             c0, c1, c2 = (Fraction(str(v)) for v in coeff_strs)
             conic = Conic.make(c2, 0, 0, c1, -1, c0)
-        return CurveSpec(kind, curve, raw, conic)
+        return CurveSpec(kind, curve, conic)
 
     if kind == "conic":
         coeff_strs = _require(data, "coeffs")
@@ -143,7 +134,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         seed = _floats(_require(data, "seed"), 2, "seed")
         dom = _interval(_require(data, "domain"))
         curve = conic.branch_curve((seed[0], seed[1]), dom)
-        return CurveSpec(kind, curve, None, conic)
+        return CurveSpec(kind, curve, conic)
 
     if kind == "constant-curvature":
         k_str = _require(data, "k")
@@ -158,7 +149,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
                 conic = Conic.make(1, 0, kf, 0, -2, 0)
             except (ValueError, ZeroDivisionError):
                 conic = None
-        return CurveSpec(kind, curve, None, conic)
+        return CurveSpec(kind, curve, conic)
 
     # curvature-ivp
     coeffs = _floats(_require(data, "kappa_coeffs"),
@@ -168,7 +159,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         raise SpecError("curvature-ivp domain must contain the anchor s = 0")
     kap = _poly_fns(coeffs, 0)[0]
     curve = reconstruct_from_curvature(kap, dom, _frame(data))
-    return CurveSpec(kind, curve, None, None)
+    return CurveSpec(kind, curve)
 
 
 def parse_lattice_spec(data: dict) -> Lattice:
@@ -208,11 +199,11 @@ def _load_json(path: str | Path) -> dict:
         raise SpecError(f"invalid JSON in {path}: {exc}") from None
 
 
-def curve_bbox(curve: AffineCurve, samples: int = 512,
-               margin: float = 1.0) -> tuple[float, float, float, float]:
-    pts = curve.point(np.linspace(curve.domain.lo, curve.domain.hi, samples))
+def curve_bbox(curve: AffineCurve) -> tuple[float, float, float, float]:
+    """The box of 512 curve samples, padded by 1 (plus 1e-9 relative)."""
+    pts = curve.point(np.linspace(curve.domain.lo, curve.domain.hi, 512))
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
-    pad = margin + 1e-9 * max(abs(xmin), abs(xmax), abs(ymin), abs(ymax))
+    pad = 1.0 + 1e-9 * max(abs(xmin), abs(xmax), abs(ymin), abs(ymax))
     return (float(xmin - pad), float(xmax + pad),
             float(ymin - pad), float(ymax + pad))

@@ -186,6 +186,28 @@ class TestVerify:
     def test_unknown_theorem(self):
         assert main(["verify", "thm9.9"]) == 2
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_thm41_failed_sweep_quadrature_is_a_hypothesis(self, capsys):
+        # the sweep's error estimate (about 1e47) swamps its stiff area
+        assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
+                     "--trials", "1"]) == 4
+        out = capsys.readouterr().out
+        (report,) = json.loads(out[out.index("{"):])["reports"]
+        assert report["verdict"] == "hypotheses-failed"
+        assert [h["ok"] for h in report["hypotheses"]
+                if h["name"] == "swept-area-quadrature"] == [False]
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_thm41_stiff_corner_holds(self, capsys):
+        assert main(["verify", "thm4.1", "--k0=-25", "--k1=-23", "--L", "4",
+                     "--trials", "3"]) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert [r["verdict"] for r in reports] == ["holds"] * 3
+        for r in reports:
+            assert [h["ok"] for h in r["hypotheses"]
+                    if h["name"] == "swept-area-quadrature"] == [True]
+
     @pytest.mark.parametrize("theorem", ["thm2.3", "thm3.4", "cor4.2",
                                          "prop4.3", "thm5.8"])
     def test_all_sweeps_hold(self, theorem, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from affinecurves.kfuncs import Interval, abar, ck, sk
 from affinecurves.odekernel import (
+    LagrangeKernel,
     check_forward_positive,
     compare_solutions,
     lagrange_kernel,
@@ -132,6 +133,27 @@ class TestLagrangeKernel:
             assert jet[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+class TestForwardColumns:
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.75])
+    def test_column_is_right_half_of_two_sided_solve(self, r):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            n = int(rng.integers(2, 5))
+            op = make_operator([poly_fn(rng.uniform(-5, 5, size=3)) for _ in range(n)], UNIT)
+            two_sided = solve_ivp(op, 0.0, r, np.eye(n)[-1])
+            col = LagrangeKernel(op).column(r)
+            for s in np.linspace(r, 1.0, 7):
+                assert col.eval(float(s)).tobytes() == two_sided.eval(float(s)).tobytes()
+
+    def test_reading_left_of_r_raises(self):
+        ker = LagrangeKernel(third_order_op(-1.0, UNIT))
+        assert ker(0.6, 0.5) > 0.0
+        with pytest.raises(ValueError):
+            ker(0.4, 0.5)
+        with pytest.raises(ValueError):
+            ker.column(0.5).eval(np.array([0.5, 0.4]))
+
+
 class TestKernelSolution:
     def test_matches_closed_form_flat(self):
         op = third_order_op(0.0, Interval(0.0, 2.0))
@@ -257,7 +279,7 @@ class TestAnchoredPositivity:
 
 class TestConcurrency:
     def test_kernel_columns_thread_safe(self):
-        # memoized columns are lock-guarded; concurrent readers must agree
+        # memoized columns (dict.setdefault, no lock); concurrent readers must agree
         import threading
 
         op = third_order_op(lambda s: -1.0 + math.sin(s) / 2.0,
