@@ -112,7 +112,7 @@ def cmd_curvature(args) -> int:
     print(c.curvature(where))
     if args.out:
         ss = np.linspace(c.domain.lo, c.domain.hi, args.samples)
-        rows = [[repr(float(s)), repr(float(c.curvature(s)))] for s in ss]
+        rows = [[repr(float(s)), repr(float(k))] for s, k in zip(ss, c.curvature(ss))]
         _emit(_csv_text(["s", "kappa"], rows), args.out)
     return OK
 
@@ -123,10 +123,11 @@ def cmd_area(args) -> int:
     base = args.base if args.base is not None else c.domain.lo
     apex = tuple(args.apex) if args.apex else None
     area = area_function(c, base, apex)
-    print(area(c.domain.hi))
+    ss = np.linspace(c.domain.lo, c.domain.hi, args.samples if args.out else 0)
+    values = area(np.append(ss, c.domain.hi))  # one pass; the last entry is A(hi)
+    print(float(values[-1]))
     if args.out:
-        ss = np.linspace(c.domain.lo, c.domain.hi, args.samples)
-        rows = [[repr(float(s)), repr(float(area(s)))] for s in ss]
+        rows = [[repr(float(s)), repr(float(a))] for s, a in zip(ss, values)]
         _emit(_csv_text(["s", "area"], rows), args.out)
     return OK
 
@@ -357,7 +358,7 @@ def cmd_count(args) -> int:
         points = enumerate_near_curve(curve, lat, tol=tol)
 
     grid = np.linspace(curve.domain.lo, curve.domain.hi, 201)
-    kv = [curve.curvature(s) for s in grid]
+    kv = curve.curvature(grid).tolist()
     k0, k1 = min(kv), max(kv)
     lam = curve.domain.length
     cell = float(lat.cell_area)

@@ -38,8 +38,27 @@ def wedge(v: Sequence[float], w: Sequence[float]) -> float:
     return float(v[0] * w[1] - v[1] * w[0])
 
 
+def _wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`wedge` of each pair of rows of two (p, 2) arrays."""
+    return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+
+
 def _vec(x: float, y: float) -> Vec:
     return np.array((x, y), dtype=float)
+
+
+def _each(fn: Callable[[float], float], s: float | np.ndarray) -> float | np.ndarray:
+    """fn(s) at a float; at a 1-D array, the float array of fn at each entry."""
+    if isinstance(s, np.ndarray):
+        return np.array([fn(u) for u in s.tolist()], dtype=float)
+    return fn(s)
+
+
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry with the scalar libm pow: NumPy's vectorised
+    power can differ from it in the last bit (AVX-512 builds), and array
+    reads must equal scalar reads bit for bit."""
+    return _each(lambda v: v ** e, x)
 
 
 @dataclass(frozen=True)
@@ -94,13 +113,16 @@ class AdaptedFrame:
 class AffineCurve:
     """Unit-affine-speed plane curve with three derivatives and curvature.
 
-    `position` also takes a 1-D array of p parameters and returns the
-    (p, 2) array of the scalar reads, in one call."""
+    At a float s, `position` gives c(s) as a 2-vector, `derivatives` the
+    2-vectors (c', c'', c''') and `curvature` a float.  Each also takes a
+    1-D array of p parameters and returns, in one call, what the scalar
+    reads would stack to, bit for bit: a (p, 2) array, three (p, 2)
+    arrays, and a (p,) array."""
 
     domain: Interval
     position: Callable[[float | np.ndarray], Vec]
-    derivatives: Callable[[float], tuple[Vec, Vec, Vec]]
-    curvature: Callable[[float], float]
+    derivatives: Callable[[float | np.ndarray], tuple[Vec, Vec, Vec]]
+    curvature: Callable[[float | np.ndarray], float | np.ndarray]
     label: str = ""
 
     def point(self, s: float | np.ndarray) -> Vec:
@@ -110,19 +132,14 @@ class AffineCurve:
         return self.derivatives(s)[0]
 
     def unit_speed_defect(self, n: int = 1000) -> float:
-        worst = 0.0
-        for s in np.linspace(self.domain.lo, self.domain.hi, n):
-            d1, d2, _ = self.derivatives(s)
-            worst = max(worst, abs(wedge(d1, d2) - 1.0))
-        return worst
+        d1, d2, _ = self.derivatives(np.linspace(self.domain.lo, self.domain.hi, n))
+        return float(np.max(np.abs(_wedge_rows(d1, d2) - 1.0)))
 
     def structure_defect(self, n: int = 200) -> float:
         """Sup of |c''' + kappa c'| over a sample grid."""
-        worst = 0.0
-        for s in np.linspace(self.domain.lo, self.domain.hi, n):
-            d1, _, d3 = self.derivatives(s)
-            worst = max(worst, float(np.max(np.abs(d3 + self.curvature(s) * d1))))
-        return worst
+        ss = np.linspace(self.domain.lo, self.domain.hi, n)
+        d1, _, d3 = self.derivatives(ss)
+        return float(np.max(np.abs(d3 + self.curvature(ss)[:, None] * d1)))
 
 
 @dataclass(frozen=True)
@@ -150,16 +167,21 @@ def constant_curvature_curve(k: float, interval: Interval,
 
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):
-            return fr.from_adapted_rows(np.array([(sk(k, u), ybar(k, u)) for u in s.tolist()]))
+            xy = np.array([(sk(k, u), ybar(k, u)) for u in s.tolist()]).reshape(-1, 2)
+            return fr.from_adapted_rows(xy)
         return fr.from_adapted((sk(k, s), ybar(k, s)))
 
-    def derivatives(s: float):
-        c, sn = ck(k, s), sk(k, s)
+    def derivatives(s: float | np.ndarray):
+        if isinstance(s, np.ndarray):
+            c = _each(lambda u: ck(k, u), s)[:, None]
+            sn = _each(lambda u: sk(k, u), s)[:, None]
+        else:
+            c, sn = ck(k, s), sk(k, s)
         d1 = c * fr.tangent + sn * fr.normal
         d2 = -k * sn * fr.tangent + c * fr.normal
         return d1, d2, -k * d1
 
-    return AffineCurve(interval, position, derivatives, lambda s: k,
+    return AffineCurve(interval, position, derivatives, lambda s: _each(lambda u: k, s),
                        label=label or f"constant-curvature k={k}")
 
 
@@ -209,12 +231,18 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     domain = Interval(0.0, lam)
 
     def t_at(s: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(s, np.ndarray) and not s.size:  # scipy's dense output rejects []
+            return s.astype(float)
         t = np.clip(t_of_s(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
         return t if isinstance(s, np.ndarray) else float(t)
 
+    def rows(fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
+        """fn at each entry of t, as a (p, 2) array."""
+        return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
+
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):  # one dense-output read for all the points
-            return np.array([raw.position(t) for t in t_at(s).tolist()], dtype=float)
+            return rows(raw.position, t_at(s))
         return np.asarray(raw.position(t_at(s)), dtype=float)
 
     def base_derivs(s: float):
@@ -233,7 +261,9 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     def gamma2(s: float) -> Vec:
         return base_derivs(s)[9]
 
-    def derivatives(s: float):
+    def derivatives(s: float | np.ndarray):
+        if isinstance(s, np.ndarray):
+            return derivative_rows(s)
         t, c1, c2, c3, gv, gp, tp, tpp, d1, d2 = base_derivs(s)
         if raw.d4 is not None:
             c4 = np.asarray(raw.d4(t), dtype=float)
@@ -244,9 +274,32 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
             d3 = _fd_vector(gamma2, s, domain)
         return d1, d2, d3
 
-    def curvature(s: float) -> float:
-        d1, d2, d3 = derivatives(s)
-        return wedge(d2, d3)
+    def derivative_rows(s: np.ndarray):
+        """`derivatives` at each entry of s: the scalar arithmetic above,
+        done column-wise after one dense-output read of t(s).  Scalar reads
+        keep their own path, which is the faster one for the root-finders
+        that call it point by point."""
+        t = t_at(s)
+        c1, c2, c3 = (rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
+        gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
+        tp = _pow(gv, -1.0 / 3.0)
+        tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
+        d1 = c1 * tp[:, None]
+        d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
+        if raw.d4 is not None:
+            c4 = rows(raw.d4, t)
+            gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
+            tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
+                    - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
+            d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
+                  + c1 * tppp[:, None])
+        else:
+            d3 = rows(lambda u: _fd_vector(gamma2, u, domain), s)
+        return d1, d2, d3
+
+    def curvature(s: float | np.ndarray) -> float | np.ndarray:
+        _, d2, d3 = derivatives(s)
+        return _wedge_rows(d2, d3) if isinstance(s, np.ndarray) else wedge(d2, d3)
 
     return AffineCurve(domain, position, derivatives, curvature,
                        label=label or "reparameterized")
@@ -336,14 +389,45 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
             return fr.from_adapted_rows(sol.eval(np.clip(s, interval.lo, interval.hi))[:, 0])
         return fr.from_adapted(sol.eval(interval.clamp(s))[0])
 
-    def derivatives(s: float):
+    def derivatives(s: float | np.ndarray):
+        if isinstance(s, np.ndarray):  # one dense-output read for all the points
+            u = sol.eval(np.clip(s, interval.lo, interval.hi))
+            d1 = u[:, 1, :1] * fr.tangent + u[:, 1, 1:] * fr.normal
+            d2 = u[:, 2, :1] * fr.tangent + u[:, 2, 1:] * fr.normal
+            return d1, d2, -_each(kap, s)[:, None] * d1
         u = sol.eval(interval.clamp(s))
         d1 = u[1, 0] * fr.tangent + u[1, 1] * fr.normal
         d2 = u[2, 0] * fr.tangent + u[2, 1] * fr.normal
         return d1, d2, -kap(s) * d1
 
     return AffineCurve(interval, position, derivatives,
-                       lambda s: float(kap(s)), label="reconstructed")
+                       lambda s: _each(lambda u: float(kap(u)), s), label="reconstructed")
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21): the Kronrod
+# abscissae from the end inwards, then the centre, with their weights; the
+# embedded 10-point Gauss rule uses every second abscissa, from the second
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208626368857, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_GK_NODES = np.array([-x for x in _XGK] + list(_XGK[-2::-1]))
+_GK_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = _WG
+
+AREA_TOL = 1e-11            # absolute, and relative to the largest |A| sampled
+AREA_MAX_DEPTH = 7          # bisections of a knot interval before its panels count as they are
 
 
 @dataclass(frozen=True)
@@ -351,27 +435,90 @@ class AreaFunction:
     """Signed area swept between the curve and segments from the apex p0.
 
     A(s) = 1/2 integral_a^s (c - p0) wedge c'; positive where the sweep
-    is right-handed.
+    is right-handed.  A call at a 1-D array of samples computes all of
+    them in one adaptive Gauss-Kronrod pass: the knots are the sorted
+    samples and the base a, every panel between knots is read at its 21
+    nodes in one array call of the curve, and the rejected panels of all
+    intervals are bisected together.  A panel is accepted when QUADPACK's
+    error estimate is within its length's share of
+    AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
+    bisections count with their estimates and errors, so a pass always
+    ends, after at most 2**(AREA_MAX_DEPTH + 1) - 1 panels per interval.
+    The values are partial sums outward from the base, so A(a) = 0.
     """
 
     curve: AffineCurve
     a: float
     p0: Vec
 
-    def __call__(self, s: float) -> float:
+    def __call__(self, s: float | np.ndarray) -> float | np.ndarray:
         return self.with_error(s)[0]
 
-    def with_error(self, s: float) -> tuple[float, float]:
-        """A(s) and quad's estimate of its absolute error."""
-        if s == self.a:
-            return 0.0, 0.0
-        return quad(lambda u: self.prime(u), self.a, s, **QUAD_KW)
+    def with_error(self, s: float | np.ndarray) -> tuple:
+        """A(s) and an estimate of its absolute error, at a float or at
+        each entry of a 1-D array."""
+        ss = np.atleast_1d(np.asarray(s, dtype=float))
+        knots = np.unique(np.append(ss, self.a))
+        base = int(np.searchsorted(knots, self.a))
+        values, errors = self._sweep(knots, base)
+        at = np.searchsorted(knots, ss)
+        if isinstance(s, np.ndarray):
+            return values[at], errors[at]
+        return float(values[at[0]]), float(errors[at[0]])
 
-    def prime(self, s: float) -> float:
+    def _sweep(self, knots: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+        """A and its error estimate at the knots, zero at knots[base]."""
+        n = len(knots) - 1
+        lo, hi, owner = knots[:-1], knots[1:], np.arange(n)
+        totals, errors = np.zeros(n), np.zeros(n)
+        span = knots[-1] - knots[0]
+        for depth in range(AREA_MAX_DEPTH + 1):
+            if not len(lo):
+                break
+            res, err = self._panels(lo, hi)
+            sums = totals + np.bincount(owner, res, minlength=n)
+            tol = AREA_TOL * max(1.0, float(np.max(np.abs(_from_base(sums, base)))))
+            ok = (err <= tol * (hi - lo) / span) | (depth == AREA_MAX_DEPTH)
+            totals += np.bincount(owner[ok], res[ok], minlength=n)
+            errors += np.bincount(owner[ok], err[ok], minlength=n)
+            lo, hi, owner = lo[~ok], hi[~ok], owner[~ok]
+            mid = 0.5 * (lo + hi)
+            lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.append(owner, owner)
+        return _from_base(totals, base), np.abs(_from_base(errors, base))
+
+    def _panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """QUADPACK qk21 on each panel [lo, hi]: the Kronrod value and the
+        error estimate, with the integrand read at all nodes at once."""
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = centre[:, None] + half[:, None] * _GK_NODES
+        f = self.prime(nodes.ravel()).reshape(nodes.shape)
+        resk = (f * _GK_WEIGHTS).sum(axis=1)
+        resg = (f * _G_WEIGHTS).sum(axis=1)
+        width = np.abs(half)
+        resabs = (np.abs(f) * _GK_WEIGHTS).sum(axis=1) * width
+        resasc = (np.abs(f - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1) * width
+        err = np.abs((resk - resg) * half)
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc != 0.0)
+        err = np.where(resasc != 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        return resk * half, np.maximum(50.0 * np.finfo(float).eps * resabs, err)
+
+    def prime(self, s: float | np.ndarray) -> float | np.ndarray:
+        """A'(s), at a float or at each entry of a 1-D array."""
+        if isinstance(s, np.ndarray):
+            return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
         return 0.5 * wedge(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
 
     def second(self, s: float) -> float:
         return 0.5 * wedge(self.curve.point(s) - self.p0, self.curve.derivatives(s)[1])
+
+
+def _from_base(per_interval: np.ndarray, base: int) -> np.ndarray:
+    """Partial sums of the per-interval values outward from knot `base`:
+    the integral from knots[base] to each knot, exactly 0 at the base."""
+    out = np.zeros(len(per_interval) + 1)
+    out[base + 1:] = np.cumsum(per_interval[base:])
+    out[:base] = -np.cumsum(per_interval[:base][::-1])[::-1]
+    return out
 
 
 def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:

@@ -8,6 +8,7 @@ that feed exact lattice arithmetic also accept fraction strings like
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -68,7 +69,17 @@ def _poly_fns(coeffs: Sequence[float], orders: int):
     cs = [np.asarray(coeffs, dtype=float)]
     for _ in range(orders):
         cs.append(npoly.polyder(cs[-1]))
-    return [lambda x, c=c: float(npoly.polyval(x, c)) for c in cs]
+    return [functools.partial(_horner, tuple(c.tolist())) for c in cs]
+
+
+def _horner(c: tuple[float, ...], x: float) -> float:
+    """The polynomial with ascending coeffs c at x, by the operations of
+    numpy's `polyval` in the same order (so the same float), without its
+    per-call array set-up."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return float(acc)
 
 
 def _frame(data: dict) -> AdaptedFrame | None:

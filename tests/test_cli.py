@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from affinecurves.cli import main
+from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
 from affinecurves.lattice import (
     ConicArc,
     Lattice,
@@ -66,6 +68,13 @@ class TestBasicCommands:
         assert main(["curvature", hyperbola_spec]) == 0
         val = float(capsys.readouterr().out.strip())
         assert val == pytest.approx(-ALPHA ** 2, rel=1e-10)
+
+    def test_curvature_table_of_no_samples(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]})
+        out = tmp_path / "kappa.csv"
+        assert main(["curvature", spec, "--out", str(out), "--samples", "0"]) == 0
+        assert out.read_text() == "s,kappa\n"
 
     def test_area_parabola(self, tmp_path, capsys):
         spec = write_json(tmp_path / "p.json", {
@@ -197,7 +206,6 @@ class TestVerify:
         assert [h["ok"] for h in report["hypotheses"]
                 if h["name"] == "swept-area-quadrature"] == [False]
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_thm41_stiff_corner_holds(self, capsys):
         assert main(["verify", "thm4.1", "--k0=-25", "--k1=-23", "--L", "4",
                      "--trials", "3"]) == 0
@@ -464,3 +472,74 @@ class TestCountOnArc:
         payload = json.loads(out[:out.rindex("}") + 1])
         assert payload["count"] == 1
         assert payload["points"] == [[0, 0, 0.0, 0.0]]
+
+
+class TestAreaTable:
+    """`area` computes its printed value and every `--out` row in one
+    pass of the swept-area quadrature."""
+
+    @pytest.fixture
+    def graph_spec(self, tmp_path):
+        return write_json(tmp_path / "graph.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05", "0.01"],
+            "domain": ["-1", "1.3"]})
+
+    def test_last_row_is_the_printed_area(self, graph_spec, tmp_path, capsys):
+        out = tmp_path / "area.csv"
+        assert main(["area", graph_spec, "--out", str(out), "--samples", "37"]) == 0
+        printed = capsys.readouterr().out.strip()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 37
+        assert rows[0][1] == "0.0"
+        assert rows[-1][1] == printed
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_few_samples_still_print_the_area(self, tmp_path, capsys, samples):
+        spec = write_json(tmp_path / "p.json", {
+            "type": "parabola", "coeffs": ["0", "0", "0.5"], "domain": ["0", "2"]})
+        out = tmp_path / "area.csv"
+        assert main(["area", spec, "--out", str(out), "--samples", str(samples)]) == 0
+        assert float(capsys.readouterr().out.strip()) == pytest.approx(8.0 / 12.0, rel=1e-12)
+        assert out.read_text().splitlines()[1:] == ["0.0,0.0"] * samples
+
+    def test_one_pass_reads_the_curve_in_arrays(self, graph_spec, tmp_path, capsys,
+                                                monkeypatch):
+        reads = []
+        point = AffineCurve.point
+
+        def counted(self, s):
+            reads.append(s.size if isinstance(s, np.ndarray) else "scalar")
+            return point(self, s)
+
+        monkeypatch.setattr(AffineCurve, "point", counted)
+        out = tmp_path / "area.csv"
+        assert main(["area", graph_spec, "--apex", "0", "0", "--out", str(out),
+                     "--samples", "65"]) == 0
+        # the first call reads the 21 nodes of all 64 panels between samples
+        assert 1 <= len(reads) <= 3
+        assert reads[0] == 21 * 64
+        assert "scalar" not in reads
+
+    def test_thm41_stiff_corner_does_not_warn(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "thm4.1", "--k0=-25", "--k1=-23", "--L=4",
+                         "--trials", "3"]) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert [r["verdict"] for r in reports] == ["holds"] * 3
+
+    def test_thm41_lost_sweep_has_bounded_work(self, capsys, monkeypatch):
+        nodes = []
+        prime = AreaFunction.prime
+
+        def counted(self, s):
+            nodes.append(np.size(s))
+            return prime(self, s)
+
+        monkeypatch.setattr(AreaFunction, "prime", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
+                         "--trials", "1"]) == 4
+        assert 0 < sum(nodes) <= 21 * (2 ** (AREA_MAX_DEPTH + 1) - 1)  # one interval

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from affinecurves.conics import Conic
 from affinecurves.curve import (
@@ -293,11 +294,12 @@ class TestAreaFunction:
         base = area_function(c, 0.0)(2.0)
         for _ in range(20):
             m, b = random_special_affine(rng)
-            moved_pos = lambda s: m @ c.point(s) + b
+            # row-vector form, so the closures take a float or a 1-D array
+            moved_pos = lambda s: c.point(s) @ m.T + b
             moved = type(c)(
                 c.domain,
                 moved_pos,
-                lambda s: tuple(m @ np.asarray(d) for d in c.derivatives(s)),
+                lambda s: tuple(np.asarray(d) @ m.T for d in c.derivatives(s)),
                 c.curvature,
             )
             assert area_function(moved, 0.0)(2.0) == pytest.approx(base, rel=1e-9)
@@ -411,3 +413,115 @@ class TestArrayPosition:
         stacked = np.array([curve.point(float(s)) for s in ss])
         assert got.tobytes() == stacked.tobytes()
 
+
+ARRAY_SPECS = [
+    {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]},
+    {"type": "parabola", "coeffs": ["0", "-0.5", "0.5"], "domain": ["0", "3"]},
+    {"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"],
+     "seed": ["1", "0"], "domain": ["0", "2"]},
+    {"type": "constant-curvature", "k": "2", "domain": ["-1", "1"],
+     "origin": ["1", "2"], "tangent": ["1", "0.5"], "normal": ["0", "1"]},
+    {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5", "0.2"],
+     "domain": ["-1", "1.5"]},
+]
+
+
+def _sample_params(curve):
+    lo, hi = curve.domain.lo, curve.domain.hi
+    return np.concatenate([[lo - 0.25, lo, hi, hi + 0.25], np.linspace(lo, hi, 129),
+                           np.random.default_rng(5).uniform(lo, hi, 40)])
+
+
+class TestArrayDerivatives:
+    """One array read of `derivatives` or `curvature` equals the stacked
+    scalar reads, bit for bit, also past the domain ends."""
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS)
+    def test_derivatives_equal_stacked_scalars(self, spec):
+        curve = parse_curve_spec(spec).curve
+        ss = _sample_params(curve)
+        got = curve.derivatives(ss)
+        scalar = [curve.derivatives(float(s)) for s in ss]
+        for order, rows in enumerate(got):
+            assert rows.shape == (len(ss), 2)
+            stacked = np.array([d[order] for d in scalar])
+            assert rows.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS)
+    def test_curvature_equals_stacked_scalars(self, spec):
+        curve = parse_curve_spec(spec).curve
+        ss = _sample_params(curve)
+        got = curve.curvature(ss)
+        assert got.shape == (len(ss),)
+        stacked = np.array([curve.curvature(float(s)) for s in ss])
+        assert got.tobytes() == stacked.tobytes()
+
+    def test_fd_fallback_equals_stacked_scalars(self):
+        raw = circle_raw(1.0)
+        c = reparam_unit_speed(ParametricCurve(raw.position, raw.d1, raw.d2, raw.d3),
+                               0.0, 3.0)
+        ss = np.array([0.0, 1e-7, 1.5, c.domain.hi - 1e-7, c.domain.hi])
+        stacked = np.array([c.derivatives(float(s))[2] for s in ss])
+        assert c.derivatives(ss)[2].tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS)
+    def test_empty_array(self, spec):
+        curve = parse_curve_spec(spec).curve
+        none = np.empty(0)
+        assert curve.point(none).shape == (0, 2)
+        assert [d.shape for d in curve.derivatives(none)] == [(0, 2)] * 3
+        assert curve.curvature(none).shape == (0,)
+
+
+def _quad_area(area, s):
+    """The swept area by one scalar `quad` from the base: the route the
+    one-pass table replaced, kept as its oracle."""
+    if s == area.a:
+        return 0.0
+    return quad(area.prime, area.a, s, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+
+
+class TestAreaPass:
+    """Every sample of one pass against a separate `quad` per sample."""
+
+    @pytest.mark.parametrize("spec", [s for s in ARRAY_SPECS if s["type"] != "parabola"])
+    @pytest.mark.parametrize("where", ["lo", "interior", "hi", "apex"])
+    def test_matches_per_sample_quad(self, spec, where):
+        curve = parse_curve_spec(spec).curve
+        ss = np.linspace(curve.domain.lo, curve.domain.hi, 37)
+        base = {"lo": ss[0], "interior": ss[13], "hi": ss[-1], "apex": ss[5]}[where]
+        apex = (0.3, -1.2) if where == "apex" else None
+        area = area_function(curve, base, apex)
+        got = area(ss)
+        assert got.shape == ss.shape
+        assert got[ss == base].tolist() == [0.0]
+        for s, a in zip(ss, got):
+            want = _quad_area(area, s)
+            assert abs(a - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_rule_tables_are_exact_to_their_degrees(self):
+        from affinecurves.curve import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS
+        for d in range(32):
+            exact = (1 - (-1) ** (d + 1)) / (d + 1)
+            assert (_GK_WEIGHTS * _GK_NODES ** d).sum() == pytest.approx(exact, abs=1e-14)
+            if d < 20:
+                assert (_G_WEIGHTS * _GK_NODES ** d).sum() == pytest.approx(exact, abs=1e-14)
+        assert (_G_WEIGHTS * _GK_NODES ** 20).sum() != pytest.approx(1 / 21, abs=1e-8)
+
+    def test_scalar_call_is_the_one_point_pass(self):
+        curve = parse_curve_spec(ARRAY_SPECS[0]).curve
+        area = area_function(curve, 0.0)
+        value, err = area.with_error(0.75)
+        assert (value, err) == tuple(float(v[0]) for v in area.with_error(np.array([0.75])))
+        assert 0.0 <= err <= 1e-11
+        assert area(0.0) == 0.0 and area.with_error(0.0) == (0.0, 0.0)
+
+    def test_samples_in_any_order_and_repeated(self):
+        curve = parse_curve_spec(ARRAY_SPECS[2]).curve
+        area = area_function(curve, 1.0)
+        ss = np.array([2.0, 0.0, 1.0, 0.5, 2.0, 1.0])
+        got = area(ss)
+        assert got[2] == got[5] == 0.0 and got[0] == got[4]
+        assert np.all(got[[1, 3]] < 0.0) and got[0] > 0.0
+        for s, a in zip(ss, got):
+            assert a == pytest.approx(_quad_area(area, s), abs=1e-10)
