@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -541,7 +542,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: `prog` is fixed and every
+    default is immutable, so each `main` call can share it."""
     p = argparse.ArgumentParser(prog="affinecurves",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,9 +1,9 @@
 """Exact lattice arithmetic, enumeration on conic arcs, and counting bounds.
 
 Membership decisions, triangle multipliers, and orbit verification all run
-on Fractions (exact for integer and decimal-string inputs); floating point
-only enters through arc-length parameters and the profile functions used
-by the bound formulas.
+in exact arithmetic over Python integers or Fractions (exact for integer
+and decimal-string inputs); floating point only enters through arc-length
+parameters and the profile functions used by the bound formulas.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ SPACING_TOL = 1e-9
 EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
+MAX_SCAN_COLUMNS = 10**6  # lattice columns one exact arc scan may visit
+
+
+class BudgetError(DomainError):
+    """A computation that would exceed a fixed work budget."""
 
 
 def _vec2(x: RationalLike, y: RationalLike) -> Vec2:
@@ -261,61 +266,63 @@ def plane_conic_from_lattice_frame(conic: Conic, lat: Lattice) -> Conic:
     return conic.substituted(inv)
 
 
-def _rational_isqrt(d: Fraction) -> Fraction | None:
-    if d < 0:
-        return None
-    p, q = d.numerator, d.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        return None
-    return Fraction(rp, rq)
+def _cleared(coeffs: Sequence[Fraction]) -> list[int]:
+    """The coefficients times the positive lcm of their denominators."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * lcm) for c in coeffs]
 
 
-def _integer_roots_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
-    """Integer solutions of a n^2 + b n + c = 0 (exact)."""
+def _integer_roots_quadratic(a: int, b: int, c: int) -> list[int]:
+    """Integer solutions of a n^2 + b n + c = 0, in increasing order."""
     if a == 0:
-        if b == 0:
+        if b == 0 or c % b:
             return []
-        n = -c / b
-        return [int(n)] if n.denominator == 1 else []
+        return [-c // b]
     disc = b * b - 4 * a * c
-    root = _rational_isqrt(disc)
-    if root is None:
+    if disc < 0:
         return []
-    out = []
-    for sign in (1, -1):
-        n = (-b + sign * root) / (2 * a)
-        if n.denominator == 1:
-            out.append(int(n))
-    return sorted(set(out))
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return []
+    return sorted({(s - b) // (2 * a) for s in (r, -r) if (s - b) % (2 * a) == 0})
 
 
 def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
     """Complete enumeration of lattice points on the arc.
 
     Works column-by-column in lattice coordinates: for each integer m in
-    the scan range the conic restricts to a quadratic in n, solved exactly;
-    constraints are then tested with rational arithmetic.
+    the scan range the conic restricts to a quadratic in n, whose integer
+    roots are found exactly; the constraints are then tested exactly.
+    Every column of the range is visited, so the scan is complete.
+
+    The arithmetic is over Python integers.  Before the scan the conic is
+    multiplied by the positive lcm L of its six denominators, and each
+    constraint by the lcm of its own.  Scaling by L > 0 keeps the roots of
+    each column's quadratic and the sign of each constraint, and it
+    multiplies the discriminant by L^2: so the rational discriminant is a
+    rational square exactly when the integer one is an integer square, and
+    the roots (-b +- r) / 2a are the same rationals.  A range of more than
+    MAX_SCAN_COLUMNS columns raises BudgetError before the scan.
     """
     if arc.frame == "lattice":
         conic_mn = arc.conic
         constraints_mn = arc.constraints
-        to_plane = None
     else:
         sub = _lattice_substitution(lat)
         conic_mn = arc.conic.substituted(sub)
         constraints_mn = tuple(g.substituted(sub) for g in arc.constraints)
-        to_plane = sub
 
     m_lo, m_hi = _m_scan_range(arc, lat)
+    if m_hi - m_lo > MAX_SCAN_COLUMNS:
+        raise BudgetError(f"the arc crosses {m_hi - m_lo + 1} lattice columns; "
+                          f"the scan budget is {MAX_SCAN_COLUMNS}")
+    a, b, c, d, e, f = _cleared((conic_mn.a, conic_mn.b, conic_mn.c,
+                                 conic_mn.d, conic_mn.e, conic_mn.f))
+    gs = [_cleared((g.g1, g.g2, g.g0)) for g in constraints_mn]
     found: list[tuple[int, int]] = []
-    a2 = conic_mn.c
     for m in range(m_lo, m_hi + 1):
-        mf = Fraction(m)
-        b1 = conic_mn.b * mf + conic_mn.e
-        c0 = conic_mn.a * mf * mf + conic_mn.d * mf + conic_mn.f
-        for n in _integer_roots_quadratic(a2, b1, c0):
-            if all(g.satisfied(mf, Fraction(n)) for g in constraints_mn):
+        for n in _integer_roots_quadratic(c, b * m + e, (a * m + d) * m + f):
+            if all(g1 * m + g2 * n + g0 >= 0 for g1, g2, g0 in gs):
                 found.append((m, n))
 
     positions = [lat.point(m, n) for m, n in found]

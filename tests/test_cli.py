@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from affinecurves import cli
 from affinecurves.cli import main
 from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
 from affinecurves.lattice import (
@@ -165,6 +167,30 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid positive_int value" in captured.err
+
+    def test_scan_over_budget_is_domain_error(self, tmp_path, z2_spec, capsys):
+        # about 2e9 lattice columns: refused before the scan starts
+        spec = write_json(tmp_path / "far.json", {
+            "type": "parabola", "coeffs": ["0", "-0.5", "0.5"], "domain": ["0", "1e9"]})
+        start = time.perf_counter()
+        assert main(["count", spec, z2_spec]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scan budget" in captured.err
+
+    def test_parse_error_leaves_the_parser_intact(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "arc.json", {
+            "type": "parabola", "coeffs": ["0", "-0.5", "0.5"], "domain": ["0", "5"]})
+        argv = ["count", spec, z2_spec, "--theorem", "low_aff_bd"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # --xmax is parsed before the bad --multiplier stops the parse
+        assert main([*argv, "--xmax", "3", "--multiplier", "0"]) == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli._build_parser() is cli._build_parser()
 
     def test_reconstruction_failure_is_domain_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "ivp.json", {

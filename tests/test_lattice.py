@@ -25,9 +25,10 @@ from affinecurves.lattice import (
     m_of_curve,
     motion_preserves_lattice,
     parity_multiplier_bound,
+    plane_conic_from_lattice_frame,
     triangle_multiplier,
 )
-from affinecurves.sharp_instances import parabola_instance
+from affinecurves.sharp_instances import hyperbola_general_instance, parabola_instance
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 BIG_L = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
@@ -294,6 +295,123 @@ class TestEnumeration:
                        bbox=(0.0, 3.0, 0.0, 0.0), frame="lattice")
         pts = enumerate_on_arc(arc, Z2)
         assert pts.coords == [(0, 0), (1, 0), (2, 1), (3, 3)]
+
+
+def _rational_isqrt(d):
+    if d < 0:
+        return None
+    p, q = d.numerator, d.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp != p or rq * rq != q:
+        return None
+    return Fraction(rp, rq)
+
+
+def _fraction_roots_quadratic(a, b, c):
+    """Integer solutions of a n^2 + b n + c = 0 over Fractions."""
+    if a == 0:
+        if b == 0:
+            return []
+        n = -c / b
+        return [int(n)] if n.denominator == 1 else []
+    root = _rational_isqrt(b * b - 4 * a * c)
+    if root is None:
+        return []
+    out = []
+    for sign in (1, -1):
+        n = (-b + sign * root) / (2 * a)
+        if n.denominator == 1:
+            out.append(int(n))
+    return sorted(set(out))
+
+
+def _fraction_scan(arc, lat):
+    """The column scan of `enumerate_on_arc` in Fraction arithmetic, in
+    scan order: the reference for the integer scan."""
+    conic, constraints = arc.conic, arc.constraints
+    if arc.frame != "lattice":
+        sub = lattice_mod._lattice_substitution(lat)
+        conic = conic.substituted(sub)
+        constraints = tuple(g.substituted(sub) for g in constraints)
+    m_lo, m_hi = lattice_mod._m_scan_range(arc, lat)
+    found = []
+    for m in range(m_lo, m_hi + 1):
+        mf = Fraction(m)
+        b1 = conic.b * mf + conic.e
+        c0 = conic.a * mf * mf + conic.d * mf + conic.f
+        for n in _fraction_roots_quadratic(conic.c, b1, c0):
+            if all(g.satisfied(mf, Fraction(n)) for g in constraints):
+                found.append((m, n))
+    return found
+
+
+@st.composite
+def _lattice_frame_conics(draw):
+    """A conic of a drawn type with small integer coefficients in lattice
+    coordinates, through a drawn point with a half-integer n (so that some
+    columns have a square discriminant but no integer root), divided by a
+    drawn rational."""
+    small = st.integers(-3, 3)
+    kind = draw(st.sampled_from(("ellipse", "hyperbola", "parabola", "c == 0")))
+    if kind == "ellipse":
+        a, b, c = draw(st.integers(1, 3)), draw(small), draw(st.integers(1, 3))
+        assume(b * b < 4 * a * c)
+    elif kind == "hyperbola":
+        a, b, c = draw(small), draw(small), draw(small)
+        assume(b * b > 4 * a * c)
+    elif kind == "parabola":  # quadratic part (p m + q n)^2
+        p, q = draw(small), draw(small)
+        assume((p, q) != (0, 0))
+        a, b, c = p * p, 2 * p * q, q * q
+    else:  # each column is linear in n
+        a, b, c = draw(small), draw(small), 0
+    d, e = draw(small), draw(small)
+    m0, n0 = draw(st.integers(-4, 4)), Fraction(draw(st.integers(-8, 8)), 2)
+    f = -(a * m0 * m0 + b * m0 * n0 + c * n0 * n0 + d * m0 + e * n0)
+    scale = draw(_fractions.filter(bool))
+    return Conic.make(*(v / scale for v in (a, b, c, d, e, f))), (m0, n0)
+
+
+@st.composite
+def _windows(draw, centre):
+    """A float box around the centre, and a drawn subset of the constraints
+    x >= xmin, x <= xmax, y >= ymin, y <= ymax on its fractional bounds (the
+    window options of `count`)."""
+    reach = [Fraction(draw(st.integers(0, 24)), 3) for _ in range(4)]
+    xmin, xmax = centre[0] - reach[0], centre[0] + reach[1]
+    ymin, ymax = centre[1] - reach[2], centre[1] + reach[3]
+    cons = (LinearConstraint.make(1, 0, -xmin), LinearConstraint.make(-1, 0, xmax),
+            LinearConstraint.make(0, 1, -ymin), LinearConstraint.make(0, -1, ymax))
+    keep = [draw(st.booleans()) for _ in cons]
+    return (tuple(g for g, k in zip(cons, keep) if k),
+            (float(xmin), float(xmax), float(ymin), float(ymax)))
+
+
+class TestIntegerScan:
+    """enumerate_on_arc against the Fraction column scan it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lattices(), _lattice_frame_conics(), st.booleans(), st.data())
+    def test_matches_fraction_scan(self, lat, conic_point, plane, data):
+        conic, (m0, n0) = conic_point
+        if plane:
+            conic, centre = plane_conic_from_lattice_frame(conic, lat), lat.point(m0, n0)
+        else:
+            centre = (Fraction(m0), n0)
+        constraints, bbox = data.draw(_windows(centre))
+        arc = ConicArc(conic=conic, constraints=constraints, bbox=bbox,
+                       frame="plane" if plane else "lattice")
+        assert enumerate_on_arc(arc, lat).coords == _fraction_scan(arc, lat)
+
+    @pytest.mark.parametrize("lat", [Z2, Lattice.make((1, 2), (2, 1), (Fraction(1, 2), 3))])
+    def test_hyperbola_general_m0_6(self, lat):
+        # about 75 k columns, 2.2 s in Fraction arithmetic
+        inst = hyperbola_general_instance(lat, 6)
+        assert inst.enumerate().coords == list(inst.expected_coords)
+
+    def test_budget_admits_hyperbola_m0_7(self):
+        m_lo, m_hi = lattice_mod._m_scan_range(hyperbola_general_instance(Z2, 7).arc, Z2)
+        assert 4 * 10**5 < m_hi - m_lo <= lattice_mod.MAX_SCAN_COLUMNS
 
 
 class TestCountBounds:
