@@ -115,7 +115,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
                            f"k1 = {k1}, cap = {k1_cap}"))
 
     us = np.linspace(-length, length, 101)[1:-1]
-    kv = np.array([curve.curvature(s0 + u) for u in us])
+    kv = curve.curvature(s0 + us)
     in_band = bool(np.all(kv >= k0 - 1e-9) and np.all(kv <= k1 + 1e-9))
     hyps.append(Hypothesis("curvature-in-band", in_band,
                            f"sampled range [{kv.min():.6g}, {kv.max():.6g}]"))
@@ -126,19 +126,20 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
     eq = False
     eq_side = None
     scale = 1.0
-    for u in us:
-        x, y = fr.to_adapted(curve.point(s0 + u))
-        xlo, xhi = sk(k1, abs(u)), sk(k0, abs(u))
-        ylo, yhi = ybar(k1, u), ybar(k0, u)
+    # the curve and the four profiles over the grid, one array read each
+    rows = zip(us.tolist(), fr.to_adapted_rows(curve.point(s0 + us)).tolist(),
+               sk(k1, np.abs(us)).tolist(), sk(k0, np.abs(us)).tolist(),
+               ybar(k1, us).tolist(), ybar(k0, us).tolist())
+    for u, (x, y), xlo, xhi, ylo, yhi in rows:
         scale = max(scale, abs(xhi), abs(yhi))
         gaps = (xlo - abs(x), abs(x) - xhi, ylo - y, y - yhi)
         g = max(gaps)
         if g > worst:
-            worst, witness = g, float(u)
+            worst, witness = g, u
         if u != 0.0 and not eq:
             for side, gap in zip(("x-lower", "x-upper", "y-lower", "y-upper"), gaps):
                 if abs(gap) <= EQUALITY_RTOL * max(1.0, scale):
-                    eq, eq_side = True, (side, float(u))
+                    eq, eq_side = True, (side, u)
 
     # graphing interval must cover (-R, R)
     r_reach = sk(k1, length)
@@ -152,8 +153,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
     if eq:
         side, at = eq_side
         const = k1 if "lower" in side else k0
-        span_kv = [curve.curvature(s0 + t) for t in np.linspace(0.0, at, 33)]
-        if _sample_constant(np.array(span_kv), const):
+        if _sample_constant(curve.curvature(s0 + np.linspace(0.0, at, 33)), const):
             notes += f"; equality on {side} at u = {at:.6g}: curvature constant {const}"
         else:
             notes += f"; near-equality on {side} at u = {at:.6g} without constant curvature"

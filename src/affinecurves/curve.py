@@ -101,6 +101,16 @@ class AdaptedFrame:
             (-self.tangent[1] * v[0] + self.tangent[0] * v[1]) / d,
         )
 
+    def to_adapted_rows(self, p: np.ndarray) -> np.ndarray:
+        """`to_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
+        return self.to_adapted_vector_rows(p - self.origin)
+
+    def to_adapted_vector_rows(self, v: np.ndarray) -> np.ndarray:
+        """`to_adapted_vector` of each row of a (p, 2) array."""
+        d = self.det
+        return np.column_stack(((self.normal[1] * v[:, 0] - self.normal[0] * v[:, 1]) / d,
+                                (-self.tangent[1] * v[:, 0] + self.tangent[0] * v[:, 1]) / d))
+
     def from_adapted(self, xy: Sequence[float]) -> Vec:
         return self.origin + xy[0] * self.tangent + xy[1] * self.normal
 
@@ -162,26 +172,33 @@ def affine_curvature_at(curve: AffineCurve, s: float) -> float:
 def constant_curvature_curve(k: float, interval: Interval,
                              frame: AdaptedFrame | None = None,
                              label: str = "") -> AffineCurve:
-    """Closed-form curve with curvature k through frame.origin at s = 0."""
+    """Closed-form curve with curvature k through frame.origin at s = 0.
+
+    An array of parameters is read with one array call of each profile
+    (`sk` and `ybar` for the position, `ck` and `sk` for the derivatives),
+    whose entries equal the scalar reads bit for bit: the profiles call
+    libm's sin, cos, sinh and cosh entry by entry rather than NumPy's.
+    """
     fr = frame or AdaptedFrame.identity()
 
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):
-            xy = np.array([(sk(k, u), ybar(k, u)) for u in s.tolist()]).reshape(-1, 2)
-            return fr.from_adapted_rows(xy)
+            return fr.from_adapted_rows(np.column_stack((sk(k, s), ybar(k, s))))
         return fr.from_adapted((sk(k, s), ybar(k, s)))
 
     def derivatives(s: float | np.ndarray):
         if isinstance(s, np.ndarray):
-            c = _each(lambda u: ck(k, u), s)[:, None]
-            sn = _each(lambda u: sk(k, u), s)[:, None]
+            c, sn = ck(k, s)[:, None], sk(k, s)[:, None]
         else:
             c, sn = ck(k, s), sk(k, s)
         d1 = c * fr.tangent + sn * fr.normal
         d2 = -k * sn * fr.tangent + c * fr.normal
         return d1, d2, -k * d1
 
-    return AffineCurve(interval, position, derivatives, lambda s: _each(lambda u: k, s),
+    def curvature(s: float | np.ndarray) -> float | np.ndarray:
+        return np.full(s.shape, k, dtype=float) if isinstance(s, np.ndarray) else k
+
+    return AffineCurve(interval, position, derivatives, curvature,
                        label=label or f"constant-curvature k={k}")
 
 
@@ -550,7 +567,10 @@ def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
 
     Endpoints are domain endpoints or zeros of x', bracketed to 1e-10;
     on the result the curve is the graph of a convex function in the
-    adapted coordinates at s0.
+    adapted coordinates at s0.  Each direction steps from s0 by a
+    thousandth of the domain up to its end, and reads x' at all the steps
+    in one array call; the first step with x' <= 0 and the one before it
+    bracket the zero.
     """
     fr = adapted_frame(curve, s0)
 
@@ -564,16 +584,22 @@ def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
         end = hi if direction > 0 else lo
         prev = s0
         while True:
-            nxt = prev + direction * step
-            if (direction > 0 and nxt >= end) or (direction < 0 and nxt <= end):
-                if xprime(end) > 0.0:
-                    return end
-                nxt = end
-            if xprime(nxt) <= 0.0:
-                a, b = (prev, nxt) if direction > 0 else (nxt, prev)
+            # prev + step, (prev + step) + step, ... as a loop would sum them,
+            # to the first point at or past end, which becomes end
+            n = int(min(abs(end - prev) / step, 4096.0)) + 2
+            pts = np.add.accumulate(np.append(prev, np.full(n, direction * step)))[1:]
+            past = pts >= end if direction > 0 else pts <= end
+            if past.any():
+                pts = pts[:int(np.argmax(past)) + 1]
+                pts[-1] = end
+            xp = fr.to_adapted_vector_rows(curve.derivatives(pts)[0])[:, 0]
+            turn = np.flatnonzero(xp <= 0.0)
+            if turn.size:
+                i = int(turn[0])
+                a, b = sorted((prev if i == 0 else float(pts[i - 1]), float(pts[i])))
                 return brentq(xprime, a, b, xtol=1e-10)
-            if nxt == end:
+            if past.any():
                 return end
-            prev = nxt
+            prev = float(pts[-1])  # rounding kept the sums short of end
 
     return Interval(hunt(-1), hunt(+1))

@@ -11,6 +11,15 @@ Everything here reduces to four even power series in z = k*s**2,
 
 evaluated by closed trig/hyperbolic forms away from z = 0 and by the
 series near it, so every function is smooth across the k = 0 transition.
+
+`ck`, `sk` (so `xbar` and `dck`) and `ybar` also take a NumPy array of s
+and return, in one call, the array of the scalar reads, bit for bit: each
+entry takes the branch its scalar read takes and gets the series sum that
+read gets.  The square roots, products and quotients run on the whole
+array, being correctly rounded; sin, cos, sinh and cosh are called
+through libm entry by entry, because NumPy's own versions can differ from
+libm in the last bit (with NumPy 2.4.6 on x86-64, sinh and cosh differ on
+about a quarter of random entries in [-10, 10]).
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 # Below this |z| the closed forms for C2/C3 cancel catastrophically
@@ -154,22 +164,104 @@ def _abar(k: float, s: float) -> float:
     return 0.5 * s ** 3 * _c3(k * s * s)
 
 
-def ck(k: float, s: float) -> float:
+_SATURATING = {math.sinh: _sinh, math.cosh: _cosh}
+
+
+def _libm(fn, u: np.ndarray) -> np.ndarray:
+    """fn at each entry of u, through the scalar call; math.sinh and
+    math.cosh saturate to inf past the float range, as `_sinh` and `_cosh`
+    do."""
+    try:
+        return np.fromiter(map(fn, u.tolist()), dtype=float, count=u.size)
+    except OverflowError:
+        return np.fromiter(map(_SATURATING[fn], u.tolist()), dtype=float, count=u.size)
+
+
+def _series_rows(z: np.ndarray, j: int) -> np.ndarray:
+    """`_series(z, j)` at each entry of an array with |z| < _SERIES_CUTOFF.
+
+    Every entry takes as many terms as the scalar loop takes at the largest
+    |z|, which is the longest such loop: rounding is monotone, so no term
+    of a smaller |z| is larger.  The terms and partial sums are the scalar
+    ones, multiplied and added in the same order; the terms an entry's own
+    loop would not take are at most _SERIES_TOL, under half an ulp of a
+    total above 1/6, so adding them leaves the total as it is.
+    """
+    n_terms, term = 0, 1.0 / math.factorial(j)
+    zmax = float(np.max(np.abs(z), initial=0.0))
+    while abs(term) > _SERIES_TOL:
+        n_terms += 1
+        term *= zmax / ((2 * n_terms + j) * (2 * n_terms + j - 1))
+    term = np.full(z.shape, 1.0 / math.factorial(j))
+    total = term.copy()
+    neg_z = -z
+    for n in range(1, n_terms + 1):
+        term *= neg_z / ((2 * n + j) * (2 * n + j - 1))
+        total += term
+    return total
+
+
+def _c_rows(z: np.ndarray, j: int) -> np.ndarray:
+    """`_c0`, `_c1` or `_c2` (j = 0, 1, 2) at each entry of a finite array."""
+    out = np.empty_like(z)
+    near = np.abs(z) < _SERIES_CUTOFF
+    out[near] = _series_rows(z[near], j)
+    pos = ~near & (z > 0.0)
+    zp = z[pos]
+    u = np.sqrt(zp)
+    if j == 0:
+        out[pos] = _libm(math.cos, u)
+    elif j == 1:
+        out[pos] = _libm(math.sin, u) / u
+    else:
+        out[pos] = (1.0 - _libm(math.cos, u)) / zp
+    neg = ~near & ~pos
+    u = np.sqrt(-z[neg])
+    if j == 0:
+        out[neg] = _libm(math.cosh, u)
+    elif j == 1:
+        out[neg] = _libm(math.sinh, u) / u
+    else:
+        out[neg] = (_libm(math.cosh, u) - 1.0) / (u * u)
+    return out
+
+
+def _finite_rows(name: str, profile_rows, k: float, s: np.ndarray) -> np.ndarray:
+    """`_finite(name, profile, k, .)` at each entry of s, where
+    profile_rows(z, s) is the profile at finite z = k*s*s.  Raises the
+    DomainError of the first entry whose scalar read raises."""
+    s = np.asarray(s, dtype=float)
+    values = np.full(s.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = k * s * s
+        ok = np.isfinite(z)
+        values[ok] = profile_rows(z[ok], s[ok])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{name}({k!r}, {float(s[bad][0])!r}) is not a finite float")
+    return values
+
+
+def ck(k: float, s: float | np.ndarray) -> float | np.ndarray:
     """cos(sqrt(k) s) continued through k <= 0; even in s; ck(k, 0) = 1."""
+    if isinstance(s, np.ndarray):
+        return _finite_rows("ck", lambda z, s: _c_rows(z, 0), k, s)
     return _finite("ck", _ck, k, s)
 
 
-def sk(k: float, s: float) -> float:
+def sk(k: float, s: float | np.ndarray) -> float | np.ndarray:
     """sin(sqrt(k) s)/sqrt(k) continued through k <= 0; odd in s; sk' = ck."""
+    if isinstance(s, np.ndarray):
+        return _finite_rows("sk", lambda z, s: s * _c_rows(z, 1), k, s)
     return _finite("sk", _sk, k, s)
 
 
-def dck(k: float, s: float) -> float:
+def dck(k: float, s: float | np.ndarray) -> float | np.ndarray:
     """d/ds ck = -k sk."""
     return -k * sk(k, s)
 
 
-def xbar(k: float, s: float) -> float:
+def xbar(k: float, s: float | np.ndarray) -> float | np.ndarray:
     """First adapted coordinate of the constant-curvature-k profile.
 
     Solves x''' + k x' = 0 with x(0) = 0, x'(0) = 1, x''(0) = 0;
@@ -178,8 +270,10 @@ def xbar(k: float, s: float) -> float:
     return sk(k, s)
 
 
-def ybar(k: float, s: float) -> float:
+def ybar(k: float, s: float | np.ndarray) -> float | np.ndarray:
     """Second adapted coordinate: (1 - ck(k, s))/k, continued to s**2/2 at k = 0."""
+    if isinstance(s, np.ndarray):
+        return _finite_rows("ybar", lambda z, s: s * s * _c_rows(z, 2), k, s)
     return _finite("ybar", _ybar, k, s)
 
 

@@ -27,7 +27,7 @@ SPACING_TOL = 1e-9
 EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
-MAX_SCAN_COLUMNS = 10**6  # lattice columns one exact arc scan may visit
+MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
 
 
 class BudgetError(DomainError):
@@ -395,8 +395,14 @@ def _box_coord_ranges(lat: Lattice, xs, ys) -> tuple[int, int, int, int]:
 
 
 def _window_coords(lat: Lattice, lo, hi) -> list[tuple[int, int]]:
-    """Lattice coordinates covering the box [lo[0], hi[0]] x [lo[1], hi[1]]."""
+    """Lattice coordinates covering the box [lo[0], hi[0]] x [lo[1], hi[1]].
+    More than MAX_SCAN_COLUMNS of them raise BudgetError before the list
+    is built."""
     m_lo, m_hi, n_lo, n_hi = _box_coord_ranges(lat, (lo[0], hi[0]), (lo[1], hi[1]))
+    size = (m_hi - m_lo + 3) * (n_hi - n_lo + 3)
+    if size > MAX_SCAN_COLUMNS:
+        raise BudgetError(f"the curve's window holds {size} lattice points; "
+                          f"the scan budget is {MAX_SCAN_COLUMNS}")
     return [(m, n) for m in range(m_lo - 1, m_hi + 2) for n in range(n_lo - 1, n_hi + 2)]
 
 

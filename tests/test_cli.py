@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinecurves import cli
+from affinecurves import cli, kfuncs
 from affinecurves.cli import main
 from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
+from affinecurves.kfuncs import ck, sk
 from affinecurves.lattice import (
     ConicArc,
     Lattice,
@@ -106,6 +107,26 @@ class TestBasicCommands:
                      "--grid", "6"]) == 0
         worst = float(capsys.readouterr().out.strip())
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("family", ["second", "third"])
+    @pytest.mark.parametrize("k", ["-25", "-4", "0", "1", "9"])
+    def test_kernel_closed_form_is_the_scalar_one(self, tmp_path, capsys, family, k):
+        # the closed-form column of --out, read one array per kernel column,
+        # against one scalar profile read per (s, r) pair
+        out = tmp_path / "kernel.csv"
+        assert main(["kernel", "--family", family, f"--k={k}", "--grid", "9",
+                     "--lo", "-0.5", "--hi", "1.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        kf = float(k)
+        for line in out.read_text().splitlines()[1:]:
+            s, r, _, closed = (float(v) for v in line.split(","))
+            if family == "second":
+                want = sk(kf, s - r)
+            elif kf != 0.0:
+                want = (1.0 - ck(kf, s - r)) / kf
+            else:
+                want = (s - r) ** 2 / 2.0
+            assert repr(closed) == repr(want)
 
     def test_bounds_command(self, capsys):
         assert main(["bounds", "--k0", "-1", "--k1", "0", "--L", "2"]) == 0
@@ -329,6 +350,19 @@ class TestCount:
         assert payload["count"] == 2
         assert rc == 0
 
+    def test_float_window_over_budget_exits_3(self, tmp_path, z2_spec, capsys):
+        # the padded box of this graph holds about 5e10 lattice points
+        spec = write_json(tmp_path / "long.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+            "domain": ["-1", "1000"]})
+        start = time.perf_counter()
+        rc = main(["count", spec, z2_spec])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "scan budget" in captured.err
+
     def test_inexact_warning_names_tolerance(self, tmp_path, z2_spec, capsys):
         spec = write_json(tmp_path / "g.json", {
             "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
@@ -475,6 +509,23 @@ class TestCountOnArc:
         spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
                                  "domain": ["-1", "1"]})
         self._assert_same_points(spec.curve, Lattice.standard(), None, 1e-9)
+
+    def test_hyperbola_count_reads_profiles_in_arrays(self, tmp_path, capsys, monkeypatch):
+        # every scalar read of a profile goes through kfuncs._finite; the
+        # curve samples of on_curve and curve_bbox are array reads
+        assert main(["examples", "hyperbola", "--m0", "3", "--outdir", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scalar_reads = []
+        finite = kfuncs._finite
+
+        def counted(name, profile, k, s):
+            scalar_reads.append(name)
+            return finite(name, profile, k, s)
+
+        monkeypatch.setattr(kfuncs, "_finite", counted)
+        assert main(["count", payload["curve_spec"], payload["lattice_spec"]]) == 0
+        assert "SHARP" in capsys.readouterr().out
+        assert 0 < len(scalar_reads) < 1000
 
     @staticmethod
     def _assert_same_points(curve, lat, coords, tol):

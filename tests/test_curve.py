@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from affinecurves.conics import Conic
 from affinecurves.curve import (
@@ -387,6 +388,56 @@ class TestGraphingSet:
                                        Interval(-3.0, 3.0))
         got = graphing_parameter_set(c, 0.0)
         assert got.lo == -3.0 and got.hi == 3.0
+
+
+def _graphing_set_by_steps(curve, s0):
+    """`graphing_parameter_set` by one scalar x' read per step: the loop
+    the array reads replaced, kept as their oracle."""
+    fr = adapted_frame(curve, s0)
+
+    def xprime(s):
+        return float(fr.to_adapted_vector(curve.derivatives(s)[0])[0])
+
+    lo, hi = curve.domain.lo, curve.domain.hi
+    step = max(1e-3 * curve.domain.length, 1e-12)
+
+    def hunt(direction):
+        end = hi if direction > 0 else lo
+        prev = s0
+        while True:
+            nxt = prev + direction * step
+            if (direction > 0 and nxt >= end) or (direction < 0 and nxt <= end):
+                if xprime(end) > 0.0:
+                    return end
+                nxt = end
+            if xprime(nxt) <= 0.0:
+                a, b = (prev, nxt) if direction > 0 else (nxt, prev)
+                return brentq(xprime, a, b, xtol=1e-10)
+            if nxt == end:
+                return end
+            prev = nxt
+
+    return Interval(hunt(-1), hunt(+1))
+
+
+class TestGraphingSetOracle:
+    @pytest.mark.parametrize("make, s0s", [
+        (lambda: constant_curvature_curve(1.0, Interval(-3.0, 3.0)), (0.0, 0.3, -2.9, 3.0)),
+        (lambda: constant_curvature_curve(9.0, Interval(-1.7, 2.3)), (0.0, 0.77, -1.7)),
+        (lambda: constant_curvature_curve(-4.0, Interval(-2.0, 2.0)), (0.0, 1.1)),
+        (lambda: parabola_curve(Interval(-2.0, 4.0)), (0.5, 4.0)),
+        (lambda: reconstruct_from_curvature(lambda s: 2.0 + 1.5 * math.sin(3.0 * s),
+                                            Interval(-2.5, 2.5)), (0.0, -1.3, 2.0)),
+        (lambda: reconstruct_from_curvature(lambda s: -1.0 - 0.1 * s * s,
+                                            Interval(-3.0, 3.0)), (0.0,)),
+        (lambda: parse_curve_spec(ARRAY_SPECS[0]).curve, (0.0, 0.9)),
+        (lambda: parse_curve_spec(ARRAY_SPECS[2]).curve, (0.0, 1.0)),
+    ])
+    def test_array_steps_equal_scalar_steps(self, make, s0s):
+        curve = make()
+        for s0 in s0s:
+            got, want = graphing_parameter_set(curve, s0), _graphing_set_by_steps(curve, s0)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 class TestArrayPosition:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinecurves import kfuncs
 from affinecurves.kfuncs import (
     DomainError,
     abar,
@@ -260,3 +262,72 @@ class TestOverflow:
         # pulls the upper end back
         assert hk(-1.0, gk(-1.0, 1e300)) == pytest.approx(1e300, rel=1e-12)
         assert abar(-1.0, fk(-1.0, 1e300)) == pytest.approx(1e300, rel=1e-12)
+
+
+ARRAY_K = [0.0, 1e-12, -1e-12, 0.1, -0.1, 1.0, -1.0, 9.0, -25.0, -400.0]
+ARRAY_PROFILES = [ck, sk, ybar]
+
+
+def _series_edge(k):
+    """The |s| at which |k s^2| meets the series cutoff."""
+    return math.sqrt(kfuncs._SERIES_CUTOFF / abs(k)) if k else 1.0
+
+
+def _stacked(profile, k, ss):
+    return np.array([profile(k, s) for s in ss.tolist()], dtype=float)
+
+
+class TestArrayReads:
+    """One array read of ck, sk or ybar equals the stacked scalar reads,
+    byte for byte, on both branches and across the series cutoff."""
+
+    @given(k=st.sampled_from(ARRAY_K), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stacked_scalars(self, k, data):
+        near_edge = st.builds(lambda sign, r: sign * _series_edge(k) * r,
+                              st.sampled_from((-1.0, 1.0)), st.floats(0.999, 1.001))
+        entries = st.one_of(st.floats(-30.0, 30.0), near_edge, st.sampled_from((0.0, -0.0)))
+        ss = np.array(data.draw(st.lists(entries, max_size=30)), dtype=float)
+        for profile in ARRAY_PROFILES:
+            got = profile(k, ss)
+            assert got.shape == ss.shape
+            assert got.tobytes() == _stacked(profile, k, ss).tobytes()
+
+    @pytest.mark.parametrize("k", ARRAY_K)
+    def test_dense_grid_and_cutoff_neighbours(self, k):
+        edge = _series_edge(k)
+        at_edge = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+        ss = np.concatenate([np.linspace(-30.0, 30.0, 2001), at_edge, np.negative(at_edge),
+                             np.random.default_rng(7).uniform(-30.0, 30.0, 500)])
+        if k:
+            z = np.abs(k * ss * ss)
+            assert (z < kfuncs._SERIES_CUTOFF).any() and (z >= kfuncs._SERIES_CUTOFF).any()
+        for profile in ARRAY_PROFILES:
+            assert profile(k, ss).tobytes() == _stacked(profile, k, ss).tobytes()
+
+    @pytest.mark.parametrize("profile", ARRAY_PROFILES)
+    def test_empty_array(self, profile):
+        got = profile(-2.0, np.empty(0))
+        assert got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize("profile", ARRAY_PROFILES)
+    @pytest.mark.parametrize("k, ss", [
+        (-1e6, [0.0, 0.5, 1.0, 2.0, 0.75]),
+        (-400.0, [1.0, -40.0, 36.0]),
+        (0.0, [1.0, 1e200, math.inf]),
+        (1e300, [0.0, 1e300]),
+        (math.nan, [1.0]),
+        (1.0, [2.0, math.nan, -math.inf]),
+    ])
+    def test_raises_the_first_scalar_error(self, profile, k, ss):
+        ss = np.array(ss)
+        with pytest.raises(DomainError) as got:
+            profile(k, ss)
+        for s in ss.tolist():
+            try:
+                profile(k, s)
+            except DomainError as exc:
+                assert str(got.value) == str(exc)
+                break
+        else:
+            pytest.fail("no scalar read raises")
