@@ -70,6 +70,7 @@ from .lattice import (
     enumerate_on_arc,
     equal_spaced_orbit,
     lattice_equal,
+    m_of_coords,
     m_of_curve,
     motion_preserves_lattice,
     on_curve,

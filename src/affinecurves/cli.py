@@ -39,7 +39,7 @@ from .lattice import (
     LinearConstraint,
     enumerate_near_curve,
     enumerate_on_arc,
-    m_of_curve,
+    m_of_coords,
     on_curve,
 )
 from .odekernel import (
@@ -366,7 +366,7 @@ def cmd_count(args) -> int:
     k0, k1 = min(kv), max(kv)
     lam = curve.domain.length
     cell = float(lat.cell_area)
-    multiplier = args.multiplier or m_of_curve(lat, points.positions)
+    multiplier = args.multiplier or m_of_coords(points.coords)
 
     bound_args = (k0, k1, lam, multiplier, cell)
     if args.theorem == "auto":

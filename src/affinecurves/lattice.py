@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .conics import Conic, RationalLike, frac
 from .kfuncs import DomainError, abar, fk, gk, hk
@@ -28,6 +29,8 @@ EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
 MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
+# stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
+ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, 4 * np.finfo(float).eps, 100
 
 
 class BudgetError(DomainError):
@@ -74,9 +77,20 @@ class Lattice:
     def cell_area(self) -> Fraction:
         return abs(_wedge(self.v1, self.v2))
 
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+        """(den, xs, ys): the x and y components of v0, v1, v2 times the
+        positive lcm den of their six denominators, so that v0 + m v1 + n v2
+        is ((xs[0] + m xs[1] + n xs[2]) / den, (ys[0] + m ys[1] + n ys[2]) / den)."""
+        comps = (self.v0[0], self.v1[0], self.v2[0], self.v0[1], self.v1[1], self.v2[1])
+        den = math.lcm(*(c.denominator for c in comps))
+        ints = [int(c * den) for c in comps]
+        return den, tuple(ints[:3]), tuple(ints[3:])
+
     def point(self, m: int, n: int) -> Vec2:
-        return (self.v0[0] + m * self.v1[0] + n * self.v2[0],
-                self.v0[1] + m * self.v1[1] + n * self.v2[1])
+        den, xs, ys = self.cleared
+        return (Fraction(xs[0] + m * xs[1] + n * xs[2], den),
+                Fraction(ys[0] + m * ys[1] + n * ys[2], den))
 
     def coords_of(self, p: Vec2) -> Vec2:
         """Exact (m, n) with p = v0 + m v1 + n v2 (rational, not necessarily
@@ -139,6 +153,18 @@ def m_of_curve(lat: Lattice, points: Sequence) -> int:
     points on the curve: a certificate for the area-quantization integer
     restricted to the points actually found.  Fewer than three points give
     the conservative default 1; a point off the lattice raises ValueError.
+    The points are taken to their integer lattice coordinates and handed
+    to `m_of_coords`."""
+    if len(points) < 3:
+        return 1
+    return m_of_coords(_lattice_coords(lat, points))
+
+
+def m_of_coords(coords: Sequence[tuple[int, int]]) -> int:
+    """`m_of_curve` of the lattice points with these integer lattice
+    coordinates, in any lattice: a triangle's multiplier is the absolute
+    determinant of its coordinate differences, so the coordinates are
+    points of Z^2 with the same multipliers.
 
     When the points, in the order given, are the vertices of a strictly
     convex polygon (`_convex_turns`), the minimum is taken over the N
@@ -159,11 +185,11 @@ def m_of_curve(lat: Lattice, points: Sequence) -> int:
     Otherwise (repeated or collinear points, or an order that is not
     convex) every triple is scanned by `_m_of_all_triples`, which raises
     ValueError on a collinear triple."""
-    if len(points) < 3:
+    if len(coords) < 3:
         return 1
-    turns = _convex_turns(_lattice_coords(lat, points))
+    turns = _convex_turns(list(coords))
     if turns is None:
-        return _m_of_all_triples(lat, points)
+        return _m_of_all_triples(Lattice.standard(), coords)
     return min(turns)
 
 
@@ -346,13 +372,16 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     point.  The result is exact when the coordinates are given, the
     candidates of an exact enumeration.
 
-    The curve is sampled once, in one array call.  A point's nearest
-    sample brackets its closest parameter between that sample's two
-    neighbours, where it is the root of the tangency condition
-    (c(s) - p) . c'(s) = 0; without a sign change in the bracket the
-    nearer bracket end is taken.  The root fixes the distance to about
-    eps |p|, where minimising the squared distance would only fix it to
-    about sqrt(eps) |p|.
+    All candidates are placed together, in a fixed number of array calls.
+    Their float positions come from the integer-cleared generators
+    (`Lattice.cleared`), correctly rounded.  The curve is sampled once; a
+    point's nearest sample (one k-d tree query for all points) brackets its
+    closest parameter between that sample's two neighbours, where it is
+    the root of the tangency condition (c(s) - p) . c'(s) = 0, found by
+    `_tangency_roots`; without a sign change in the bracket the nearer
+    bracket end is taken.  The root fixes the distance to about eps |p|,
+    where minimising the squared distance would only fix it to about
+    sqrt(eps) |p|.
     """
     ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
     pts = curve.point(ss)
@@ -360,31 +389,71 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     if coords is None:
         coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
     reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
-    found: list[tuple[tuple[int, int], Vec2, float]] = []
-    for m, n in coords:
-        p = lat.point(m, n)
-        q = np.array([float(p[0]), float(p[1])])
-        d2 = np.sum((pts - q) ** 2, axis=1)
-        i = int(np.argmin(d2))
-        if d2[i] > reach * reach:
-            continue
-        lo, hi = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, len(ss) - 1)])
+    den, xs, ys = lat.cleared
+    q = np.array([((xs[0] + m * xs[1] + n * xs[2]) / den, (ys[0] + m * ys[1] + n * ys[2]) / den)
+                  for m, n in coords], dtype=float).reshape(-1, 2)
+    _, i = cKDTree(pts).query(q)
+    near = np.flatnonzero(np.sum((pts[i] - q) ** 2, axis=1) <= reach * reach)
+    q, i = q[near], i[near]
+    lo, mid, hi = ss[np.maximum(i - 1, 0)], ss[i], ss[np.minimum(i + 1, len(ss) - 1)]
+    g, dg, r = _tangency(curve, np.concatenate((lo, mid, hi)), np.concatenate((q, q, q)))
+    g_lo, g_mid, g_hi = g.reshape(3, len(q))
+    dist_lo, _, dist_hi = np.hypot(r[:, 0], r[:, 1]).reshape(3, len(q))
+    s = np.where(dist_lo <= dist_hi, lo, hi)  # the nearer end, lo on a tie
+    b = (g_lo <= 0.0) & (g_hi >= 0.0)
+    s[b] = _tangency_roots(curve, q[b], lo[b], mid[b], hi[b], g_mid[b],
+                           dg.reshape(3, len(q))[1][b])
 
-        def tangency(s, q=q):
-            return float(np.dot(curve.point(s) - q, curve.velocity(s)))
-
-        if tangency(lo) <= 0.0 <= tangency(hi):
-            s = brentq(tangency, lo, hi, xtol=1e-15)
-        else:
-            s = min((lo, hi), key=lambda t, q=q: math.dist(curve.point(t), q))
-        if math.dist(curve.point(s), q) <= tol:
-            found.append(((m, n), p, s))
-
-    found.sort(key=lambda item: item[2])
-    return LatticePointSet(coords=[f[0] for f in found],
-                           positions=[f[1] for f in found],
-                           params=[f[2] for f in found],
+    r = curve.point(s) - q
+    on = np.flatnonzero(np.hypot(r[:, 0], r[:, 1]) <= tol)
+    on = on[np.argsort(s[on], kind="stable")]
+    found = [coords[j] for j in near[on].tolist()]
+    return LatticePointSet(coords=found,
+                           positions=[lat.point(m, n) for m, n in found],
+                           params=s[on].tolist(),
                            exact=exact)
+
+
+def _tangency(curve, s: np.ndarray, q: np.ndarray):
+    """Row by row: g(s) = (c(s) - q) . c'(s), its derivative
+    g'(s) = |c'(s)|^2 + (c(s) - q) . c''(s), and c(s) - q."""
+    r = curve.point(s) - q
+    d1, d2, _ = curve.derivatives(s)
+    g = r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1]
+    dg = d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1] + r[:, 0] * d2[:, 0] + r[:, 1] * d2[:, 1]
+    return g, dg, r
+
+
+def _tangency_roots(curve, q: np.ndarray, lo: np.ndarray, s: np.ndarray, hi: np.ndarray,
+                    g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """A root of the tangency condition g(s) = (c(s) - q) . c'(s) in each
+    bracket [lo, hi] with g(lo) <= 0 <= g(hi), from the start s where
+    `_tangency` gave g and g', for all the rows at once: one `curve.point`
+    and one `curve.derivatives` array call per iteration, over the rows
+    still moving.
+
+    Each row takes Newton steps s - g/g', kept inside its bracket: the
+    bracket shrinks to the last iterate on the side of its sign, and a
+    step that leaves the closed bracket (or g' = 0) bisects it instead.
+    A row stops at a zero residual, where it is, or once a step moves it
+    by at most brentq's tolerance, 1e-15 + 4 eps |s|."""
+    lo, s, hi = lo.copy(), s.copy(), hi.copy()
+    rows = np.arange(len(s))
+    for _ in range(ROOT_MAXITER):
+        t = s[rows]
+        lo[rows] = np.where(g < 0.0, t, lo[rows])
+        hi[rows] = np.where(g > 0.0, t, hi[rows])
+        a, b = lo[rows], hi[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - g / dg
+        step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))  # NaN bisects too
+        step[g == 0.0] = t[g == 0.0]  # a zero residual stays, also where g' = 0
+        s[rows] = step
+        rows = rows[np.abs(step - t) > ROOT_XTOL + ROOT_RTOL * np.abs(step)]
+        if not rows.size:
+            break
+        g, dg, _ = _tangency(curve, s[rows], q[rows])
+    return s
 
 
 def _box_coord_ranges(lat: Lattice, xs, ys) -> tuple[int, int, int, int]:

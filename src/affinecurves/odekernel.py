@@ -44,6 +44,9 @@ KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # positivity scan re-anchors at r: it bounds the error amplification of
 # Phi_a(r)^{-1} to three decimal digits of the solver's 1e-10 rtol.
 ANCHOR_COND = 1e3
+# Right-hand-side evaluations one solve may take before it fails with
+# SolverError; the largest solve of the test suite takes about 39 000.
+MAX_RHS_EVALS = 200_000
 
 CoeffLike = float | Callable[[float], float]
 
@@ -190,11 +193,24 @@ class IVPSolution:
 
 def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: float,
                rtol: float, atol: float):
+    """Dense output of one solve from r to t_end; SolverError when scipy
+    fails or the solve needs more than MAX_RHS_EVALS right-hand sides."""
     if t_end == r:
         return None
     shape = init.T.shape  # scipy's flat state holds the jets column by column
+    evals = 0
+
+    def rhs(s, u):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise SolverError(f"integration from s = {r} passed {MAX_RHS_EVALS} right-hand "
+                              f"side evaluations near s = {s}; the operator is too stiff "
+                              "for this interval")
+        return op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel()
+
     sol = _sp_solve_ivp(
-        lambda s, u: op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel(),
+        rhs,
         (r, t_end),
         init.T.ravel(),
         method="DOP853",

@@ -7,17 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from affinecurves import cli, kfuncs
+from affinecurves import cli, kfuncs, odekernel
+from affinecurves import lattice as lattice_mod
 from affinecurves.cli import main
 from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
-from affinecurves.kfuncs import ck, sk
+from affinecurves.conics import Conic
+from affinecurves.kfuncs import Interval, ck, sk
 from affinecurves.lattice import (
+    CLOSEST_SAMPLES,
     ConicArc,
     Lattice,
     enumerate_near_curve,
     enumerate_on_arc,
     on_curve,
+    plane_conic_from_lattice_frame,
 )
 from affinecurves.sharp_instances import (
     hyperbola_general_instance,
@@ -220,6 +225,19 @@ class TestBadInput:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["area", spec]) == 3
         assert "domain error" in capsys.readouterr().err
+
+    def test_stiff_reconstruction_stops_at_its_budget(self, tmp_path, capsys, monkeypatch):
+        # kappa(s) = 1e6 s on [0, 50] turns about 37 000 times: the
+        # solve stops at its budget of right-hand sides instead of hanging
+        monkeypatch.setattr(odekernel, "MAX_RHS_EVALS", 50_000)
+        spec = write_json(tmp_path / "stiff.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["0", "1e6"], "domain": ["0", "50"]})
+        start = time.perf_counter()
+        assert main(["arclength", spec]) == 3
+        assert time.perf_counter() - start < 1.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "50000 right-hand side evaluations" in captured.err
 
 
 class TestVerify:
@@ -512,7 +530,8 @@ class TestCountOnArc:
 
     def test_hyperbola_count_reads_profiles_in_arrays(self, tmp_path, capsys, monkeypatch):
         # every scalar read of a profile goes through kfuncs._finite; the
-        # curve samples of on_curve and curve_bbox are array reads
+        # curve samples of on_curve and curve_bbox and the batched root
+        # solve of on_curve are all array reads
         assert main(["examples", "hyperbola", "--m0", "3", "--outdir", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         scalar_reads = []
@@ -523,9 +542,12 @@ class TestCountOnArc:
             return finite(name, profile, k, s)
 
         monkeypatch.setattr(kfuncs, "_finite", counted)
+        kfuncs.sk(-1.0, 0.5)
+        assert scalar_reads == ["sk"]  # the patch sees scalar reads
+        scalar_reads.clear()
         assert main(["count", payload["curve_spec"], payload["lattice_spec"]]) == 0
         assert "SHARP" in capsys.readouterr().out
-        assert 0 < len(scalar_reads) < 1000
+        assert scalar_reads == []
 
     @staticmethod
     def _assert_same_points(curve, lat, coords, tol):
@@ -549,6 +571,134 @@ class TestCountOnArc:
         payload = json.loads(out[:out.rindex("}") + 1])
         assert payload["count"] == 1
         assert payload["points"] == [[0, 0, 0.0, 0.0]]
+
+
+def _on_curve_one_by_one(curve, lat, coords, tol):
+    """The oracle of `on_curve`: each candidate placed on its own, with
+    its position in Fraction arithmetic, its nearest sample by an argmin
+    over all samples and its closest parameter by a scalar brentq on the
+    tangency condition (the nearer bracket end without a sign change).
+    Returns (coords, positions, params), ordered by parameter."""
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
+    pts = curve.point(ss)
+    if coords is None:
+        coords = lattice_mod._window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
+    reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
+    found = []
+    for m, n in coords:
+        p = (lat.v0[0] + m * lat.v1[0] + n * lat.v2[0],
+             lat.v0[1] + m * lat.v1[1] + n * lat.v2[1])
+        q = np.array([float(p[0]), float(p[1])])
+        d2 = np.sum((pts - q) ** 2, axis=1)
+        i = int(np.argmin(d2))
+        if d2[i] > reach * reach:
+            continue
+        lo, hi = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, len(ss) - 1)])
+
+        def tangency(s, q=q):
+            return float(np.dot(curve.point(s) - q, curve.velocity(s)))
+
+        if tangency(lo) <= 0.0 <= tangency(hi):
+            s = brentq(tangency, lo, hi, xtol=1e-15)
+        else:
+            s = min((lo, hi), key=lambda t, q=q: math.dist(curve.point(t), q))
+        if math.dist(curve.point(s), q) <= tol:
+            found.append(((m, n), p, s))
+    found.sort(key=lambda item: item[2])
+    return [f[0] for f in found], [f[1] for f in found], [f[2] for f in found]
+
+
+def _export(tmp_path, name, m0, rigid):
+    """The curve (a CurveSpec) and lattice of an exported sharp instance."""
+    argv = ["examples", name, "--m0", str(m0), "--outdir", str(tmp_path)]
+    assert main(argv + (["--rigid"] if rigid else [])) == 0
+    return (load_curve_spec(str(tmp_path / f"{name}-curve.json")),
+            load_lattice_spec(str(tmp_path / f"{name}-lattice.json")))
+
+
+def _arc_candidates(spec, lat):
+    """The candidates of count's exact path."""
+    arc = ConicArc(conic=spec.conic, constraints=(), bbox=curve_bbox(spec.curve))
+    return enumerate_on_arc(arc, lat).coords
+
+
+# the m0 of the exported instances that the count benchmark runs, with
+# and without --rigid
+COUNT_INSTANCES = [(name, m0, rigid) for name, m0s in (
+    ("parabola", (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15)),
+    ("hyperbola", (1, 2, 3, 5)),
+    ("hyperbola-general", (1, 2, 3)),
+) for m0 in m0s for rigid in (False, True)]
+
+
+class TestBatchedPlacement:
+    """`on_curve` places all candidates in one batched pass; the one by
+    one sample-and-brentq placement it replaced is the oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle(curve, lat, coords, tol):
+        got = on_curve(curve, lat, coords, tol)
+        want_coords, want_positions, want_params = _on_curve_one_by_one(curve, lat, coords, tol)
+        assert got.coords == want_coords
+        assert got.positions == want_positions
+        assert all(isinstance(v, Fraction) for p in got.positions for v in p)
+        assert len(got.params) == len(want_params)
+        for s, t in zip(got.params, want_params):
+            assert abs(s - t) <= 1e-12 * max(1.0, abs(t))
+        return got
+
+    @pytest.mark.parametrize("name,m0,rigid", COUNT_INSTANCES)
+    def test_exported_instances(self, tmp_path, name, m0, rigid):
+        spec, lat = _export(tmp_path, name, m0, rigid)
+        got = self._assert_matches_oracle(spec.curve, lat, _arc_candidates(spec, lat), 1e-6)
+        assert len(got) == _expected_instance(name, m0, rigid).expected_bound
+
+    @pytest.mark.parametrize("coeffs,lo,hi", [
+        (("0", "0", "1", "0.05"), -1, 1),
+        (("1", "0.125", "0.5625", "0.0625"), -2, 1),
+        (("1", "-0.125", "0.875", "-0.0625"), -1, 2),
+        (("2", "0", "0.6875", "-0.03125"), -2, 1),
+        (("-0.5", "0.25", "0.5", "0.03125"), -2, 1),
+    ])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_dyadic_cubics(self, coeffs, lo, hi, tol):
+        spec = parse_curve_spec({"type": "graph", "coeffs": list(coeffs),
+                                 "domain": [str(lo), str(hi)]})
+        self._assert_matches_oracle(spec.curve, Lattice.standard(), None, tol)
+
+    # n = m^2 and m^2 - m n - n^2 = 1 in the lattice coordinates of a
+    # lattice with rational origin and generators, as plane conics
+    @pytest.mark.parametrize("conic_mn,seed,count", [
+        (Conic.make(1, 0, 0, 0, -1, 0), (0, 0), 5),
+        (Conic.make(1, -1, -1, 0, 0, -1), (1, 0), 7),
+    ])
+    def test_rational_lattice(self, conic_mn, seed, count):
+        lat = Lattice.make((Fraction(1, 3), Fraction(-1, 2)), (2, Fraction(1, 5)),
+                           (Fraction(-1, 7), 3))
+        conic = plane_conic_from_lattice_frame(conic_mn, lat)
+        start = lat.point(*seed)
+        curve = conic.branch_curve((float(start[0]), float(start[1])), Interval(-6.0, 6.0))
+        arc = ConicArc(conic=conic, constraints=(), bbox=curve_bbox(curve))
+        got = self._assert_matches_oracle(curve, lat, enumerate_on_arc(arc, lat).coords, 1e-6)
+        assert len(got) == count
+        assert all(conic_mn(m, n) == 0 for m, n in got.coords)
+        window = self._assert_matches_oracle(curve, lat, None, 1e-9)
+        assert window.coords == got.coords
+
+    @pytest.mark.parametrize("name,m0,rigid", [
+        ("parabola", 10, False), ("parabola", 4, True), ("hyperbola", 3, False),
+        ("hyperbola-general", 2, True),
+    ])
+    def test_points_at_the_domain_ends(self, tmp_path, name, m0, rigid):
+        # the arcs end at lattice points, such as (0, 0) at s = 0 on the
+        # parabola: their closest parameters are the domain ends exactly,
+        # where the tangency residual is zero
+        spec, lat = _export(tmp_path, name, m0, rigid)
+        points = on_curve(spec.curve, lat, _arc_candidates(spec, lat), 1e-6)
+        dom = spec.curve.domain
+        assert points.params[0] == dom.lo
+        assert points.params[-1] == dom.hi
+        assert len(points) == _expected_instance(name, m0, rigid).expected_bound
 
 
 class TestAreaTable:

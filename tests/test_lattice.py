@@ -22,6 +22,7 @@ from affinecurves.lattice import (
     enumerate_on_arc,
     equal_spaced_orbit,
     lattice_equal,
+    m_of_coords,
     m_of_curve,
     motion_preserves_lattice,
     parity_multiplier_bound,
@@ -188,6 +189,24 @@ class TestMultiplierProperty:
         if order in ("cycle", "chain"):
             assert lattice_mod._convex_turns(coords) is not None
         assert m_of_curve(lat, points) == lattice_mod._m_of_all_triples(lat, points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lattices(), _convex_polygons(), st.data())
+    def test_coords_match_all_triples_in_any_order(self, lat, polygon, data):
+        # count takes the multiplier from the integer coordinates it found;
+        # most shuffled orders are not convex and take the all-triples scan
+        coords = data.draw(st.permutations(polygon))
+        points = [lat.point(m, n) for m, n in coords]
+        assert m_of_coords(coords) == lattice_mod._m_of_all_triples(lat, points)
+
+    def test_coords_of_a_rational_lattice(self):
+        lat = Lattice.make((Fraction(1, 3), Fraction(-1, 2)), (2, Fraction(1, 5)),
+                           (Fraction(-1, 7), 3))
+        pentagon = [(0, 0), (3, 0), (4, 3), (1, 5), (-2, 3)]
+        for coords in (pentagon, [pentagon[2 * i % 5] for i in range(5)]):
+            points = [lat.point(m, n) for m, n in coords]
+            assert m_of_coords(coords) == m_of_curve(lat, points)
+            assert m_of_coords(coords) == lattice_mod._m_of_all_triples(lat, points)
 
     def test_pentagram_order_is_not_convex(self):
         # every turn is positive, but the edges wind twice; consecutive
