@@ -14,11 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.integrate import solve_ivp as _sp_solve_ivp
 from scipy.optimize import brentq
 
 from .kfuncs import Interval, ck, sk, ybar
-from .odekernel import solve_ivp, third_order_op
+from .odekernel import dop853, solve_ivp, third_order_op
 
 Vec = np.ndarray
 
@@ -239,19 +238,13 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     def g(t: float) -> float:
         return wedge(raw.d1(t), raw.d2(t))
 
-    sol = _sp_solve_ivp(lambda s, t: g(t[0]) ** (-1.0 / 3.0), (0.0, lam),
-                        [t0], method="DOP853", dense_output=True,
-                        rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise OrientationError(f"parameter change failed: {sol.message}")
-    t_of_s = sol.sol
+    t_of_s = dop853(lambda s, t: g(t[0]) ** (-1.0 / 3.0), 0.0, lam, [t0], 1e-11, 1e-13)
     domain = Interval(0.0, lam)
 
     def t_at(s: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(s, np.ndarray) and not s.size:  # scipy's dense output rejects []
-            return s.astype(float)
-        t = np.clip(t_of_s(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
-        return t if isinstance(s, np.ndarray) else float(t)
+        if isinstance(s, np.ndarray):
+            return np.clip(t_of_s.read(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
+        return float(np.clip(t_of_s.entry(np.clip(s, 0.0, lam), 0), min(t0, t1), max(t0, t1)))
 
     def rows(fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
         """fn at each entry of t, as a (p, 2) array."""

@@ -26,6 +26,7 @@ re-anchored shooting of Ng & Reid (1979) and Davey (1973).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,6 +121,119 @@ def power_op(n: int, ell: int, kappa: CoeffLike, interval: Interval) -> LinearOp
     return make_operator(coeffs, interval, label=f"y^({n})+k*y^({ell})")
 
 
+class DenseReader:
+    """The dense output of one DOP853 solve, read bit for bit as scipy's
+    `OdeSolution` reads it, without its per-read cost.
+
+    A read picks the step scipy would pick (the lower-index step at a step
+    time, the first or last step outside the span) and evaluates that
+    step's interpolant with scipy's Horner scheme, entry by entry and in
+    the same order of IEEE operations.  Scalar reads run in Python floats
+    over one step's rows, converted on the step's first read; array reads
+    gather each point's step from one (steps, 7, N) table, stacked on the
+    first array read.  Nothing is built at solve time: most solves are
+    read only a few times.
+    """
+
+    def __init__(self, ts: np.ndarray, steps: list):
+        self._ts = ts  # step times, monotone in the direction of the solve
+        self._steps = steps  # scipy's Dop853DenseOutput of each step
+        self._ascending = bool(ts[-1] >= ts[0])
+        self._sorted: list[float] | None = None
+        self._rows: dict[int, tuple[float, float, list[list[float]]]] = {}
+        self._table: tuple[np.ndarray, ...] | None = None
+
+    def _segment(self, t: float) -> int:
+        """The step scipy reads at t: its search on the ascending step
+        times, side 'left' for a rightward solve and 'right' for a
+        leftward one, clamped to the steps."""
+        if self._sorted is None:
+            self._sorted = (self._ts if self._ascending else self._ts[::-1]).tolist()
+        last = len(self._steps) - 1
+        if self._ascending:
+            return min(max(bisect_left(self._sorted, t) - 1, 0), last)
+        return last - min(max(bisect_right(self._sorted, t) - 1, 0), last)
+
+    def _at(self, t: float) -> tuple[float, float, list[list[float]]]:
+        """x and 1 - x of the step covering t, and the step's rows: for each
+        state entry its F column from the highest row down, then y_old."""
+        seg = self._segment(t)
+        rows = self._rows.get(seg)
+        if rows is None:
+            step = self._steps[seg]
+            rows = self._rows[seg] = (float(step.t_old), float(step.h),
+                                      np.vstack((step.F[::-1], step.y_old)).T.tolist())
+        t_old, h, cols = rows
+        x = (t - t_old) / h
+        return x, 1 - x, cols
+
+    @staticmethod
+    def _horner(x: float, x1: float, col: list[float]) -> float:
+        f6, f5, f4, f3, f2, f1, f0, y_old = col
+        return ((((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1
+                 + f0) * x + y_old)
+
+    def entry(self, t: float, k: int) -> float:
+        """Entry k of the state at t."""
+        x, x1, cols = self._at(float(t))
+        return self._horner(x, x1, cols[k])
+
+    def state(self, t: float) -> list[float]:
+        """The whole state at t."""
+        x, x1, cols = self._at(float(t))
+        return [self._horner(x, x1, col) for col in cols]
+
+    def read(self, t: np.ndarray) -> np.ndarray:
+        """The states at a 1-D array of p points, as scipy's (N, p) array."""
+        if self._table is None:
+            steps = self._steps
+            self._table = (self._ts if self._ascending else self._ts[::-1],
+                           np.array([step.t_old for step in steps]),
+                           np.array([step.h for step in steps]),
+                           np.stack([step.F for step in steps]),
+                           np.stack([step.y_old for step in steps]))
+        ts, t_old, h, F, y_old = self._table
+        last = len(F) - 1
+        seg = np.searchsorted(ts, t, side="left" if self._ascending else "right") - 1
+        np.clip(seg, 0, last, out=seg)
+        if not self._ascending:
+            seg = last - seg
+        x = ((t - t_old[seg]) / h[seg])[:, None]
+        x1 = 1 - x
+        rows = F[seg]
+        y = np.zeros((len(t), rows.shape[2]))
+        for i in range(rows.shape[1] - 1, -1, -1):
+            y += rows[:, i]
+            y *= x if i % 2 == 0 else x1
+        y += y_old[seg]
+        return y.T
+
+
+def dop853(fun: Callable[[float, np.ndarray], np.ndarray], t0: float, t_end: float,
+           y0, rtol: float, atol: float) -> DenseReader:
+    """The one DOP853 solve of the package: scipy's solver from t0 to t_end
+    with dense output, read through a DenseReader.  SolverError when
+    scipy fails or the solve needs more than MAX_RHS_EVALS right-hand
+    sides."""
+    evals = 0
+
+    def rhs(s, u):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise SolverError(f"integration from s = {t0} passed {MAX_RHS_EVALS} right-hand "
+                              f"side evaluations near s = {s}; the equation is too stiff "
+                              "for this interval")
+        return fun(s, u)
+
+    sol = _sp_solve_ivp(rhs, (t0, t_end), y0, method="DOP853", dense_output=True,
+                        rtol=rtol, atol=atol)
+    if not sol.success:
+        where = sol.t[-1] if len(sol.t) else t0
+        raise SolverError(f"integration failed near s = {where}: {sol.message}")
+    return DenseReader(sol.t, sol.sol.interpolants)
+
+
 @dataclass
 class IVPSolution:
     """Dense-output jets (y, y', ..., y^(n-1)): one, or m as matrix columns."""
@@ -128,35 +242,40 @@ class IVPSolution:
     r: float
     init: np.ndarray
     forcing: Callable[[float], float]
-    _right: object | None
-    _left: object | None
+    _right: DenseReader | None
+    _left: DenseReader | None
 
     @property
     def domain(self) -> Interval:
         return self.op.interval
 
+    def _side(self, s: float) -> tuple[float, DenseReader | None]:
+        """s clamped into the domain, and the solve that covers it (None
+        where that solve is empty)."""
+        lo, hi = self.domain.lo, self.domain.hi
+        pad = 1e-9 * max(1.0, abs(hi - lo))
+        if s < lo - pad or s > hi + pad:
+            raise ValueError(f"evaluation point {s} outside domain [{lo}, {hi}]")
+        s = self.domain.clamp(s)
+        return s, (self._right if s >= self.r else self._left)
+
     def eval(self, s: float | np.ndarray) -> np.ndarray:
         """The jet(s) at s, shaped like `init`; for a 1-D array of p points,
         shaped (p,) + init.shape, read with one dense-output call per side
         of r (bitwise equal to the scalar reads)."""
-        lo, hi = self.domain.lo, self.domain.hi
-        pad = 1e-9 * max(1.0, abs(hi - lo))
         if isinstance(s, np.ndarray) and s.ndim:  # np.ndim would turn each float into an array
-            return self._eval_array(s.astype(float), lo, hi, pad)
-        if s < lo - pad or s > hi + pad:
-            raise ValueError(f"evaluation point {s} outside domain [{lo}, {hi}]")
-        s = self.domain.clamp(s)
-        if s >= self.r:
-            if self._right is None:
-                return self.init.copy()
-            return np.asarray(self._right(s), dtype=float)
-        if self._left is None:
+            return self._eval_array(s.astype(float))
+        s, dense = self._side(s)
+        if dense is None:
             return self.init.copy()
-        return np.asarray(self._left(s), dtype=float)
+        # scipy's flat state holds the jets column by column
+        return np.array(dense.state(s)).reshape(self.init.T.shape).T
 
-    def _eval_array(self, s: np.ndarray, lo: float, hi: float, pad: float) -> np.ndarray:
+    def _eval_array(self, s: np.ndarray) -> np.ndarray:
         if s.ndim != 1:
             raise ValueError(f"need a scalar or a 1-D array of points, got shape {s.shape}")
+        lo, hi = self.domain.lo, self.domain.hi
+        pad = 1e-9 * max(1.0, abs(hi - lo))
         outside = (s < lo - pad) | (s > hi + pad)
         if outside.any():
             raise ValueError(f"evaluation point {s[outside][0]} outside domain [{lo}, {hi}]")
@@ -165,11 +284,17 @@ class IVPSolution:
         right = s >= self.r
         for side, dense in ((right, self._right), (~right, self._left)):
             if side.any():
-                out[side] = self.init if dense is None else dense(s[side])
+                # (n*m, p) reshapes to (m, n, p), then transposes to (p, n, m)
+                out[side] = self.init if dense is None else \
+                    dense.read(s[side]).reshape(self.init.T.shape + (-1,)).T
         return out
 
     def __call__(self, s: float, deriv: int = 0) -> float:
-        return float(self.eval(s)[deriv])
+        """Entry `deriv` of a single jet at s; only that entry is read."""
+        if self.init.ndim != 1:
+            return float(self.eval(s)[deriv])
+        s, dense = self._side(s)
+        return float(self.init[deriv]) if dense is None else dense.entry(s, deriv)
 
     def residual(self) -> float:
         """Sup of |y^(n) + sum a_j y^(j) - f| with y^(n) taken by central
@@ -192,38 +317,13 @@ class IVPSolution:
 
 
 def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: float,
-               rtol: float, atol: float):
-    """Dense output of one solve from r to t_end; SolverError when scipy
-    fails or the solve needs more than MAX_RHS_EVALS right-hand sides."""
+               rtol: float, atol: float) -> DenseReader | None:
+    """Dense output of one solve from r to t_end, None when it is empty."""
     if t_end == r:
         return None
     shape = init.T.shape  # scipy's flat state holds the jets column by column
-    evals = 0
-
-    def rhs(s, u):
-        nonlocal evals
-        evals += 1
-        if evals > MAX_RHS_EVALS:
-            raise SolverError(f"integration from s = {r} passed {MAX_RHS_EVALS} right-hand "
-                              f"side evaluations near s = {s}; the operator is too stiff "
-                              "for this interval")
-        return op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel()
-
-    sol = _sp_solve_ivp(
-        rhs,
-        (r, t_end),
-        init.T.ravel(),
-        method="DOP853",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        where = sol.t[-1] if len(sol.t) else r
-        raise SolverError(f"integration failed near s = {where}: {sol.message}")
-    # a 1-D array of p points reads (n*m, p), which reshapes to (m, n, p) -> (p, n, m)
-    return lambda s: (sol.sol(s).reshape(shape + s.shape) if isinstance(s, np.ndarray)
-                      else sol.sol(s).reshape(shape)).T
+    return dop853(lambda s, u: op.apply_to_state(s, u.reshape(shape).T, forcing(s)).T.ravel(),
+                  r, t_end, init.T.ravel(), rtol, atol)
 
 
 def solve_ivp(op: LinearOperator, forcing: CoeffLike = 0.0, r: float | None = None,

@@ -239,6 +239,17 @@ class TestBadInput:
         assert captured.out == ""
         assert "50000 right-hand side evaluations" in captured.err
 
+    def test_graph_reparameterisation_stops_at_its_budget(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the t(s) solve of this flat-bottomed quartic takes 4508 right-hand sides
+        monkeypatch.setattr(odekernel, "MAX_RHS_EVALS", 1000)
+        spec = write_json(tmp_path / "quartic.json", {
+            "type": "graph", "coeffs": ["0", "0", "1e-9", "0", "1"], "domain": ["-3", "3"]})
+        assert main(["area", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000 right-hand side evaluations" in captured.err
+
 
 class TestVerify:
     def test_thm41_sweep_holds(self, capsys):

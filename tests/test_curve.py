@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
+from affinecurves import odekernel
 from affinecurves.conics import Conic
 from affinecurves.curve import (
     AdaptedFrame,
@@ -147,6 +149,34 @@ class TestReparam:
         raw_no4 = ParametricCurve(raw.position, raw.d1, raw.d2, raw.d3)
         c = reparam_unit_speed(raw_no4, 0.0, 3.0)
         assert c.curvature(1.5) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_parameter_change_reads_equal_ode_solution(self, seed, monkeypatch):
+        """t(s) of a graph, which is its point's x, read through scipy's
+        OdeSolution of the same solve: the README graph, or a seeded convex
+        cubic on [-2, 1] (|6 c3 x| < 2 c2 keeps f'' positive)."""
+        coeffs, domain = ["0", "0", "1", "0.05"], ["-1", "1"]
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            c2 = rng.uniform(0.5, 1.5)
+            c = (*rng.uniform(-1, 1, 2), c2, rng.uniform(-c2, c2) / 8)
+            coeffs = [repr(float(v)) for v in c]
+            domain = ["-2", "1"]
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(scipy_solve_ivp(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(odekernel, "_sp_solve_ivp", recording)
+        curve = parse_curve_spec({"type": "graph", "coeffs": coeffs, "domain": domain}).curve
+        ode, = seen
+        lam, x0, x1 = curve.domain.hi, float(domain[0]), float(domain[1])
+        ss = np.concatenate([np.random.default_rng(3).uniform(0.0, lam, 40), ode.t,
+                             [0.0, lam, -0.25, lam + 0.25]])
+        want = np.clip(ode.sol(np.clip(ss, 0.0, lam))[0], x0, x1)
+        assert curve.point(ss)[:, 0].tobytes() == want.tobytes()
+        assert [curve.point(s)[0] for s in ss.tolist()] == want.tolist()
 
 
 class TestCurvature:

@@ -1,13 +1,23 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
+import affinecurves
+from affinecurves import odekernel
 from affinecurves.kfuncs import Interval, abar, ck, sk
 from affinecurves.odekernel import (
+    DenseReader,
     LagrangeKernel,
+    SolverError,
     check_forward_positive,
     compare_solutions,
+    dop853,
     lagrange_kernel,
     make_operator,
     oscillator_op,
@@ -97,6 +107,119 @@ class TestSolveIVP:
         for bad in (np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2, 1))):
             with pytest.raises(ValueError):
                 solve_ivp(op, 0.0, 0.0, bad)
+
+
+@pytest.fixture
+def scipy_solutions(monkeypatch):
+    """Every scipy solve the package makes, recorded with its OdeSolution."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(scipy_solve_ivp(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(odekernel, "_sp_solve_ivp", recording)
+    return seen
+
+
+def _read_points(ode, rng):
+    """Random points of a solve's span, every step time, and both ends."""
+    lo, hi = sorted((float(ode.t[0]), float(ode.t[-1])))
+    return np.concatenate([rng.uniform(lo, hi, 25), ode.t, [ode.t[0], ode.t[-1]]])
+
+
+class TestDenseReader:
+    """The reader gives scipy's OdeSolution reads bit for bit: OdeSolution
+    of the same solve stays the reference route."""
+
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_reads_equal_ode_solution(self, scipy_solutions, m, two_sided):
+        rng = np.random.default_rng(17 + 2 * (m or 0) + two_sided)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            op = make_operator([poly_fn(rng.uniform(-5, 5, size=3)) for _ in range(n)],
+                               Interval(-1.0, 1.0))
+            forcing = poly_fn(rng.uniform(-1, 1, size=2))
+            r = float(rng.uniform(-0.9, 0.9)) if two_sided else -1.0
+            init = rng.uniform(-1, 1, size=n if m is None else (n, m))
+            scipy_solutions.clear()
+            sol = solve_ivp(op, forcing, r, init)
+            assert len(scipy_solutions) == 1 + two_sided
+            for ode in scipy_solutions:
+                rightward = ode.t[-1] > ode.t[0]
+                reader = sol._right if rightward else sol._left
+                pts = _read_points(ode, rng)
+                assert reader.read(pts).tobytes() == ode.sol(pts).tobytes()
+                for t in pts.tolist():
+                    want = ode.sol(t)
+                    assert np.array(reader.state(t)).tobytes() == want.tobytes()
+                    assert [reader.entry(t, k) for k in range(len(want))] == want.tolist()
+                # through IVPSolution, on the side of r it reads from this solve
+                side = pts[pts >= r] if rightward else pts[pts < r]
+                want = ode.sol(side).reshape(init.T.shape + side.shape).T
+                assert sol.eval(side).tobytes() == want.tobytes()
+                for t, jet in zip(side.tolist(), want):
+                    assert sol.eval(t).tobytes() == jet.tobytes()
+                    if m is None:
+                        assert [sol(t, k) for k in range(n)] == jet.tolist()
+
+    def test_reads_in_any_order_and_empty(self, scipy_solutions):
+        sol = solve_ivp(third_order_op(lambda s: -4.0 + s, UNIT), 0.5, 0.0, (0.0, 1.0, 0.0))
+        ode, = scipy_solutions
+        pts = np.random.default_rng(2).permutation(_read_points(ode, np.random.default_rng(1)))
+        assert sol._right.read(pts).tobytes() == ode.sol(pts).tobytes()
+        assert sol.eval(np.array([])).shape == (0, 3)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_step_choice_where_steps_disagree(self, ascending):
+        # a solve's adjacent steps agree at their shared time to the last
+        # bit almost always; random steps do not, so they show which step
+        # a read at a step time or outside the span takes
+        rng = np.random.default_rng(4)
+        ts = np.cumsum(rng.uniform(0.1, 1.0, 9)) * (1 if ascending else -1)
+        steps = [Dop853DenseOutput(a, b, rng.normal(size=3), rng.normal(size=(7, 3)))
+                 for a, b in zip(ts[:-1], ts[1:])]
+        ode, reader = OdeSolution(ts, steps), DenseReader(ts, steps)
+        lo, hi = ts.min(), ts.max()
+        pts = np.concatenate([ts, [lo - 0.5, hi + 0.5], rng.uniform(lo, hi, 9)])
+        assert reader.read(pts).tobytes() == ode(pts).tobytes()
+        for t in pts.tolist():
+            assert np.array(reader.state(t)).tobytes() == ode(t).tobytes()
+
+    def test_failed_step_is_solver_error(self):
+        # y' = y^2, y(0) = 1 blows up at s = 1
+        with pytest.raises(SolverError, match="integration failed near s = 1.0"):
+            dop853(lambda s, y: y * y, 0.0, 2.0, [1.0], 1e-10, 1e-12)
+
+
+def test_scipy_solve_ivp_is_called_from_odekernel_only():
+    """One linear-ODE primitive: scipy's solve_ivp is imported by odekernel
+    alone, and called there once, in `dop853`."""
+    calls = []
+    for path in sorted(Path(affinecurves.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        integrate = {"scipy.integrate"}  # names bound to scipy.integrate
+        solvers = set()  # names bound to scipy's solve_ivp
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                integrate |= {a.asname for a in node.names
+                              if a.name == "scipy.integrate" and a.asname}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                for a in node.names:
+                    if node.module == "scipy" and a.name == "integrate":
+                        integrate.add(a.asname or a.name)
+                    elif node.module.startswith("scipy.integrate") and a.name == "solve_ivp":
+                        solvers.add(a.asname or a.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "solve_ivp" \
+                    and ast.unparse(node.value) in integrate:
+                solvers.add(ast.unparse(node))
+        if solvers:
+            assert path.stem == "odekernel", f"{path.name} imports scipy's solve_ivp"
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in solvers]
+    assert len(calls) == 1
 
 
 class TestLagrangeKernel:
