@@ -545,6 +545,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer of zero or more."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process: `prog` is fixed and every
@@ -554,12 +562,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, samples=True):
-        sp.add_argument("--tol", type=finite_float, default=None)
+        sp.add_argument("--tol", type=positive_float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
         if samples:
-            sp.add_argument("--samples", type=int, default=65)
+            sp.add_argument("--samples", type=non_negative_int, default=65)
 
     sp = sub.add_parser("arclength", help="affine arc length of a curve spec")
     sp.add_argument("curve")
@@ -600,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k0", type=finite_float, default=-1.0)
     sp.add_argument("--k1", type=finite_float, default=0.0)
     sp.add_argument("--L", type=positive_float, default=2.0)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=positive_int, default=20)
     sp.add_argument("--constant", type=finite_float, default=None)
     common(sp, samples=False)
     sp.set_defaults(fn=cmd_verify)

@@ -126,13 +126,19 @@ class AffineCurve:
     2-vectors (c', c'', c''') and `curvature` a float.  Each also takes a
     1-D array of p parameters and returns, in one call, what the scalar
     reads would stack to, bit for bit: a (p, 2) array, three (p, 2)
-    arrays, and a (p,) array."""
+    arrays, and a (p,) array.
+
+    `inverse`, where the curve has one in closed form, maps a (p, 2)
+    array of points on the curve's conic to their parameters: NaN off the
+    curve's branch, and otherwise a parameter that may lie outside the
+    domain when the point lies beyond an end of the arc."""
 
     domain: Interval
     position: Callable[[float | np.ndarray], Vec]
     derivatives: Callable[[float | np.ndarray], tuple[Vec, Vec, Vec]]
     curvature: Callable[[float | np.ndarray], float | np.ndarray]
     label: str = ""
+    inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def point(self, s: float | np.ndarray) -> Vec:
         return np.asarray(self.position(s), dtype=float)
@@ -153,13 +159,26 @@ class AffineCurve:
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """Raw analytic curve: position and derivative closures in a free parameter."""
+    """Raw analytic curve: position and derivative closures in a free parameter.
+
+    With `arrays`, each closure also takes a 1-D array of parameters and
+    returns its two components as arrays (or floats, broadcast), equal bit
+    for bit to the scalar reads; the curve is then read in one call per
+    closure."""
 
     position: Callable[[float], Sequence[float]]
     d1: Callable[[float], Sequence[float]]
     d2: Callable[[float], Sequence[float]]
     d3: Callable[[float], Sequence[float]] | None = None
     d4: Callable[[float], Sequence[float]] | None = None
+    arrays: bool = False
+
+    def rows(self, fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
+        """fn, one of the closures, at each entry of t, as a (p, 2) array."""
+        if self.arrays:
+            x, y, _ = np.broadcast_arrays(*fn(t), t)
+            return np.column_stack((x, y)).astype(float, copy=False)
+        return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
 
 
 def affine_curvature_at(curve: AffineCurve, s: float) -> float:
@@ -177,6 +196,12 @@ def constant_curvature_curve(k: float, interval: Interval,
     (`sk` and `ybar` for the position, `ck` and `sk` for the derivatives),
     whose entries equal the scalar reads bit for bit: the profiles call
     libm's sin, cos, sinh and cosh entry by entry rather than NumPy's.
+
+    The inverse takes the adapted coordinates (x, y) = frame^-1 (p - origin)
+    of a point of the conic x^2 + k y^2 = 2 y: s = x for k = 0,
+    asinh(sqrt(-k) x) / sqrt(-k) on the branch 1 - k y > 0 for k < 0 (NaN
+    on the other), and atan2(sqrt(k) x, 1 - k y) / sqrt(k) for k > 0,
+    shifted by whole turns into [lo, lo + 2 pi / sqrt(k)).
     """
     fr = frame or AdaptedFrame.identity()
 
@@ -184,6 +209,16 @@ def constant_curvature_curve(k: float, interval: Interval,
         if isinstance(s, np.ndarray):
             return fr.from_adapted_rows(np.column_stack((sk(k, s), ybar(k, s))))
         return fr.from_adapted((sk(k, s), ybar(k, s)))
+
+    def inverse(p: np.ndarray) -> np.ndarray:
+        x, y = fr.to_adapted_rows(p).T
+        if k == 0.0:
+            return x
+        r = np.sqrt(abs(k))
+        if k < 0.0:
+            return np.where(1.0 - k * y > 0.0, np.arcsinh(r * x) / r, np.nan)
+        turn = 2.0 * np.pi / r
+        return interval.lo + np.mod(np.arctan2(r * x, 1.0 - k * y) / r - interval.lo, turn)
 
     def derivatives(s: float | np.ndarray):
         if isinstance(s, np.ndarray):
@@ -198,7 +233,7 @@ def constant_curvature_curve(k: float, interval: Interval,
         return np.full(s.shape, k, dtype=float) if isinstance(s, np.ndarray) else k
 
     return AffineCurve(interval, position, derivatives, curvature,
-                       label=label or f"constant-curvature k={k}")
+                       label=label or f"constant-curvature k={k}", inverse=inverse)
 
 
 def parabola_curve(interval: Interval) -> AffineCurve:
@@ -206,18 +241,19 @@ def parabola_curve(interval: Interval) -> AffineCurve:
     return constant_curvature_curve(0.0, interval, label="parabola")
 
 
-def _min_speed_check(d1, d2, t0: float, t1: float) -> None:
-    for t in np.linspace(t0, t1, 257):
-        g = wedge(d1(t), d2(t))
-        if g <= 0.0:
-            raise OrientationError(
-                f"c' wedge c'' = {g} <= 0 at t = {t}; need a positively "
-                "oriented locally convex arc")
+def _min_speed_check(raw: ParametricCurve, t0: float, t1: float) -> None:
+    ts = np.linspace(t0, t1, 257)
+    g = _wedge_rows(raw.rows(raw.d1, ts), raw.rows(raw.d2, ts))
+    bad = np.flatnonzero(g <= 0.0)
+    if bad.size:
+        raise OrientationError(
+            f"c' wedge c'' = {g[bad[0]]} <= 0 at t = {ts[bad[0]]}; need a positively "
+            "oriented locally convex arc")
 
 
 def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
     """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]."""
-    _min_speed_check(raw.d1, raw.d2, t0, t1)
+    _min_speed_check(raw, t0, t1)
     val, _ = quad(lambda t: wedge(raw.d1(t), raw.d2(t)) ** (1.0 / 3.0),
                   t0, t1, **QUAD_KW)
     return val
@@ -246,13 +282,9 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
             return np.clip(t_of_s.read(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
         return float(np.clip(t_of_s.entry(np.clip(s, 0.0, lam), 0), min(t0, t1), max(t0, t1)))
 
-    def rows(fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
-        """fn at each entry of t, as a (p, 2) array."""
-        return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
-
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):  # one dense-output read for all the points
-            return rows(raw.position, t_at(s))
+            return raw.rows(raw.position, t_at(s))
         return np.asarray(raw.position(t_at(s)), dtype=float)
 
     def base_derivs(s: float):
@@ -290,21 +322,22 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         keep their own path, which is the faster one for the root-finders
         that call it point by point."""
         t = t_at(s)
-        c1, c2, c3 = (rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
+        c1, c2, c3 = (raw.rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
         gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
         tp = _pow(gv, -1.0 / 3.0)
         tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
         d1 = c1 * tp[:, None]
         d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
         if raw.d4 is not None:
-            c4 = rows(raw.d4, t)
+            c4 = raw.rows(raw.d4, t)
             gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
             tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
                     - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
             d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
                   + c1 * tppp[:, None])
         else:
-            d3 = rows(lambda u: _fd_vector(gamma2, u, domain), s)
+            d3 = np.array([_fd_vector(gamma2, u, domain) for u in s.tolist()],
+                          dtype=float).reshape(-1, 2)
         return d1, d2, d3
 
     def curvature(s: float | np.ndarray) -> float | np.ndarray:
@@ -352,13 +385,16 @@ def curvature_from_graph(f2: Callable[[float], float], x: float,
 
 @dataclass(frozen=True)
 class GraphJet:
-    """A graph function with derivative closures (orders 0..4)."""
+    """A graph function with derivative closures (orders 0..4).  With
+    `arrays`, each closure also maps a 1-D array to the array of its
+    scalar values, bit for bit."""
 
     f: Callable[[float], float]
     f1: Callable[[float], float]
     f2: Callable[[float], float]
     f3: Callable[[float], float] | None = None
     f4: Callable[[float], float] | None = None
+    arrays: bool = False
 
 
 def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineCurve:
@@ -371,10 +407,13 @@ def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineC
         d2=lambda t: (0.0, jet.f2(t)),
         d3=lambda t: (0.0, jet.f3(t)),
         d4=(lambda t: (0.0, jet.f4(t))) if jet.f4 is not None else None,
+        arrays=jet.arrays,
     )
-    for t in np.linspace(x0, x1, 101):
-        if jet.f2(t) <= 0.0:
-            raise ConvexityError(f"f''({t}) = {jet.f2(t)} <= 0")
+    ts = np.linspace(x0, x1, 101)
+    f2 = raw.rows(raw.d2, ts)[:, 1]
+    bad = np.flatnonzero(f2 <= 0.0)
+    if bad.size:
+        raise ConvexityError(f"f''({ts[bad[0]]}) = {f2[bad[0]]} <= 0")
     return reparam_unit_speed(raw, x0, x1, label=label or "graph")
 
 

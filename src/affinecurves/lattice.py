@@ -28,6 +28,7 @@ SPACING_TOL = 1e-9
 EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
+END_RTOL = 1e-12  # parameters this close to a domain end (relative) are placed at the end
 MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
 # stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, 4 * np.finfo(float).eps, 100
@@ -382,16 +383,26 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     bracket end is taken.  The root fixes the distance to about eps |p|,
     where minimising the squared distance would only fix it to about
     sqrt(eps) |p|.
+
+    Exact candidates on a curve with a closed-form `inverse` (the
+    constant-curvature curves, so every conic arc) are placed without
+    samples: the inverse gives each candidate's parameter, and the branch
+    and domain decide membership, since the scan already put the point on
+    the conic.  A candidate whose parameter lies outside the domain, or
+    within END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put
+    it on either side, is on the arc when it lies within tol of the nearer
+    of c(lo) and c(hi), and takes that end as its parameter; so a closed
+    circle's seed point is counted once.
     """
+    exact = coords is not None
+    if exact and curve.inverse is not None:
+        return _on_curve_closed_form(curve, lat, coords, tol)
     ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
     pts = curve.point(ss)
-    exact = coords is not None
     if coords is None:
         coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
     reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
-    den, xs, ys = lat.cleared
-    q = np.array([((xs[0] + m * xs[1] + n * xs[2]) / den, (ys[0] + m * ys[1] + n * ys[2]) / den)
-                  for m, n in coords], dtype=float).reshape(-1, 2)
+    q = _float_points(lat, coords)
     _, i = cKDTree(pts).query(q)
     near = np.flatnonzero(np.sum((pts[i] - q) ** 2, axis=1) <= reach * reach)
     q, i = q[near], i[near]
@@ -406,11 +417,42 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
 
     r = curve.point(s) - q
     on = np.flatnonzero(np.hypot(r[:, 0], r[:, 1]) <= tol)
-    on = on[np.argsort(s[on], kind="stable")]
-    found = [coords[j] for j in near[on].tolist()]
+    return _point_set(lat, [coords[j] for j in near[on].tolist()], s[on], exact)
+
+
+def _on_curve_closed_form(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
+                          tol: float) -> LatticePointSet:
+    """`on_curve` of exact candidates by the curve's inverse (see there)."""
+    q = _float_points(lat, coords)
+    s = curve.inverse(q)  # NaN off the branch
+    lo, hi = curve.domain.lo, curve.domain.hi
+    band = END_RTOL * max(1.0, abs(lo), abs(hi))
+    inside = (s > lo + band) & (s < hi - band)
+    ends = curve.point(np.array((lo, hi)))
+    d_lo = np.hypot(*(q - ends[0]).T)
+    d_hi = np.hypot(*(q - ends[1]).T)
+    at_end = ~inside & ~np.isnan(s) & (np.minimum(d_lo, d_hi) <= tol)
+    s = np.where(at_end, np.where(d_lo <= d_hi, lo, hi), s)
+    on = np.flatnonzero(inside | at_end)
+    return _point_set(lat, [coords[j] for j in on.tolist()], s[on], True)
+
+
+def _float_points(lat: Lattice, coords: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The points with the given lattice coordinates as a (p, 2) float
+    array, each entry correctly rounded from the integer-cleared generators."""
+    den, xs, ys = lat.cleared
+    return np.array([((xs[0] + m * xs[1] + n * xs[2]) / den, (ys[0] + m * ys[1] + n * ys[2]) / den)
+                     for m, n in coords], dtype=float).reshape(-1, 2)
+
+
+def _point_set(lat: Lattice, coords: list[tuple[int, int]], params: np.ndarray,
+               exact: bool) -> LatticePointSet:
+    """The points with the given coordinates and parameters, in parameter order."""
+    order = np.argsort(params, kind="stable").tolist()
+    found = [coords[j] for j in order]
     return LatticePointSet(coords=found,
                            positions=[lat.point(m, n) for m, n in found],
-                           params=s[on].tolist(),
+                           params=params[order].tolist(),
                            exact=exact)
 
 

@@ -45,9 +45,10 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _floats(values, n: int, what: str) -> list[float]:
-    if not isinstance(values, (list, tuple)) or len(values) != n:
-        raise SpecError(f"{what} must be a list of {n} values")
+def _floats(values, n: int | None, what: str) -> list[float]:
+    """n floats (n None: one or more) from a list of numbers or numeric strings."""
+    if not isinstance(values, (list, tuple)) or not values or (n is not None and len(values) != n):
+        raise SpecError(f"{what} must be a list of {n or 'one or more'} values")
     try:
         floats = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -55,6 +56,14 @@ def _floats(values, n: int, what: str) -> list[float]:
     if not all(math.isfinite(v) for v in floats):
         raise SpecError(f"non-finite number in {what}: {values}")
     return floats
+
+
+def _fractions(values, what: str) -> tuple[Fraction, ...]:
+    """The exact rationals of a list of numbers or decimal or fraction strings."""
+    try:
+        return tuple(Fraction(str(v)) for v in values)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"bad {what}: {exc}") from None
 
 
 def _interval(values, what: str = "domain") -> Interval:
@@ -72,14 +81,15 @@ def _poly_fns(coeffs: Sequence[float], orders: int):
     return [functools.partial(_horner, tuple(c.tolist())) for c in cs]
 
 
-def _horner(c: tuple[float, ...], x: float) -> float:
+def _horner(c: tuple[float, ...], x: float | np.ndarray) -> float | np.ndarray:
     """The polynomial with ascending coeffs c at x, by the operations of
     numpy's `polyval` in the same order (so the same float), without its
-    per-call array set-up."""
+    per-call array set-up.  At a 1-D array, the same operations entry by
+    entry, so each entry is the float of the scalar call."""
     acc = c[-1] + x * 0
     for ci in c[-2::-1]:
         acc = ci + acc * x
-    return float(acc)
+    return acc if isinstance(acc, np.ndarray) else float(acc)
 
 
 def _frame(data: dict) -> AdaptedFrame | None:
@@ -117,7 +127,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
 
     if kind in ("parabola", "graph"):
         coeff_strs = _require(data, "coeffs")
-        coeffs = _floats(coeff_strs, len(coeff_strs), "coeffs")
+        coeffs = _floats(coeff_strs, None, "coeffs")
         # coeffs are ascending: [c0, c1, c2, ...] for c0 + c1 x + c2 x^2 + ...
         if kind == "parabola":
             if len(coeffs) != 3:
@@ -127,21 +137,19 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         elif len(coeffs) < 3:
             raise SpecError("graph polynomial must have degree at least 2")
         dom = _interval(_require(data, "domain"))
-        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
+        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4), arrays=True), dom.lo, dom.hi,
+                            label=kind)
         conic = None
         if len(coeffs) == 3:
-            c0, c1, c2 = (Fraction(str(v)) for v in coeff_strs)
+            c0, c1, c2 = _fractions(coeff_strs, "coeffs")
             conic = Conic.make(c2, 0, 0, c1, -1, c0)
         return CurveSpec(kind, curve, conic)
 
     if kind == "conic":
         coeff_strs = _require(data, "coeffs")
-        if len(coeff_strs) != 6:
+        if not isinstance(coeff_strs, (list, tuple)) or len(coeff_strs) != 6:
             raise SpecError("conic takes six coefficients [a, b, c, d, e, f]")
-        try:
-            conic = Conic.make(*[Fraction(str(v)) for v in coeff_strs])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"bad conic coefficient: {exc}") from None
+        conic = Conic.make(*_fractions(coeff_strs, "conic coefficient"))
         seed = _floats(_require(data, "seed"), 2, "seed")
         dom = _interval(_require(data, "domain"))
         curve = conic.branch_curve((seed[0], seed[1]), dom)
@@ -163,8 +171,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         return CurveSpec(kind, curve, conic)
 
     # curvature-ivp
-    coeffs = _floats(_require(data, "kappa_coeffs"),
-                     len(_require(data, "kappa_coeffs")), "kappa_coeffs")
+    coeffs = _floats(_require(data, "kappa_coeffs"), None, "kappa_coeffs")
     dom = _interval(_require(data, "domain"))
     if not dom.lo <= 0.0 <= dom.hi:
         raise SpecError("curvature-ivp domain must contain the anchor s = 0")
@@ -181,10 +188,7 @@ def parse_lattice_spec(data: dict) -> Lattice:
         raw = _require(data, key)
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise SpecError(f"{key} must be a pair")
-        try:
-            rows.append(tuple(Fraction(str(v)) for v in raw))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"bad component in {key}: {exc}") from None
+        rows.append(_fractions(raw, f"component in {key}"))
     try:
         return Lattice.make(*rows)
     except ValueError as exc:

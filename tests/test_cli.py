@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from affinecurves import cli, kfuncs, odekernel
+from affinecurves import cli, kfuncs, odekernel, specfiles
 from affinecurves import lattice as lattice_mod
 from affinecurves.cli import main
 from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
@@ -190,6 +191,32 @@ class TestBadInput:
     def test_nonpositive_multiplier_is_parse_error(self, parabola_spec, z2_spec,
                                                    capsys, multiplier):
         assert main(["count", parabola_spec, z2_spec, f"--multiplier={multiplier}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid positive_int value" in captured.err
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_tol_is_parse_error(self, tmp_path, z2_spec, capsys, tol):
+        graph = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]})
+        for argv in (["count", graph, z2_spec], ["verify", "thm5.6", "--trials", "1"]):
+            assert main(argv + [f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "invalid positive_float value" in captured.err
+
+    @pytest.mark.parametrize("command", ["curvature", "arclength", "area"])
+    def test_negative_samples_is_parse_error(self, parabola_spec, tmp_path, capsys, command):
+        out = tmp_path / "table.csv"
+        assert main([command, parabola_spec, "--samples=-2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid non_negative_int value" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_is_parse_error(self, capsys, trials):
+        assert main(["verify", "thm2.3", f"--trials={trials}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid positive_int value" in captured.err
@@ -710,6 +737,139 @@ class TestBatchedPlacement:
         assert points.params[0] == dom.lo
         assert points.params[-1] == dom.hi
         assert len(points) == _expected_instance(name, m0, rigid).expected_bound
+
+    # the closed-form placement of conic arcs (`AffineCurve.inverse`)
+    # against the sampling oracle, on lattices with rational origin and
+    # generators drawn by the seed
+
+    @staticmethod
+    def _random_lattice(rng):
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        v1 = (Fraction(rng.randint(1, 4), rng.randint(1, 5)), q())
+        v2 = (q(), Fraction(rng.randint(1, 4), rng.randint(1, 5)))
+        if v1[0] * v2[1] == v1[1] * v2[0]:
+            v2 = (v2[0] + 1, v2[1])
+        return Lattice.make((q(), q()), v1, v2)
+
+    @staticmethod
+    def _lattice_conic_curve(conic_mn, lat, seed, interval):
+        """The branch through the lattice point `seed` of the plane conic
+        whose lattice-coordinate form is conic_mn, and all the lattice
+        points of the conic in the box |m|, |n| <= 40 as candidates."""
+        conic = plane_conic_from_lattice_frame(conic_mn, lat)
+        start = lat.point(*seed)
+        curve = conic.branch_curve((float(start[0]), float(start[1])), interval)
+        arc = ConicArc(conic=conic_mn, constraints=(), bbox=(-40, 40, -40, 40), frame="lattice")
+        return curve, enumerate_on_arc(arc, lat).coords
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hyperbolas_with_both_branches(self, seed):
+        # (m - m0)(n - n0) = N has lattice points on both branches; only
+        # part of the seed's branch lies on the arc
+        rng = random.Random(seed)
+        lat = self._random_lattice(rng)
+        big_n = rng.choice((6, 12, 24, 30, 36))
+        m0, n0 = rng.randint(-3, 3), rng.randint(-3, 3)
+        conic_mn = Conic.make(0, 1, 0, -n0, -m0, m0 * n0 - big_n)
+        curve, coords = self._lattice_conic_curve(conic_mn, lat, (m0 + 1, n0 + big_n),
+                                                  Interval(-rng.uniform(2, 8), rng.uniform(2, 8)))
+        assert curve.curvature(0.0) < 0.0
+        assert np.isnan(curve.inverse(lattice_mod._float_points(lat, coords))).sum() == len(coords) // 2
+        got = self._assert_matches_oracle(curve, lat, coords, 1e-6)
+        assert 0 < len(got) <= len(coords) // 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ellipse_arcs_across_the_cut(self, seed):
+        # arcs longer than half a turn that contain s = +-half a turn,
+        # where atan2 jumps
+        rng = random.Random(seed)
+        lat = self._random_lattice(rng)
+        a, r = rng.choice(((1, 25), (1, 50), (1, 65), (2, 33)))
+        seed_mn = next((m, n) for m in range(-8, 9) for n in range(-8, 9) if m * m + a * n * n == r)
+        conic_mn = Conic.make(1, 0, a, 0, 0, -r)
+        k = plane_conic_from_lattice_frame(conic_mn, lat).curvature()
+        turn = 2.0 * math.pi / math.sqrt(k)
+        lo = rng.choice((rng.uniform(0.05, 0.45), rng.uniform(-0.95, -0.55))) * turn
+        hi = lo + rng.uniform(0.55, 0.9) * turn
+        curve, coords = self._lattice_conic_curve(conic_mn, lat, seed_mn, Interval(lo, hi))
+        assert lo < 0.5 * turn < hi or lo < -0.5 * turn < hi
+        got = self._assert_matches_oracle(curve, lat, coords, 1e-6)
+        assert len(coords) // 2 <= len(got) < len(coords)
+
+    @pytest.mark.parametrize("conic_mn,seed", [
+        (Conic.make(1, 0, 0, 0, -1, 0), (0, 0)),        # n = m^2
+        (Conic.make(0, 1, 0, 0, 0, -12), (1, 12)),      # m n = 12
+        (Conic.make(1, 0, 1, 0, 0, -25), (5, 0)),       # m^2 + n^2 = 25
+    ])
+    def test_candidates_at_both_domain_ends(self, conic_mn, seed):
+        # the arc from the second to the last but one point of a longer arc
+        lat = self._random_lattice(random.Random(7))
+        k = plane_conic_from_lattice_frame(conic_mn, lat).curvature()
+        half = 0.45 * 2.0 * math.pi / math.sqrt(k) if k > 0.0 else 8.0
+        curve, coords = self._lattice_conic_curve(conic_mn, lat, seed, Interval(-half, half))
+        inner = on_curve(curve, lat, coords, 1e-6)
+        assert len(inner) >= 4
+        lo, hi = inner.params[1], inner.params[-2]
+        curve, _ = self._lattice_conic_curve(conic_mn, lat, seed, Interval(lo, hi))
+        got = self._assert_matches_oracle(curve, lat, coords, 1e-6)
+        assert got.coords == inner.coords[1:-1]
+        assert got.params[0] == lo and got.params[-1] == hi
+
+    def test_full_circle_counts_its_seed_point_once(self, tmp_path, z2_spec, capsys):
+        assert main(["examples", "circle", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        spec = load_curve_spec(str(tmp_path / "circle-curve.json"))
+        lat = Lattice.standard()
+        dom = spec.curve.domain
+        assert spec.curve.point(dom.hi) == pytest.approx((1.0, 0.0), abs=1e-12)
+        got = self._assert_matches_oracle(spec.curve, lat, _arc_candidates(spec, lat), 1e-6)
+        assert got.coords == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        assert got.params[0] == dom.lo
+        assert main(["count", str(tmp_path / "circle-curve.json"), z2_spec]) == 0
+        assert capsys.readouterr().out.endswith("bound 5 count 4\n")
+
+
+class TestPlacementCost:
+    """Structural costs of `count`, counted by call, so that a regression
+    shows without timing."""
+
+    def test_exact_conic_count_reads_no_samples(self, tmp_path, z2_spec, capsys, monkeypatch):
+        assert main(["examples", "hyperbola", "--m0", "3", "--outdir", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reads = []
+        point = AffineCurve.point
+
+        def counted(self, s):
+            reads.append(s.size if isinstance(s, np.ndarray) else "scalar")
+            return point(self, s)
+
+        monkeypatch.setattr(AffineCurve, "point", counted)
+        assert main(["count", payload["curve_spec"], payload["lattice_spec"]]) == 0
+        assert "SHARP" in capsys.readouterr().out
+        assert reads  # the patch sees the reads
+        assert CLOSEST_SAMPLES not in reads
+        assert "scalar" not in reads
+
+    def test_cubic_graph_count_reads_the_polynomial_in_arrays(self, tmp_path, z2_spec, capsys,
+                                                              monkeypatch):
+        # one of the benchmark's seeded cubics; the scalar reads left are
+        # those of the t(s) solve and of the arc-length quadrature
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0.5", "-0.25", "0.6875", "0.0625"],
+            "domain": ["-2", "1"]})
+        calls = {"scalar": 0, "array": 0}
+        horner = specfiles._horner
+
+        def counted(c, x):
+            calls["array" if isinstance(x, np.ndarray) else "scalar"] += 1
+            return horner(c, x)
+
+        monkeypatch.setattr(specfiles, "_horner", counted)
+        assert main(["count", spec, z2_spec, "--tol", "1e-6"]) == 0
+        assert "count" in capsys.readouterr().out
+        assert calls["array"] > 0
+        assert calls["scalar"] <= 1000
 
 
 class TestAreaTable:

@@ -1,7 +1,19 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinecurves.curve import ConvexityError, affine_curvature_at
-from affinecurves.specfiles import SpecError, parse_curve_spec, parse_lattice_spec
+from affinecurves.curve import ConvexityError, OrientationError, affine_curvature_at
+from affinecurves.kfuncs import DomainError
+from affinecurves.lattice import Lattice
+from affinecurves.odekernel import SolverError
+from affinecurves.specfiles import (
+    CURVE_KINDS,
+    CurveSpec,
+    SpecError,
+    parse_curve_spec,
+    parse_lattice_spec,
+)
 
 
 class TestCurveSpecs:
@@ -112,3 +124,78 @@ class TestLatticeSpecs:
         with pytest.raises(SpecError):
             parse_lattice_spec({"v0": ["0", "0"], "v1": ["x", "0"],
                                 "v2": ["0", "1"]})
+
+
+# spec fields drawn from short numeric strings, most of them well formed,
+# and from arbitrary JSON values
+_NUMBER = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.fractions(min_value=-4, max_value=4, max_denominator=16).map(str),
+    st.floats(-4.0, 4.0, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "1/0", "0x10"]),
+)
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=4)
+                     | st.floats(allow_nan=True, allow_infinity=True),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=6)
+_FIELD = st.one_of(st.lists(_NUMBER, min_size=1, max_size=7), _NUMBER, _JSON)
+
+
+_FIELDS = {"parabola": ("coeffs", "domain"), "graph": ("coeffs", "domain"),
+           "conic": ("coeffs", "seed", "domain"), "constant-curvature": ("k", "domain"),
+           "curvature-ivp": ("kappa_coeffs", "domain")}
+_FRAME = ("origin", "tangent", "normal")
+
+
+@st.composite
+def _curve_docs(draw):
+    """Mostly documents of a known type with its fields, each field a list
+    of numeric strings or, less often, any JSON value."""
+    if not draw(st.integers(0, 9)):
+        return draw(_JSON)
+    kind = draw(st.sampled_from(CURVE_KINDS))
+    keys = list(_FIELDS[kind]) + (list(_FRAME) if draw(st.booleans()) else [])
+    keys = [key for key in keys if draw(st.integers(0, 19))]  # now and then one is missing
+    doc = {key: draw(_FIELD) for key in keys}
+    doc["type"] = kind if draw(st.integers(0, 19)) else draw(_JSON)
+    if draw(st.booleans()):  # a domain most parsers accept
+        lo = draw(st.integers(-3, 0))
+        doc["domain"] = [str(lo), str(lo + draw(st.integers(1, 3)))]
+    return doc
+
+
+class TestSpecFuzz:
+    """Any document parses to a spec or fails with a typed error; a
+    parsed graph reads arrays bit for bit as stacked scalar reads."""
+
+    TYPED = (SpecError, DomainError, ConvexityError, OrientationError, SolverError)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_curve_docs())
+    def test_curve_spec(self, doc):
+        try:
+            spec = parse_curve_spec(doc)
+        except self.TYPED:
+            return
+        assert isinstance(spec, CurveSpec)
+        if spec.kind in ("parabola", "graph"):
+            curve = spec.curve
+            ss = np.linspace(curve.domain.lo, curve.domain.hi, 7)
+            assert curve.point(ss).tobytes() == np.array([curve.point(s) for s in ss]).tobytes()
+            for got, want in zip(curve.derivatives(ss),
+                                 zip(*(curve.derivatives(float(s)) for s in ss))):
+                assert got.tobytes() == np.array(want).tobytes()
+            assert curve.curvature(ss).tobytes() == np.array(
+                [curve.curvature(float(s)) for s in ss]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(("v0", "v1", "v2", "x")),
+                           st.lists(_NUMBER, min_size=1, max_size=3) | _JSON, max_size=4)
+           | _JSON)
+    def test_lattice_spec(self, doc):
+        try:
+            lat = parse_lattice_spec(doc)
+        except SpecError:
+            return
+        assert isinstance(lat, Lattice)
