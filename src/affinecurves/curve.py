@@ -161,22 +161,27 @@ class AffineCurve:
 class ParametricCurve:
     """Raw analytic curve: position and derivative closures in a free parameter.
 
-    With `arrays`, each closure also takes a 1-D array of parameters and
-    returns its two components as arrays (or floats, broadcast), equal bit
-    for bit to the scalar reads; the curve is then read in one call per
-    closure."""
+    A closure may also take a 1-D array of parameters and return its two
+    components as arrays (or floats, broadcast); it must then give each
+    entry the float of the scalar call, as the polynomial graphs of
+    `specfiles` do (NumPy's `**` does not: it can differ from Python's in
+    the last bit).  Such a closure is read in one call; one that raises
+    TypeError or ValueError on an array, such as a `math` lambda, is read
+    entry by entry."""
 
     position: Callable[[float], Sequence[float]]
     d1: Callable[[float], Sequence[float]]
     d2: Callable[[float], Sequence[float]]
     d3: Callable[[float], Sequence[float]] | None = None
     d4: Callable[[float], Sequence[float]] | None = None
-    arrays: bool = False
 
     def rows(self, fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
         """fn, one of the closures, at each entry of t, as a (p, 2) array."""
-        if self.arrays:
+        try:
             x, y, _ = np.broadcast_arrays(*fn(t), t)
+        except (TypeError, ValueError):  # a scalar-only closure
+            pass
+        else:
             return np.column_stack((x, y)).astype(float, copy=False)
         return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
 
@@ -385,16 +390,14 @@ def curvature_from_graph(f2: Callable[[float], float], x: float,
 
 @dataclass(frozen=True)
 class GraphJet:
-    """A graph function with derivative closures (orders 0..4).  With
-    `arrays`, each closure also maps a 1-D array to the array of its
-    scalar values, bit for bit."""
+    """A graph function with derivative closures (orders 0..4), each read
+    as `ParametricCurve` reads its closures."""
 
     f: Callable[[float], float]
     f1: Callable[[float], float]
     f2: Callable[[float], float]
     f3: Callable[[float], float] | None = None
     f4: Callable[[float], float] | None = None
-    arrays: bool = False
 
 
 def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineCurve:
@@ -407,7 +410,6 @@ def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineC
         d2=lambda t: (0.0, jet.f2(t)),
         d3=lambda t: (0.0, jet.f3(t)),
         d4=(lambda t: (0.0, jet.f4(t))) if jet.f4 is not None else None,
-        arrays=jet.arrays,
     )
     ts = np.linspace(x0, x1, 101)
     f2 = raw.rows(raw.d2, ts)[:, 1]

@@ -386,12 +386,15 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
 
     Exact candidates on a curve with a closed-form `inverse` (the
     constant-curvature curves, so every conic arc) are placed without
-    samples: the inverse gives each candidate's parameter, and the branch
-    and domain decide membership, since the scan already put the point on
-    the conic.  A candidate whose parameter lies outside the domain, or
-    within END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put
-    it on either side, is on the arc when it lies within tol of the nearer
-    of c(lo) and c(hi), and takes that end as its parameter; so a closed
+    samples: the inverse gives each candidate's parameter, NaN off the
+    curve's branch.  A candidate whose parameter lies strictly inside the
+    domain is on the arc when it lies within tol of the curve point at that
+    parameter; the scan put it on the spec's conic, but the curve's own
+    conic can differ from it (a conic spec's curve is built from a float
+    seed).  A candidate whose parameter lies outside the domain, or within
+    END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put it on
+    either side, is on the arc when it lies within tol of the nearer of
+    c(lo) and c(hi), and takes that end as its parameter; so a closed
     circle's seed point is counted once.
     """
     exact = coords is not None
@@ -429,11 +432,12 @@ def _on_curve_closed_form(curve, lat: Lattice, coords: Sequence[tuple[int, int]]
     band = END_RTOL * max(1.0, abs(lo), abs(hi))
     inside = (s > lo + band) & (s < hi - band)
     ends = curve.point(np.array((lo, hi)))
-    d_lo = np.hypot(*(q - ends[0]).T)
-    d_hi = np.hypot(*(q - ends[1]).T)
+    d_lo, d_hi = (np.hypot(*(q - end).T) for end in ends)
     at_end = ~inside & ~np.isnan(s) & (np.minimum(d_lo, d_hi) <= tol)
     s = np.where(at_end, np.where(d_lo <= d_hi, lo, hi), s)
-    on = np.flatnonzero(inside | at_end)
+    near = np.flatnonzero(inside)
+    on_arc = near[np.hypot(*(curve.point(s[near]) - q[near]).T) <= tol]
+    on = np.union1d(on_arc, np.flatnonzero(at_end))
     return _point_set(lat, [coords[j] for j in on.tolist()], s[on], True)
 
 

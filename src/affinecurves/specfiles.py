@@ -137,8 +137,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         elif len(coeffs) < 3:
             raise SpecError("graph polynomial must have degree at least 2")
         dom = _interval(_require(data, "domain"))
-        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4), arrays=True), dom.lo, dom.hi,
-                            label=kind)
+        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
         conic = None
         if len(coeffs) == 3:
             c0, c1, c2 = _fractions(coeff_strs, "coeffs")

@@ -561,6 +561,27 @@ class TestCountOnArc:
         coords = enumerate_on_arc(arc, lat).coords
         self._assert_same_points(curve.curve, lat, coords, 1e-6)
 
+    @pytest.mark.parametrize("name,m0,rigid", [("parabola", 5, False),
+                                               ("hyperbola", 3, True)])
+    def test_sampling_path_same_as_scalar_sampling(self, tmp_path, name, m0, rigid):
+        # conic specs place exact candidates in closed form; without the
+        # inverse, the same candidates go through the samples and the
+        # tangency roots
+        spec, lat = _export(tmp_path, name, m0, rigid)
+        curve = dataclasses.replace(spec.curve, inverse=None)
+        self._assert_same_points(curve, lat, _arc_candidates(spec, lat), 1e-6)
+
+    def test_parabola_spec_same_as_scalar_sampling(self):
+        # a `parabola` spec is a graph, with no inverse: its exact
+        # candidates are placed by sampling
+        spec = parse_curve_spec({"type": "parabola", "coeffs": ["0", "0", "1"],
+                                 "domain": ["-3", "3"]})
+        assert spec.curve.inverse is None
+        lat = Lattice.standard()
+        coords = _arc_candidates(spec, lat)
+        self._assert_same_points(spec.curve, lat, coords, 1e-6)
+        assert on_curve(spec.curve, lat, coords, 1e-6).coords == [(x, x * x) for x in range(-3, 4)]
+
     def test_on_curve_readme_graph_same_as_scalar_sampling(self):
         spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
                                  "domain": ["-1", "1"]})
@@ -828,6 +849,34 @@ class TestBatchedPlacement:
         assert got.params[0] == dom.lo
         assert main(["count", str(tmp_path / "circle-curve.json"), z2_spec]) == 0
         assert capsys.readouterr().out.endswith("bound 5 count 4\n")
+
+
+class TestConicSpecOffItsSeed:
+    # a conic spec's curve is the branch through a float seed, checked
+    # against the conic only to an absolute residual; on a conic scaled
+    # down to tiny coefficients, a seed off the conic passes and gives a
+    # different conic, whose curve misses the scanned lattice points
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return write_json(tmp_path / "c.json", {
+            "type": "conic", "coeffs": ["1e-12", "0", "1e-12", "0", "0", "-1e-12"],
+            "seed": ["2", "0"], "domain": ["0", "6.5"]})
+
+    def test_count_reports_no_points(self, spec, z2_spec, capsys):
+        assert main(["count", spec, z2_spec]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[:out.rindex("}") + 1])["points"] == []
+        assert out.endswith("count 0\n")
+
+    def test_closed_form_same_as_sampling(self, spec):
+        curve = load_curve_spec(spec)
+        lat = Lattice.standard()
+        coords = _arc_candidates(curve, lat)
+        assert sorted(coords) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        got = on_curve(curve.curve, lat, coords, 1e-6)
+        ref = on_curve(dataclasses.replace(curve.curve, inverse=None), lat, coords, 1e-6)
+        assert len(got) == len(ref) == 0
 
 
 class TestPlacementCost:
