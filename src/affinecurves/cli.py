@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,10 @@ from .curve import (
 from .kfuncs import DomainError, Interval, abar, ck, sk
 from .lattice import (
     COUNT_BOUNDS,
+    ON_CURVE_TOL,
     ConicArc,
     Lattice,
+    LatticePointSet,
     LinearConstraint,
     enumerate_near_curve,
     enumerate_on_arc,
@@ -55,7 +56,7 @@ from .sharp_instances import (
     hyperbola_zxz_instance,
     parabola_instance,
 )
-from .specfiles import SpecError, curve_bbox, load_curve_spec, load_lattice_spec
+from .specfiles import SpecError, curve_bbox, exact_number, load_curve_spec, load_lattice_spec
 
 OK, PARSE, DOMAIN, HYPOTHESES, VIOLATED = 0, 2, 3, 4, 5
 
@@ -134,6 +135,8 @@ def cmd_area(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.grid < 2:
+        raise ValueError(f"--grid needs at least 2 points, got {args.grid}")
     interval = Interval(args.lo, args.hi)
     k = args.k
     # the closed form at an array of offsets s - r, in one profile read
@@ -332,16 +335,10 @@ def cmd_verify(args) -> int:
 
 
 def _window_constraints(args) -> tuple[LinearConstraint, ...]:
-    cons = []
-    if args.xmin is not None:
-        cons.append(LinearConstraint.make(1, 0, -Fraction(args.xmin)))
-    if args.xmax is not None:
-        cons.append(LinearConstraint.make(-1, 0, Fraction(args.xmax)))
-    if args.ymin is not None:
-        cons.append(LinearConstraint.make(0, 1, -Fraction(args.ymin)))
-    if args.ymax is not None:
-        cons.append(LinearConstraint.make(0, -1, Fraction(args.ymax)))
-    return tuple(cons)
+    """g1 x + g2 y + g0 >= 0 for each bound given, (g1, g2) pointing inwards."""
+    sides = {"xmin": (1, 0), "xmax": (-1, 0), "ymin": (0, 1), "ymax": (0, -1)}
+    return tuple(LinearConstraint.make(g1, g2, -(g1 + g2) * getattr(args, name))
+                 for name, (g1, g2) in sides.items() if getattr(args, name) is not None)
 
 
 def cmd_count(args) -> int:
@@ -350,16 +347,18 @@ def cmd_count(args) -> int:
     curve = spec.curve
 
     warning = None
+    window = _window_constraints(args)
     if spec.exact:
-        bbox = curve_bbox(curve)
-        arc = ConicArc(conic=spec.conic, constraints=_window_constraints(args),
-                       bbox=bbox)
-        points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, 1e-6)
+        arc = ConicArc(conic=spec.conic, constraints=window, bbox=curve_bbox(curve))
+        points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, ON_CURVE_TOL)
     else:
         tol = args.tol or 1e-9
         warning = ("no exact membership test for this curve type; "
                    f"using {tol:g} proximity membership")
-        points = enumerate_near_curve(curve, lat, tol=tol)
+        near = enumerate_near_curve(curve, lat, tol=tol)
+        keep = [i for i, p in enumerate(near.positions) if all(g.satisfied(*p) for g in window)]
+        points = LatticePointSet([near.coords[i] for i in keep], [near.positions[i] for i in keep],
+                                 [near.params[i] for i in keep], exact=False)
 
     grid = np.linspace(curve.domain.lo, curve.domain.hi, 201)
     kv = curve.curvature(grid).tolist()
@@ -561,30 +560,33 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples=True):
-        sp.add_argument("--tol", type=positive_float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    shared = {"tol": {"type": positive_float, "default": None},
+              "seed": {"type": int, "default": 0},
+              "format": {"choices": ("json", "csv"), "default": "json"},
+              "samples": {"type": non_negative_int, "default": 65}}
+
+    def common(sp, *names):
+        """--out and the named shared options: a subcommand takes those it reads."""
         sp.add_argument("--out", default=None)
-        if samples:
-            sp.add_argument("--samples", type=non_negative_int, default=65)
+        for name in names:
+            sp.add_argument(f"--{name}", **shared[name])
 
     sp = sub.add_parser("arclength", help="affine arc length of a curve spec")
     sp.add_argument("curve")
-    common(sp)
+    common(sp, "samples")
     sp.set_defaults(fn=cmd_arclength)
 
     sp = sub.add_parser("curvature", help="affine curvature of a curve spec")
     sp.add_argument("curve")
     sp.add_argument("--at", type=finite_float, default=None)
-    common(sp)
+    common(sp, "samples")
     sp.set_defaults(fn=cmd_curvature)
 
     sp = sub.add_parser("area", help="swept area function of a curve spec")
     sp.add_argument("curve")
     sp.add_argument("--base", type=finite_float, default=None)
     sp.add_argument("--apex", type=finite_float, nargs=2, default=None)
-    common(sp)
+    common(sp, "samples")
     sp.set_defaults(fn=cmd_area)
 
     sp = sub.add_parser("kernel", help="Lagrange kernel vs closed form")
@@ -593,14 +595,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", type=finite_float, default=0.0)
     sp.add_argument("--hi", type=finite_float, default=1.0)
     sp.add_argument("--grid", type=int, default=11)
-    common(sp, samples=False)
+    common(sp)
     sp.set_defaults(fn=cmd_kernel)
 
     sp = sub.add_parser("bounds", help="area sandwich and triangle bounds")
     sp.add_argument("--k0", type=finite_float, required=True)
     sp.add_argument("--k1", type=finite_float, required=True)
     sp.add_argument("--L", type=finite_float, required=True)
-    common(sp, samples=False)
+    common(sp)
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("verify", help="randomized verification sweeps")
@@ -610,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=positive_float, default=2.0)
     sp.add_argument("--trials", type=positive_int, default=20)
     sp.add_argument("--constant", type=finite_float, default=None)
-    common(sp, samples=False)
+    common(sp, "tol", "format", "seed")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("count", help="lattice points on an arc vs bound")
@@ -619,13 +621,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theorem", default="auto", choices=("auto", *COUNT_BOUNDS))
     sp.add_argument("--multiplier", type=positive_int, default=None)
     for name in ("xmin", "xmax", "ymin", "ymax"):
-        sp.add_argument(f"--{name}", default=None)
-    common(sp, samples=False)
+        sp.add_argument(f"--{name}", type=exact_number, default=None)
+    common(sp, "tol", "format")
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("figures", help="CSV data for the figures")
     sp.add_argument("figure", choices=tuple(FIGURES))
-    common(sp, samples=False)
+    common(sp)
     sp.set_defaults(fn=cmd_figures)
 
     sp = sub.add_parser("examples", help="export sharp instances as spec files")
@@ -633,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m0", type=int, default=1)
     sp.add_argument("--rigid", action="store_true")
     sp.add_argument("--outdir", default=".")
-    common(sp, samples=False)
+    common(sp)
     sp.set_defaults(fn=cmd_examples)
 
     return p

@@ -29,6 +29,7 @@ EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
 END_RTOL = 1e-12  # parameters this close to a domain end (relative) are placed at the end
+ON_CURVE_TOL = 1e-6  # distance from an exact candidate to its curve point, in `on_curve`
 MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
 # stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, 4 * np.finfo(float).eps, 100
@@ -771,6 +772,13 @@ class AffineMap:
         x, y = frac(v[0]), frac(v[1])
         return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
 
+    def orbit(self, p, count: int) -> list[Vec2]:
+        """The first count points p, M(p), M(M(p)), ... of the orbit of p."""
+        points = [_vec2(*p)]
+        while len(points) < count:
+            points.append(self(points[-1]))
+        return points[:count]
+
 
 def motion_preserves_lattice(motion: AffineMap, lat: Lattice,
                              p1, p2, p3) -> bool:
@@ -835,16 +843,12 @@ def equal_spaced_orbit(conic: Conic, k0: float, lat: Lattice,
     if not motion_preserves_lattice(motion, lat, *pts[:3]):
         raise ValueError("curve motion does not preserve the lattice")
 
-    orbit = list(pts)
-    current = pts[-1]
-    while len(orbit) < count:
-        current = motion(current)
-        if conic(current[0], current[1]) != 0:
-            raise ValueError(f"orbit point {current} left the conic")
-        if current not in lat:
-            raise ValueError(f"orbit point {current} left the lattice")
-        orbit.append(current)
-    orbit = orbit[:count]
+    orbit = motion.orbit(pts[0], count)  # the seeds first: the motion maps each to the next
+    for p in orbit:
+        if conic(p[0], p[1]) != 0:
+            raise ValueError(f"orbit point {p} left the conic")
+        if p not in lat:
+            raise ValueError(f"orbit point {p} left the lattice")
     coords = _lattice_coords(lat, orbit)
     orbit_params = [params[0] + i * spacing for i in range(len(orbit))]
     return (LatticePointSet(coords=coords, positions=orbit,

@@ -12,7 +12,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,12 +20,15 @@ from .curve import AdaptedFrame, AffineCurve, constant_curvature_curve
 from .kfuncs import Interval
 from .lattice import (
     COUNT_BOUNDS,
+    ON_CURVE_TOL,
+    AffineMap,
     ConicArc,
     CountBoundCertificate,
     Lattice,
     LatticePointSet,
     LinearConstraint,
     enumerate_on_arc,
+    on_curve,
     plane_conic_from_lattice_frame,
 )
 
@@ -35,9 +37,12 @@ logger = logging.getLogger(__name__)
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 ZXZ_SPACING = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
 ZXZ_CONIC = Conic.make(1, -1, -1, 0, 0, -1)
+# the motions carrying each lattice point of a family to the next, in
+# lattice coordinates: along n = m(m-1)/2, and along x^2 - xy - y^2 = 1
+PARABOLA_STEP = AffineMap.make(((1, 0), (1, 1)), (1, 0))
+ZXZ_STEP = AffineMap.make(((1, -1), (-1, 2)))
 
 
-@lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
     """f_0 = 0, f_1 = 1, extended to f_{-1} = 1."""
     if n == -1:
@@ -53,7 +58,8 @@ def fibonacci(n: int) -> int:
 @dataclass(frozen=True)
 class SharpInstance:
     """A curve/lattice pair attaining one of the counting bounds, with
-    constant curvature k0 over the whole curve domain."""
+    constant curvature k0 over the whole curve domain; its lattice points,
+    `spacing` apart from the domain's start on, are the family's step orbit."""
 
     curve: AffineCurve
     lattice: Lattice
@@ -62,11 +68,14 @@ class SharpInstance:
     theorem: str  # 'sharp_lat' or 'rigid_lat'
     k0: float
     spacing: float
-    seed_params: tuple[float, ...]
 
     @property
     def expected_bound(self) -> int:
         return len(self.expected_coords)
+
+    @property
+    def seed_params(self) -> tuple[float, ...]:
+        return tuple(self.curve.domain.lo + i * self.spacing for i in range(4))
 
     @property
     def cell_area(self) -> Fraction:
@@ -76,7 +85,9 @@ class SharpInstance:
         return [self.lattice.point(m, n) for m, n in self.expected_coords[:4]]
 
     def enumerate(self) -> LatticePointSet:
-        return enumerate_on_arc(self.arc, self.lattice)
+        """`count`'s exact route: the arc's scan, placed on the curve."""
+        coords = enumerate_on_arc(self.arc, self.lattice).coords
+        return on_curve(self.curve, self.lattice, coords, ON_CURVE_TOL)
 
     def certificate(self) -> CountBoundCertificate:
         return COUNT_BOUNDS[self.theorem](self.k0, self.k0, self.curve.domain.length, 1,
@@ -117,21 +128,8 @@ def _oriented(lat: Lattice) -> Lattice:
     return Lattice(lat.v0, lat.v1, (-lat.v2[0], -lat.v2[1]))
 
 
-def _lattice_param_map(lat: Lattice, spacing: float, coord: int, transform):
-    """Map a plane point to its arc parameter through a float lattice-coord
-    solve (ordering only; membership stays exact)."""
-    v0 = (float(lat.v0[0]), float(lat.v0[1]))
-    v1 = (float(lat.v1[0]), float(lat.v1[1]))
-    v2 = (float(lat.v2[0]), float(lat.v2[1]))
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-
-    def param(x: float, y: float) -> float:
-        qx, qy = x - v0[0], y - v0[1]
-        m = (qx * v2[1] - qy * v2[0]) / det
-        n = (v1[0] * qy - v1[1] * qx) / det
-        return transform((m, n)[coord]) * spacing
-
-    return param
+def _orbit_coords(step: AffineMap, start: tuple[int, int], count: int) -> list[tuple[int, int]]:
+    return [(int(m), int(n)) for m, n in step.orbit(start, count)]
 
 
 def parabola_instance(lat: Lattice | None = None, m0: int = 1,
@@ -166,20 +164,14 @@ def parabola_instance(lat: Lattice | None = None, m0: int = 1,
                      LinearConstraint.make(-1, 0, j_end)),
         bbox=(j_start - 1.0, j_end + 1.0, 0.0, 0.0),
         frame="lattice",
-        param_of=_lattice_param_map(lat, spacing, 0, lambda m: m),
     )
 
     return SharpInstance(
         curve=curve, lattice=lat, arc=arc,
-        expected_coords=tuple((j, j * (j - 1) // 2) for j in range(j_start, j_end + 1)),
+        expected_coords=tuple(_orbit_coords(PARABOLA_STEP, (0, 0), j_end + 1)[j_start:]),
         theorem="rigid_lat" if rigid else "sharp_lat",
         k0=0.0, spacing=spacing,
-        seed_params=tuple(j * spacing for j in range(j_start, j_start + 4)),
     )
-
-
-def _zxz_coords(j: int) -> tuple[int, int]:
-    return (fibonacci(2 * j - 3), -fibonacci(2 * j - 2))
 
 
 def hyperbola_zxz_instance(m0: int, rigid: bool = False) -> SharpInstance:
@@ -206,7 +198,6 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
     spacing = b * ZXZ_SPACING
     w = ALPHA / b
     k0 = -w ** 2
-    sqrt5 = math.sqrt(5.0)
     v0 = np.array([float(c) for c in lat.v0])
     v1 = np.array([float(c) for c in lat.v1])
     v2 = np.array([float(c) for c in lat.v2])
@@ -215,30 +206,26 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
     j_end = 2 * m0 + 2
     domain = Interval((j_start - 1) * spacing, (j_end - 1) * spacing)
 
-    frame = AdaptedFrame(v0 + v1, -w * (v1 + 2.0 * v2) / sqrt5, w * w * v1)
+    frame = AdaptedFrame(v0 + v1, -w * (v1 + 2.0 * v2) / math.sqrt(5.0), w * w * v1)
     curve = constant_curvature_curve(k0, domain, frame,
                                      label=f"transferred hyperbola m0={m0}")
 
-    y_top = -fibonacci(2 * j_start - 2)
-    y_bot = -fibonacci(2 * j_end - 2)
+    # the Fibonacci points (f_(2j-3), -f_(2j-2)), j = j_start .. j_end
+    coords = _orbit_coords(ZXZ_STEP, (1, 0), j_end)[j_start - 1:]
+    (_, y_top), (x_end, y_bot) = coords[0], coords[-1]
     arc = ConicArc(
         conic=ZXZ_CONIC,
         constraints=(LinearConstraint.make(1, 0, 0),
                      LinearConstraint.make(0, 1, -y_bot),
                      LinearConstraint.make(0, -1, y_top)),
-        bbox=(0.0, fibonacci(2 * j_end - 3) + 1.0, y_bot - 1.0, y_top + 1.0),
+        bbox=(0.0, x_end + 1.0, y_bot - 1.0, y_top + 1.0),
         frame="lattice",
-        param_of=_lattice_param_map(
-            lat, spacing, 1,
-            lambda n: math.asinh(-sqrt5 * n / 2.0) / ALPHA / ZXZ_SPACING),
     )
 
     return SharpInstance(
-        curve=curve, lattice=lat, arc=arc,
-        expected_coords=tuple(_zxz_coords(j) for j in range(j_start, j_end + 1)),
+        curve=curve, lattice=lat, arc=arc, expected_coords=tuple(coords),
         theorem="rigid_lat" if rigid else "sharp_lat",
         k0=k0, spacing=spacing,
-        seed_params=tuple((j - 1) * spacing for j in range(j_start, j_start + 4)),
     )
 
 
@@ -260,13 +247,8 @@ class CircleConfig:
     cell_area_over_r2: float  # geometric cell area divided by r^2
 
     def orbit_coords(self, count: int) -> list[tuple[int, int]]:
-        (a, b), (c, d) = self.basis_matrix
-        t1, t2 = self.offset
-        out = [self.point_coords[0]]
-        while len(out) < count:
-            m, n = out[-1]
-            out.append((a * m + b * n + t1, c * m + d * n + t2))
-        return out
+        return _orbit_coords(AffineMap.make(self.basis_matrix, self.offset),
+                             self.point_coords[0], count)
 
     def orbit_on_conic(self, count: int) -> bool:
         return all(self.lattice_frame_conic(m, n) == 0
@@ -320,10 +302,9 @@ class CircleInstance:
     def spacing(self, config: CircleConfig) -> float:
         return config.theta / math.sqrt(self.k)
 
-    def plane_points(self, config: CircleConfig, count: int) -> list[tuple[float, float]]:
-        return [(self.radius * math.cos(j * config.theta),
-                 self.radius * math.sin(j * config.theta))
-                for j in range(count)]
+    def plane_points(self, config: CircleConfig, count: int) -> np.ndarray:
+        """The configuration's first count orbit points, read from the curve."""
+        return self.curve.point(np.arange(count) * self.spacing(config))
 
 
 def circle_instance(k: float) -> CircleInstance:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +34,7 @@ from .kfuncs import Interval
 from .lattice import Lattice
 
 CURVE_KINDS = ("parabola", "conic", "graph", "constant-curvature", "curvature-ivp")
+MAX_EXPONENT = 400  # largest decimal exponent magnitude of an exact coefficient
 
 
 class SpecError(ValueError):
@@ -58,11 +60,25 @@ def _floats(values, n: int | None, what: str) -> list[float]:
     return floats
 
 
+def exact_number(text: str) -> Fraction:
+    """The exact rational of a decimal or fraction string.  A decimal
+    exponent beyond MAX_EXPONENT in magnitude (past binary64's range) is
+    refused before `Fraction` builds its power of ten."""
+    exp = re.search(r"[eE][-+]?([\d_]+)", text)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    if int(digits[:4] or 0) > MAX_EXPONENT:  # four digits tell a longer exponent too
+        raise SpecError(f"the exponent of {text[:40]!r} exceeds {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise SpecError(f"{text!r}: {exc}") from None
+
+
 def _fractions(values, what: str) -> tuple[Fraction, ...]:
     """The exact rationals of a list of numbers or decimal or fraction strings."""
     try:
-        return tuple(Fraction(str(v)) for v in values)
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(exact_number(str(v)) for v in values)
+    except ValueError as exc:
         raise SpecError(f"bad {what}: {exc}") from None
 
 
@@ -160,13 +176,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         dom = _interval(_require(data, "domain"))
         frame = _frame(data)
         curve = constant_curvature_curve(k, dom, frame)
-        conic = None
-        if frame is None:
-            try:
-                kf = Fraction(str(k_str))
-                conic = Conic.make(1, 0, kf, 0, -2, 0)
-            except (ValueError, ZeroDivisionError):
-                conic = None
+        conic = Conic.make(1, 0, _fractions([k_str], "k")[0], 0, -2, 0) if frame is None else None
         return CurveSpec(kind, curve, conic)
 
     # curvature-ivp

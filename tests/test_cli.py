@@ -990,3 +990,73 @@ class TestAreaTable:
             assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
                          "--trials", "1"]) == 4
         assert 0 < sum(nodes) <= 21 * (2 ** (AREA_MAX_DEPTH + 1) - 1)  # one interval
+
+
+class TestSubcommandOptions:
+    """Each subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k0", "-1", "--k1", "0", "--L", "2", "--format", "csv"],
+        ["kernel", "--k", "-1", "--tol", "1e-3"],
+        ["figures", "fig1", "--seed", "3"],
+        ["examples", "circle", "--samples", "5"],
+    ])
+    def test_unread_option_is_parse_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_count_seed_is_parse_error(self, parabola_spec, z2_spec, capsys):
+        assert main(["count", parabola_spec, z2_spec, "--seed", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_option_count(self):
+        subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+        options = {name: sorted(o for a in sp._actions for o in a.option_strings
+                                if o.startswith("--") and o != "--help")
+                   for name, sp in subparsers.items()}
+        assert sum(map(len, options.values())) == 42
+        assert options["verify"] == sorted(["--k0", "--k1", "--L", "--trials", "--constant",
+                                            "--tol", "--format", "--seed", "--out"])
+        assert options["figures"] == ["--out"]
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_kernel_grid_below_two_is_parse_error(self, capsys, grid):
+        assert main(["kernel", "--k", "-1", f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in captured.err
+
+
+class TestProximityWindow:
+    def test_window_applies_to_proximity_points(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.125"], "domain": ["-2", "2"]})
+        main(["count", spec, z2_spec, "--tol", "1e-6"])
+        out = capsys.readouterr().out
+        everything = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in everything["points"]] == [[-2, 3], [0, 0], [2, 5]]
+        main(["count", spec, z2_spec, "--xmin", "1", "--tol", "1e-6"])
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[2, 5]]
+        assert payload["count"] == 1 and payload["exact_membership"] is False
+
+    def test_window_edges_are_exact(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.125"], "domain": ["-2", "2"]})
+        main(["count", spec, z2_spec, "--xmin", "-2", "--xmax", "1/2", "--ymin", "0",
+              "--tol", "1e-6"])
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[-2, 3], [0, 0]]
+
+    @pytest.mark.parametrize("bound", ["1/0", "1e1000000", "x"])
+    def test_bad_window_bound_is_parse_error(self, parabola_spec, z2_spec, capsys, bound):
+        start = time.perf_counter()
+        assert main(["count", parabola_spec, z2_spec, f"--xmin={bound}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid exact_number value" in captured.err

@@ -600,3 +600,16 @@ class TestAreaProfileConsistency:
         cert = bound_two_points(-1.0, 1.0, 1, 1.0)
         assert cert.intermediates["area_profile"] == pytest.approx(
             abar(-1.0, 1.0), rel=1e-12)
+
+
+class TestAffineMapOrbit:
+    def test_iterates_the_map(self):
+        phi = AffineMap.make(((1, -1), (-1, 2)))
+        assert phi.orbit((1, 0), 4) == [(1, 0), (1, -1), (2, -3), (5, -8)]
+        assert all(isinstance(c, Fraction) for p in phi.orbit((1, 0), 3) for c in p)
+
+    def test_count_is_exact(self):
+        quarter = AffineMap.make(((0, -1), (1, 0)), (1, 0))
+        assert quarter.orbit((0, 0), 5)[4] == (0, 0)
+        assert quarter.orbit((0, 0), 1) == [(0, 0)]
+        assert quarter.orbit((0, 0), 0) == []

@@ -10,7 +10,9 @@ from affinecurves.kfuncs import hk
 from affinecurves.lattice import Lattice, equal_spaced_orbit, m_of_curve
 from affinecurves.sharp_instances import (
     ALPHA,
+    PARABOLA_STEP,
     ZXZ_SPACING,
+    ZXZ_STEP,
     circle_instance,
     fibonacci,
     hyperbola_general_instance,
@@ -278,3 +280,71 @@ class TestInstanceCurves:
         lat = Lattice.make((0, 0), (2, 0), (0, 4))
         assert hyperbola_general_instance(lat, 1).to_curve_spec()["seed"] == ["2.0", "0.0"]
         assert parabola_instance(lat, 1).to_curve_spec()["seed"] == ["0.0", "0.0"]
+
+
+def _oracle_params(inst):
+    """The parameters of the expected points by the closed forms that
+    ordered the points before they went through `count`'s route: m L on
+    the parabola, and asinh(-sqrt(5) n / 2) / ALPHA / ZXZ_SPACING L on the
+    hyperbola (n the second lattice coordinate)."""
+    if inst.k0 == 0.0:
+        return [m * inst.spacing for m, _ in inst.expected_coords]
+    return [math.asinh(-math.sqrt(5.0) * n / 2.0) / ALPHA / ZXZ_SPACING * inst.spacing
+            for _, n in inst.expected_coords]
+
+
+_FAMILIES = ([("parabola", m0) for m0 in range(16)]
+             + [("hyperbola", m0) for m0 in range(1, 6)]
+             + [("hyperbola-general", m0) for m0 in range(1, 5)])
+
+
+class TestExactRoute:
+    """Each instance reads its points from its own curve, lattice and motion."""
+
+    @pytest.mark.parametrize("rigid", [False, True])
+    @pytest.mark.parametrize("family,m0", _FAMILIES)
+    def test_enumerate_matches_closed_forms(self, family, m0, rigid):
+        inst = {"parabola": lambda: parabola_instance(m0=m0, rigid=rigid),
+                "hyperbola": lambda: hyperbola_zxz_instance(m0, rigid),
+                "hyperbola-general": lambda: hyperbola_general_instance(
+                    Lattice.make((0, 0), (2, 0), (0, 4)), m0, rigid)}[family]()
+        pts = inst.enumerate()
+        assert pts.exact
+        assert pts.coords == list(inst.expected_coords)
+        assert pts.params == pytest.approx(_oracle_params(inst), rel=1e-12)
+
+    def test_expected_coords_are_the_old_closed_forms(self):
+        for m0 in range(6):
+            assert parabola_instance(m0=m0).expected_coords == tuple(
+                (j, j * (j - 1) // 2) for j in range(2 * m0 + 2))
+            assert hyperbola_zxz_instance(m0 + 1, rigid=True).expected_coords == tuple(
+                (fibonacci(2 * j - 3), -fibonacci(2 * j - 2)) for j in range(2, 2 * m0 + 5))
+
+    @pytest.mark.parametrize("inst,step", [(parabola_instance(m0=2), PARABOLA_STEP),
+                                           (hyperbola_zxz_instance(2), ZXZ_STEP)])
+    def test_steps_are_the_solved_motion(self, inst, step):
+        _, motion = equal_spaced_orbit(inst.plane_conic(), inst.k0, inst.lattice,
+                                       inst.seed_points(), inst.seed_params, count=6)
+        assert motion == step
+        assert step.orbit(inst.expected_coords[0], 4) == inst.seed_points()
+
+    def test_zxz_step_preserves_the_form(self):
+        q = lambda x, y: x * x - x * y - y * y
+        for p in ((1, 0), (3, -7), (-2, 5)):
+            assert q(*ZXZ_STEP(p)) == q(*p)
+        assert ZXZ_STEP.det == 1
+
+    def test_seed_params_follow_the_domain(self):
+        for inst in (parabola_instance(m0=2, rigid=True), hyperbola_zxz_instance(2, rigid=True)):
+            lo = inst.curve.domain.lo
+            assert inst.seed_params == tuple(lo + i * inst.spacing for i in range(4))
+            assert inst.seed_params[0] == pytest.approx(inst.enumerate().params[0], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, 4.0])
+    def test_plane_points_read_the_curve(self, k):
+        inst = circle_instance(k)
+        for config in inst.configs:
+            pts = inst.plane_points(config, 7)
+            old = [(inst.radius * math.cos(j * config.theta),
+                    inst.radius * math.sin(j * config.theta)) for j in range(7)]
+            np.testing.assert_allclose(pts, old, rtol=0, atol=1e-15 * max(1.0, inst.radius))

@@ -1,3 +1,7 @@
+import json
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,3 +203,40 @@ class TestSpecFuzz:
         except SpecError:
             return
         assert isinstance(lat, Lattice)
+
+
+class TestExponents:
+    """A decimal exponent past binary64's range is refused before `Fraction`
+    builds its power of ten."""
+
+    @pytest.mark.parametrize("value", ["1e1000000", "1E-1000000", "2.5e401", "1e" + "9" * 50])
+    def test_huge_exponent_is_spec_error(self, value):
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match="exponent"):
+            parse_lattice_spec({"v0": ["0", "0"], "v1": [value, "0"], "v2": ["0", "1"]})
+        with pytest.raises(SpecError, match="exponent"):
+            parse_curve_spec({"type": "conic", "coeffs": ["1", "0", value, "0", "0", "-1"],
+                              "seed": ["1", "0"], "domain": ["0", "1"]})
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_exits_2_within_a_second(self, tmp_path, capsys):
+        from affinecurves.cli import main
+        curve = tmp_path / "c.json"
+        curve.write_text(json.dumps({"type": "parabola", "coeffs": ["0", "0", "1"],
+                                     "domain": ["0", "2"]}))
+        lat = tmp_path / "lat.json"
+        lat.write_text(json.dumps({"v0": ["0", "0"], "v1": ["1e1000000", "0"], "v2": ["0", "1"]}))
+        start = time.perf_counter()
+        assert main(["count", str(curve), str(lat)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent" in captured.err
+
+    @pytest.mark.parametrize("value,expected", [("1e-12", Fraction(1, 10**12)),
+                                                ("5/3", Fraction(5, 3)),
+                                                ("1e400", Fraction(10**400)),
+                                                ("-7.5E+002", Fraction(-750))])
+    def test_ordinary_values_parse(self, value, expected):
+        lat = parse_lattice_spec({"v0": ["0", "0"], "v1": [value, "0"], "v2": ["0", "1"]})
+        assert lat.v1[0] == expected
