@@ -50,6 +50,7 @@ from .odekernel import (
     oscillator_op,
     third_order_op,
 )
+from .reports import sturm_range
 from .sharp_instances import (
     circle_instance,
     hyperbola_general_instance,
@@ -210,13 +211,9 @@ def _verify_thm23(args, rng):
 def _verify_thm34(args, rng):
     reports = []
     interval = Interval(0.0, args.L)
-    cap = (math.pi / args.L) ** 2
-    if args.k1 > 0.0 and args.k1 > cap * (1 + 1e-12):
-        rep = cmp.BoundReport(theorem="thm3.4")
-        rep.hypotheses.append(cmp.Hypothesis(
-            "k1-within-sturm-range", False,
-            f"k1 = {args.k1} exceeds (pi/L)^2 = {cap}"))
-        return [rep]
+    sturm = sturm_range(args.k1, (math.pi / args.L) ** 2)
+    if args.k1 > 0.0 and not sturm.ok:
+        return [cmp.BoundReport(theorem="thm3.4", hypotheses=[sturm])]
     for _ in range(args.trials):
         kbar = _random_band_curvature(rng, args.k0, args.k1)
         gap = rng.uniform(0.0, 1.5)
@@ -419,7 +416,7 @@ def _rows(series, pts, params=None, marker=1) -> list[list]:
 
 def _curve_rows(series, curve) -> list[list]:
     ss = np.linspace(curve.domain.lo, curve.domain.hi, 200)
-    return _rows(series, [curve.point(s) for s in ss], ss, marker=0)
+    return _rows(series, curve.point(ss), ss, marker=0)
 
 
 def _fig1() -> list[list]:

@@ -16,7 +16,7 @@ import numpy as np
 from .curve import AffineCurve, adapted_frame, area_function, graphing_parameter_set, wedge
 from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 from .odekernel import check_forward_positive, solve_ivp, third_order_op
-from .reports import BoundReport, Hypothesis
+from .reports import BoundReport, Hypothesis, sturm_range
 
 DEFAULT_SLACK = 1e-7
 EQUALITY_RTOL = 1e-6
@@ -52,7 +52,7 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
     grid = np.linspace(0.0, length, 161)
-    kv = np.array([curve.curvature(s) for s in grid])
+    kv = curve.curvature(grid)
     kbv = np.array([kbar(s) for s in grid])
     ktol = 1e-9 * max(1.0, float(np.max(np.abs(kbv))))
     if np.all(kv <= kbv + ktol):
@@ -109,10 +109,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
     if s0 - length < curve.domain.lo - 1e-12 or s0 + length > curve.domain.hi + 1e-12:
         raise ValueError(f"(-L, L) around s0 = {s0} exceeds the curve domain")
 
-    hyps: list[Hypothesis] = []
-    k1_cap = (math.pi / (2.0 * length)) ** 2
-    hyps.append(Hypothesis("k1-within-sturm-range", k1 <= k1_cap * (1 + 1e-12),
-                           f"k1 = {k1}, cap = {k1_cap}"))
+    hyps = [sturm_range(k1, (math.pi / (2.0 * length)) ** 2)]
 
     us = np.linspace(-length, length, 101)[1:-1]
     kv = curve.curvature(s0 + us)
@@ -212,7 +209,7 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
             raise ValueError(f"vertex parameter {s} outside domain")
 
     grid = np.linspace(curve.domain.lo, curve.domain.hi, 201)
-    kv = np.array([curve.curvature(s) for s in grid])
+    kv = curve.curvature(grid)
     k0, k1 = float(kv.min()), float(kv.max())
     lam = curve.domain.length
 
@@ -230,9 +227,7 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
         notes = (notes + "; " if notes else "") + \
             "strict bound: exact equality is analytically impossible"
     elif bound_kind == "rect":
-        cap = (math.pi / lam) ** 2
-        hyps.append(Hypothesis("k1-within-sturm-range", k1 <= cap * (1 + 1e-12),
-                               f"k1 = {k1}, cap = {cap}"))
+        hyps.append(sturm_range(k1, (math.pi / lam) ** 2))
         try:
             bound = triangle_bound_rect(k0, lam)
         except DomainError as exc:

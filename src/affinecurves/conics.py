@@ -10,6 +10,7 @@ together turn a branch into a reconstructed unit-speed curve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,14 +100,17 @@ class Conic:
         hess = np.array([[2.0 * float(self.a), float(self.b)],
                          [float(self.b), 2.0 * float(self.c)]])
         q0 = float(t0 @ hess @ t0)
-        if q0 == 0.0:
+        if abs(q0) < sys.float_info.min:  # zero, or 1 / q0 overflows
             raise DomainError("tangent direction is asymptotic; no affine frame")
         mu = _cbrt(1.0 / q0)
         n0 = -g / gnorm2
         acoef = -float(t0 @ hess @ n0) / (mu * q0)
         tangent = mu * t0
         normal = acoef * t0 + n0 / mu
-        return AdaptedFrame(np.array((float(x), float(y))), tangent, normal)
+        try:
+            return AdaptedFrame(np.array((float(x), float(y))), tangent, normal)
+        except ValueError as exc:  # a frame overflowed to inf or NaN
+            raise DomainError(str(exc)) from None
 
     def branch_curve(self, seed: tuple[float, float], interval: Interval) -> AffineCurve:
         """Unit-speed parameterization of the branch through the seed point,

@@ -72,8 +72,9 @@ class AdaptedFrame:
     normal: Vec
 
     def __post_init__(self) -> None:
-        d = wedge(self.tangent, self.normal)
-        if abs(d - 1.0) > 1e-6:
+        # in Python floats, which overflow to inf and NaN without a warning
+        d = wedge(self.tangent.tolist(), self.normal.tolist())
+        if not abs(d - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"frame determinant {d} != 1")
 
     @classmethod
@@ -396,20 +397,18 @@ class GraphJet:
     f: Callable[[float], float]
     f1: Callable[[float], float]
     f2: Callable[[float], float]
-    f3: Callable[[float], float] | None = None
-    f4: Callable[[float], float] | None = None
+    f3: Callable[[float], float]
+    f4: Callable[[float], float]
 
 
 def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineCurve:
     """Unit-speed curve for the convex graph y = f(x) on [x0, x1]."""
-    if jet.f3 is None:
-        raise ValueError("graph reparameterization needs f''' (f4 optional)")
     raw = ParametricCurve(
         position=lambda t: (t, jet.f(t)),
         d1=lambda t: (1.0, jet.f1(t)),
         d2=lambda t: (0.0, jet.f2(t)),
         d3=lambda t: (0.0, jet.f3(t)),
-        d4=(lambda t: (0.0, jet.f4(t))) if jet.f4 is not None else None,
+        d4=lambda t: (0.0, jet.f4(t)),
     )
     ts = np.linspace(x0, x1, 101)
     f2 = raw.rows(raw.d2, ts)[:, 1]

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .conics import Conic, RationalLike, frac
 from .kfuncs import DomainError, abar, fk, gk, hk
-from .reports import Hypothesis
+from .reports import Hypothesis, sturm_range
 
 Vec2 = tuple[Fraction, Fraction]
 
@@ -368,65 +368,27 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
 
 def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
              tol: float) -> LatticePointSet:
-    """The lattice points with the given coordinates (all those in the
-    curve's bounding window when coords is None) that lie within distance
-    tol of the curve, ordered by the parameter of their closest curve
-    point.  The result is exact when the coordinates are given, the
-    candidates of an exact enumeration.
+    """The lattice points with the given coordinates, the candidates of an
+    exact enumeration, that lie within distance tol of the curve, ordered
+    by parameter; coords None gives `enumerate_near_curve`.
 
-    All candidates are placed together, in a fixed number of array calls.
-    Their float positions come from the integer-cleared generators
-    (`Lattice.cleared`), correctly rounded.  The curve is sampled once; a
-    point's nearest sample (one k-d tree query for all points) brackets its
-    closest parameter between that sample's two neighbours, where it is
-    the root of the tangency condition (c(s) - p) . c'(s) = 0, found by
-    `_tangency_roots`; without a sign change in the bracket the nearer
-    bracket end is taken.  The root fixes the distance to about eps |p|,
-    where minimising the squared distance would only fix it to about
-    sqrt(eps) |p|.
-
-    Exact candidates on a curve with a closed-form `inverse` (the
-    constant-curvature curves, so every conic arc) are placed without
-    samples: the inverse gives each candidate's parameter, NaN off the
-    curve's branch.  A candidate whose parameter lies strictly inside the
-    domain is on the arc when it lies within tol of the curve point at that
-    parameter; the scan put it on the spec's conic, but the curve's own
-    conic can differ from it (a conic spec's curve is built from a float
-    seed).  A candidate whose parameter lies outside the domain, or within
-    END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put it on
-    either side, is on the arc when it lies within tol of the nearer of
-    c(lo) and c(hi), and takes that end as its parameter; so a closed
-    circle's seed point is counted once.
+    The candidates are placed in closed form, by the curve's `inverse`
+    (every exact spec's curve is a constant-curvature curve, which has
+    one; a curve without one raises ValueError): it gives each candidate's
+    parameter, NaN off the curve's branch.  A candidate whose parameter
+    lies strictly inside the domain is on the arc when it lies within tol
+    of the curve point at that parameter; the scan put it on the spec's
+    conic, but the curve's own conic can differ from it (a conic spec's
+    curve is built from a float seed).  A candidate whose parameter lies
+    outside the domain, or within END_RTOL max(1, |lo|, |hi|) of an end,
+    where rounding could put it on either side, is on the arc when it lies
+    within tol of the nearer of c(lo) and c(hi), and takes that end as its
+    parameter; so a closed circle's seed point is counted once.
     """
-    exact = coords is not None
-    if exact and curve.inverse is not None:
-        return _on_curve_closed_form(curve, lat, coords, tol)
-    ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
-    pts = curve.point(ss)
     if coords is None:
-        coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
-    reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
-    q = _float_points(lat, coords)
-    _, i = cKDTree(pts).query(q)
-    near = np.flatnonzero(np.sum((pts[i] - q) ** 2, axis=1) <= reach * reach)
-    q, i = q[near], i[near]
-    lo, mid, hi = ss[np.maximum(i - 1, 0)], ss[i], ss[np.minimum(i + 1, len(ss) - 1)]
-    g, dg, r = _tangency(curve, np.concatenate((lo, mid, hi)), np.concatenate((q, q, q)))
-    g_lo, g_mid, g_hi = g.reshape(3, len(q))
-    dist_lo, _, dist_hi = np.hypot(r[:, 0], r[:, 1]).reshape(3, len(q))
-    s = np.where(dist_lo <= dist_hi, lo, hi)  # the nearer end, lo on a tie
-    b = (g_lo <= 0.0) & (g_hi >= 0.0)
-    s[b] = _tangency_roots(curve, q[b], lo[b], mid[b], hi[b], g_mid[b],
-                           dg.reshape(3, len(q))[1][b])
-
-    r = curve.point(s) - q
-    on = np.flatnonzero(np.hypot(r[:, 0], r[:, 1]) <= tol)
-    return _point_set(lat, [coords[j] for j in near[on].tolist()], s[on], exact)
-
-
-def _on_curve_closed_form(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
-                          tol: float) -> LatticePointSet:
-    """`on_curve` of exact candidates by the curve's inverse (see there)."""
+        return enumerate_near_curve(curve, lat, tol)
+    if curve.inverse is None:
+        raise ValueError(f"the curve {curve.label!r} has no closed-form inverse to place points")
     q = _float_points(lat, coords)
     s = curve.inverse(q)  # NaN off the branch
     lo, hi = curve.domain.lo, curve.domain.hi
@@ -525,8 +487,40 @@ def _window_coords(lat: Lattice, lo, hi) -> list[tuple[int, int]]:
 def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9) -> LatticePointSet:
     """Float fallback when no exact membership test exists: the lattice
     points of the curve's bounding window within distance tol of the
-    curve, placed by `on_curve`.  The result is flagged inexact."""
-    return on_curve(curve, lat, None, tol)
+    curve, ordered by the parameter of their closest curve point.  The
+    result is flagged inexact.
+
+    All points are placed together, in a fixed number of array calls.
+    Their float positions come from the integer-cleared generators
+    (`Lattice.cleared`), correctly rounded.  The curve is sampled once; a
+    point's nearest sample (one k-d tree query for all points) brackets its
+    closest parameter between that sample's two neighbours, where it is
+    the root of the tangency condition (c(s) - p) . c'(s) = 0, found by
+    `_tangency_roots`; without a sign change in the bracket the nearer
+    bracket end is taken.  The root fixes the distance to about eps |p|,
+    where minimising the squared distance would only fix it to about
+    sqrt(eps) |p|.
+    """
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
+    pts = curve.point(ss)
+    coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
+    reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
+    q = _float_points(lat, coords)
+    _, i = cKDTree(pts).query(q)
+    near = np.flatnonzero(np.sum((pts[i] - q) ** 2, axis=1) <= reach * reach)
+    q, i = q[near], i[near]
+    lo, mid, hi = ss[np.maximum(i - 1, 0)], ss[i], ss[np.minimum(i + 1, len(ss) - 1)]
+    g, dg, r = _tangency(curve, np.concatenate((lo, mid, hi)), np.concatenate((q, q, q)))
+    g_lo, g_mid, g_hi = g.reshape(3, len(q))
+    dist_lo, _, dist_hi = np.hypot(r[:, 0], r[:, 1]).reshape(3, len(q))
+    s = np.where(dist_lo <= dist_hi, lo, hi)  # the nearer end, lo on a tie
+    b = (g_lo <= 0.0) & (g_hi >= 0.0)
+    s[b] = _tangency_roots(curve, q[b], lo[b], mid[b], hi[b], g_mid[b],
+                           dg.reshape(3, len(q))[1][b])
+
+    r = curve.point(s) - q
+    on = np.flatnonzero(np.hypot(r[:, 0], r[:, 1]) <= tol)
+    return _point_set(lat, [coords[j] for j in near[on].tolist()], s[on], False)
 
 
 def _m_scan_range(arc: ConicArc, lat: Lattice) -> tuple[int, int]:
@@ -618,10 +612,7 @@ def bound_three_points(k0: float, k1: float, lam: float, multiplier: int,
     if k0 > k1:
         raise ValueError(f"need k0 <= k1, got {k0} > {k1}")
     target = multiplier * float(cell_area) / 2.0
-    hyps = []
-    cap = (math.pi / lam) ** 2
-    hyps.append(Hypothesis("k1-within-sturm-range", k1 <= cap * (1 + 1e-12),
-                           f"k1 = {k1}, cap = {cap}"))
+    hyps = [sturm_range(k1, (math.pi / lam) ** 2)]
     try:
         value = hk(k0, lam / 2.0)
         ok = value <= target * (1.0 + EQ_BOUNDARY_RTOL)
@@ -649,9 +640,7 @@ def _sharp_setup(k0: float, k1: float, multiplier: int, cell_area: float):
     spacing = gk(k0, target)
     hyps = []
     if k1 > 0.0:
-        cap = (math.pi / (2.0 * spacing)) ** 2
-        hyps.append(Hypothesis("k1-within-sturm-range", k1 <= cap * (1 + 1e-12),
-                               f"k1 = {k1}, cap = {cap}"))
+        hyps.append(sturm_range(k1, (math.pi / (2.0 * spacing)) ** 2))
     return target, spacing, hyps
 
 

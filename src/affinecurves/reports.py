@@ -16,6 +16,11 @@ class Hypothesis:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
+def sturm_range(k1: float, cap: float) -> Hypothesis:
+    """k1 <= cap, the Sturm comparison cap on the upper curvature, to 1e-12 relative."""
+    return Hypothesis("k1-within-sturm-range", k1 <= cap * (1 + 1e-12), f"k1 = {k1}, cap = {cap}")
+
+
 @dataclass
 class BoundReport:
     """A certified inequality instance.

@@ -84,8 +84,8 @@ def _fractions(values, what: str) -> tuple[Fraction, ...]:
 
 def _interval(values, what: str = "domain") -> Interval:
     lo, hi = _floats(values, 2, what)
-    if not lo < hi:
-        raise SpecError(f"{what} endpoints must increase")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise SpecError(f"{what} endpoints must increase, by a finite length")
     return Interval(lo, hi)
 
 
@@ -111,11 +111,14 @@ def _horner(c: tuple[float, ...], x: float | np.ndarray) -> float | np.ndarray:
 def _frame(data: dict) -> AdaptedFrame | None:
     if "origin" not in data and "tangent" not in data:
         return None
-    origin = np.array(_floats(_require(data, "origin"), 2, "origin"))
-    tangent = np.array(_floats(_require(data, "tangent"), 2, "tangent"))
-    normal = np.array(_floats(_require(data, "normal"), 2, "normal"))
+    return _adapted_frame(*(_floats(_require(data, key), 2, key)
+                            for key in ("origin", "tangent", "normal")))
+
+
+def _adapted_frame(origin, tangent, normal) -> AdaptedFrame:
+    """The frame of three float pairs; SpecError when its determinant is not 1."""
     try:
-        return AdaptedFrame(origin, tangent, normal)
+        return AdaptedFrame(np.array(origin), np.array(tangent), np.array(normal))
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
@@ -145,20 +148,26 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         coeff_strs = _require(data, "coeffs")
         coeffs = _floats(coeff_strs, None, "coeffs")
         # coeffs are ascending: [c0, c1, c2, ...] for c0 + c1 x + c2 x^2 + ...
-        if kind == "parabola":
-            if len(coeffs) != 3:
-                raise SpecError("parabola takes ascending quadratic coeffs [c0, c1, c2]")
-            if coeffs[2] <= 0.0:
-                raise ConvexityError("parabola needs a positive quadratic coefficient")
-        elif len(coeffs) < 3:
+        if kind == "parabola" and len(coeffs) != 3:
+            raise SpecError("parabola takes ascending quadratic coeffs [c0, c1, c2]")
+        if len(coeffs) < 3:
             raise SpecError("graph polynomial must have degree at least 2")
+        if len(coeffs) == 3 and coeffs[2] <= 0.0:
+            raise ConvexityError(f"{kind} needs a positive quadratic coefficient")
         dom = _interval(_require(data, "domain"))
-        curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
-        conic = None
-        if len(coeffs) == 3:
-            c0, c1, c2 = _fractions(coeff_strs, "coeffs")
-            conic = Conic.make(c2, 0, 0, c1, -1, c0)
-        return CurveSpec(kind, curve, conic)
+        if len(coeffs) > 3:
+            return CurveSpec(kind, graph_curve(GraphJet(*_poly_fns(coeffs, 4)),
+                                               dom.lo, dom.hi, label=kind))
+        c0, c1, c2 = coeffs
+        # the curvature-0 conic: x = x0 + a s, a = (2 c2)^(-1/3), so that
+        # c' wedge c'' = 2 c2 a^3 = 1, framed at (x0, p(x0))
+        a, x0 = (2.0 * c2) ** (-1.0 / 3.0), dom.lo
+        frame = _adapted_frame((x0, c0 + (c1 + c2 * x0) * x0), (a, a * (c1 + 2.0 * c2 * x0)),
+                               (0.0, 2.0 * c2 * a * a))
+        lam = dom.length * (2.0 * c2) ** (1.0 / 3.0)
+        curve = constant_curvature_curve(0.0, Interval(0.0, lam), frame, label=kind)
+        q0, q1, q2 = _fractions(coeff_strs, "coeffs")
+        return CurveSpec(kind, curve, Conic.make(q2, 0, 0, q1, -1, q0))
 
     if kind == "conic":
         coeff_strs = _require(data, "coeffs")

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from affinecurves import cli, kfuncs, odekernel, specfiles
+from affinecurves import curve as curve_mod
 from affinecurves import lattice as lattice_mod
 from affinecurves.cli import main
 from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
@@ -151,6 +152,17 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["area", "count"])
+    def test_nan_frame_is_parse_error(self, tmp_path, z2_spec, capsys, command):
+        # finite fields whose determinant is inf - inf
+        spec = write_json(tmp_path / "c.json", {
+            "type": "constant-curvature", "k": "1", "domain": ["0", "1"], "origin": ["0", "0"],
+            "tangent": ["1e308", "1e308"], "normal": ["1e308", "1e308"]})
+        assert main([command, spec] + ([z2_spec] if command == "count" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frame determinant nan" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--k0", "nan", "--k1", "0", "--L", "1"],
@@ -294,6 +306,10 @@ class TestVerify:
         cap = (math.pi / 2.0) ** 2
         assert main(["verify", "thm3.4", "--k0", "0", "--k1",
                      repr(cap * 2), "--L", "2", "--trials", "3"]) == 4
+        out = capsys.readouterr().out
+        [hyp] = json.loads(out[out.index("{"):])["reports"][0]["hypotheses"]
+        assert hyp == {"name": "k1-within-sturm-range", "ok": False,
+                       "detail": f"k1 = {cap * 2}, cap = {cap}"}
 
     def test_unknown_theorem(self):
         assert main(["verify", "thm9.9"]) == 2
@@ -561,26 +577,16 @@ class TestCountOnArc:
         coords = enumerate_on_arc(arc, lat).coords
         self._assert_same_points(curve.curve, lat, coords, 1e-6)
 
-    @pytest.mark.parametrize("name,m0,rigid", [("parabola", 5, False),
-                                               ("hyperbola", 3, True)])
-    def test_sampling_path_same_as_scalar_sampling(self, tmp_path, name, m0, rigid):
-        # conic specs place exact candidates in closed form; without the
-        # inverse, the same candidates go through the samples and the
-        # tangency roots
-        spec, lat = _export(tmp_path, name, m0, rigid)
-        curve = dataclasses.replace(spec.curve, inverse=None)
-        self._assert_same_points(curve, lat, _arc_candidates(spec, lat), 1e-6)
-
     def test_parabola_spec_same_as_scalar_sampling(self):
-        # a `parabola` spec is a graph, with no inverse: its exact
-        # candidates are placed by sampling
+        # a `parabola` spec is the curvature-0 conic, placed in closed form;
+        # the one by one sampling placement is its oracle
         spec = parse_curve_spec({"type": "parabola", "coeffs": ["0", "0", "1"],
                                  "domain": ["-3", "3"]})
-        assert spec.curve.inverse is None
+        assert spec.curve.inverse is not None
         lat = Lattice.standard()
-        coords = _arc_candidates(spec, lat)
-        self._assert_same_points(spec.curve, lat, coords, 1e-6)
-        assert on_curve(spec.curve, lat, coords, 1e-6).coords == [(x, x * x) for x in range(-3, 4)]
+        got = TestBatchedPlacement._assert_matches_oracle(spec.curve, lat,
+                                                          _arc_candidates(spec, lat), 1e-6)
+        assert got.coords == [(x, x * x) for x in range(-3, 4)]
 
     def test_on_curve_readme_graph_same_as_scalar_sampling(self):
         spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
@@ -875,8 +881,69 @@ class TestConicSpecOffItsSeed:
         coords = _arc_candidates(curve, lat)
         assert sorted(coords) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
         got = on_curve(curve.curve, lat, coords, 1e-6)
-        ref = on_curve(dataclasses.replace(curve.curve, inverse=None), lat, coords, 1e-6)
-        assert len(got) == len(ref) == 0
+        ref_coords, _, _ = _on_curve_one_by_one(curve.curve, lat, coords, 1e-6)
+        assert len(got) == len(ref_coords) == 0
+
+
+# lattice points v0 + m v1 + n v2 = (m/2, (m + n)/4 - 1/2): all of
+# Z/2 x Z/4, with fractional generators
+HALF_QUARTER = Lattice.make((0, Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 4)),
+                            (0, Fraction(1, 4)))
+
+QUADRATICS = [
+    ("parabola", ("0", "-0.5", "0.5"), 0, 5),
+    ("graph", ("1", "0.25", "0.75"), -3, 2),
+    ("parabola", ("-2", "1.5", "0.125"), -7, 4),
+    ("graph", ("3", "-2", "1"), -4, 6),
+]
+
+
+class TestQuadraticGraphs:
+    """`parabola` and three-coefficient `graph` specs are the curvature-0
+    conic: `count` places their exact candidates in closed form, checked
+    against the one by one sampling oracle and an exact scan over x."""
+
+    @pytest.mark.parametrize("kind,coeffs,lo,hi", QUADRATICS)
+    @pytest.mark.parametrize("lat", [Lattice.standard(), HALF_QUARTER])
+    def test_closed_form_matches_oracle(self, kind, coeffs, lo, hi, lat):
+        spec = parse_curve_spec({"type": kind, "coeffs": list(coeffs),
+                                 "domain": [str(lo), str(hi)]})
+        got = TestBatchedPlacement._assert_matches_oracle(spec.curve, lat,
+                                                          _arc_candidates(spec, lat), 1e-6)
+        assert len(got) >= 2
+
+    @pytest.mark.parametrize("kind,coeffs,lo,hi", QUADRATICS)
+    def test_count_matches_exact_scan_over_x(self, tmp_path, z2_spec, capsys, kind, coeffs,
+                                             lo, hi):
+        spec = write_json(tmp_path / "q.json", {"type": kind, "coeffs": list(coeffs),
+                                                "domain": [str(lo), str(hi)]})
+        main(["count", spec, z2_spec])
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        c0, c1, c2 = (Fraction(v) for v in coeffs)
+        ys = [(x, c0 + c1 * x + c2 * x * x) for x in range(lo, hi + 1)]
+        assert [p[:2] for p in payload["points"]] == [[x, int(y)] for x, y in ys
+                                                      if y.denominator == 1]
+        assert payload["exact_membership"] is True
+
+    def test_far_parabola_counts_all_four_points(self, tmp_path, z2_spec, capsys):
+        # y is about 1e12 and its ulp about 1e-4: the sampling placement
+        # lost (1000003, 1000006000009)
+        spec = write_json(tmp_path / "far.json", {
+            "type": "parabola", "coeffs": ["0", "0", "1"], "domain": ["1000000", "1000003"]})
+        assert main(["count", spec, z2_spec]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[x, x * x] for x in range(10**6, 10**6 + 4)]
+        assert payload["exact_membership"] is True
+        assert out.splitlines()[-1].startswith("bound 4 count 4")
+
+    def test_candidates_need_an_inverse(self):
+        curve = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+                                  "domain": ["-1", "1"]}).curve
+        with pytest.raises(ValueError, match="no closed-form inverse"):
+            on_curve(curve, Lattice.standard(), [(0, 0)], 1e-6)
+        assert on_curve(curve, Lattice.standard(), None, 1e-9).coords == [(0, 0)]
 
 
 class TestPlacementCost:
@@ -897,6 +964,28 @@ class TestPlacementCost:
         assert main(["count", payload["curve_spec"], payload["lattice_spec"]]) == 0
         assert "SHARP" in capsys.readouterr().out
         assert reads  # the patch sees the reads
+        assert CLOSEST_SAMPLES not in reads
+        assert "scalar" not in reads
+
+    def test_exact_parabola_count_reads_no_samples(self, tmp_path, z2_spec, capsys,
+                                                   monkeypatch):
+        spec = write_json(tmp_path / "p.json", {
+            "type": "parabola", "coeffs": ["0", "-0.5", "0.5"], "domain": ["0", "3"]})
+        reads = []
+        point = AffineCurve.point
+
+        def counted(self, s):
+            reads.append(s.size if isinstance(s, np.ndarray) else "scalar")
+            return point(self, s)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reparameterised by the t(s) solve")
+
+        monkeypatch.setattr(AffineCurve, "point", counted)
+        monkeypatch.setattr(curve_mod, "reparam_unit_speed", refuse)
+        assert main(["count", spec, z2_spec]) == 0
+        assert capsys.readouterr().out.endswith("bound 4 count 4 SHARP\n")
+        assert reads
         assert CLOSEST_SAMPLES not in reads
         assert "scalar" not in reads
 

@@ -28,7 +28,7 @@ from affinecurves.curve import (
     reparam_unit_speed,
     wedge,
 )
-from affinecurves.kfuncs import Interval, abar, sk, ybar
+from affinecurves.kfuncs import DomainError, Interval, abar, sk, ybar
 from affinecurves.odekernel import SolverError
 from affinecurves.specfiles import parse_curve_spec
 
@@ -395,6 +395,24 @@ class TestAdaptedFrame:
                           np.array((1.0, 1.0)))
         p = np.array((0.3, -0.8))
         assert fr.to_adapted(fr.from_adapted(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_nan_determinant_is_refused(self):
+        # 1e308 * 1e308 - 1e308 * 1e308 is inf - inf
+        big = np.array((1e308, 1e308))
+        with pytest.raises(ValueError, match="determinant nan"):
+            AdaptedFrame(np.zeros(2), big, big)
+
+    @pytest.mark.parametrize("point", [(1e200, 0.0), (0.0, -1e200)])
+    def test_overflowing_conic_frame_is_domain_error(self, point):
+        # the gradient's square overflows: a zero tangent, or a NaN frame
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            Conic.make(1, 0, 1, 0, 0, -1).frame_at(*point)
+
+    def test_subnormal_tangent_curvature_is_domain_error(self):
+        # y = 1e-300 x^2 / 1e-10 at the origin: t0 H t0 = 2e-320, whose
+        # reciprocal overflows
+        with pytest.raises(DomainError, match="asymptotic"):
+            Conic.make("1e-300", 0, 0, 0, "-1e-10", 0).frame_at(0.0, 0.0)
 
 
 class TestGraphingSet:

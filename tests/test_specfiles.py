@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinecurves import curve as curve_mod
 from affinecurves.curve import ConvexityError, OrientationError, affine_curvature_at
 from affinecurves.kfuncs import DomainError
 from affinecurves.lattice import Lattice
@@ -96,6 +97,76 @@ class TestCurveSpecs:
                               "domain": ["2", "1"]})
 
 
+# every kind of spec whose membership is exact, and one that is not
+EXACT_DOCS = [
+    {"type": "parabola", "coeffs": ["1", "-0.5", "0.5"], "domain": ["-2", "3"]},
+    {"type": "graph", "coeffs": ["0.25", "1.5", "0.125"], "domain": ["-4", "1"]},
+    {"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"],
+     "seed": ["1", "0"], "domain": ["0", "2"]},
+    {"type": "constant-curvature", "k": "-1", "domain": ["0", "2"]},
+]
+CUBIC_DOC = {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]}
+
+
+class TestQuadraticSpecs:
+    """`parabola` and three-coefficient `graph` specs are the curvature-0
+    conic, built in closed form like every other exact spec."""
+
+    @pytest.mark.parametrize("doc", EXACT_DOCS)
+    def test_every_exact_kind_has_an_inverse(self, doc):
+        spec = parse_curve_spec(doc)
+        assert spec.exact
+        ss = np.linspace(spec.curve.domain.lo, spec.curve.domain.hi, 9)
+        np.testing.assert_allclose(spec.curve.inverse(spec.curve.point(ss)), ss,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_cubic_graph_has_none(self):
+        spec = parse_curve_spec(CUBIC_DOC)
+        assert not spec.exact
+        assert spec.curve.inverse is None
+
+    def test_quadratic_specs_solve_no_ode(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reparameterised by the t(s) solve")
+
+        monkeypatch.setattr(curve_mod, "reparam_unit_speed", refuse)
+        for doc in EXACT_DOCS[:2]:
+            parse_curve_spec(doc)
+        with pytest.raises(AssertionError, match="t\\(s\\) solve"):
+            parse_curve_spec(CUBIC_DOC)  # the patch sees graph_curve's call
+
+    @pytest.mark.parametrize("kind", ["parabola", "graph"])
+    def test_the_graph_of_the_polynomial(self, kind):
+        spec = parse_curve_spec({"type": kind, "coeffs": ["1", "-0.5", "0.5"],
+                                 "domain": ["-2", "3"]})
+        curve = spec.curve
+        assert spec.curve.domain.lo == 0.0
+        assert spec.curve.domain.hi == 5.0  # (x1 - x0) (2 c2)^(1/3)
+        ss = np.linspace(0.0, 5.0, 11)
+        x, y = curve.point(ss).T
+        np.testing.assert_allclose(x, ss - 2.0, atol=1e-15)
+        np.testing.assert_allclose(y, 1.0 - 0.5 * x + 0.5 * x * x, rtol=1e-15, atol=1e-15)
+        assert curve.unit_speed_defect(50) <= 1e-15
+        assert curve.curvature(ss).tolist() == [0.0] * 11
+
+    @pytest.mark.parametrize("kind", ["parabola", "graph"])
+    def test_nonpositive_quadratic_coefficient_is_not_convex(self, kind):
+        for c2 in ("0", "-1"):
+            with pytest.raises(ConvexityError):
+                parse_curve_spec({"type": kind, "coeffs": ["0", "0", c2], "domain": ["0", "1"]})
+
+    def test_subnormal_quadratic_coefficient_gives_a_finite_curve(self):
+        # a = (2 c2)^(-1/3) is about 4.7e107 at c2 = 5e-324
+        curve = parse_curve_spec({"type": "parabola", "coeffs": ["0", "0", "5e-324"],
+                                  "domain": ["-1", "1"]}).curve
+        ss = np.linspace(curve.domain.lo, curve.domain.hi, 9)
+        assert 0.0 < curve.domain.hi < 1e-100
+        for values in (curve.point(ss), *curve.derivatives(ss), curve.inverse(curve.point(ss))):
+            assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(curve.point(ss)[:, 0], np.linspace(-1.0, 1.0, 9), atol=1e-15)
+        assert curve.unit_speed_defect(9) <= 1e-12
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("spec", [
         {"type": "constant-curvature", "k": "nan", "domain": ["0", "1"]},
@@ -111,6 +182,12 @@ class TestNonFinite:
     def test_rejected(self, spec):
         with pytest.raises(SpecError, match="non-finite"):
             parse_curve_spec(spec)
+
+    def test_domain_length_overflow(self):
+        # hi - lo is inf: the closed-form parabola would be infinitely long
+        with pytest.raises(SpecError, match="finite length"):
+            parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1e-300"],
+                              "domain": ["-1e308", "1e308"]})
 
 
 class TestLatticeSpecs:
