@@ -85,12 +85,14 @@ from .odekernel import (
     SolverError,
     check_forward_positive,
     compare_solutions,
+    grid_jets,
     lagrange_kernel,
     make_operator,
     oscillator_op,
     power_op,
     solve_ivp,
     solve_via_kernel,
+    step_propagators,
     third_order_op,
 )
 from .reports import BoundReport, Hypothesis

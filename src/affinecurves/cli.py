@@ -50,7 +50,7 @@ from .odekernel import (
     oscillator_op,
     third_order_op,
 )
-from .reports import sturm_range
+from .reports import sturm_range, swept_area_quadrature
 from .sharp_instances import (
     circle_instance,
     hyperbola_general_instance,
@@ -255,11 +255,12 @@ def _verify_cor42(args, rng):
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, args.k0, args.k1)
         curve = reconstruct_from_curvature(kap, Interval(0.0, args.L))
-        val = area_function(curve, 0.0)(args.L)
+        val, err = area_function(curve, 0.0).with_error(args.L)
         worst = max(lo_b - val, val - hi_b)
+        slack = 1e-7 * max(1.0, hi_b)
         reports.append(cmp.BoundReport(
-            theorem="cor4.2", lhs=worst, rhs=0.0,
-            slack=1e-7 * max(1.0, hi_b),
+            theorem="cor4.2", lhs=worst, rhs=0.0, slack=slack,
+            hypotheses=[swept_area_quadrature(err, slack)],
             notes=f"area {val} in [{lo_b}, {hi_b}]"))
     return reports
 
@@ -281,6 +282,9 @@ def _verify_thm56(args, rng):
 
 
 def _verify_triangles(args, rng, kind):
+    if args.k0 > 0.0:
+        raise ValueError(f"verify {args.theorem} sweeps curvatures in [k0, min(k1, 0)]; "
+                         f"it needs k0 <= 0, got k0 = {args.k0}")
     reports = []
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, args.k0, min(args.k1, 0.0))

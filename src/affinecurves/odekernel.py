@@ -9,23 +9,24 @@ y(s) = integral_r^s K(s; t) f(t) dt for s >= r, which this module uses as
 a cross-validation oracle against direct integration.  The comparison
 theorems read K only there, so each column is solved rightward from r.
 
-Forward-positivity of K is certified from fundamental matrices instead
-of one solve per kernel column.  With Phi_a the solution of Phi' = A Phi,
-Phi_a(a) = I, for the companion matrix A of the operator, variation of
-parameters gives K(s; r) = e_1^T Phi_a(s) Phi_a(r)^{-1} e_n for any
-anchor a <= r.  One rightward matrix solve from a therefore yields every
-column r right of a, at the price of the inversion: the computed
-Phi_a(s) carries a relative error of about rtol, so K(s; r) is off by
-about rtol |Phi_a(s)_0| |v| with v = Phi_a(r)^{-1} e_n, which is at most
-rtol cond(Phi_a(r)) times the size of the exact column Phi_r(s).  On
-stiff operators (large |k| L) Phi_a(r) turns ill-conditioned as r moves
-away from a, and a single anchor reports false violations; a new anchor
-is started wherever cond(Phi_a(r)) would exceed ANCHOR_COND, as in the
-re-anchored shooting of Ng & Reid (1979) and Davey (1973).
+Solves read at arbitrary points (curve reconstruction, kernel columns)
+are DOP853 solves with dense output.  Solves read only on a fixed grid
+(forward-positivity, the comparison solves, the reference area) are
+products of step propagators instead: over each grid interval,
+fourth-order Magnus steps exp(Omega) of the companion system u' = A u,
+with A read at each step's ends and midpoint, carry the state from one
+grid point to the next, and a forcing f rides along as a constant last
+state entry.  The steps of an interval are halved where two successive
+propagators disagree by more than DEFAULT_RTOL, so only the stretches
+that need it (a kink in a coefficient, a stiff stretch) are refined.
+Forward-positivity then reads every kernel column of the grid from
+running products of the propagators, K(s_j; r_i) = e_1^T P_{j-1} ... P_i
+e_n, with no inverse of a fundamental matrix.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,13 +42,12 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 POSITIVITY_GRID = 201
 KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
-# Largest cond(Phi_a(r)) a kernel column is read through before the
-# positivity scan re-anchors at r: it bounds the error amplification of
-# Phi_a(r)^{-1} to three decimal digits of the solver's 1e-10 rtol.
-ANCHOR_COND = 1e3
-# Right-hand-side evaluations one solve may take before it fails with
-# SolverError; the largest solve of the test suite takes about 39 000.
+# Right-hand-side evaluations (DOP853) or coefficient node reads (Magnus)
+# one solve may take before it fails with SolverError; the largest solve of
+# the test suite takes about 39 000.
 MAX_RHS_EVALS = 200_000
+# the Taylor coefficients 1/k!, k < 16, of exp in blocks of four
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
 CoeffLike = float | Callable[[float], float]
 
@@ -346,6 +346,137 @@ def solve_ivp(op: LinearOperator, forcing: CoeffLike = 0.0, r: float | None = No
     return IVPSolution(op, r, y0, f, right, left)
 
 
+def _expm(omega: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (m, N, N) stack: its Taylor series to
+    degree 15, summed in Paterson-Stockmeyer form with six matrix products,
+    after scaling the matrix by 2^-k to a 1-norm of at most 1/2 (a
+    truncation error below 1e-18), then k squarings."""
+    k = np.maximum(np.frexp(np.abs(omega).sum(axis=1).max(axis=1))[1] + 1, 0)
+    x = np.ldexp(omega, -k[:, None, None])
+    m, n, _ = x.shape
+    powers = np.empty((4, m, n, n))  # I, X, X^2, X^3
+    powers[0], powers[1] = np.eye(n), x
+    np.matmul(x, x, out=powers[2])
+    np.matmul(powers[2], x, out=powers[3])
+    # block j of the series: sum over i < 4 of X^i / (4 j + i)!
+    blocks = (_TAYLOR @ powers.reshape(4, -1)).reshape(4, m, n, n)
+    x4 = powers[2] @ powers[2]
+    e = blocks[3]
+    for j in (2, 1, 0):
+        e = blocks[j] + x4 @ e
+    for step in range(int(k.max(initial=0))):
+        more = k > step
+        e[more] = e[more] @ e[more]
+    return e
+
+
+def _companion(op: LinearOperator, forcing: CoeffLike | None, s: np.ndarray) -> np.ndarray:
+    """The companion matrices A(s) of u' = A u at each point of s, with
+    the forcing as a last column when it is given: one plain call of each
+    coefficient per point (none for a forcing given as a number).  A value
+    that is not finite is a SolverError."""
+    n = op.order
+    size = n + (forcing is not None)
+    nodes = s.tolist()
+    a = np.zeros((len(nodes), size, size))
+    a[:, np.arange(n - 1), np.arange(1, n)] = 1.0
+    for j, c in enumerate(op.coeffs):
+        if c is not _zero:
+            a[:, n - 1, j] = np.fromiter(map(c, nodes), float, len(nodes))
+    a[:, n - 1, :n] *= -1.0
+    if callable(forcing):
+        a[:, n - 1, n] = np.fromiter(map(forcing, nodes), float, len(nodes))
+    elif forcing is not None:
+        a[:, n - 1, n] = forcing
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise SolverError(f"a coefficient is not finite at s = {nodes[int(np.argmin(finite))]}")
+    return a
+
+
+def _magnus_steps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The fourth-order Magnus propagators exp(Omega) over steps of length
+    h, from A at each step's start, midpoint and end (Simpson's nodes):
+    Omega = B0 + [B1, B0] with B0 = h/6 (A0 + 4 Am + A1), the integral of
+    A, and B1 = h/12 (A1 - A0), its first moment about the midpoint."""
+    hh = h[:, None, None]
+    b0 = hh / 6.0 * (a0 + 4.0 * am + a1)
+    b1 = hh / 12.0 * (a1 - a0)
+    return _expm(b0 + (b1 @ b0 - b0 @ b1))
+
+
+def step_propagators(op: LinearOperator, grid: np.ndarray,
+                     forcing: CoeffLike | None) -> np.ndarray:
+    """The propagators P_j, shaped (len(grid) - 1, N, N), that carry the
+    state (y, ..., y^(n-1)) of D y = f from grid[j] to grid[j + 1] of an
+    ascending grid.  With forcing None, N = n and f = 0; otherwise N = n + 1
+    and the state carries a last entry that stays 1.
+
+    Each P_j is a product of fourth-order Magnus steps.  A piece of the
+    grid, first each interval, is accepted when its one step P and its two
+    half steps Q = P2 P1 agree, max|Q - P| / 15 <= DEFAULT_RTOL max(1,
+    max|Q|); Q is then its propagator.  A piece that fails is split into
+    its halves, whose one steps are P1 and P2, so only the pieces that need
+    it (a kink in a coefficient, a stiff stretch) are refined.  The steps'
+    nodes are nested, so a level reads A only at the quarter points of its
+    pieces, and a piece's ends are always read: a kink near an end, with
+    a flat coefficient on the piece's side of it, still moves Q from P.
+    Every coefficient read counts against MAX_RHS_EVALS, and a propagator
+    that is not finite is a SolverError."""
+    grid = np.asarray(grid, dtype=float)
+    t0, h = grid[:-1], np.diff(grid)
+    reads = 2 * len(grid) - 1
+    levels = []  # per level: the pieces' propagators, and which pieces were split
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        ends = _companion(op, forcing, grid)
+        lo, mid, hi = ends[:-1], _companion(op, forcing, t0 + 0.5 * h), ends[1:]
+        one = _magnus_steps(lo, mid, hi, h)
+        while len(h):
+            reads += 2 * len(h)
+            if reads > MAX_RHS_EVALS:
+                raise SolverError(f"Magnus steps from s = {grid[0]} passed {MAX_RHS_EVALS} "
+                                  f"right-hand side evaluations near s = {t0[0]}; "
+                                  "the equation is too stiff for this interval")
+            # the pieces' halves: all first halves, then all second halves
+            halves, starts = np.tile(0.5 * h, 2), np.concatenate((t0, t0 + 0.5 * h))
+            lows, highs = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            mids = _companion(op, forcing, starts + 0.5 * halves)
+            steps = _magnus_steps(lows, mids, highs, halves)
+            q = steps[len(h):] @ steps[:len(h)]
+            if not np.isfinite(q).all():
+                raise SolverError(f"the propagator from s = {t0[0]} overflows; "
+                                  "the solution leaves the float range")
+            scale = np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
+            split = np.abs(q - one).max(axis=(1, 2)) > 15.0 * DEFAULT_RTOL * scale
+            levels.append((q, split))
+            both = np.tile(split, 2)
+            t0, h, one = starts[both], halves[both], steps[both]
+            lo, mid, hi = lows[both], mids[both], highs[both]
+    out = np.empty((0,) + one.shape[1:])
+    for q, split in reversed(levels):  # a split piece is its second half after its first
+        q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
+        out = q
+    return out
+
+
+def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
+              grid: np.ndarray) -> np.ndarray:
+    """The jets (y, ..., y^(n-1)) of D y = f at each point of an ascending
+    grid, shaped (len(grid), n), from init at grid[0]: the running products
+    P_j ... P_0 of the step propagators, formed in a doubling scan, applied
+    to (init, 1)."""
+    prod = step_propagators(op, grid, forcing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = 1
+        while gap < len(prod):
+            prod[gap:] = prod[gap:] @ prod[:-gap]
+            gap *= 2
+        u = np.vstack(((*init, 1.0), prod @ (*init, 1.0)))
+    if not np.isfinite(u).all():
+        raise SolverError(f"the solution from s = {grid[0]} leaves the float range")
+    return u[:, :-1]
+
+
 class LagrangeKernel:
     """The forward kernel K(s; r), s >= r, of an operator, solved lazily one
     column (fixed r) at a time by a rightward solve on [r, hi]; reading a
@@ -447,41 +578,30 @@ def check_forward_positive(op: LinearOperator, grid_n: int = POSITIVITY_GRID,
     """Evaluate K(s; r) on the triangular grid s > r and report the minimum.
 
     Kernel zeros are isolated, so a grid scan is a faithful certificate at
-    this resolution.  The columns come from fundamental matrices: from an
-    anchor a on the grid, one rightward solve of Phi_a' = A Phi_a,
-    Phi_a(a) = I, read at every grid point right of a, gives
-    K(s; r) = Phi_a(s)[0] . v with v = Phi_a(r)^{-1} e_n for each grid
-    point r >= a.  That value is off by about rtol |Phi_a(s)[0]| |v|,
-    which stays within rtol cond(Phi_a(r)) of the size of the column
-    itself, so the scan starts a new anchor at the first r where
-    cond(Phi_a(r)) exceeds ANCHOR_COND.  The scan runs over (r, s) in
-    ascending order and keeps the first minimum, as a column-by-column
-    scan would.
+    this resolution.  Every column comes from the step propagators P_j of
+    the grid: the jet of K(.; r_i) starts as e_n at r_i and is carried
+    forward by V <- P_j V, so K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n.  The
+    scan runs over (r, s) in ascending order and keeps the first minimum,
+    as a column-by-column scan would.  A table that leaves the float range
+    is a SolverError.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     interval = op.interval
     grid = np.linspace(interval.lo, interval.hi, grid_n)
-    n = op.order
-    e_n = np.eye(n)[-1]
-    min_val = np.inf
-    witness = None
-    a = 0
-    while a < grid_n - 1:
-        phi = solve_ivp(_forward(op, float(grid[a])), 0.0, float(grid[a]), np.eye(n)).eval(grid[a:])
-        cond = np.linalg.cond(phi[1:-1])
-        far = np.flatnonzero(cond > ANCHOR_COND)
-        rows = 1 + (int(far[0]) if far.size else len(cond))  # columns r read from this anchor
-        v = np.linalg.solve(phi[:rows], e_n)
-        ker = v @ phi[:, 0, :].T  # ker[i, j] = K(grid[a + j]; grid[a + i])
-        ker[np.tril_indices(rows, 0, len(phi))] = np.inf  # keep s > r only
-        i, j = np.unravel_index(np.argmin(ker), ker.shape)
-        if ker[i, j] < min_val:
-            min_val = ker[i, j]
-            witness = (float(grid[a + j]), float(grid[a + i]))
-        a += rows
+    ker = np.full((grid_n, grid_n), np.inf)  # ker[i, j] = K(grid[j]; grid[i]), j > i
+    cols = np.zeros((op.order, grid_n))  # column i: the jet of K(.; grid[i]) at grid[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, p in enumerate(step_propagators(op, grid, None)):
+            cols[-1, j] = 1.0
+            cols[:, :j + 1] = p @ cols[:, :j + 1]
+            ker[:j + 1, j + 1] = cols[0, :j + 1]
+    if not np.isfinite(cols).all():
+        raise SolverError(f"the kernel of {op.label or 'the operator'} on [{interval.lo}, "
+                          f"{interval.hi}] leaves the float range")
+    i, j = np.unravel_index(np.argmin(ker), ker.shape)
     return PositivityReport(op.label or "operator", interval, grid_n, tol,
-                            float(min_val), witness)
+                            float(ker[i, j]), (float(grid[j]), float(grid[i])))
 
 
 def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
@@ -496,13 +616,12 @@ def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
     verifies that the pointwise ordering of the coefficients forces the
     ordering of the solutions on a sample grid.
     """
-    kap, kap_bar, f = _as_fn(kappa), _as_fn(kappa_bar), _as_fn(forcing)
+    kap, kap_bar = _as_fn(kappa), _as_fn(kappa_bar)
     op = power_op(n, ell, kap, interval)
     op_bar = power_op(n, ell, kap_bar, interval)
-    y = solve_ivp(op, f, interval.lo, init)
-    y_bar = solve_ivp(op_bar, f, interval.lo, init)
-
     grid = np.linspace(interval.lo, interval.hi, grid_n)
+    # a constant forcing stays a number, which the steps read without calls
+    jets, jets_bar = grid_jets(op, forcing, init, grid), grid_jets(op_bar, forcing, init, grid)
     kv = np.array([kap(s) for s in grid])
     kbv = np.array([kap_bar(s) for s in grid])
     ktol = 1e-12 * max(1.0, float(np.max(np.abs(kv))), float(np.max(np.abs(kbv))))
@@ -521,7 +640,6 @@ def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
     pos = check_forward_positive(op_bar, positivity_grid_n, tol)
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
-    jets, jets_bar = y.eval(grid), y_bar.eval(grid)
     dvals = jets[:, ell]
     ae_ok = bool(np.all(dvals > -tol) and np.mean(dvals > 0.0) >= 0.99)
     hyps.append(Hypothesis(

@@ -21,6 +21,12 @@ def sturm_range(k1: float, cap: float) -> Hypothesis:
     return Hypothesis("k1-within-sturm-range", k1 <= cap * (1 + 1e-12), f"k1 = {k1}, cap = {cap}")
 
 
+def swept_area_quadrature(err: float, slack: float) -> Hypothesis:
+    """The swept area's quadrature error estimate is within the report's slack."""
+    return Hypothesis("swept-area-quadrature", err <= slack,
+                      f"quadrature error estimate {err:.3g} vs slack {slack:.3g}")
+
+
 @dataclass
 class BoundReport:
     """A certified inequality instance.

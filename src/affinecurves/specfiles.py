@@ -155,6 +155,9 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         if len(coeffs) == 3 and coeffs[2] <= 0.0:
             raise ConvexityError(f"{kind} needs a positive quadratic coefficient")
         dom = _interval(_require(data, "domain"))
+        # a convex graph lies below its chord, so finite ends bound its points from above
+        if not all(math.isfinite(_horner(tuple(coeffs), x)) for x in (dom.lo, dom.hi)):
+            raise SpecError(f"the {kind} leaves the float range on [{dom.lo}, {dom.hi}]")
         if len(coeffs) > 3:
             return CurveSpec(kind, graph_curve(GraphJet(*_poly_fns(coeffs, 4)),
                                                dom.lo, dom.hi, label=kind))
@@ -176,7 +179,11 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         conic = Conic.make(*_fractions(coeff_strs, "conic coefficient"))
         seed = _floats(_require(data, "seed"), 2, "seed")
         dom = _interval(_require(data, "domain"))
-        curve = conic.branch_curve((seed[0], seed[1]), dom)
+        try:
+            curve = conic.branch_curve((seed[0], seed[1]), dom)
+        except (OverflowError, ZeroDivisionError):  # a Fraction with no float, or a 0.0 determinant
+            raise SpecError("the conic's coefficients or invariants leave the float "
+                            "range") from None
         return CurveSpec(kind, curve, conic)
 
     if kind == "constant-curvature":
@@ -233,10 +240,11 @@ def _load_json(path: str | Path) -> dict:
 
 
 def curve_bbox(curve: AffineCurve) -> tuple[float, float, float, float]:
-    """The box of 512 curve samples, padded by 1 (plus 1e-9 relative)."""
+    """The box of 512 curve samples, each axis padded by 1 plus 1e-9 of
+    its own largest coordinate."""
     pts = curve.point(np.linspace(curve.domain.lo, curve.domain.hi, 512))
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    pad = 1.0 + 1e-9 * max(abs(xmin), abs(xmax), abs(ymin), abs(ymax))
-    return (float(xmin - pad), float(xmax + pad),
-            float(ymin - pad), float(ymax + pad))
+    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
+    xpad = 1.0 + 1e-9 * max(abs(xmin), abs(xmax))
+    ypad = 1.0 + 1e-9 * max(abs(ymin), abs(ymax))
+    return (float(xmin - xpad), float(xmax + xpad),
+            float(ymin - ypad), float(ymax + ypad))

@@ -257,6 +257,54 @@ class TestBadInput:
         assert capsys.readouterr().out == first
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("command", ["area", "count"])
+    @pytest.mark.parametrize("spec", [
+        # the determinant 5e-324 / 4 underflows to 0.0 as a float
+        {"type": "conic", "coeffs": ["5e-324", "0", "0", "0", "-1", "0"],
+         "seed": ["0", "0"], "domain": ["0", "1"]},
+        # the constant term has no float
+        {"type": "conic", "coeffs": ["1", "0", "1", "0", "0", "-1e310"],
+         "seed": ["1e155", "0"], "domain": ["0", "1"]},
+    ])
+    def test_conic_outside_the_float_range_is_parse_error(self, tmp_path, z2_spec, capsys,
+                                                          command, spec):
+        path = write_json(tmp_path / "c.json", spec)
+        assert main([command, path] + ([z2_spec] if command == "count" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the conic's coefficients or invariants leave the float range" in captured.err
+
+    @pytest.mark.parametrize("command", ["area", "count"])
+    @pytest.mark.parametrize("kind, coeffs", [("parabola", ["0", "0", "1e300"]),
+                                              ("graph", ["0", "0", "1e300", "1"])])
+    def test_graph_outside_the_float_range_is_parse_error(self, tmp_path, z2_spec, capsys,
+                                                          command, kind, coeffs):
+        # p(100000) = 1e310 overflows: area printed nan with exit 0
+        path = write_json(tmp_path / "p.json", {"type": kind, "coeffs": coeffs,
+                                                "domain": ["100000", "100001"]})
+        assert main([command, path] + ([z2_spec] if command == "count" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the {kind} leaves the float range" in captured.err
+
+    def test_stiff_comparison_is_one_domain_error(self, capsys):
+        # the solutions grow like e^1000: the step propagators overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "thm3.4", "--k0=-1e6", "--k1=-999999", "--L=1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("domain error: ")
+
+    @pytest.mark.parametrize("theorem", ["prop4.3", "thm5.8"])
+    def test_triangle_sweeps_need_nonpositive_k0(self, capsys, theorem):
+        assert main(["verify", theorem, "--k0", "0.5", "--k1", "1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"verify {theorem} sweeps curvatures in [k0, min(k1, 0)]" in captured.err
+        assert "needs k0 <= 0" in captured.err
+
     def test_reconstruction_failure_is_domain_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "ivp.json", {
             "type": "curvature-ivp", "kappa_coeffs": ["-1e30"],
@@ -310,6 +358,35 @@ class TestVerify:
         [hyp] = json.loads(out[out.index("{"):])["reports"][0]["hypotheses"]
         assert hyp == {"name": "k1-within-sturm-range", "ok": False,
                        "detail": f"k1 = {cap * 2}, cap = {cap}"}
+
+    @pytest.mark.parametrize("argv, hypothesis", [
+        # the swept area of a curve whose coordinates grow like e^42 loses
+        # every digit: the quadrature estimate is about 4e18
+        (["verify", "cor4.2", "--k0=-158.32950352406675", "--k1=-158.28296741619855",
+          "--L=3.5408603545701647", "--trials", "1", "--seed", "57"], "swept-area-quadrature"),
+        # the wedge of plane points of size 2e19 rounds by about 1e24
+        (["verify", "thm5.8", "--k0=-104.14543984852982", "--k1=-103.97355152839717",
+          "--L=5.178193249829169", "--trials", "2", "--seed", "659"], "wedge-conditioning"),
+    ])
+    def test_stiff_corner_is_a_failed_hypothesis_not_a_violation(self, capsys, argv,
+                                                                 hypothesis):
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        verdicts = [r["verdict"] for r in reports]
+        assert "hypotheses-failed" in verdicts and "violated" not in verdicts
+        for r in reports:
+            if r["verdict"] == "hypotheses-failed":
+                assert [h["ok"] for h in r["hypotheses"] if h["name"] == hypothesis] == [False]
+
+    @pytest.mark.parametrize("theorem, hypothesis", [("cor4.2", "swept-area-quadrature"),
+                                                     ("prop4.3", "wedge-conditioning"),
+                                                     ("thm5.8", "wedge-conditioning")])
+    def test_numeric_hypotheses_hold_on_tame_sweeps(self, capsys, theorem, hypothesis):
+        assert main(["verify", theorem, "--trials", "3", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        for r in json.loads(out[out.index("{"):])["reports"]:
+            assert [h["ok"] for h in r["hypotheses"] if h["name"] == hypothesis] == [True]
 
     def test_unknown_theorem(self):
         assert main(["verify", "thm9.9"]) == 2
@@ -937,6 +1014,20 @@ class TestQuadraticGraphs:
         assert [p[:2] for p in payload["points"]] == [[x, x * x] for x in range(10**6, 10**6 + 4)]
         assert payload["exact_membership"] is True
         assert out.splitlines()[-1].startswith("bound 4 count 4")
+
+    def test_far_parabola_scan_pads_each_axis_by_its_own_size(self, tmp_path, z2_spec, capsys):
+        # x is about 3e7 and y about 9e14: a pad of 1e-9 |y| on the x axis
+        # made the scan cross 1 800 010 columns, past its budget
+        spec = write_json(tmp_path / "far.json", {
+            "type": "parabola", "coeffs": ["0", "0", "1"], "domain": ["30000000", "30000003"]})
+        xmin, xmax, _, _ = curve_bbox(load_curve_spec(spec).curve)
+        assert 3e7 - 2 < xmin < xmax < 3e7 + 5
+        assert main(["count", spec, z2_spec]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        x0 = 3 * 10**7
+        assert [p[:2] for p in payload["points"]] == [[x, x * x] for x in range(x0, x0 + 4)]
+        assert out.splitlines()[-1] == "bound 4 count 4 SHARP"
 
     def test_candidates_need_an_inverse(self):
         curve = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],

@@ -2,11 +2,13 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.linalg import expm
 
 import affinecurves
 from affinecurves import odekernel
@@ -18,11 +20,13 @@ from affinecurves.odekernel import (
     check_forward_positive,
     compare_solutions,
     dop853,
+    grid_jets,
     lagrange_kernel,
     make_operator,
     oscillator_op,
     solve_ivp,
     solve_via_kernel,
+    step_propagators,
     third_order_op,
 )
 
@@ -398,6 +402,149 @@ class TestAnchoredPositivity:
         rep = check_forward_positive(op, grid_n=41)
         assert rep.certified, rep.verdict
         assert rep.min_value == pytest.approx(column_scan(op, 41), abs=rep.tol)
+
+
+def _kinked(c):
+    """min(0, c0 + c1 sin(c2 s)): a coefficient with kinks, as thm4.1's
+    nonpositive references have."""
+    return lambda s, c=tuple(c): min(0.0, c[0] + c[1] * math.sin(c[2] * s))
+
+
+def _random_operator(rng, kinked):
+    n = int(rng.integers(2, 5))
+    coeffs = [poly_fn(rng.uniform(-5, 5, size=3)) for _ in range(n)]
+    if kinked:
+        coeffs[int(rng.integers(0, n))] = _kinked((rng.uniform(-6, 1), 6.0, rng.uniform(1, 4)))
+    return make_operator(coeffs, Interval(0.0, float(rng.uniform(0.5, 2.0))))
+
+
+class TestStepPropagators:
+    """The Magnus step propagators against their oracles: DOP853 solves at
+    rtol 1e-12, closed forms at constant curvature, and the matrix
+    exponentials of scipy and of mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("kinked", [False, True])
+    def test_propagators_equal_dop853_matrix_solves(self, kinked):
+        rng = np.random.default_rng(31 + kinked)
+        for _ in range(8):
+            op = _random_operator(rng, kinked)
+            grid = np.linspace(op.interval.lo, op.interval.hi, int(rng.integers(2, 9)))
+            steps = step_propagators(op, grid, None)
+            assert steps.shape == (len(grid) - 1, op.order, op.order)
+            for j, p in enumerate(steps):
+                piece = make_operator(op.coeffs, Interval(grid[j], grid[j + 1]))
+                want = solve_ivp(piece, 0.0, grid[j], np.eye(op.order),
+                                 rtol=1e-12, atol=1e-14).eval(grid[j + 1])
+                assert np.allclose(p, want, rtol=1e-8, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kinked", [False, True])
+    def test_forced_jets_equal_dop853(self, kinked):
+        rng = np.random.default_rng(41 + kinked)
+        for trial in range(8):
+            op = _random_operator(rng, kinked)
+            forcing = poly_fn(rng.uniform(-2, 2, size=3)) if trial % 2 else 0.75
+            init = rng.uniform(-1, 1, size=op.order)
+            grid = np.linspace(op.interval.lo, op.interval.hi, 21)
+            got = grid_jets(op, forcing, init, grid)
+            want = solve_ivp(op, forcing, op.interval.lo, init,
+                             rtol=1e-12, atol=1e-14).eval(grid)
+            assert got.shape == want.shape == (21, op.order)
+            assert np.array_equal(got[0], init)
+            assert np.allclose(got, want, rtol=1e-8, atol=1e-9 * np.abs(want).max())
+
+    def test_unforced_jets_are_the_propagator_products(self):
+        op = third_order_op(lambda s: -3.0 + math.cos(2.0 * s), Interval(0.0, 1.5))
+        grid = np.linspace(0.0, 1.5, 7)
+        init = np.array([0.2, -1.0, 0.5])
+        jets = grid_jets(op, 0.0, init, grid)
+        u = init
+        for j, p in enumerate(step_propagators(op, grid, None)):
+            u = p @ u
+            assert np.allclose(jets[j + 1], u, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [-25.0, -4.0, 0.0, 1.0, 9.0])
+    def test_constant_curvature_closed_forms(self, k):
+        # the area ODE from a zero jet gives the profile abar(k, s), and
+        # y'' + k y = 0 from (0, 1) gives sk(k, s)
+        grid = np.linspace(0.0, 1.0, 11)
+        area = grid_jets(third_order_op(k, UNIT), 0.5, (0.0, 0.0, 0.0), grid)[:, 0]
+        want = np.array([abar(k, s) for s in grid])
+        assert np.allclose(area, want, rtol=1e-13, atol=1e-16)
+        sine = grid_jets(oscillator_op(k, UNIT), 0.0, (0.0, 1.0), grid)[:, 0]
+        assert np.allclose(sine, sk(k, grid), rtol=1e-13, atol=1e-16)
+
+    def test_constant_coefficients_pass_the_first_check(self):
+        # Magnus is exact for constant coefficients, up to rounding: each
+        # interval reads its ends, its midpoint and its two quarter points
+        reads = []
+
+        def kappa(s):
+            reads.append(s)
+            return -25.0
+
+        step_propagators(third_order_op(kappa, Interval(0.0, 4.0)),
+                         np.linspace(0.0, 4.0, 41), None)
+        assert len(reads) == 41 + 40 * 3
+
+    @pytest.mark.parametrize("at", [0.02, 0.05, 0.5, 0.9, 0.95])
+    def test_kink_anywhere_in_an_interval(self, at):
+        # the coefficient is flat right of the kink; the steps read every
+        # piece at its ends, so a kink near an end still refines it
+        grid = np.linspace(0.0, 4.0, 161)
+        kink = grid[60] + at * (grid[1] - grid[0])
+        op = third_order_op(lambda s: min(0.0, -20.0 * (s - kink)), Interval(0.0, 4.0))
+        piece = make_operator(op.coeffs, Interval(grid[60], grid[61]))
+        want = solve_ivp(piece, 0.0, grid[60], np.eye(3), rtol=1e-13, atol=1e-15).eval(grid[61])
+        assert np.allclose(step_propagators(op, grid, None)[60], want, rtol=1e-9, atol=1e-9)
+        area = grid_jets(op, 0.5, (0.0, 0.0, 0.0), grid)[-1, 0]
+        want = solve_ivp(op, 0.5, 0.0, (0.0, 0.0, 0.0), rtol=1e-13, atol=1e-15)(4.0)
+        assert area == pytest.approx(want, rel=1e-8)
+
+    def test_kinks_refine_only_their_intervals(self):
+        reads = []
+        kinked = _kinked((-10.0, 12.0, 1.3))
+
+        def kappa(s):
+            reads.append(s)
+            return kinked(s)
+
+        grid = np.linspace(0.0, 4.0, 161)
+        step_propagators(third_order_op(kappa, Interval(0.0, 4.0)), grid, 0.5)
+        # the kinks near s = 0.758 and s = 1.659 take the most reads
+        per_interval = np.histogram(reads, grid)[0]
+        assert per_interval.sum() < 2000
+        assert set(np.argsort(per_interval)[-2:].tolist()) == {30, 66}
+
+    def test_stacked_expm_equals_scipy_and_mpmath(self):
+        rng = np.random.default_rng(3)
+        for size in (2, 3, 4, 5):
+            scales = np.concatenate(([0.0, 1e-300, 1e-8], rng.uniform(0.01, 8.0, 12)))
+            omega = rng.normal(size=(len(scales), size, size)) * scales[:, None, None]
+            for got, o in zip(odekernel._expm(omega), omega):
+                with mpmath.workdps(40):
+                    exact = np.array(mpmath.expm(mpmath.matrix(o.tolist())).tolist(), dtype=float)
+                top = np.abs(exact).max()
+                # scipy's Pade route loses more digits at large norms than the series
+                assert np.abs(got - expm(o)).max() <= 1e-11 * top
+                assert np.abs(got - exact).max() <= 1e-13 * top
+
+    def test_budget_stops_the_refinement(self, monkeypatch):
+        monkeypatch.setattr(odekernel, "MAX_RHS_EVALS", 500)
+        op = third_order_op(_kinked((-10.0, 12.0, 1.3)), Interval(0.0, 4.0))
+        with pytest.raises(SolverError, match="500 right-hand side evaluations"):
+            grid_jets(op, 0.5, (0.0, 0.0, 0.0), np.linspace(0.0, 4.0, 5))
+
+    def test_non_finite_coefficient_is_solver_error(self):
+        op = third_order_op(lambda s: math.nan if s > 0.5 else -1.0, UNIT)
+        with pytest.raises(SolverError, match="not finite"):
+            step_propagators(op, np.linspace(0.0, 1.0, 5), None)
+
+    def test_overflow_is_solver_error(self):
+        op = third_order_op(-1e6, UNIT)
+        with pytest.raises(SolverError, match="float range"):
+            grid_jets(op, 0.5, (0.0, 0.0, 0.0), np.linspace(0.0, 1.0, 201))
+        with pytest.raises(SolverError, match="float range"):
+            check_forward_positive(op, 201)
 
 
 class TestConcurrency:
