@@ -16,8 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .kfuncs import Interval, ck, sk, ybar
-from .odekernel import dop853, solve_ivp, third_order_op
+from .kfuncs import DomainError, Interval, ck, sk, ybar
+from .odekernel import StepReader, dop853, third_order_op, values_at
 
 Vec = np.ndarray
 
@@ -425,33 +425,36 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
 
     The adapted coordinates x and y both solve u''' + kappa u' = 0, with
     jets (0, 1, 0) and (0, 0, 1) at s = 0, so they are the two columns of
-    one matrix solve; the result is unique given the frame.
+    one matrix solve; the result is unique given the frame.  The solve is
+    an `odekernel.StepReader` at rtol 1e-11: Magnus step propagators
+    outward from s = 0 to each end, and per read one Runge-Kutta step from
+    the last node between 0 and s, which also gives c''' = -kappa c'.  A read of
+    an array of parameters calls kappa once where it takes arrays, and
+    once per entry where it does not (see `odekernel.values_at`).
     """
     if not interval.lo <= 0.0 <= interval.hi:
         raise ValueError("reconstruction interval must contain the anchor s = 0")
     fr = frame or AdaptedFrame.identity()
     kap = kappa if callable(kappa) else (lambda s, k=float(kappa): k)
-    sol = solve_ivp(third_order_op(kap, interval), 0.0, 0.0,
-                    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), rtol=1e-11, atol=1e-13)
+    sol = StepReader(third_order_op(kap, interval), 0.0,
+                     np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 1e-11)
 
     def position(s: float | np.ndarray) -> Vec:
         if isinstance(s, np.ndarray):
-            return fr.from_adapted_rows(sol.eval(np.clip(s, interval.lo, interval.hi))[:, 0])
-        return fr.from_adapted(sol.eval(interval.clamp(s))[0])
+            return fr.from_adapted_rows(sol.read(np.clip(s, interval.lo, interval.hi))[:, 0])
+        return fr.from_adapted(sol.state(interval.clamp(s))[0])
 
     def derivatives(s: float | np.ndarray):
-        if isinstance(s, np.ndarray):  # one dense-output read for all the points
-            u = sol.eval(np.clip(s, interval.lo, interval.hi))
-            d1 = u[:, 1, :1] * fr.tangent + u[:, 1, 1:] * fr.normal
-            d2 = u[:, 2, :1] * fr.tangent + u[:, 2, 1:] * fr.normal
-            return d1, d2, -_each(kap, s)[:, None] * d1
-        u = sol.eval(interval.clamp(s))
-        d1 = u[1, 0] * fr.tangent + u[1, 1] * fr.normal
-        d2 = u[2, 0] * fr.tangent + u[2, 1] * fr.normal
-        return d1, d2, -kap(s) * d1
+        if isinstance(s, np.ndarray):  # one read for all the points
+            u = sol.read(np.clip(s, interval.lo, interval.hi))
+            return tuple(u[:, k, :1] * fr.tangent + u[:, k, 1:] * fr.normal for k in (1, 2, 3))
+        u = sol.state(interval.clamp(s))
+        return tuple(u[k][0] * fr.tangent + u[k][1] * fr.normal for k in (1, 2, 3))
 
-    return AffineCurve(interval, position, derivatives,
-                       lambda s: _each(lambda u: float(kap(u)), s), label="reconstructed")
+    def curvature(s: float | np.ndarray) -> float | np.ndarray:
+        return values_at(kap, s).copy() if isinstance(s, np.ndarray) else float(kap(s))
+
+    return AffineCurve(interval, position, derivatives, curvature, label="reconstructed")
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21): the Kronrod
@@ -494,6 +497,7 @@ class AreaFunction:
     AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
     bisections count with their estimates and errors, so a pass always
     ends, after at most 2**(AREA_MAX_DEPTH + 1) - 1 panels per interval.
+    An integrand that leaves the float range is a DomainError.
     The values are partial sums outward from the base, so A(a) = 0.
     """
 
@@ -525,7 +529,10 @@ class AreaFunction:
         for depth in range(AREA_MAX_DEPTH + 1):
             if not len(lo):
                 break
-            res, err = self._panels(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                res, err = self._panels(lo, hi)
+            if not (np.isfinite(res).all() and np.isfinite(err).all()):
+                raise DomainError("the swept area leaves the float range")
             sums = totals + np.bincount(owner, res, minlength=n)
             tol = AREA_TOL * max(1.0, float(np.max(np.abs(_from_base(sums, base)))))
             ok = (err <= tol * (hi - lo) / span) | (depth == AREA_MAX_DEPTH)

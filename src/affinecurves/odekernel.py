@@ -9,10 +9,10 @@ y(s) = integral_r^s K(s; t) f(t) dt for s >= r, which this module uses as
 a cross-validation oracle against direct integration.  The comparison
 theorems read K only there, so each column is solved rightward from r.
 
-Solves read at arbitrary points (curve reconstruction, kernel columns)
-are DOP853 solves with dense output.  Solves read only on a fixed grid
-(forward-positivity, the comparison solves, the reference area) are
-products of step propagators instead: over each grid interval,
+Kernel columns, read at arbitrary points, are DOP853 solves with dense
+output.  Solves read only on a fixed grid (forward-positivity, the
+comparison solves, the reference area) are products of step propagators
+instead: over each grid interval,
 fourth-order Magnus steps exp(Omega) of the companion system u' = A u,
 with A read at each step's ends and midpoint, carry the state from one
 grid point to the next, and a forcing f rides along as a constant last
@@ -21,11 +21,15 @@ propagators disagree by more than DEFAULT_RTOL, so only the stretches
 that need it (a kink in a coefficient, a stiff stretch) are refined.
 Forward-positivity then reads every kernel column of the grid from
 running products of the propagators, K(s_j; r_i) = e_1^T P_{j-1} ... P_i
-e_n, with no inverse of a fundamental matrix.
+e_n, with no inverse of a fundamental matrix.  Curve reconstruction, read
+at arbitrary points, keeps the accepted half steps of the same
+refinement as the nodes of a StepReader, and reads between them by one
+classical Runge-Kutta step from a node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -46,6 +50,8 @@ KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # one solve may take before it fails with SolverError; the largest solve of
 # the test suite takes about 39 000.
 MAX_RHS_EVALS = 200_000
+DENSE_GRID = 16  # the intervals of each side of a StepReader before refinement
+READ_RTOL = 1e-9  # how far a StepReader's Runge-Kutta reads may stray from its Magnus steps
 # the Taylor coefficients 1/k!, k < 16, of exp in blocks of four
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
@@ -351,7 +357,10 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     degree 15, summed in Paterson-Stockmeyer form with six matrix products,
     after scaling the matrix by 2^-k to a 1-norm of at most 1/2 (a
     truncation error below 1e-18), then k squarings."""
-    k = np.maximum(np.frexp(np.abs(omega).sum(axis=1).max(axis=1))[1] + 1, 0)
+    # the 1-norms, their column sums added row by row as sum(axis=1) adds
+    # them, without its strided reduction
+    k = np.maximum(np.frexp(functools.reduce(np.add, np.abs(omega).transpose(1, 0, 2))
+                            .max(axis=1))[1] + 1, 0)
     x = np.ldexp(omega, -k[:, None, None])
     m, n, _ = x.shape
     powers = np.empty((4, m, n, n))  # I, X, X^2, X^3
@@ -366,8 +375,23 @@ def _expm(omega: np.ndarray) -> np.ndarray:
         e = blocks[j] + x4 @ e
     for step in range(int(k.max(initial=0))):
         more = k > step
-        e[more] = e[more] @ e[more]
+        if more.all():
+            e = e @ e
+        else:
+            e[more] = e[more] @ e[more]
     return e
+
+
+def values_at(c: Callable, s: np.ndarray) -> np.ndarray:
+    """The float array of c at each entry of a 1-D array s: one call at the
+    whole array (a number it returns is broadcast), or, where c raises
+    TypeError or ValueError on an array (a `math` lambda), one call per
+    entry.  A closure that takes arrays must give each entry the float of
+    the scalar call, as `ParametricCurve` asks of its closures."""
+    try:
+        return np.broadcast_to(np.asarray(c(s), dtype=float), s.shape)
+    except (TypeError, ValueError):
+        return np.fromiter(map(c, s.tolist()), float, len(s))
 
 
 def _companion(op: LinearOperator, forcing: CoeffLike | None, s: np.ndarray) -> np.ndarray:
@@ -405,6 +429,86 @@ def _magnus_steps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndarray)
     return _expm(b0 + (b1 @ b0 - b0 @ b1))
 
 
+def _frozen_overflows(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndarray) -> bool:
+    """Whether over some piece, given as its halves (all first halves, then
+    all second halves), the product of exp(B0), the exponentials of the
+    integrals of A alone, is not finite: then the solution itself leaves
+    the float range there.  Where that product is finite and the Magnus
+    propagator is not, the commutator term of steps too long for a
+    changing coefficient overflowed instead."""
+    e = _expm(h[:, None, None] / 6.0 * (a0 + 4.0 * am + a1))
+    return not np.isfinite(e[len(e) // 2:] @ e[:len(e) // 2]).all()
+
+
+def _rk4_steps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The propagators of one classical Runge-Kutta step over steps of
+    length h, from A at each step's start, midpoint and end."""
+    hh = h[:, None, None]
+    eye = np.eye(a0.shape[1])
+    k2 = am @ (eye + 0.5 * hh * a0)
+    k3 = am @ (eye + 0.5 * hh * k2)
+    k4 = a1 @ (eye + hh * k3)
+    return eye + hh / 6.0 * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rtol: float,
+            read_rtol: float | None):
+    """The Magnus steps over the intervals of an ascending grid, refined
+    where they disagree; yields one level at a time: the pieces' halves,
+    all first halves, then all second halves, as their starts, lengths, A
+    at their starts, midpoints and ends, and steps; then each piece's
+    propagator Q = P2 P1 from its half steps; then which pieces are split.
+
+    A piece, first each interval, is accepted when its one step P and its
+    two half steps agree, max|Q - P| / 15 <= rtol max(1, max|Q|), and,
+    unless read_rtol is None, when one classical Runge-Kutta step over
+    each half agrees with its Magnus step to read_rtol max(1, max|step|).
+    A piece that fails is split into its halves, whose one steps are P1
+    and P2, so only the pieces that need it (a kink in a coefficient, a
+    stiff stretch) are refined.  The steps' nodes are nested, so a level reads A only at the
+    quarter points of its pieces, and a piece's ends are always read: a
+    kink near an end, with a flat coefficient on the piece's side of it,
+    still moves Q from P.  A piece whose Q is not finite is split too,
+    unless `_frozen_overflows` finds that the solution itself leaves the
+    float range there, a SolverError.  Every coefficient read counts
+    against MAX_RHS_EVALS."""
+    grid = np.asarray(grid, dtype=float)
+    t0, h = grid[:-1], np.diff(grid)
+    reads = 2 * len(grid) - 1
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        ends = _companion(op, forcing, grid)
+        lo, mid, hi = ends[:-1], _companion(op, forcing, t0 + 0.5 * h), ends[1:]
+        one = _magnus_steps(lo, mid, hi, h)
+    while len(h):
+        reads += 2 * len(h)
+        if reads > MAX_RHS_EVALS:
+            raise SolverError(f"Magnus steps from s = {grid[0]} passed {MAX_RHS_EVALS} "
+                              f"right-hand side evaluations near s = {t0[0]}; "
+                              "the equation is too stiff for this interval")
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            halves, starts = np.tile(0.5 * h, 2), np.concatenate((t0, t0 + 0.5 * h))
+            lows, highs = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            mids = _companion(op, forcing, starts + 0.5 * halves)
+            steps = _magnus_steps(lows, mids, highs, halves)
+            q = steps[len(h):] @ steps[:len(h)]
+            scale = np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
+            lost = ~np.isfinite(scale)  # NaN propagates through both maxima
+            if lost.any():
+                both = np.tile(lost, 2)
+                if _frozen_overflows(lows[both], mids[both], highs[both], halves[both]):
+                    raise SolverError(f"the propagator from s = {t0[np.argmax(lost)]} "
+                                      "overflows; the solution leaves the float range")
+            split = (np.abs(q - one).max(axis=(1, 2)) > 15.0 * rtol * scale) | lost
+            if read_rtol is not None:
+                miss = (np.abs(_rk4_steps(lows, mids, highs, halves) - steps).max(axis=(1, 2))
+                        > read_rtol * np.maximum(1.0, np.abs(steps).max(axis=(1, 2))))
+                split |= miss[:len(h)] | miss[len(h):]
+        yield starts, halves, lows, mids, highs, steps, q, split
+        both = np.tile(split, 2)
+        t0, h, one = starts[both], halves[both], steps[both]
+        lo, mid, hi = lows[both], mids[both], highs[both]
+
+
 def step_propagators(op: LinearOperator, grid: np.ndarray,
                      forcing: CoeffLike | None) -> np.ndarray:
     """The propagators P_j, shaped (len(grid) - 1, N, N), that carry the
@@ -412,51 +516,24 @@ def step_propagators(op: LinearOperator, grid: np.ndarray,
     ascending grid.  With forcing None, N = n and f = 0; otherwise N = n + 1
     and the state carries a last entry that stays 1.
 
-    Each P_j is a product of fourth-order Magnus steps.  A piece of the
-    grid, first each interval, is accepted when its one step P and its two
-    half steps Q = P2 P1 agree, max|Q - P| / 15 <= DEFAULT_RTOL max(1,
-    max|Q|); Q is then its propagator.  A piece that fails is split into
-    its halves, whose one steps are P1 and P2, so only the pieces that need
-    it (a kink in a coefficient, a stiff stretch) are refined.  The steps'
-    nodes are nested, so a level reads A only at the quarter points of its
-    pieces, and a piece's ends are always read: a kink near an end, with
-    a flat coefficient on the piece's side of it, still moves Q from P.
-    Every coefficient read counts against MAX_RHS_EVALS, and a propagator
-    that is not finite is a SolverError."""
-    grid = np.asarray(grid, dtype=float)
-    t0, h = grid[:-1], np.diff(grid)
-    reads = 2 * len(grid) - 1
-    levels = []  # per level: the pieces' propagators, and which pieces were split
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        ends = _companion(op, forcing, grid)
-        lo, mid, hi = ends[:-1], _companion(op, forcing, t0 + 0.5 * h), ends[1:]
-        one = _magnus_steps(lo, mid, hi, h)
-        while len(h):
-            reads += 2 * len(h)
-            if reads > MAX_RHS_EVALS:
-                raise SolverError(f"Magnus steps from s = {grid[0]} passed {MAX_RHS_EVALS} "
-                                  f"right-hand side evaluations near s = {t0[0]}; "
-                                  "the equation is too stiff for this interval")
-            # the pieces' halves: all first halves, then all second halves
-            halves, starts = np.tile(0.5 * h, 2), np.concatenate((t0, t0 + 0.5 * h))
-            lows, highs = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-            mids = _companion(op, forcing, starts + 0.5 * halves)
-            steps = _magnus_steps(lows, mids, highs, halves)
-            q = steps[len(h):] @ steps[:len(h)]
-            if not np.isfinite(q).all():
-                raise SolverError(f"the propagator from s = {t0[0]} overflows; "
-                                  "the solution leaves the float range")
-            scale = np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
-            split = np.abs(q - one).max(axis=(1, 2)) > 15.0 * DEFAULT_RTOL * scale
-            levels.append((q, split))
-            both = np.tile(split, 2)
-            t0, h, one = starts[both], halves[both], steps[both]
-            lo, mid, hi = lows[both], mids[both], highs[both]
-    out = np.empty((0,) + one.shape[1:])
+    Each P_j is the product of the accepted Magnus half steps of its
+    interval, refined by `_refine` at DEFAULT_RTOL."""
+    levels = [(q, split) for *_, q, split in _refine(op, forcing, grid, DEFAULT_RTOL, None)]
+    out = np.empty((0,) + levels[0][0].shape[1:])
     for q, split in reversed(levels):  # a split piece is its second half after its first
         q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
         out = q
     return out
+
+
+def _running_products(prod: np.ndarray) -> np.ndarray:
+    """The running products P_j ... P_0 of a stack of propagators, in
+    place, by a doubling scan."""
+    gap = 1
+    while gap < len(prod):
+        prod[gap:] = prod[gap:] @ prod[:-gap]
+        gap *= 2
+    return prod
 
 
 def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
@@ -467,14 +544,163 @@ def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
     to (init, 1)."""
     prod = step_propagators(op, grid, forcing)
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = 1
-        while gap < len(prod):
-            prod[gap:] = prod[gap:] @ prod[:-gap]
-            gap *= 2
-        u = np.vstack(((*init, 1.0), prod @ (*init, 1.0)))
+        u = np.vstack(((*init, 1.0), _running_products(prod) @ (*init, 1.0)))
     if not np.isfinite(u).all():
         raise SolverError(f"the solution from s = {grid[0]} leaves the float range")
     return u[:, :-1]
+
+
+def _rate(c: list, v: list) -> list:
+    """A v for the companion matrix A of the (j, a_j) pairs c."""
+    top = 0.0
+    for j, cj in c:
+        top = top - cj * v[j]
+    out = v[1:]
+    out.append(top)
+    return out
+
+
+def _rk4(u: list, c0: list, cm: list, c1: list, h) -> list:
+    """One classical Runge-Kutta step of length h of the companion system
+    u' = A u from the jet rows u, with (j, a_j) pairs of the nonzero
+    coefficients at the step's start, midpoint and end: the rows after
+    the step and, last, y^(n) there from the equation.  The rows may be
+    floats or arrays (with h broadcast against them): both run the same
+    IEEE operations in the same order."""
+    half = 0.5 * h
+    k1 = _rate(c0, u)
+    k2 = _rate(cm, [x + half * k for x, k in zip(u, k1)])
+    k3 = _rate(cm, [x + half * k for x, k in zip(u, k2)])
+    k4 = _rate(c1, [x + h * k for x, k in zip(u, k3)])
+    sixth = h / 6.0
+    v = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
+    return v + _rate(c1, v)[-1:]
+
+
+class StepReader:
+    """The jets of D y = 0 from the (n, m) jets `init` at r, read anywhere
+    on the operator's interval, with y^(n) from the equation: the dense
+    counterpart of step_propagators.
+
+    Each side of r is cut into DENSE_GRID equal intervals, and the grid of
+    both is refined by `_refine` at tolerance rtol and at READ_RTOL for the
+    reads.  The ends of the accepted half steps are the nodes.  Their jets
+    are the running products, outward from r, of the half steps'
+    propagators applied to init; left of r the steps are taken backwards,
+    which for a Magnus step is its inverse.  A read at s is one classical
+    Runge-Kutta step from the last node between r and s, with A reused at
+    that node and read at the step's midpoint and at s, so a step is never
+    longer than an accepted half step.  Array reads call each coefficient
+    once (`values_at`) and keep the last result, which a read of the same
+    points returns again.  Scalar reads run in Python floats, over one
+    node's jets converted on its first scalar read, with the operations of
+    the array read in the same order, so an array read equals the stacked
+    scalar reads bit for bit when the coefficients do.  A read that is not
+    finite is a SolverError.
+    """
+
+    def __init__(self, op: LinearOperator, r: float, init: np.ndarray, rtol: float):
+        self.r = r
+        self._coeffs = [(j, a) for j, a in enumerate(op.coeffs) if a is not _zero]
+        lo, hi = op.interval.lo, op.interval.hi
+        grid = np.unique(np.concatenate((np.linspace(lo, r, DENSE_GRID + 1),
+                                         np.linspace(r, hi, DENSE_GRID + 1))))
+        parts = []
+        for level in _refine(op, None, grid, rtol, READ_RTOL):
+            keep = np.tile(~level[-1], 2)
+            parts.append([a[keep] for a in level[:6]])
+        if parts:
+            leaves = [np.concatenate(a) for a in zip(*parts)]
+            order = np.argsort(leaves[0])
+            starts, halves, lows, mids, highs, steps = (a[order] for a in leaves)
+            nodes, at = np.append(starts, hi), np.concatenate((lows, highs[-1:]))
+        else:  # a one-point interval
+            nodes, at, steps = grid, _companion(op, None, grid), np.empty((0,) + init.shape[:1] * 2)
+        k = int(np.searchsorted(nodes, r))  # the leaves left of r
+        back = steps[:0]
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                back = _magnus_steps(highs[:k], mids[:k], lows[:k], -halves[:k])[::-1]
+        self._sides = [self._side(init, nodes[k:], at[k:], steps[k:]),
+                       self._side(init, nodes[k::-1], at[k::-1], back)]
+        self._shape = (init.shape[0] + 1, init.shape[1])
+        self._keys: list[list[float] | None] = [None, None]
+        self._rows: dict[tuple[bool, int], tuple] = {}
+        self._last_state: tuple[str, list] = ("", [])
+        self._last: tuple[bytes, np.ndarray] | None = None
+
+    def _side(self, init: np.ndarray, nodes: np.ndarray, at: np.ndarray,
+              steps: np.ndarray) -> tuple:
+        """One side of r, from the nodes outward from r, the companion
+        matrices there and the steps between them: the node keys (their
+        distances from r, ascending), the nodes, their jets and their
+        nonzero coefficients."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            jets = np.concatenate((init[None], _running_products(steps.copy()) @ init))
+        if not np.isfinite(jets).all():
+            raise SolverError(f"the solution from s = {self.r} leaves the float range")
+        return np.abs(nodes - self.r), nodes, jets, -at[:, -1, [j for j, _ in self._coeffs]]
+
+    def state(self, s: float) -> list[list[float]]:
+        """The jets and y^(n) at s, as n + 1 rows of m floats; shared with
+        the previous read when s is the same float."""
+        s = float(s)
+        key = s.hex()  # tells -0.0 from 0.0
+        if self._last_state[0] == key:
+            return self._last_state[1]
+        left = s < self.r
+        keys = self._keys[left]
+        if keys is None:
+            keys = self._keys[left] = self._sides[left][0].tolist()
+        i = bisect_right(keys, abs(s - self.r)) - 1
+        row = self._rows.get((left, i))
+        if row is None:
+            _, nodes, jets, coeffs = self._sides[left]
+            row = self._rows[left, i] = (float(nodes[i]), jets[i].T.tolist(),
+                                         list(zip((j for j, _ in self._coeffs),
+                                                  coeffs[i].tolist())))
+        t0, cols, c0 = row
+        h = s - t0
+        mid = t0 + 0.5 * h
+        cm = [(j, float(a(mid))) for j, a in self._coeffs]
+        c1 = [(j, float(a(s))) for j, a in self._coeffs]
+        cols = [_rk4(col, c0, cm, c1, h) for col in cols]
+        if not all(map(math.isfinite, (x for col in cols for x in col))):
+            raise SolverError(f"the solution leaves the float range near s = {s}")
+        jets = [list(row) for row in zip(*cols)]
+        self._last_state = (key, jets)
+        return jets
+
+    def read(self, s: np.ndarray) -> np.ndarray:
+        """The jets and y^(n) at a 1-D array of p points, shaped (p, n + 1,
+        m); the array may be the one the previous read returned."""
+        key = s.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        out = np.empty((len(s),) + self._shape)
+        right = s >= self.r
+        for left, mask in enumerate((right, ~right)):
+            if not mask.any():
+                continue
+            keys, nodes, jets, coeffs = self._sides[left]
+            ss = s[mask]
+            i = np.searchsorted(keys, np.abs(ss - self.r), side="right") - 1
+            t0 = nodes[i]
+            h = ss - t0
+            both = np.concatenate((t0 + 0.5 * h, ss))
+            read = [values_at(a, both)[:, None] for _, a in self._coeffs]
+            c0 = [(j, coeffs[i, k][:, None]) for k, (j, _) in enumerate(self._coeffs)]
+            cm = [(j, v[:len(ss)]) for (j, _), v in zip(self._coeffs, read)]
+            c1 = [(j, v[len(ss):]) for (j, _), v in zip(self._coeffs, read)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = _rk4(list(jets[i].transpose(1, 0, 2)), c0, cm, c1, h[:, None])
+            out[mask] = np.stack(rows, axis=1)
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise SolverError("the solution leaves the float range near "
+                              f"s = {s[np.argmin(finite)]}")
+        self._last = (key, out)
+        return out
 
 
 class LagrangeKernel:

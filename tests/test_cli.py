@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import random
+import tempfile
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from affinecurves import cli, kfuncs, odekernel, specfiles
@@ -336,6 +342,63 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1000 right-hand side evaluations" in captured.err
+
+
+    @pytest.mark.parametrize("coeffs, domain", [
+        (["0", "0", "1e200"], ["0", "1"]),  # NumPy's overflow warning came first
+        (["1e308", "1e308"], ["0", "2"]),  # six SciPy warnings came first
+        (["-85257.73575321586"], ["0", "2.0078560403053807"]),  # area printed nan
+    ])
+    def test_huge_curvature_is_one_domain_error(self, tmp_path, capsys, coeffs, domain):
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": coeffs, "domain": domain})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["area", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("domain error: ")
+
+
+# curvature coefficients as spec strings: moderate, stiff, huge, tiny and zero
+_KAPPA_COEFF = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)), st.floats(2.0, 9.0)),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(100.0, 308.0)),
+    st.builds(lambda sign, e: sign * 10.0 ** -e, st.sampled_from((-1.0, 1.0)),
+              st.floats(100.0, 323.0)),
+    st.just(0.0),
+).map(repr)
+
+
+class TestCurvatureIVPFuzz:
+    """Whole commands on generated curvature-ivp specs: a documented exit
+    code, no NaN or infinity printed with exit 0, and nothing on stderr
+    but the one error line (no traceback, no warning)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(_KAPPA_COEFF, min_size=1, max_size=4),
+           lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(1e-9, 1e-3)),
+           hi=st.one_of(st.floats(1e-6, 4.0), st.floats(4.0, 12.0)))
+    def test_area_curvature_arclength(self, coeffs, lo, hi):
+        spec = {"type": "curvature-ivp", "kappa_coeffs": coeffs, "domain": [repr(-lo), repr(hi)]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "ivp.json", spec)
+            for command in ("area", "curvature", "arclength"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main([command, path])
+                assert code in (0, 2, 3), (command, spec)
+                if code == 0:
+                    assert "nan" not in out.getvalue().lower(), (command, spec)
+                    assert "inf" not in out.getvalue().lower(), (command, spec)
+                    assert err.getvalue() == "", (command, spec)
+                else:
+                    assert len(err.getvalue().splitlines()) == 1, (command, spec)
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
-from affinecurves import odekernel
+from affinecurves import kfuncs, odekernel
 from affinecurves.conics import Conic
 from affinecurves.curve import (
     AdaptedFrame,
@@ -302,6 +302,91 @@ class TestReconstruction:
         c = reconstruct_from_curvature(lambda s: s, Interval(-1.0, 1.0))
         assert np.array_equal(c.point(1.5), c.point(1.0))
         assert np.array_equal(c.derivatives(-3.0)[1], c.derivatives(-1.0)[1])
+
+
+def _dop853_jets(kap, interval):
+    """The reconstruction's solve by DOP853 at rtol 1e-13: the jets of
+    u''' + kappa u' = 0 from (0, 1, 0) and (0, 0, 1) at s = 0, kept here as
+    the oracle of the step-propagator route."""
+    op = odekernel.third_order_op(kap, interval)
+    return odekernel.solve_ivp(op, 0.0, 0.0, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                               rtol=1e-13, atol=1e-15)
+
+
+def _assert_matches_oracle(kap, interval, rel=1e-9):
+    """Points and all three derivatives of the reconstruction, read at one
+    array of parameters, and points read at single floats, within rel of
+    the oracle's size at each point."""
+    curve = reconstruct_from_curvature(kap, interval)
+    ss = np.concatenate([np.linspace(interval.lo, interval.hi, 257),
+                         np.random.default_rng(7).uniform(interval.lo, interval.hi, 64)])
+    u = _dop853_jets(kap, interval).eval(ss)
+    kv = np.array([kap(s) for s in ss.tolist()])
+    want = (u[:, 0], u[:, 1], u[:, 2], -kv[:, None] * u[:, 1])
+    got = (curve.point(ss), *curve.derivatives(ss))
+    for g, w in zip(got, want):
+        err = np.linalg.norm(g - w, axis=1) / np.maximum(1.0, np.linalg.norm(w, axis=1))
+        assert err.max() <= rel
+    scalar = np.array([curve.point(s) for s in ss[::16].tolist()])
+    err = np.linalg.norm(scalar - want[0][::16], axis=1)
+    assert (err <= rel * np.maximum(1.0, np.linalg.norm(want[0][::16], axis=1))).all()
+
+
+class TestReconstructionOracle:
+    """The step-propagator reconstruction against DOP853."""
+
+    @pytest.mark.parametrize("k0, k1, length, two_sided", [
+        (-2.0, 1.0, 1.0, False), (-1.0, 0.0, 2.0, True), (-4.0, -3.0, 1.5, False),
+        (-9.0, -8.0, 2.5, True), (-25.0, -23.0, 4.0, False), (-25.0, -23.0, 4.0, True),
+        (0.0, 2.0, 1.5, True),
+    ])
+    def test_cli_band_curvatures(self, k0, k1, length, two_sided):
+        from affinecurves.cli import _random_band_curvature
+        rng = np.random.default_rng(int(-k0 * 10 + length))
+        for _ in range(2):
+            kap = _random_band_curvature(rng, k0, k1)
+            _assert_matches_oracle(kap, Interval(-length if two_sided else 0.0, length))
+
+    @pytest.mark.parametrize("fraction", [0.02, 0.25, 0.5, 0.77, 0.95])
+    def test_kink_anywhere_in_a_piece(self, fraction):
+        # the start grid of [0, 2] has pieces of 1/8; the kink sits in the fifth
+        kink = (4.0 + fraction) / 8.0
+        _assert_matches_oracle(lambda s: min(0.0, -20.0 * (s - kink)), Interval(0.0, 2.0))
+        _assert_matches_oracle(lambda s: min(0.0, -20.0 * (s - kink)) - 1.0,
+                               Interval(-1.0, 2.0))
+
+    def test_random_quadratics(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            c = rng.uniform(-6.0, 3.0, size=3)
+            lo, hi = -rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.5)
+            _assert_matches_oracle(lambda s, c=c: c[0] + c[1] * s + c[2] * s * s,
+                                   Interval(lo, hi))
+
+    @pytest.mark.parametrize("k", [-25.0, -4.0, -1.0, 0.0, 0.7, 9.0])
+    def test_constant_curvature_against_profiles(self, k):
+        interval = Interval(-2.0, 2.0)
+        curve = reconstruct_from_curvature(k, interval)
+        ss = np.linspace(-2.0, 2.0, 201)
+        c, sn = kfuncs.ck(k, ss)[:, None], sk(k, ss)[:, None]
+        d1 = np.column_stack((kfuncs.ck(k, ss), sk(k, ss)))
+        want = (np.column_stack((sk(k, ss), ybar(k, ss))), d1,
+                np.hstack((-k * sn, c)), -k * d1)
+        for g, w in zip((curve.point(ss), *curve.derivatives(ss)), want):
+            err = np.linalg.norm(g - w, axis=1) / np.maximum(1.0, np.linalg.norm(w, axis=1))
+            assert err.max() <= 1e-9
+
+    @pytest.mark.parametrize("divisions", [4, 8, 16])
+    def test_sines_that_vanish_at_nested_nodes(self, divisions):
+        # kappa = 3 sin(2 pi s / (L / d)) on [0, 2] vanishes at every node
+        # of the nested halvings of one piece; the start grid sees it
+        period = 2.0 / divisions
+        _assert_matches_oracle(lambda s: 3.0 * math.sin(2.0 * math.pi * s / period),
+                               Interval(0.0, 2.0))
+
+    def test_quintic_that_vanishes_at_the_quarter_points(self):
+        _assert_matches_oracle(lambda s: 40.0 * s * (s - 0.5) * (s - 1.0) * (s - 1.5) * (s - 2.0),
+                               Interval(0.0, 2.0))
 
 
 class TestAreaFunction:

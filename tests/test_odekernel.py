@@ -547,6 +547,82 @@ class TestStepPropagators:
             check_forward_positive(op, 201)
 
 
+def _horner_fn(c):
+    """c0 + s (c1 + s c2): the same float at a float and at each entry of
+    an array."""
+    return lambda s, c=tuple(c.tolist()): c[0] + s * (c[1] + s * c[2])
+
+
+class TestStepReader:
+    """The dense reads of the Magnus step propagators against DOP853 at
+    rtol 1e-13, and array reads against stacked scalar reads."""
+
+    @pytest.mark.parametrize("kinked", [False, True])
+    def test_jets_equal_dop853_on_both_sides(self, kinked):
+        rng = np.random.default_rng(61 + kinked)
+        for trial in range(6):
+            op = _random_operator(rng, kinked)
+            lo, hi = op.interval.lo, op.interval.hi
+            r = [lo, hi, 0.5 * (lo + hi)][trial % 3]
+            init = rng.uniform(-1, 1, size=(op.order, 1 + trial % 2))
+            reader = odekernel.StepReader(op, r, init, 1e-11)
+            ss = np.linspace(lo, hi, 97)
+            got = reader.read(ss)
+            want = solve_ivp(op, 0.0, r, init, rtol=1e-13, atol=1e-15).eval(ss)
+            assert got.shape == (97, op.order + 1, init.shape[1])
+            scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))[:, None, None]
+            assert (np.abs(got[:, :-1] - want) <= 1e-9 * scale).all()
+            # the last row is y^(n) from the equation
+            top = -sum(np.array([a(s) for s in ss.tolist()])[:, None] * got[:, j]
+                       for j, a in enumerate(op.coeffs))
+            assert np.allclose(got[:, -1], top, rtol=1e-12, atol=1e-12 * scale[:, 0])
+            assert np.array_equal(reader.read(np.array([r]))[0, :-1], init)
+
+    def test_array_reads_equal_stacked_scalar_reads(self):
+        rng = np.random.default_rng(67)
+        for n in (2, 3, 4):
+            coeffs = [_horner_fn(rng.uniform(-4, 4, size=3)) for _ in range(n)]
+            op = make_operator(coeffs, Interval(-1.0, 1.5))
+            reader = odekernel.StepReader(op, 0.0, rng.uniform(-1, 1, size=(n, 2)), 1e-11)
+            ss = np.concatenate([[-1.0, 0.0, 1.5], rng.uniform(-1.0, 1.5, 60)])
+            stacked = np.array([reader.state(s) for s in ss.tolist()])
+            assert reader.read(ss).tobytes() == stacked.tobytes()
+
+    def test_scalar_only_coefficients_are_read_entry_by_entry(self):
+        calls = []
+
+        def kappa(s):
+            calls.append(s)
+            return -2.0 + math.sin(s)  # math.sin refuses arrays
+
+        reader = odekernel.StepReader(third_order_op(kappa, Interval(0.0, 2.0)), 0.0,
+                                      np.eye(3)[:, 1:], 1e-11)
+        calls.clear()
+        ss = np.linspace(0.1, 1.9, 5)
+        got = reader.read(ss)
+        # one refused array call, then one call per midpoint and per point
+        assert [type(s) for s in calls] == [np.ndarray] + [float] * 10
+        assert np.array_equal(got, np.array([reader.state(s) for s in ss.tolist()]))
+
+    def test_stiff_corner_needs_the_runge_kutta_check(self, monkeypatch):
+        # constant k = -400: one Magnus step per interval is exact, but a
+        # Runge-Kutta read over a whole half step is not
+        op = third_order_op(-400.0, Interval(0.0, 1.0))
+        init = np.eye(3)[:, 1:]
+        ss = np.linspace(0.0, 1.0, 301)
+        want = solve_ivp(op, 0.0, 0.0, init, rtol=1e-13, atol=1e-15).eval(ss)
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        got = odekernel.StepReader(op, 0.0, init, 1e-11).read(ss)[:, :-1]
+        assert (np.abs(got - want) <= 1e-9 * scale).all()
+        monkeypatch.setattr(odekernel, "READ_RTOL", None)
+        got = odekernel.StepReader(op, 0.0, init, 1e-11).read(ss)[:, :-1]
+        assert not (np.abs(got - want) <= 1e-6 * scale).all()
+
+    def test_overflow_is_solver_error(self):
+        with pytest.raises(SolverError, match="float range"):
+            odekernel.StepReader(third_order_op(-1e6, UNIT), 0.0, np.eye(3)[:, 1:], 1e-11)
+
+
 class TestConcurrency:
     def test_kernel_columns_thread_safe(self):
         # memoized columns (dict.setdefault, no lock); concurrent readers must agree
