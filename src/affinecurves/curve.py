@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .kfuncs import DomainError, Interval, ck, sk, ybar
+from .kfuncs import BRENT_MAXITER, BRENT_RTOL, DomainError, Interval, brent_root, ck, sk, ybar
 from .odekernel import StepReader, dop853, third_order_op, values_at
 
 Vec = np.ndarray
 
 QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+_quad = None  # scipy.integrate.quad, imported by the first affine_arclength
 
 
 class OrientationError(ValueError):
@@ -57,7 +56,10 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry with the scalar libm pow: NumPy's vectorised
     power can differ from it in the last bit (AVX-512 builds), and array
     reads must equal scalar reads bit for bit."""
-    return _each(lambda v: v ** e, x)
+    try:
+        return _each(lambda v: v ** e, x)
+    except OverflowError:
+        raise DomainError("the curve's derivatives leave the float range") from None
 
 
 @dataclass(frozen=True)
@@ -259,9 +261,19 @@ def _min_speed_check(raw: ParametricCurve, t0: float, t1: float) -> None:
 
 def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
     """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]."""
+    global _quad
+    if _quad is None:
+        from scipy.integrate import quad as _quad
     _min_speed_check(raw, t0, t1)
-    val, _ = quad(lambda t: wedge(raw.d1(t), raw.d2(t)) ** (1.0 / 3.0),
-                  t0, t1, **QUAD_KW)
+
+    def speed(t: float) -> float:
+        g = wedge(raw.d1(t), raw.d2(t))
+        if g < 0.0:  # between the checked samples
+            raise OrientationError(f"c' wedge c'' = {g} < 0 at t = {t}; need a positively "
+                                   "oriented locally convex arc")
+        return g ** (1.0 / 3.0)
+
+    val, _ = _quad(speed, t0, t1, **QUAD_KW)
     return val
 
 
@@ -277,10 +289,16 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         raise ValueError("reparameterization needs three raw derivatives")
     lam = affine_arclength(raw, t0, t1)
 
-    def g(t: float) -> float:
-        return wedge(raw.d1(t), raw.d2(t))
+    def rate(s: float, t: np.ndarray) -> float:
+        """dt/ds; a solver stage can stray past the arc, where the curve
+        need not be convex."""
+        g = wedge(raw.d1(t[0]), raw.d2(t[0]))
+        if not g > 0.0:
+            raise OrientationError(f"c' wedge c'' = {g} <= 0 at t = {t[0]}, which the "
+                                   "arc-length solve reached")
+        return g ** (-1.0 / 3.0)
 
-    t_of_s = dop853(lambda s, t: g(t[0]) ** (-1.0 / 3.0), 0.0, lam, [t0], 1e-11, 1e-13)
+    t_of_s = dop853(rate, 0.0, lam, [t0], 1e-11, 1e-13)
     domain = Interval(0.0, lam)
 
     def t_at(s: float | np.ndarray) -> float | np.ndarray:
@@ -329,21 +347,24 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         that call it point by point."""
         t = t_at(s)
         c1, c2, c3 = (raw.rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
-        gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
-        tp = _pow(gv, -1.0 / 3.0)
-        tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
-        d1 = c1 * tp[:, None]
-        d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
-        if raw.d4 is not None:
-            c4 = raw.rows(raw.d4, t)
-            gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
-            tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
-                    - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
-            d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
-                  + c1 * tppp[:, None])
-        else:
-            d3 = np.array([_fd_vector(gamma2, u, domain) for u in s.tolist()],
-                          dtype=float).reshape(-1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
+            tp = _pow(gv, -1.0 / 3.0)
+            tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
+            d1 = c1 * tp[:, None]
+            d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
+            if raw.d4 is not None:
+                c4 = raw.rows(raw.d4, t)
+                gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
+                tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
+                        - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
+                d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
+                      + c1 * tppp[:, None])
+            else:
+                d3 = np.array([_fd_vector(gamma2, u, domain) for u in s.tolist()],
+                              dtype=float).reshape(-1, 2)
+        if not all(np.isfinite(d).all() for d in (d1, d2, d3)):
+            raise DomainError("the curve's derivatives leave the float range")
         return d1, d2, d3
 
     def curvature(s: float | np.ndarray) -> float | np.ndarray:
@@ -535,7 +556,11 @@ class AreaFunction:
                 raise DomainError("the swept area leaves the float range")
             sums = totals + np.bincount(owner, res, minlength=n)
             tol = AREA_TOL * max(1.0, float(np.max(np.abs(_from_base(sums, base)))))
-            ok = (err <= tol * (hi - lo) / span) | (depth == AREA_MAX_DEPTH)
+            with np.errstate(over="ignore"):
+                cap = tol * (hi - lo)
+            if not np.isfinite(cap).all():
+                raise DomainError("the swept area leaves the float range")
+            ok = (err <= cap / span) | (depth == AREA_MAX_DEPTH)
             totals += np.bincount(owner[ok], res[ok], minlength=n)
             errors += np.bincount(owner[ok], err[ok], minlength=n)
             lo, hi, owner = lo[~ok], hi[~ok], owner[~ok]
@@ -637,7 +662,7 @@ def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
             if turn.size:
                 i = int(turn[0])
                 a, b = sorted((prev if i == 0 else float(pts[i - 1]), float(pts[i])))
-                return brentq(xprime, a, b, xtol=1e-10)
+                return brent_root(xprime, a, b, 1e-10, BRENT_RTOL, BRENT_MAXITER)
             if past.any():
                 return end
             prev = float(pts[-1])  # rounding kept the sums short of end

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Below this |z| the closed forms for C2/C3 cancel catastrophically
 # (about half the significand is lost by |z| ~ 1e-8); the series is
@@ -37,6 +37,8 @@ _SERIES_CUTOFF = 0.1
 _SERIES_TOL = 1e-20
 
 _INF = math.inf
+# brentq's default (and least) relative tolerance and iteration cap
+BRENT_RTOL, BRENT_MAXITER = 4 * np.finfo(float).eps, 100
 
 
 class DomainError(ValueError):
@@ -343,6 +345,61 @@ def dhk(k: float, s: float) -> float:
     return _finite("dhk", _dhk, k, s)
 
 
+def brent_root(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+               maxiter: int) -> float:
+    """A root of f in the bracket [a, b] by Brent's method, step for step
+    the C loop of SciPy's `brentq`, so every root keeps its bits.
+
+    An end where f is 0 is returned as is.  The search stops when f is 0
+    or the bracket's half-width is below (xtol + rtol |x|) / 2.  Raises
+    ValueError when f(a) and f(b) have the same sign or f is NaN, and
+    RuntimeError when maxiter steps do not converge.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _invert_increasing(f, df, target: float, hi0: float, hi_cap: float) -> float:
     """Root of f(s) = target for increasing f with f(0) = 0, by bracketed Brent."""
     if target == 0.0:
@@ -364,7 +421,7 @@ def _invert_increasing(f, df, target: float, hi0: float, hi_cap: float) -> float
             hi = mid
         else:
             lo = mid
-    root = brentq(lambda s: f(s) - target, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    root = brent_root(lambda s: f(s) - target, lo, hi, 1e-14, 8.9e-16, BRENT_MAXITER)
     # One guarded Newton polish; the derivative is available and positive
     # in the interior.
     d = df(root)

@@ -16,10 +16,9 @@ from itertools import combinations
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .conics import Conic, RationalLike, frac
-from .kfuncs import DomainError, abar, fk, gk, hk
+from .kfuncs import BRENT_MAXITER, BRENT_RTOL, DomainError, abar, fk, gk, hk
 from .reports import Hypothesis, sturm_range
 
 Vec2 = tuple[Fraction, Fraction]
@@ -32,7 +31,8 @@ END_RTOL = 1e-12  # parameters this close to a domain end (relative) are placed 
 ON_CURVE_TOL = 1e-6  # distance from an exact candidate to its curve point, in `on_curve`
 MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
 # stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
-ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, 4 * np.finfo(float).eps, 100
+ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, BRENT_RTOL, BRENT_MAXITER
+_cKDTree = None  # scipy.spatial.cKDTree, imported by the first enumerate_near_curve
 
 
 class BudgetError(DomainError):
@@ -389,7 +389,11 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
         return enumerate_near_curve(curve, lat, tol)
     if curve.inverse is None:
         raise ValueError(f"the curve {curve.label!r} has no closed-form inverse to place points")
-    q = _float_points(lat, coords)
+    try:
+        q = _float_points(lat, coords)
+    except OverflowError:  # a candidate past the float range is far from the curve
+        coords = [c for c in coords if _fits_float(lat, c)]
+        q = _float_points(lat, coords)
     s = curve.inverse(q)  # NaN off the branch
     lo, hi = curve.domain.lo, curve.domain.hi
     band = END_RTOL * max(1.0, abs(lo), abs(hi))
@@ -412,6 +416,15 @@ def _float_points(lat: Lattice, coords: Sequence[tuple[int, int]]) -> np.ndarray
                      for m, n in coords], dtype=float).reshape(-1, 2)
 
 
+def _fits_float(lat: Lattice, coord: tuple[int, int]) -> bool:
+    """Whether the point with these lattice coordinates lies within the float range."""
+    try:
+        _float_points(lat, [coord])
+    except OverflowError:
+        return False
+    return True
+
+
 def _point_set(lat: Lattice, coords: list[tuple[int, int]], params: np.ndarray,
                exact: bool) -> LatticePointSet:
     """The points with the given coordinates and parameters, in parameter order."""
@@ -428,8 +441,9 @@ def _tangency(curve, s: np.ndarray, q: np.ndarray):
     g'(s) = |c'(s)|^2 + (c(s) - q) . c''(s), and c(s) - q."""
     r = curve.point(s) - q
     d1, d2, _ = curve.derivatives(s)
-    g = r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1]
-    dg = d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1] + r[:, 0] * d2[:, 0] + r[:, 1] * d2[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a Newton step on inf or NaN bisects
+        g = r[:, 0] * d1[:, 0] + r[:, 1] * d1[:, 1]
+        dg = d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1] + r[:, 0] * d2[:, 0] + r[:, 1] * d2[:, 1]
     return g, dg, r
 
 
@@ -501,12 +515,15 @@ def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9) -> LatticePoint
     where minimising the squared distance would only fix it to about
     sqrt(eps) |p|.
     """
+    global _cKDTree
+    if _cKDTree is None:
+        from scipy.spatial import cKDTree as _cKDTree
     ss = np.linspace(curve.domain.lo, curve.domain.hi, CLOSEST_SAMPLES)
     pts = curve.point(ss)
     coords = _window_coords(lat, pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5)
     reach = tol + float(np.max(np.hypot(*np.diff(pts, axis=0).T)))
     q = _float_points(lat, coords)
-    _, i = cKDTree(pts).query(q)
+    _, i = _cKDTree(pts).query(q)
     near = np.flatnonzero(np.sum((pts[i] - q) ** 2, axis=1) <= reach * reach)
     q, i = q[near], i[near]
     lo, mid, hi = ss[np.maximum(i - 1, 0)], ss[i], ss[np.minimum(i + 1, len(ss) - 1)]

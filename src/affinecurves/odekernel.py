@@ -10,9 +10,11 @@ a cross-validation oracle against direct integration.  The comparison
 theorems read K only there, so each column is solved rightward from r.
 
 Kernel columns, read at arbitrary points, are DOP853 solves with dense
-output.  Solves read only on a fixed grid (forward-positivity, the
-comparison solves, the reference area) are products of step propagators
-instead: over each grid interval,
+output.  SciPy loads on the first such solve (and on the first
+`KernelSolution` read, for its quadrature), not with this module, so the
+Magnus paths below run without it.  Solves read only on a fixed grid
+(forward-positivity, the comparison solves, the reference area) are
+products of step propagators instead: over each grid interval,
 fourth-order Magnus steps exp(Omega) of the companion system u' = A u,
 with A read at each step's ends and midpoint, carry the state from one
 grid point to the next, and a forcing f rides along as a constant last
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.integrate import solve_ivp as _sp_solve_ivp
 
 from .kfuncs import Interval
 from .reports import BoundReport, Hypothesis
@@ -56,6 +56,10 @@ READ_RTOL = 1e-9  # how far a StepReader's Runge-Kutta reads may stray from its 
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
 CoeffLike = float | Callable[[float], float]
+# SciPy's solve_ivp and quad, imported by the first dop853 and the first
+# KernelSolution read: importing scipy.integrate takes about half a second
+_sp_solve_ivp = None
+_quad = None
 
 
 class SolverError(RuntimeError):
@@ -220,7 +224,10 @@ def dop853(fun: Callable[[float, np.ndarray], np.ndarray], t0: float, t_end: flo
     """The one DOP853 solve of the package: scipy's solver from t0 to t_end
     with dense output, read through a DenseReader.  SolverError when
     scipy fails or the solve needs more than MAX_RHS_EVALS right-hand
-    sides."""
+    sides.  SciPy is imported by the first solve."""
+    global _sp_solve_ivp
+    if _sp_solve_ivp is None:
+        from scipy.integrate import solve_ivp as _sp_solve_ivp
     evals = 0
 
     def rhs(s, u):
@@ -751,7 +758,10 @@ class KernelSolution:
             raise ValueError("derivative order exceeds kernel differentiability")
         if s == self.r:
             return 0.0
-        val, err = quad(
+        global _quad
+        if _quad is None:
+            from scipy.integrate import quad as _quad
+        val, err = _quad(
             lambda t: self.kernel(s, t, deriv) * self.forcing(t),
             self.r, s, epsabs=KERNEL_QUAD_TOL, epsrel=1e-10, limit=200,
         )

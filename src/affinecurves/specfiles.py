@@ -92,8 +92,11 @@ def _interval(values, what: str = "domain") -> Interval:
 def _poly_fns(coeffs: Sequence[float], orders: int):
     """Closures for a polynomial and its derivatives (ascending coeffs)."""
     cs = [np.asarray(coeffs, dtype=float)]
-    for _ in range(orders):
-        cs.append(npoly.polyder(cs[-1]))
+    with np.errstate(over="ignore"):
+        for _ in range(orders):
+            cs.append(npoly.polyder(cs[-1]))
+    if not all(np.isfinite(c).all() for c in cs):
+        raise SpecError(f"the derivatives of the polynomial {list(coeffs)} leave the float range")
     return [functools.partial(_horner, tuple(c.tolist())) for c in cs]
 
 

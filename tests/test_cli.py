@@ -401,6 +401,116 @@ class TestCurvatureIVPFuzz:
                     assert len(err.getvalue().splitlines()) == 1, (command, spec)
 
 
+# spec numbers: small integers, moderate floats, and powers of ten up to
+# and past the float range
+_SPEC_NUMBER = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+    st.builds(lambda sign, e: f"{sign}1e{e}", st.sampled_from(("", "-")), st.integers(-330, 330)),
+)
+_POSITIVE = st.one_of(st.floats(1e-3, 10.0).map(repr),
+                      st.integers(-330, 330).map(lambda e: f"1e{e}"))
+_DOMAIN = st.builds(lambda lo, width: [repr(lo), repr(lo + width)],
+                    st.one_of(st.floats(-5.0, 5.0), st.floats(-1e8, 1e8)),
+                    st.one_of(st.floats(1e-9, 4.0), st.floats(4.0, 60.0)))
+_SMALL_DECIMAL = st.integers(-30, 30).map(lambda n: repr(n / 10))
+
+
+def _conic_through(coeffs, seed):
+    """A conic spec whose constant term puts the decimal seed on it."""
+    a, b, c, d, e = (Fraction(v) for v in coeffs)
+    x, y = (Fraction(v) for v in seed)
+    f = -(a * x * x + b * x * y + c * y * y + d * x + e * y)
+    return [*coeffs, str(f)], seed
+
+
+_FUZZ_SPECS = {
+    "conic": st.builds(
+        lambda cs, dom: {"type": "conic", "coeffs": cs[0], "seed": cs[1], "domain": dom},
+        st.builds(_conic_through, st.lists(_SMALL_DECIMAL, min_size=5, max_size=5),
+                  st.lists(_SMALL_DECIMAL, min_size=2, max_size=2)),
+        _DOMAIN),
+    "parabola": st.builds(lambda c, dom: {"type": "parabola", "coeffs": c, "domain": dom},
+                          st.tuples(_SPEC_NUMBER, _SPEC_NUMBER, _POSITIVE).map(list), _DOMAIN),
+    # mostly convex: a positive x^2 term and a non-negative x^4 term, if any
+    "graph": st.builds(lambda c, top, dom: {"type": "graph", "coeffs": c + top, "domain": dom},
+                       st.tuples(_SPEC_NUMBER, _SPEC_NUMBER, _POSITIVE, _SPEC_NUMBER).map(list),
+                       st.lists(_POSITIVE, max_size=1), _DOMAIN),
+    "constant-curvature": st.builds(
+        lambda k, dom: {"type": "constant-curvature", "k": k, "domain": dom},
+        _SPEC_NUMBER, _DOMAIN),
+}
+# the standard lattice and a sheared one with a shifted origin
+_FUZZ_LATTICES = ({"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]},
+                  {"v0": ["1/2", "0"], "v1": ["1", "0"], "v2": ["2/3", "1"]})
+
+
+def _check_count_and_area(spec):
+    """`count` on both lattices and `area`: a documented exit code, no NaN
+    or infinity printed with a result (exit 0 or 4), and one stderr line
+    on error (no traceback, no warning)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "curve.json", spec)
+        lattices = [write_json(Path(tmp) / f"lat{i}.json", lat)
+                    for i, lat in enumerate(_FUZZ_LATTICES)]
+        for argv in [["count", path, lat] for lat in lattices] + [["area", path]]:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv[0], spec, err.getvalue())
+            if code in (0, 4):  # a result; 4 is an inconclusive certificate
+                assert "nan" not in out.getvalue().lower(), (argv[0], spec)
+                assert "inf" not in out.getvalue().lower(), (argv[0], spec)
+                assert err.getvalue() == "", (argv[0], spec)
+            else:
+                assert len(err.getvalue().splitlines()) == 1, (argv[0], spec)
+
+
+class TestCountAreaFuzz:
+    """Whole `count` and `area` commands on generated conic, parabola,
+    graph and constant-curvature specs (see `_check_count_and_area`)."""
+
+    @pytest.mark.parametrize("kind", list(_FUZZ_SPECS))
+    def test_count_and_area(self, kind):
+        @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @given(spec=_FUZZ_SPECS[kind])
+        def check(spec):
+            _check_count_and_area(spec)
+
+        check()
+
+    @pytest.mark.parametrize("spec", [
+        # derivative coefficients past the float range (polyder)
+        {"type": "graph", "coeffs": ["4", "-1e7", "1e308", "1e0"], "domain": ["0.0", "1e-09"]},
+        # the area pass's error threshold past the float range
+        {"type": "parabola", "coeffs": ["0.7048309849105223", "-3", "1e272"],
+         "domain": ["-8545444.071322918", "-8545432.071322918"]},
+        # a power of c' wedge c'' past the float range
+        {"type": "graph", "coeffs": ["-1.5", "-1e-86", "-1e-167", "0", "4"],
+         "domain": ["-1.655705199876348e-78", "2.7478196422054912"]},
+        # the t(s) solve stepping left of the arc, where f'' < 0
+        {"type": "graph", "coeffs": ["2", "0", "2.225073858507e-311", "2"],
+         "domain": ["2.225073858507e-311", "554.5412108366836"]},
+        # exact candidates past the float range
+        {"type": "constant-curvature", "k": "1e-312", "domain": ["0.0", "1e-09"]},
+        {"type": "parabola", "coeffs": ["1e307", "1e307", "1e307"],
+         "domain": ["1.098041925135464e-129", "1.9771344588278663"]},
+        # derivative reads past the float range
+        {"type": "graph", "coeffs": ["1e302", "1e-316", "3", "-1e254", "1.8885164879443668"],
+         "domain": ["-75802680.54157768", "-75802677.85110967"]},
+        # f'' < 0 between the checked samples, inside the arc-length quadrature
+        {"type": "graph", "coeffs": ["-3", "4", "-1", "3", "3.032408993458679"],
+         "domain": ["-4.131725810342692", "606.986575215738"]},
+        # tangency products past the float range
+        {"type": "graph", "coeffs": ["1e248", "0", "1e231", "1e0"],
+         "domain": ["0.0", "1.274746842301254"]},
+    ])
+    def test_found_inputs(self, spec):
+        _check_count_and_area(spec)
+
+
 class TestVerify:
     def test_thm41_sweep_holds(self, capsys):
         assert main(["verify", "thm4.1", "--k0", "-1", "--k1", "0",

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
+from affinecurves import curve as curve_mod
 from affinecurves import kfuncs, odekernel
 from affinecurves.conics import Conic
 from affinecurves.curve import (
@@ -28,7 +29,7 @@ from affinecurves.curve import (
     reparam_unit_speed,
     wedge,
 )
-from affinecurves.kfuncs import DomainError, Interval, abar, sk, ybar
+from affinecurves.kfuncs import DomainError, Interval, abar, brent_root, sk, ybar
 from affinecurves.odekernel import SolverError
 from affinecurves.specfiles import parse_curve_spec
 
@@ -571,6 +572,29 @@ class TestGraphingSetOracle:
         for s0 in s0s:
             got, want = graphing_parameter_set(curve, s0), _graphing_set_by_steps(curve, s0)
             assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+class TestGraphingSetRoots:
+    def test_each_root_equals_scipy_brentq(self, monkeypatch):
+        """Every x' zero that `graphing_parameter_set` brackets is the bits
+        SciPy's brentq gives on the same bracket and tolerances."""
+        calls = []
+
+        def spy(f, a, b, xtol, rtol, maxiter):
+            got = brent_root(f, a, b, xtol, rtol, maxiter)
+            assert got.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter).hex()
+            calls.append((a, b))
+            return got
+
+        monkeypatch.setattr(curve_mod, "brent_root", spy)
+        rng = np.random.default_rng(22)
+        curves = [constant_curvature_curve(9.0, Interval(-1.7, 2.3)),
+                  reconstruct_from_curvature(lambda s: 2.0 + 1.5 * math.sin(3.0 * s),
+                                             Interval(-2.5, 2.5))]
+        for curve in curves:
+            for s0 in rng.uniform(curve.domain.lo, curve.domain.hi, 12):
+                graphing_parameter_set(curve, float(s0))
+        assert len(calls) >= 24
 
 
 class TestArrayPosition:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from affinecurves import kfuncs
 from affinecurves.kfuncs import (
     DomainError,
     abar,
+    brent_root,
     ck,
     dck,
     fk,
@@ -331,3 +333,82 @@ class TestArrayReads:
                 break
         else:
             pytest.fail("no scalar read raises")
+
+
+# Functions for the root-finder oracle, each from four coefficients in [-2, 2]
+_ROOT_FAMILIES = [
+    lambda c: lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3],
+    lambda c: lambda x: math.exp(c[0] * x) - abs(c[1]) - 0.5,
+    lambda c: lambda x: math.atan(c[0] * (x - c[1])) + 0.1 * c[2],
+    lambda c: lambda x: math.tanh(8.0 * (x - c[0])) * (1.0 + c[1] ** 2),
+    lambda c: lambda x: (x - c[0]) ** 5 + 1e-3 * c[1],  # flat at its root
+    lambda c: lambda x: math.sin(3.0 * x + c[0]) + 0.5 * c[1],
+    lambda c: lambda x: 1.0 if x > c[0] else -1.0,  # a sign change at a jump, no zero
+]
+
+
+def _brentq_outcome(solver, f, a, b, xtol, rtol, maxiter):
+    """The root's bits, or the type of the exception raised."""
+    try:
+        return solver(f, a, b, xtol, rtol, maxiter).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _scipy_brentq(f, a, b, xtol, rtol, maxiter):
+    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+class TestBrentRoot:
+    """`brent_root` against SciPy's brentq, kept as its oracle here only."""
+
+    def test_random_brackets_bit_equal(self):
+        rng = np.random.default_rng(20)
+        outcomes = []
+        for _ in range(3000):
+            f = _ROOT_FAMILIES[rng.integers(len(_ROOT_FAMILIES))](rng.uniform(-2.0, 2.0, 4))
+            a, b = rng.uniform(-4.0, 4.0, 2).tolist()  # either order
+            tols = (float(rng.choice([1e-15, 1e-12, 1e-10, 1e-6, 5e-324])),
+                    float(rng.choice([kfuncs.BRENT_RTOL, 8.9e-16, 1e-9])),
+                    int(rng.choice([100, 100, 100, 6])))
+            want = _brentq_outcome(_scipy_brentq, f, a, b, *tols)
+            assert _brentq_outcome(brent_root, f, a, b, *tols) == want, (a, b, tols)
+            outcomes.append(want if isinstance(want, type) else float)
+        # roots, same-sign brackets and non-convergence all occur
+        assert all(outcomes.count(kind) > 50 for kind in (float, ValueError, RuntimeError))
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, kfuncs.BRENT_RTOL, 100)
+        with pytest.raises(RuntimeError):
+            brent_root(lambda x: x ** 3 - 2.0, 0.0, 2.0, 1e-12, kfuncs.BRENT_RTOL, 3)
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0,
+                       1e-12, kfuncs.BRENT_RTOL, 100)
+
+    @pytest.mark.parametrize("a, b", [(1.5, 3.0), (0.0, 1.5), (1.5, -1.0), (-1.0, -1.5)])
+    def test_root_at_a_bracket_end_is_returned_as_is(self, a, b):
+        f = lambda x: x * x - 2.25  # noqa: E731
+        got = brent_root(f, a, b, 1e-3, kfuncs.BRENT_RTOL, 100)
+        assert got == (a if f(a) == 0.0 else b)
+        assert got.hex() == _scipy_brentq(f, a, b, 1e-3, kfuncs.BRENT_RTOL, 100).hex()
+
+    def test_gk_fk_inversions(self, monkeypatch):
+        """Every root behind gk and fk is the bits SciPy's brentq gives on
+        the same function, bracket, tolerances and cap."""
+        calls = []
+
+        def spy(f, a, b, xtol, rtol, maxiter):
+            got = brent_root(f, a, b, xtol, rtol, maxiter)
+            assert got.hex() == _scipy_brentq(f, a, b, xtol, rtol, maxiter).hex(), (a, b)
+            calls.append((a, b))
+            return got
+
+        monkeypatch.setattr(kfuncs, "brent_root", spy)
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            k = float(rng.choice([rng.uniform(-30.0, 30.0), rng.uniform(-1e-3, 1e-3), 0.0]))
+            s = rng.uniform(0.0, min(profile_interval(k).hi, 6.0))
+            gk(k, hk(k, s) * rng.uniform(0.5, 1.0))
+            fk(k, abar(k, s) * rng.uniform(0.5, 1.0))
+        assert len(calls) >= 500
