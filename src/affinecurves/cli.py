@@ -50,7 +50,7 @@ from .odekernel import (
     oscillator_op,
     third_order_op,
 )
-from .reports import sturm_range, swept_area_quadrature
+from .reports import Hypothesis, sturm_range, swept_area_quadrature
 from .sharp_instances import (
     circle_instance,
     hyperbola_general_instance,
@@ -378,6 +378,11 @@ def cmd_count(args) -> int:
         cert = COUNT_BOUNDS[args.theorem](*bound_args)
 
     count = len(points)
+    if not points.exact and cert.bound is not None and count > cert.bound:
+        # floats cannot certify a violation: the points may be near the curve, not on it
+        cert.hypotheses.append(Hypothesis("exact-membership", False,
+                                          f"count {count} > bound {cert.bound} by {tol:g} "
+                                          "proximity membership"))
     payload = {
         "certificate": cert.to_dict(),
         "count": count,

@@ -15,12 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kfuncs import BRENT_MAXITER, BRENT_RTOL, DomainError, Interval, brent_root, ck, sk, ybar
-from .odekernel import StepReader, dop853, third_order_op, values_at
+from . import odekernel
+from .odekernel import SolverError, StepReader, third_order_op, values_at
 
 Vec = np.ndarray
-
-QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
-_quad = None  # scipy.integrate.quad, imported by the first affine_arclength
 
 
 class OrientationError(ValueError):
@@ -52,14 +50,24 @@ def _each(fn: Callable[[float], float], s: float | np.ndarray) -> float | np.nda
     return fn(s)
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e entry by entry with the scalar libm pow: NumPy's vectorised
-    power can differ from it in the last bit (AVX-512 builds), and array
-    reads must equal scalar reads bit for bit."""
+def _power(v: float, e: float) -> float:
+    """v ** e with the scalar libm pow, for v = c' wedge c'' or a power of
+    it: v <= 0 is an OrientationError, a result past the float range a
+    DomainError."""
+    if not v > 0.0:
+        raise OrientationError(f"c' wedge c'' = {v} <= 0; need a positively oriented "
+                               "locally convex arc")
     try:
-        return _each(lambda v: v ** e, x)
+        return v ** e
     except OverflowError:
         raise DomainError("the curve's derivatives leave the float range") from None
+
+
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """`_power` entry by entry: NumPy's vectorised power can differ from
+    libm's in the last bit (AVX-512 builds), and array reads must equal
+    scalar reads bit for bit."""
+    return _each(lambda v: _power(v, e), x)
 
 
 @dataclass(frozen=True)
@@ -249,65 +257,159 @@ def parabola_curve(interval: Interval) -> AffineCurve:
     return constant_curvature_curve(0.0, interval, label="parabola")
 
 
-def _min_speed_check(raw: ParametricCurve, t0: float, t1: float) -> None:
-    ts = np.linspace(t0, t1, 257)
-    g = _wedge_rows(raw.rows(raw.d1, ts), raw.rows(raw.d2, ts))
-    bad = np.flatnonzero(g <= 0.0)
-    if bad.size:
-        raise OrientationError(
-            f"c' wedge c'' = {g[bad[0]]} <= 0 at t = {ts[bad[0]]}; need a positively "
-            "oriented locally convex arc")
+def _monomials_of_chebyshev(n: int) -> np.ndarray:
+    """Column k: the monomial coefficients of T_k, k <= n, by the recurrence
+    T_k = 2 x T_k-1 - T_k-2 (integers, so exact)."""
+    m = np.eye(n + 1)
+    for k in range(2, n + 1):
+        m[:, k] = np.append(0.0, 2.0 * m[:-1, k - 1]) - m[:, k - 2]
+    return m
+
+
+# Panels of the arc-length integral: the ARC_DEGREE + 1 Chebyshev points
+# of the second kind on [-1, 1], ascending; the matrices that take values
+# there to Chebyshev coefficients (the discrete cosine transform of the
+# points) and Chebyshev to monomial coefficients; the Clenshaw-Curtis
+# weights; and the integral from -1 to each point
+ARC_DEGREE = 16
+ARC_PANELS = 8    # equal panels of [t0, t1] before refinement
+ARC_RTOL = 1e-14  # the resolution each panel must reach (see _arclength_table)
+_CX = np.sin(np.pi * np.arange(-ARC_DEGREE, ARC_DEGREE + 1, 2) / (2 * ARC_DEGREE))
+_TO_CHEB = (2.0 / ARC_DEGREE) * np.cos(np.outer(np.arange(ARC_DEGREE + 1),
+                                                np.pi * np.arange(ARC_DEGREE, -1, -1) / ARC_DEGREE))
+_TO_CHEB[:, [0, -1]] *= 0.5
+_TO_CHEB[[0, -1]] *= 0.5
+_TO_MONO = _monomials_of_chebyshev(ARC_DEGREE)
+_POWERS = np.arange(1, ARC_DEGREE + 2)
+_CC_WEIGHTS = np.zeros(ARC_DEGREE + 1)  # the integrals of T_k, then of the interpolant's basis
+_CC_WEIGHTS[::2] = 2.0 / (1.0 - np.arange(0.0, ARC_DEGREE + 1, 2) ** 2)
+_CC_WEIGHTS = _CC_WEIGHTS @ _TO_CHEB
+_CUMULATIVE = ((_CX[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS) @ _TO_MONO @ _TO_CHEB
+
+
+def _arclength_table(raw: ParametricCurve, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The affine arc length s(t) = integral_t0^t (c' wedge c'')^(1/3) dt on
+    t0 < t1 and its inverse t(s), as panels: their ends in s, from 0 to the
+    arc length, and per panel the monomial coefficients of t in the local
+    variable u = (s - centre) / half-width, shaped (panels, ARC_DEGREE + 1).
+
+    [t0, t1] starts as ARC_PANELS equal panels.  On each panel the
+    integrand is read at the Chebyshev points in one array call of d1 and
+    d2 per level, and its interpolant is integrated in closed form.  The
+    inverse is found at the Chebyshev points in s of the panel's s-range,
+    by Newton's method on the integrated interpolant from a linear guess.
+    A panel is accepted when the last two Chebyshev coefficients of the
+    integrand sum to at most ARC_RTOL times its largest value, those of
+    the inverse (in the local variables) to at most ARC_RTOL, and Newton
+    has converged; otherwise it is halved, unless it is already too short
+    to halve.  c' wedge c'' <= 0 at a node is an OrientationError, a value
+    that is not finite a DomainError, and more node reads than
+    odekernel.MAX_RHS_EVALS a SolverError."""
+    ends = np.linspace(t0, t1, ARC_PANELS + 1)
+    lo, hi = ends[:-1], ends[1:]
+    done, reads = [], 0
+    while len(lo):
+        reads += lo.size * _CX.size
+        if reads > odekernel.MAX_RHS_EVALS:
+            raise SolverError(f"the arc-length panels from t = {t0} passed "
+                              f"{odekernel.MAX_RHS_EVALS} right-hand side evaluations near "
+                              f"t = {lo[0]}; the arc is too rough to resolve")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = mid[:, None] + half[:, None] * _CX
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _wedge_rows(raw.rows(raw.d1, t.ravel()), raw.rows(raw.d2, t.ravel()))
+        if not np.isfinite(g).all():
+            raise DomainError("c' wedge c'' leaves the float range at t = "
+                              f"{t.ravel()[np.argmin(np.isfinite(g))]}")
+        bad = np.flatnonzero(g <= 0.0)
+        if bad.size:
+            raise OrientationError(f"c' wedge c'' = {g[bad[0]]} <= 0 at t = {t.ravel()[bad[0]]}; "
+                                   "need a positively oriented locally convex arc")
+        w = np.cbrt(g).reshape(t.shape)
+        c = w @ _TO_CHEB.T
+        total = w @ _CC_WEIGHTS  # the integral over the local variable's [-1, 1]
+        a = c @ _TO_MONO.T
+        lift = a / _POWERS  # the integral from -1 is lift . (x^k - (-1)^k), k = 1..17
+        base = lift @ (-1.0) ** _POWERS
+        # the inverse at the panel's Chebyshev points in s, where the
+        # integral reaches its share (1 + x) / 2 of the total: first linearly
+        # between its shares at the points in t (panel p shifted by 2p, so
+        # that one interpolation serves all panels), then by Newton's method
+        share, shift = 0.5 * (1.0 + _CX), 2.0 * np.arange(len(lo))[:, None]
+        known = (w @ _CUMULATIVE.T) / total[:, None]
+        x = np.interp((share + shift).ravel(), (known + shift).ravel(),
+                      (_CX + shift).ravel()).reshape(t.shape) - shift
+        want = share * total[:, None] + base[:, None]
+        for _ in range(8):
+            powers = np.cumprod(np.broadcast_to(x[..., None], x.shape + (_POWERS.size,)), axis=-1)
+            value = (powers @ lift[..., None])[..., 0]
+            slope = a[:, :1] + (powers[..., :-1] @ a[:, 1:, None])[..., 0]
+            step = (value - want) / slope
+            x = np.clip(x - step, -1.0, 1.0)
+            moved = np.abs(step).max(axis=1)
+            if moved.max() <= 1e-13:
+                break
+        x[:, 0], x[:, -1] = -1.0, 1.0
+        d = x @ _TO_CHEB.T
+        ok = ((np.abs(c[:, -2:]).sum(axis=1) <= ARC_RTOL * w.max(axis=1))
+              & (np.abs(d[:, -2:]).sum(axis=1) <= ARC_RTOL) & (moved <= 1e-13))
+        split = ~ok & (lo < mid) & (mid < hi)
+        coef = half[:, None] * (d @ _TO_MONO.T)
+        coef[:, 0] += mid
+        keep = ~split
+        done.append((lo[keep], half[keep] * total[keep], coef[keep]))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+    lo, length, coef = (np.concatenate(v) for v in zip(*done))
+    order = np.argsort(lo)
+    edges = np.concatenate(([0.0], np.cumsum(length[order])))
+    if not (np.isfinite(edges[-1]) and edges[-1] > 0.0):
+        raise DomainError(f"the affine arc length {edges[-1]} is not a positive float")
+    # panels too short for the sum to tell their ends apart are never read
+    keep = 0.5 * np.diff(edges) > 0.0
+    return np.append(0.0, edges[1:][keep]), coef[order][keep]
 
 
 def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
-    """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]."""
-    global _quad
-    if _quad is None:
-        from scipy.integrate import quad as _quad
-    _min_speed_check(raw, t0, t1)
-
-    def speed(t: float) -> float:
-        g = wedge(raw.d1(t), raw.d2(t))
-        if g < 0.0:  # between the checked samples
-            raise OrientationError(f"c' wedge c'' = {g} < 0 at t = {t}; need a positively "
-                                   "oriented locally convex arc")
-        return g ** (1.0 / 3.0)
-
-    val, _ = _quad(speed, t0, t1, **QUAD_KW)
-    return val
+    """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]: the sum of the
+    panels of `_arclength_table`."""
+    return float(_arclength_table(raw, t0, t1)[0][-1])
 
 
 def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
                        label: str = "") -> AffineCurve:
     """Reparameterize a locally convex arc by affine arc length.
 
-    The parameter change t(s) solves dt/ds = (c' wedge c'')^(-1/3) with
-    dense output.  The third spatial derivative uses the raw fourth
-    derivative when supplied and a finite-difference fallback otherwise.
+    The parameter change t(s) is the inverse of s(t), the integral of
+    (c' wedge c'')^(1/3), stored when the curve is built as the panels of
+    `_arclength_table`: a read of t(s) at each entry of an array is a
+    search for its panel and Horner's rule on the panel's coefficients,
+    and a float is read as an array of one entry, so an array read equals
+    the stacked scalar reads bit for bit.  s is clipped to the domain
+    [0, lambda] and t to [t0, t1].  The third spatial derivative
+    uses the raw fourth derivative when supplied and a finite-difference
+    fallback otherwise.
     """
     if raw.d3 is None:
         raise ValueError("reparameterization needs three raw derivatives")
-    lam = affine_arclength(raw, t0, t1)
-
-    def rate(s: float, t: np.ndarray) -> float:
-        """dt/ds; a solver stage can stray past the arc, where the curve
-        need not be convex."""
-        g = wedge(raw.d1(t[0]), raw.d2(t[0]))
-        if not g > 0.0:
-            raise OrientationError(f"c' wedge c'' = {g} <= 0 at t = {t[0]}, which the "
-                                   "arc-length solve reached")
-        return g ** (-1.0 / 3.0)
-
-    t_of_s = dop853(rate, 0.0, lam, [t0], 1e-11, 1e-13)
+    edges, coef = _arclength_table(raw, t0, t1)
+    lam = float(edges[-1])
     domain = Interval(0.0, lam)
+    centre, width = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    last = len(coef) - 1
 
     def t_at(s: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(s, np.ndarray):
-            return np.clip(t_of_s.read(np.clip(s, 0.0, lam))[0], min(t0, t1), max(t0, t1))
-        return float(np.clip(t_of_s.entry(np.clip(s, 0.0, lam), 0), min(t0, t1), max(t0, t1)))
+        if not isinstance(s, np.ndarray):  # the array read of one entry, so the same bits
+            return float(t_at(np.array([s], dtype=float))[0])
+        s = np.clip(s, 0.0, lam)
+        j = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, last)
+        u, cj = (s - centre[j]) / width[j], coef[j]
+        t = cj[:, -1]
+        for k in range(ARC_DEGREE - 1, -1, -1):
+            t = t * u + cj[:, k]
+        return np.clip(t, min(t0, t1), max(t0, t1))
 
     def position(s: float | np.ndarray) -> Vec:
-        if isinstance(s, np.ndarray):  # one dense-output read for all the points
+        if isinstance(s, np.ndarray):  # one read of t(s) for all the points
             return raw.rows(raw.position, t_at(s))
         return np.asarray(raw.position(t_at(s)), dtype=float)
 
@@ -318,10 +420,11 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         c3 = np.asarray(raw.d3(t), dtype=float)
         gv = wedge(c1, c2)
         gp = wedge(c1, c3)
-        tp = gv ** (-1.0 / 3.0)
-        tpp = -(1.0 / 3.0) * gp * gv ** (-5.0 / 3.0)
-        d1 = c1 * tp
-        d2 = c2 * tp * tp + c1 * tpp
+        tp = _power(gv, -1.0 / 3.0)
+        tpp = -(1.0 / 3.0) * gp * _power(gv, -5.0 / 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in derivatives
+            d1 = c1 * tp
+            d2 = c2 * tp * tp + c1 * tpp
         return t, c1, c2, c3, gv, gp, tp, tpp, d1, d2
 
     def gamma2(s: float) -> Vec:
@@ -334,15 +437,19 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         if raw.d4 is not None:
             c4 = np.asarray(raw.d4(t), dtype=float)
             gpp = wedge(c2, c3) + wedge(c1, c4)
-            tppp = (5.0 / 9.0) * gp * gp * gv ** (-3.0) - (1.0 / 3.0) * gpp * gv ** (-2.0)
-            d3 = c3 * tp ** 3 + 3.0 * c2 * tp * tpp + c1 * tppp
+            with np.errstate(over="ignore", invalid="ignore"):
+                tppp = ((5.0 / 9.0) * gp * gp * _power(gv, -3.0)
+                        - (1.0 / 3.0) * gpp * _power(gv, -2.0))
+                d3 = c3 * _power(tp, 3) + 3.0 * c2 * tp * tpp + c1 * tppp
         else:
             d3 = _fd_vector(gamma2, s, domain)
+        if not all(np.isfinite(d).all() for d in (d1, d2, d3)):
+            raise DomainError("the curve's derivatives leave the float range")
         return d1, d2, d3
 
     def derivative_rows(s: np.ndarray):
         """`derivatives` at each entry of s: the scalar arithmetic above,
-        done column-wise after one dense-output read of t(s).  Scalar reads
+        done column-wise after one array read of t(s).  Scalar reads
         keep their own path, which is the faster one for the root-finders
         that call it point by point."""
         t = t_at(s)

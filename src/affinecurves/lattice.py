@@ -315,6 +315,27 @@ def _integer_roots_quadratic(a: int, b: int, c: int) -> list[int]:
     return sorted({(s - b) // (2 * a) for s in (r, -r) if (s - b) % (2 * a) == 0})
 
 
+def _cleared_in_lattice(arc: ConicArc, lat: Lattice) -> tuple[list[int], list[list[int]]]:
+    """The arc's conic (a, b, c, d, e, f) and constraints (g1, g2, g0) in
+    the lattice coordinates (m, n), each cleared to integers: a positive
+    multiple of the exact substitution.  With the lattice cleared,
+    den (x, y, 1) = T (m, n, 1) for an integer matrix T, so the cleared
+    conic's doubled matrix 2S becomes T^t (2S) T and a cleared constraint g
+    becomes g T, in Python integers."""
+    cleared = [_cleared((g.g1, g.g2, g.g0)) for g in arc.constraints]
+    a, b, c, d, e, f = _cleared((arc.conic.a, arc.conic.b, arc.conic.c,
+                                 arc.conic.d, arc.conic.e, arc.conic.f))
+    if arc.frame == "lattice":
+        return [a, b, c, d, e, f], cleared
+    den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
+    t = ((x1, x2, x0), (y1, y2, y0), (0, 0, den))
+    s2 = ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
+    st = [[sum(s2[i][k] * t[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    q = [[sum(t[k][i] * st[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    gs = [[sum(g[k] * t[k][j] for k in range(3)) for j in range(3)] for g in cleared]
+    return [q[0][0] // 2, q[0][1], q[1][1] // 2, q[0][2], q[1][2], q[2][2] // 2], gs
+
+
 def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
     """Complete enumeration of lattice points on the arc.
 
@@ -323,30 +344,20 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
     roots are found exactly; the constraints are then tested exactly.
     Every column of the range is visited, so the scan is complete.
 
-    The arithmetic is over Python integers.  Before the scan the conic is
-    multiplied by the positive lcm L of its six denominators, and each
-    constraint by the lcm of its own.  Scaling by L > 0 keeps the roots of
-    each column's quadratic and the sign of each constraint, and it
+    The arithmetic is over Python integers: the conic and each constraint
+    are taken to lattice coordinates and cleared to integers by
+    `_cleared_in_lattice`.  Scaling by a positive integer L keeps the roots
+    of each column's quadratic and the sign of each constraint, and it
     multiplies the discriminant by L^2: so the rational discriminant is a
     rational square exactly when the integer one is an integer square, and
     the roots (-b +- r) / 2a are the same rationals.  A range of more than
     MAX_SCAN_COLUMNS columns raises BudgetError before the scan.
     """
-    if arc.frame == "lattice":
-        conic_mn = arc.conic
-        constraints_mn = arc.constraints
-    else:
-        sub = _lattice_substitution(lat)
-        conic_mn = arc.conic.substituted(sub)
-        constraints_mn = tuple(g.substituted(sub) for g in arc.constraints)
-
     m_lo, m_hi = _m_scan_range(arc, lat)
     if m_hi - m_lo > MAX_SCAN_COLUMNS:
         raise BudgetError(f"the arc crosses {m_hi - m_lo + 1} lattice columns; "
                           f"the scan budget is {MAX_SCAN_COLUMNS}")
-    a, b, c, d, e, f = _cleared((conic_mn.a, conic_mn.b, conic_mn.c,
-                                 conic_mn.d, conic_mn.e, conic_mn.f))
-    gs = [_cleared((g.g1, g.g2, g.g0)) for g in constraints_mn]
+    (a, b, c, d, e, f), gs = _cleared_in_lattice(arc, lat)
     found: list[tuple[int, int]] = []
     for m in range(m_lo, m_hi + 1):
         for n in _integer_roots_quadratic(c, b * m + e, (a * m + d) * m + f):
@@ -481,9 +492,22 @@ def _tangency_roots(curve, q: np.ndarray, lo: np.ndarray, s: np.ndarray, hi: np.
 
 def _box_coord_ranges(lat: Lattice, xs, ys) -> tuple[int, int, int, int]:
     """floor(min m), ceil(max m), floor(min n), ceil(max n) over the lattice
-    coordinates (m, n) of the four corners of the box xs x ys."""
-    ms, ns = zip(*(lat.coords_of((Fraction(x), Fraction(y))) for x in xs for y in ys))
-    return math.floor(min(ms)), math.ceil(max(ms)), math.floor(min(ns)), math.ceil(max(ns))
+    coordinates (m, n) of the four corners of the box xs x ys, in Python
+    integers: with x = p / q and y = r / u exactly and the lattice cleared,
+    m and n are quotients of integers over det q u, det the determinant of
+    the cleared generators."""
+    den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
+    det = x1 * y2 - y1 * x2
+    ms, ns = [], []
+    for x in xs:
+        p, q = float(x).as_integer_ratio()
+        for y in ys:
+            r, u = float(y).as_integer_ratio()
+            dx, dy, div = (den * p - x0 * q) * u, (den * r - y0 * u) * q, det * q * u
+            ms.append((dx * y2 - dy * x2, div))
+            ns.append((x1 * dy - y1 * dx, div))
+    return (min(a // b for a, b in ms), max(-(-a // b) for a, b in ms),
+            min(a // b for a, b in ns), max(-(-a // b) for a, b in ns))
 
 
 def _window_coords(lat: Lattice, lo, hi) -> list[tuple[int, int]]:

@@ -46,9 +46,10 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 POSITIVITY_GRID = 201
 KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
-# Right-hand-side evaluations (DOP853) or coefficient node reads (Magnus)
-# one solve may take before it fails with SolverError; the largest solve of
-# the test suite takes about 39 000.
+# Right-hand-side evaluations (DOP853), coefficient node reads (Magnus) or
+# integrand reads (the arc-length panels of curve.reparam_unit_speed) one
+# solve may take before it fails with SolverError; the largest solve of the
+# test suite takes about 39 000.
 MAX_RHS_EVALS = 200_000
 DENSE_GRID = 16  # the intervals of each side of a StepReader before refinement
 READ_RTOL = 1e-9  # how far a StepReader's Runge-Kutta reads may stray from its Magnus steps
@@ -557,6 +558,23 @@ def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
     return u[:, :-1]
 
 
+def _carried_past_float_range(level: tuple, k: int, init: np.ndarray) -> bool:
+    """Whether the running products outward from r of a first level's
+    interval propagators, the k left of r taken backwards (by the Magnus
+    steps' inverses, exp(-Omega)), carry init past the float range.  A
+    level with a propagator that is not finite is left to the refinement."""
+    _, halves, lows, mids, highs, _, q, _ = level
+    if not np.isfinite(q).all():
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        sides = [_running_products(q[k:].copy())]
+        if k:
+            left = np.concatenate((np.arange(k), len(q) + np.arange(k)))  # first, then second halves
+            back = _magnus_steps(highs[left], mids[left], lows[left], -halves[left])
+            sides.append(_running_products((back[:k] @ back[k:])[::-1]))
+        return not all(np.isfinite(side @ init).all() for side in sides)
+
+
 def _rate(c: list, v: list) -> list:
     """A v for the companion matrix A of the (j, a_j) pairs c."""
     top = 0.0
@@ -603,7 +621,8 @@ class StepReader:
     node's jets converted on its first scalar read, with the operations of
     the array read in the same order, so an array read equals the stacked
     scalar reads bit for bit when the coefficients do.  A read that is not
-    finite is a SolverError.
+    finite is a SolverError, and so is a solution that the first level's
+    propagators already carry past the float range, before any refinement.
     """
 
     def __init__(self, op: LinearOperator, r: float, init: np.ndarray, rtol: float):
@@ -614,6 +633,8 @@ class StepReader:
                                          np.linspace(r, hi, DENSE_GRID + 1))))
         parts = []
         for level in _refine(op, None, grid, rtol, READ_RTOL):
+            if not parts and _carried_past_float_range(level, int(np.searchsorted(grid, r)), init):
+                raise SolverError(f"the solution from s = {r} leaves the float range")
             keep = np.tile(~level[-1], 2)
             parts.append([a[keep] for a in level[:6]])
         if parts:

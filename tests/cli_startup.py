@@ -43,12 +43,17 @@ def commands(workdir: Path, src: str) -> dict[str, list[str]]:
     cubic = workdir / "cubic.json"
     cubic.write_text(json.dumps({"type": "graph", "coeffs": ["0", "0", "1", "0.1"],
                                  "domain": ["-1", "1"]}))
+    z2 = workdir / "z2.json"
+    z2.write_text(json.dumps({"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]}))
     return {
         "import": ["examples", "--help"],
         "count hyperbola m0=5": ["count", str(workdir / "hyperbola-curve.json"),
                                  str(workdir / "hyperbola-lattice.json")],
         "verify thm4.1 --trials 3": ["verify", "thm4.1", "--trials", "3"],
         "area cubic graph": ["area", str(cubic)],
+        "curvature cubic graph": ["curvature", str(cubic)],
+        "arclength cubic graph": ["arclength", str(cubic)],
+        "count cubic graph": ["count", str(cubic), str(z2)],
     }
 
 

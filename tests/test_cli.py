@@ -468,6 +468,14 @@ def _check_count_and_area(spec):
                 assert len(err.getvalue().splitlines()) == 1, (argv[0], spec)
 
 
+# a quartic graph far from the origin, whose float count on the standard
+# lattice exceeds its bound
+_FAR_QUARTIC = {"type": "graph",
+                "coeffs": ["-1e-240", "1e0", "0", "1.5630828295659783e-89",
+                           "1.5630828295659783e-89"],
+                "domain": ["69721015.19888318", "69721017.63747378"]}
+
+
 class TestCountAreaFuzz:
     """Whole `count` and `area` commands on generated conic, parabola,
     graph and constant-curvature specs (see `_check_count_and_area`)."""
@@ -506,9 +514,41 @@ class TestCountAreaFuzz:
         # tangency products past the float range
         {"type": "graph", "coeffs": ["1e248", "0", "1e231", "1e0"],
          "domain": ["0.0", "1.274746842301254"]},
+        # a float-proximity count past its bound, where floats cannot
+        # separate lattice points: inconclusive, not violated
+        _FAR_QUARTIC,
     ])
     def test_found_inputs(self, spec):
         _check_count_and_area(spec)
+
+
+class TestInexactCounts:
+    """A float-proximity count cannot certify a violation; an exact one can."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        return code, json.loads(out[:out.rindex("}") + 1]), out.splitlines()[-1]
+
+    def test_inexact_count_past_its_bound_is_inconclusive(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "far.json", _FAR_QUARTIC)
+        code, payload, summary = self._run(["count", spec, z2_spec], capsys)
+        assert (code, summary) == (4, "bound 1 count 2")
+        assert not payload["exact_membership"]
+        assert payload["certificate"]["hypotheses"][-1] == {
+            "name": "exact-membership", "ok": False,
+            "detail": "count 2 > bound 1 by 1e-09 proximity membership"}
+
+    def test_exact_count_past_its_bound_is_violated(self, tmp_path, z2_spec, capsys):
+        # a multiplier far above the points' own makes 2pts2 claim 3 points
+        spec = write_json(tmp_path / "p.json", {
+            "type": "parabola", "coeffs": ["0", "0", "1"], "domain": ["0", "10"]})
+        code, payload, summary = self._run(["count", spec, z2_spec, "--theorem", "2pts2",
+                                            "--multiplier", "100000"], capsys)
+        assert (code, summary) == (5, "bound 3 count 11")
+        assert payload["exact_membership"]
+        assert all(h["ok"] for h in payload["certificate"]["hypotheses"])
 
 
 class TestVerify:
@@ -1256,7 +1296,7 @@ class TestPlacementCost:
     def test_cubic_graph_count_reads_the_polynomial_in_arrays(self, tmp_path, z2_spec, capsys,
                                                               monkeypatch):
         # one of the benchmark's seeded cubics; the scalar reads left are
-        # those of the t(s) solve and of the arc-length quadrature
+        # the spec parser's checks of the ends
         spec = write_json(tmp_path / "g.json", {
             "type": "graph", "coeffs": ["0.5", "-0.25", "0.6875", "0.0625"],
             "domain": ["-2", "1"]})

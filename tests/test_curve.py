@@ -152,10 +152,12 @@ class TestReparam:
         assert c.curvature(1.5) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [None, 11])
-    def test_parameter_change_reads_equal_ode_solution(self, seed, monkeypatch):
-        """t(s) of a graph, which is its point's x, read through scipy's
-        OdeSolution of the same solve: the README graph, or a seeded convex
-        cubic on [-2, 1] (|6 c3 x| < 2 c2 keeps f'' positive)."""
+    def test_parameter_change_reads_equal_ode_solution(self, seed):
+        """t(s) of a graph, which is its point's x, against an independent
+        DOP853 solve of dt/ds = f''(t)^(-1/3) at rtol 1e-13: the README
+        graph, or a seeded convex cubic on [-2, 1] (|6 c3 x| < 2 c2 keeps
+        f'' positive).  Scalar reads equal the array read bit for bit, and
+        s is clipped to the domain."""
         coeffs, domain = ["0", "0", "1", "0.05"], ["-1", "1"]
         if seed is not None:
             rng = np.random.default_rng(seed)
@@ -163,21 +165,105 @@ class TestReparam:
             c = (*rng.uniform(-1, 1, 2), c2, rng.uniform(-c2, c2) / 8)
             coeffs = [repr(float(v)) for v in c]
             domain = ["-2", "1"]
-        seen = []
-
-        def recording(*args, **kwargs):
-            seen.append(scipy_solve_ivp(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(odekernel, "_sp_solve_ivp", recording)
         curve = parse_curve_spec({"type": "graph", "coeffs": coeffs, "domain": domain}).curve
-        ode, = seen
         lam, x0, x1 = curve.domain.hi, float(domain[0]), float(domain[1])
+        f2 = np.polynomial.Polynomial([float(v) for v in coeffs]).deriv(2)
+        ode = scipy_solve_ivp(lambda s, t: f2(t) ** (-1.0 / 3.0), (0.0, lam), [x0],
+                              method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
         ss = np.concatenate([np.random.default_rng(3).uniform(0.0, lam, 40), ode.t,
                              [0.0, lam, -0.25, lam + 0.25]])
         want = np.clip(ode.sol(np.clip(ss, 0.0, lam))[0], x0, x1)
-        assert curve.point(ss)[:, 0].tobytes() == want.tobytes()
-        assert [curve.point(s)[0] for s in ss.tolist()] == want.tolist()
+        got = curve.point(ss)[:, 0]
+        assert np.abs(got - want).max() <= 1e-11 * max(1.0, x1 - x0)
+        assert got[-2:].tolist() == got[-4:-2].tolist()
+        assert [curve.point(s)[0] for s in ss.tolist()] == got.tolist()
+
+
+def _convex_polynomials():
+    """30 seeded convex cubics on [-2, 1] (|6 c3 x| < 2 c2 keeps f''
+    positive) and 30 quartics convex on the line (36 c3^2 < 96 c2 c4) on
+    seeded domains: ascending float coefficients and the domain."""
+    rng = np.random.default_rng(19)
+    polys = []
+    for _ in range(30):
+        c2 = rng.uniform(0.5, 1.5)
+        polys.append(([*rng.uniform(-1, 1, 2), c2, rng.uniform(-c2, c2) / 8], (-2.0, 1.0)))
+    for _ in range(30):
+        c2, c4 = rng.uniform(0.2, 1.5, 2)
+        c3 = rng.uniform(-0.9, 0.9) * math.sqrt(96 * c2 * c4) / 6
+        polys.append(([*rng.uniform(-1, 1, 2), c2, c3, c4],
+                      (rng.uniform(-3, -1), rng.uniform(0.5, 3))))
+    return polys
+
+
+def _raw_oracle(raw, t0, t1):
+    """lambda by `quad` at 1e-13, and t(s) by a DOP853 solve of
+    dt/ds = (c' wedge c'')^(-1/3) at rtol 1e-13, atol 1e-15."""
+    def speed(t):
+        return wedge(raw.d1(t), raw.d2(t)) ** (1.0 / 3.0)
+
+    lam = quad(speed, t0, t1, epsabs=1e-13, epsrel=1e-13)[0]
+    ode = scipy_solve_ivp(lambda s, t: [1.0 / speed(t[0])], (0.0, lam), [t0], method="DOP853",
+                          rtol=1e-13, atol=1e-15, dense_output=True)
+    return lam, ode.sol
+
+
+class TestReparamOracle:
+    """The panels of `reparam_unit_speed` against a `quad` arc length and
+    a DOP853 parameter change, both run here: t(s) within
+    1e-11 max(1, |t1 - t0|), lambda within 1e-12 relative."""
+
+    @pytest.mark.parametrize("coeffs, domain", _convex_polynomials())
+    def test_graphs(self, coeffs, domain):
+        (x0, x1), f2 = domain, np.polynomial.polynomial.polyder(coeffs, 2).tolist()
+        curve = parse_curve_spec({"type": "graph", "coeffs": [repr(float(c)) for c in coeffs],
+                                  "domain": [repr(x0), repr(x1)]}).curve
+        raw = ParametricCurve(None, lambda t: (1.0, 0.0),
+                              lambda t: (0.0, sum(a * t ** k for k, a in enumerate(f2))))
+        lam, t_of_s = _raw_oracle(raw, x0, x1)
+        assert abs(curve.domain.hi - lam) <= 1e-12 * lam
+        ss = np.linspace(0.0, curve.domain.hi, 257)
+        got = curve.point(ss)[:, 0]  # a graph's x is its t
+        assert np.abs(got - t_of_s(ss)[0]).max() <= 1e-11 * max(1.0, x1 - x0)
+        assert [curve.point(s)[0] for s in ss.tolist()] == got.tolist()
+
+    @pytest.mark.parametrize("raw, t0, t1", [
+        (circle_raw(1.0), 0.0, 2 * math.pi),
+        (circle_raw(2.0), 0.0, 2 * math.pi),
+        (circle_raw(1.0), -2.0, 2.0),
+        (ParametricCurve(lambda t: (2 * t, t * t), lambda t: (2, 2 * t), lambda t: (0, 2),
+                         lambda t: (0, 0), d4=lambda t: (0, 0)), 0.0, 2.0),
+        (ParametricCurve(lambda t: (t, t * t / 2), lambda t: (1, t), lambda t: (0, 1),
+                         lambda t: (0, 0)), 0.0, 3.0),
+    ])
+    def test_raw_curves(self, raw, t0, t1):
+        """Points against the raw position at the oracle's t(s), within the
+        t tolerance times the raw speed."""
+        curve = reparam_unit_speed(raw, t0, t1)
+        lam, t_of_s = _raw_oracle(raw, t0, t1)
+        assert abs(curve.domain.hi - lam) <= 1e-12 * lam
+        assert affine_arclength(raw, t0, t1) == curve.domain.hi
+        ss = np.linspace(0.0, lam, 129)
+        ts = np.linspace(t0, t1, 129)
+        speed = np.hypot(*raw.rows(raw.d1, ts).T).max()
+        got = curve.point(ss)
+        want = raw.rows(raw.position, t_of_s(np.clip(ss, 0.0, curve.domain.hi))[0])
+        assert np.abs(got - want).max() <= 1e-11 * max(1.0, t1 - t0) * speed
+        assert np.array([curve.point(s) for s in ss.tolist()]).tobytes() == got.tobytes()
+
+    def test_node_budget_is_a_solver_error(self):
+        # 2 + sin(1e4 t) on [0, 100] turns about 160 000 times, far more
+        # panels than the budget of node reads allows
+        raw = ParametricCurve(lambda t: (t, 0 * t), lambda t: (1.0, 0 * t),
+                              lambda t: (0 * t, 2.0 + np.sin(1e4 * t)), lambda t: (0 * t, 0 * t))
+        with pytest.raises(SolverError, match="right-hand side evaluations"):
+            reparam_unit_speed(raw, 0.0, 100.0)
+
+    def test_a_value_past_the_float_range_is_a_domain_error(self):
+        raw = ParametricCurve(lambda t: (t, 0 * t), lambda t: (1.0, 0 * t),
+                              lambda t: (0 * t, np.exp(t)), lambda t: (0 * t, np.exp(t)))
+        with pytest.raises(DomainError):
+            reparam_unit_speed(raw, 0.0, 1000.0)
 
 
 class TestCurvature:

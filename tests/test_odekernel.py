@@ -622,6 +622,24 @@ class TestStepReader:
         with pytest.raises(SolverError, match="float range"):
             odekernel.StepReader(third_order_op(-1e6, UNIT), 0.0, np.eye(3)[:, 1:], 1e-11)
 
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 0.0), (-1.0, 1.0)])
+    def test_overflow_is_found_before_the_read_refinement(self, lo, hi, monkeypatch):
+        # the first level's running products overflow left of the anchor 0
+        # (and right of it), so the reader stops before refining its reads
+        levels = []
+        refine = odekernel._refine
+
+        def counted(*args):
+            for level in refine(*args):
+                levels.append(level)
+                yield level
+
+        monkeypatch.setattr(odekernel, "_refine", counted)
+        with pytest.raises(SolverError, match="float range"):
+            odekernel.StepReader(third_order_op(-1e6, Interval(lo, hi)), 0.0, np.eye(3)[:, 1:],
+                                 1e-11)
+        assert len(levels) == 1
+
 
 class TestConcurrency:
     def test_kernel_columns_thread_safe(self):

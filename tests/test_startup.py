@@ -37,6 +37,9 @@ print(json.dumps(seen))
 """
 
 
+_CUBIC = {"type": "graph", "coeffs": ["0", "0", "1", "0.1"], "domain": ["-1", "1"]}
+
+
 def _start(commands):
     """A fresh process, treating warnings as errors, that runs the command
     lines in turn."""
@@ -61,7 +64,8 @@ def _write(path, payload):
 def _exact_commands(tmp_path):
     """`examples` and `count` on the exported sharp instances, every
     `verify` theorem, `bounds`, `figures`, and `area`, `curvature` and
-    `arclength` on curvature-ivp, conic and constant-curvature specs."""
+    `arclength` on curvature-ivp, conic, constant-curvature and cubic
+    graph specs."""
     commands = []
     for name, m0 in (("parabola", 3), ("hyperbola", 2), ("hyperbola-general", 2)):
         for rigid in ((), ("--rigid",)):
@@ -77,6 +81,7 @@ def _exact_commands(tmp_path):
         "conic": {"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"],
                   "seed": ["1", "0"], "domain": ["0", "1.2"]},
         "constant": {"type": "constant-curvature", "k": "-2", "domain": ["0", "1"]},
+        "cubic": _CUBIC,
     }
     for name, spec in specs.items():
         path = _write(tmp_path / f"{name}.json", spec)
@@ -85,14 +90,13 @@ def _exact_commands(tmp_path):
 
 
 def _float_commands(tmp_path):
-    """`area` on a cubic graph (its DOP853 t(s) solve) and `count` on a
-    curvature-ivp spec (the k-d tree of the float window), one per process."""
+    """`count` on a cubic graph and on a curvature-ivp spec (the k-d tree of
+    the float window), one per process."""
     lattice = _write(tmp_path / "z2.json", {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
-    cubic = _write(tmp_path / "cubic.json", {"type": "graph", "coeffs": ["0", "0", "1", "0.1"],
-                                             "domain": ["-1", "1"]})
+    cubic = _write(tmp_path / "cubic.json", _CUBIC)
     ivp = _write(tmp_path / "ivp.json", {"type": "curvature-ivp", "kappa_coeffs": ["0.5"],
                                          "domain": ["0", "2"]})
-    return [["area", cubic], ["count", ivp, lattice]]
+    return [["count", cubic, lattice], ["count", ivp, lattice]]
 
 
 @pytest.fixture(scope="module")
