@@ -112,10 +112,11 @@ def cmd_curvature(args) -> int:
     where = args.at if args.at is not None else 0.5 * (c.domain.lo + c.domain.hi)
     if where not in c.domain:
         raise DomainError(f"evaluation point {where} outside domain")
-    print(c.curvature(where))
+    ss = np.linspace(c.domain.lo, c.domain.hi, args.samples if args.out else 0)
+    kv = c.curvature(np.append(ss, where))  # one read; the last entry is at `where`
+    print(float(kv[-1]))
     if args.out:
-        ss = np.linspace(c.domain.lo, c.domain.hi, args.samples)
-        rows = [[repr(float(s)), repr(float(k))] for s, k in zip(ss, c.curvature(ss))]
+        rows = [[repr(float(s)), repr(float(k))] for s, k in zip(ss, kv)]
         _emit(_csv_text(["s", "kappa"], rows), args.out)
     return OK
 

@@ -144,8 +144,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
     # graphing interval must cover (-R, R)
     r_reach = sk(k1, length)
     gset = graphing_parameter_set(curve, s0)
-    xi_lo = float(fr.to_adapted(curve.point(gset.lo))[0])
-    xi_hi = float(fr.to_adapted(curve.point(gset.hi))[0])
+    xi_lo, xi_hi = fr.to_adapted_rows(curve.point(np.array((gset.lo, gset.hi))))[:, 0].tolist()
     cover_defect = max(xi_lo - (-r_reach), r_reach - xi_hi)
     worst = max(worst, cover_defect)
 
@@ -216,7 +215,7 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
     k0, k1 = float(kv.min()), float(kv.max())
     lam = curve.domain.length
 
-    p1, p2, p3 = (curve.point(s) for s in vertices)
+    p1, p2, p3 = curve.point(np.array(vertices, dtype=float))
     area = 0.5 * abs(wedge(p2 - p1, p3 - p1))
 
     hyps = [Hypothesis("curvature-lower-bound", bool(np.all(kv >= k0 - 1e-9)),

@@ -35,19 +35,13 @@ def wedge(v: Sequence[float], w: Sequence[float]) -> float:
 
 
 def _wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`wedge` of each pair of rows of two (p, 2) arrays."""
-    return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+    """`wedge` of each pair of rows of two (p, 2) arrays (of two 2-vectors,
+    a NumPy float)."""
+    return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
 
 def _vec(x: float, y: float) -> Vec:
     return np.array((x, y), dtype=float)
-
-
-def _each(fn: Callable[[float], float], s: float | np.ndarray) -> float | np.ndarray:
-    """fn(s) at a float; at a 1-D array, the float array of fn at each entry."""
-    if isinstance(s, np.ndarray):
-        return np.array([fn(u) for u in s.tolist()], dtype=float)
-    return fn(s)
 
 
 def _power(v: float, e: float) -> float:
@@ -64,10 +58,10 @@ def _power(v: float, e: float) -> float:
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """`_power` entry by entry: NumPy's vectorised power can differ from
-    libm's in the last bit (AVX-512 builds), and array reads must equal
-    scalar reads bit for bit."""
-    return _each(lambda v: _power(v, e), x)
+    """`_power` at each entry of a 1-D array: NumPy's vectorised power can
+    differ from libm's in the last bit (AVX-512 builds), so an entry would
+    depend on the array it is read in."""
+    return np.array([_power(v, e) for v in x.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -96,20 +90,11 @@ class AdaptedFrame:
         return wedge(self.tangent, self.normal)
 
     def to_adapted(self, p: Sequence[float]) -> Vec:
-        q = np.asarray(p, dtype=float) - self.origin
-        d = self.det
-        return _vec(
-            (self.normal[1] * q[0] - self.normal[0] * q[1]) / d,
-            (-self.tangent[1] * q[0] + self.tangent[0] * q[1]) / d,
-        )
+        return self.to_adapted_rows(np.reshape(np.asarray(p, dtype=float), (1, 2)))[0]
 
     def to_adapted_vector(self, v: Sequence[float]) -> Vec:
         """Linear part only (for derivatives)."""
-        d = self.det
-        return _vec(
-            (self.normal[1] * v[0] - self.normal[0] * v[1]) / d,
-            (-self.tangent[1] * v[0] + self.tangent[0] * v[1]) / d,
-        )
+        return self.to_adapted_vector_rows(np.reshape(np.asarray(v, dtype=float), (1, 2)))[0]
 
     def to_adapted_rows(self, p: np.ndarray) -> np.ndarray:
         """`to_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
@@ -122,22 +107,40 @@ class AdaptedFrame:
                                 (-self.tangent[1] * v[:, 0] + self.tangent[0] * v[:, 1]) / d))
 
     def from_adapted(self, xy: Sequence[float]) -> Vec:
-        return self.origin + xy[0] * self.tangent + xy[1] * self.normal
+        return self.from_adapted_rows(np.reshape(np.asarray(xy, dtype=float), (1, 2)))[0]
 
     def from_adapted_rows(self, xy: np.ndarray) -> np.ndarray:
         """`from_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
         return self.origin + xy[:, :1] * self.tangent + xy[:, 1:] * self.normal
 
 
+def _read_one(read: Callable[[np.ndarray], object]) -> Callable:
+    """`read`, which takes a 1-D array of parameters, also at a float (a
+    NumPy scalar, a 0-d array): that is read as an array of one entry, and
+    its entry is returned (of each array, where `read` returns a tuple)."""
+    read = getattr(read, "array_read", read)  # already wrapped: `dataclasses.replace`
+
+    def at(s: float | np.ndarray):
+        if np.ndim(s):
+            return read(s)
+        out = read(np.array([s], dtype=float))
+        return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
+
+    at.array_read = read
+    return at
+
+
 @dataclass(frozen=True)
 class AffineCurve:
     """Unit-affine-speed plane curve with three derivatives and curvature.
 
-    At a float s, `position` gives c(s) as a 2-vector, `derivatives` the
-    2-vectors (c', c'', c''') and `curvature` a float.  Each also takes a
-    1-D array of p parameters and returns, in one call, what the scalar
-    reads would stack to, bit for bit: a (p, 2) array, three (p, 2)
-    arrays, and a (p,) array.
+    The closures `position`, `derivatives` and `curvature` are given as
+    reads of a 1-D array of p parameters, which return a (p, 2) array of
+    points, three (p, 2) arrays (c', c'', c''') and a (p,) array.  The
+    curve also reads them at a float, as an array of one entry, and
+    returns that entry: a 2-vector, three 2-vectors and a NumPy float.
+    So a scalar read equals the matching entry of an array read bit for
+    bit, and a closure has one read path.
 
     `inverse`, where the curve has one in closed form, maps a (p, 2)
     array of points on the curve's conic to their parameters: NaN off the
@@ -145,11 +148,15 @@ class AffineCurve:
     domain when the point lies beyond an end of the arc."""
 
     domain: Interval
-    position: Callable[[float | np.ndarray], Vec]
-    derivatives: Callable[[float | np.ndarray], tuple[Vec, Vec, Vec]]
-    curvature: Callable[[float | np.ndarray], float | np.ndarray]
+    position: Callable[[np.ndarray], np.ndarray]
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    curvature: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("position", "derivatives", "curvature"):
+            object.__setattr__(self, name, _read_one(getattr(self, name)))
 
     def point(self, s: float | np.ndarray) -> Vec:
         return np.asarray(self.position(s), dtype=float)
@@ -208,10 +215,8 @@ def constant_curvature_curve(k: float, interval: Interval,
                              label: str = "") -> AffineCurve:
     """Closed-form curve with curvature k through frame.origin at s = 0.
 
-    An array of parameters is read with one array call of each profile
-    (`sk` and `ybar` for the position, `ck` and `sk` for the derivatives),
-    whose entries equal the scalar reads bit for bit: the profiles call
-    libm's sin, cos, sinh and cosh entry by entry rather than NumPy's.
+    A read is one array call of each profile (`sk` and `ybar` for the
+    position, `ck` and `sk` for the derivatives).
 
     The inverse takes the adapted coordinates (x, y) = frame^-1 (p - origin)
     of a point of the conic x^2 + k y^2 = 2 y: s = x for k = 0,
@@ -221,10 +226,8 @@ def constant_curvature_curve(k: float, interval: Interval,
     """
     fr = frame or AdaptedFrame.identity()
 
-    def position(s: float | np.ndarray) -> Vec:
-        if isinstance(s, np.ndarray):
-            return fr.from_adapted_rows(np.column_stack((sk(k, s), ybar(k, s))))
-        return fr.from_adapted((sk(k, s), ybar(k, s)))
+    def position(s: np.ndarray) -> np.ndarray:
+        return fr.from_adapted_rows(np.column_stack((sk(k, s), ybar(k, s))))
 
     def inverse(p: np.ndarray) -> np.ndarray:
         x, y = fr.to_adapted_rows(p).T
@@ -236,17 +239,14 @@ def constant_curvature_curve(k: float, interval: Interval,
         turn = 2.0 * np.pi / r
         return interval.lo + np.mod(np.arctan2(r * x, 1.0 - k * y) / r - interval.lo, turn)
 
-    def derivatives(s: float | np.ndarray):
-        if isinstance(s, np.ndarray):
-            c, sn = ck(k, s)[:, None], sk(k, s)[:, None]
-        else:
-            c, sn = ck(k, s), sk(k, s)
+    def derivatives(s: np.ndarray):
+        c, sn = ck(k, s)[:, None], sk(k, s)[:, None]
         d1 = c * fr.tangent + sn * fr.normal
         d2 = -k * sn * fr.tangent + c * fr.normal
         return d1, d2, -k * d1
 
-    def curvature(s: float | np.ndarray) -> float | np.ndarray:
-        return np.full(s.shape, k, dtype=float) if isinstance(s, np.ndarray) else k
+    def curvature(s: np.ndarray) -> np.ndarray:
+        return np.full(s.shape, k, dtype=float)
 
     return AffineCurve(interval, position, derivatives, curvature,
                        label=label or f"constant-curvature k={k}", inverse=inverse)
@@ -382,12 +382,10 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     The parameter change t(s) is the inverse of s(t), the integral of
     (c' wedge c'')^(1/3), stored when the curve is built as the panels of
     `_arclength_table`: a read of t(s) at each entry of an array is a
-    search for its panel and Horner's rule on the panel's coefficients,
-    and a float is read as an array of one entry, so an array read equals
-    the stacked scalar reads bit for bit.  s is clipped to the domain
-    [0, lambda] and t to [t0, t1].  The third spatial derivative
-    uses the raw fourth derivative when supplied and a finite-difference
-    fallback otherwise.
+    search for its panel and Horner's rule on the panel's coefficients.
+    s is clipped to the domain [0, lambda] and t to [t0, t1].  The third
+    spatial derivative uses the raw fourth derivative when supplied and a
+    finite difference of c'' otherwise (`_fd_rows`).
     """
     if raw.d3 is None:
         raise ValueError("reparameterization needs three raw derivatives")
@@ -397,9 +395,7 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     centre, width = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     last = len(coef) - 1
 
-    def t_at(s: float | np.ndarray) -> float | np.ndarray:
-        if not isinstance(s, np.ndarray):  # the array read of one entry, so the same bits
-            return float(t_at(np.array([s], dtype=float))[0])
+    def t_at(s: np.ndarray) -> np.ndarray:
         s = np.clip(s, 0.0, lam)
         j = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, last)
         u, cj = (s - centre[j]) / width[j], coef[j]
@@ -408,92 +404,60 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
             t = t * u + cj[:, k]
         return np.clip(t, min(t0, t1), max(t0, t1))
 
-    def position(s: float | np.ndarray) -> Vec:
-        if isinstance(s, np.ndarray):  # one read of t(s) for all the points
-            return raw.rows(raw.position, t_at(s))
-        return np.asarray(raw.position(t_at(s)), dtype=float)
+    def position(s: np.ndarray) -> np.ndarray:
+        return raw.rows(raw.position, t_at(s))
 
-    def base_derivs(s: float):
-        t = t_at(s)
-        c1 = np.asarray(raw.d1(t), dtype=float)
-        c2 = np.asarray(raw.d2(t), dtype=float)
-        c3 = np.asarray(raw.d3(t), dtype=float)
-        gv = wedge(c1, c2)
-        gp = wedge(c1, c3)
-        tp = _power(gv, -1.0 / 3.0)
-        tpp = -(1.0 / 3.0) * gp * _power(gv, -5.0 / 3.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked in derivatives
-            d1 = c1 * tp
-            d2 = c2 * tp * tp + c1 * tpp
-        return t, c1, c2, c3, gv, gp, tp, tpp, d1, d2
-
-    def gamma2(s: float) -> Vec:
-        return base_derivs(s)[9]
-
-    def derivatives(s: float | np.ndarray):
-        if isinstance(s, np.ndarray):
-            return derivative_rows(s)
-        t, c1, c2, c3, gv, gp, tp, tpp, d1, d2 = base_derivs(s)
-        if raw.d4 is not None:
-            c4 = np.asarray(raw.d4(t), dtype=float)
-            gpp = wedge(c2, c3) + wedge(c1, c4)
-            with np.errstate(over="ignore", invalid="ignore"):
-                tppp = ((5.0 / 9.0) * gp * gp * _power(gv, -3.0)
-                        - (1.0 / 3.0) * gpp * _power(gv, -2.0))
-                d3 = c3 * _power(tp, 3) + 3.0 * c2 * tp * tpp + c1 * tppp
-        else:
-            d3 = _fd_vector(gamma2, s, domain)
-        if not all(np.isfinite(d).all() for d in (d1, d2, d3)):
-            raise DomainError("the curve's derivatives leave the float range")
-        return d1, d2, d3
-
-    def derivative_rows(s: np.ndarray):
-        """`derivatives` at each entry of s: the scalar arithmetic above,
-        done column-wise after one array read of t(s).  Scalar reads
-        keep their own path, which is the faster one for the root-finders
-        that call it point by point."""
+    def first_two(s: np.ndarray) -> tuple:
+        """The raw c', c'', c''' at t(s), c' wedge c'' and c' wedge c''',
+        t' and t'', and the unit-speed c' and c''."""
         t = t_at(s)
         c1, c2, c3 = (raw.rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in derivatives
             gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
             tp = _pow(gv, -1.0 / 3.0)
             tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
             d1 = c1 * tp[:, None]
             d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
-            if raw.d4 is not None:
+        return t, c1, c2, c3, gv, gp, tp, tpp, d1, d2
+
+    def derivatives(s: np.ndarray):
+        t, c1, c2, c3, gv, gp, tp, tpp, d1, d2 = first_two(s)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if raw.d4 is None:
+                d3 = _fd_rows(lambda u: first_two(u)[-1], s, domain)
+            else:
                 c4 = raw.rows(raw.d4, t)
                 gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
                 tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
                         - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
                 d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
                       + c1 * tppp[:, None])
-            else:
-                d3 = np.array([_fd_vector(gamma2, u, domain) for u in s.tolist()],
-                              dtype=float).reshape(-1, 2)
         if not all(np.isfinite(d).all() for d in (d1, d2, d3)):
             raise DomainError("the curve's derivatives leave the float range")
         return d1, d2, d3
 
-    def curvature(s: float | np.ndarray) -> float | np.ndarray:
+    def curvature(s: np.ndarray) -> np.ndarray:
         _, d2, d3 = derivatives(s)
-        return _wedge_rows(d2, d3) if isinstance(s, np.ndarray) else wedge(d2, d3)
+        return _wedge_rows(d2, d3)
 
     return AffineCurve(domain, position, derivatives, curvature,
                        label=label or "reparameterized")
 
 
-def _fd_vector(fn: Callable[[float], Vec], s: float, domain: Interval) -> Vec:
-    """First derivative of a vector (or scalar) function by second-order
-    differences, one-sided at the domain edges."""
+def _fd_rows(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+             domain: Interval) -> np.ndarray:
+    """First derivative of fn, which reads a 1-D array (of scalars or of
+    vectors), at each entry of s by second-order differences, with fn read
+    once: central where s -/+ step lie in the domain, otherwise one-sided,
+    forward where s + 2 step does and backward where it does not."""
     step = 1e-5 * max(1.0, domain.length)
-    lo, hi = domain.lo, domain.hi
-    if s - step >= lo and s + step <= hi:
-        return (np.asarray(fn(s + step)) - np.asarray(fn(s - step))) / (2 * step)
-    if s + 2 * step <= hi:
-        return (-3 * np.asarray(fn(s)) + 4 * np.asarray(fn(s + step))
-                - np.asarray(fn(s + 2 * step))) / (2 * step)
-    return (3 * np.asarray(fn(s)) - 4 * np.asarray(fn(s - step))
-            + np.asarray(fn(s - 2 * step))) / (2 * step)
+    central = (s - step >= domain.lo) & (s + step <= domain.hi)
+    forward = central | (s + 2 * step <= domain.hi)
+    sign = np.where(forward, 1.0, -1.0)
+    reads = fn(np.concatenate((s, s + sign * step, s + sign * (2 * step), s - step)))
+    f0, f1, f2, fm = (v.T for v in np.split(reads, 4))  # entries on the last axis
+    one_sided = np.where(forward, -3 * f0 + 4 * f1 - f2, 3 * f0 - 4 * f1 + f2)
+    return np.where(central, f1 - fm, one_sided).T / (2 * step)
 
 
 def curvature_from_graph(f2: Callable[[float], float], x: float,
@@ -556,9 +520,9 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     one matrix solve; the result is unique given the frame.  The solve is
     an `odekernel.StepReader` at rtol 1e-11: Magnus step propagators
     outward from s = 0 to each end, and per read one Runge-Kutta step from
-    the last node between 0 and s, which also gives c''' = -kappa c'.  A read of
-    an array of parameters calls kappa once where it takes arrays, and
-    once per entry where it does not (see `odekernel.values_at`).
+    the last node between 0 and s, which also gives c''' = -kappa c'.  A read
+    calls kappa once where it takes arrays, and once per entry where it
+    does not (see `odekernel.values_at`).
     """
     if not interval.lo <= 0.0 <= interval.hi:
         raise ValueError("reconstruction interval must contain the anchor s = 0")
@@ -567,20 +531,15 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     sol = StepReader(third_order_op(kap, interval), 0.0,
                      np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 1e-11)
 
-    def position(s: float | np.ndarray) -> Vec:
-        if isinstance(s, np.ndarray):
-            return fr.from_adapted_rows(sol.read(np.clip(s, interval.lo, interval.hi))[:, 0])
-        return fr.from_adapted(sol.state(interval.clamp(s))[0])
+    def position(s: np.ndarray) -> np.ndarray:
+        return fr.from_adapted_rows(sol.read(np.clip(s, interval.lo, interval.hi))[:, 0])
 
-    def derivatives(s: float | np.ndarray):
-        if isinstance(s, np.ndarray):  # one read for all the points
-            u = sol.read(np.clip(s, interval.lo, interval.hi))
-            return tuple(u[:, k, :1] * fr.tangent + u[:, k, 1:] * fr.normal for k in (1, 2, 3))
-        u = sol.state(interval.clamp(s))
-        return tuple(u[k][0] * fr.tangent + u[k][1] * fr.normal for k in (1, 2, 3))
+    def derivatives(s: np.ndarray):
+        u = sol.read(np.clip(s, interval.lo, interval.hi))
+        return tuple(u[:, k, :1] * fr.tangent + u[:, k, 1:] * fr.normal for k in (1, 2, 3))
 
-    def curvature(s: float | np.ndarray) -> float | np.ndarray:
-        return values_at(kap, s).copy() if isinstance(s, np.ndarray) else float(kap(s))
+    def curvature(s: np.ndarray) -> np.ndarray:
+        return values_at(kap, s).copy()
 
     return AffineCurve(interval, position, derivatives, curvature, label="reconstructed")
 
@@ -644,7 +603,7 @@ class AreaFunction:
         base = int(np.searchsorted(knots, self.a))
         values, errors = self._sweep(knots, base)
         at = np.searchsorted(knots, ss)
-        if isinstance(s, np.ndarray):
+        if np.ndim(s):
             return values[at], errors[at]
         return float(values[at[0]]), float(errors[at[0]])
 
@@ -693,12 +652,11 @@ class AreaFunction:
 
     def prime(self, s: float | np.ndarray) -> float | np.ndarray:
         """A'(s), at a float or at each entry of a 1-D array."""
-        if isinstance(s, np.ndarray):
-            return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
-        return 0.5 * wedge(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
+        return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
 
-    def second(self, s: float) -> float:
-        return 0.5 * wedge(self.curve.point(s) - self.p0, self.curve.derivatives(s)[1])
+    def second(self, s: float | np.ndarray) -> float | np.ndarray:
+        """A''(s), at a float or at each entry of a 1-D array."""
+        return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[1])
 
 
 def _from_base(per_interval: np.ndarray, base: int) -> np.ndarray:
@@ -720,12 +678,11 @@ def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = Non
 def area_ode_residual(curve: AffineCurve, area: AreaFunction) -> float:
     """Sup over 41 points of the domain of |A''' + kappa A' - 1/2|, with
     A''' taken by differencing A'' (the two lower derivatives are
-    evaluated in closed form from the wedge expressions)."""
-    worst = 0.0
-    for s in np.linspace(curve.domain.lo, curve.domain.hi, 41):
-        a3 = float(_fd_vector(area.second, s, curve.domain))
-        worst = max(worst, abs(a3 + curve.curvature(s) * area.prime(s) - 0.5))
-    return worst
+    evaluated in closed form from the wedge expressions), all read in one
+    array call each."""
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, 41)
+    a3 = _fd_rows(area.second, ss, curve.domain)
+    return float(np.max(np.abs(a3 + curve.curvature(ss) * area.prime(ss) - 0.5)))
 
 
 def adapted_frame(curve: AffineCurve, s0: float) -> AdaptedFrame:

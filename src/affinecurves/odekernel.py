@@ -589,9 +589,8 @@ def _rk4(u: list, c0: list, cm: list, c1: list, h) -> list:
     """One classical Runge-Kutta step of length h of the companion system
     u' = A u from the jet rows u, with (j, a_j) pairs of the nonzero
     coefficients at the step's start, midpoint and end: the rows after
-    the step and, last, y^(n) there from the equation.  The rows may be
-    floats or arrays (with h broadcast against them): both run the same
-    IEEE operations in the same order."""
+    the step and, last, y^(n) there from the equation, with h broadcast
+    against the rows."""
     half = 0.5 * h
     k1 = _rate(c0, u)
     k2 = _rate(cm, [x + half * k for x, k in zip(u, k1)])
@@ -615,14 +614,11 @@ class StepReader:
     which for a Magnus step is its inverse.  A read at s is one classical
     Runge-Kutta step from the last node between r and s, with A reused at
     that node and read at the step's midpoint and at s, so a step is never
-    longer than an accepted half step.  Array reads call each coefficient
-    once (`values_at`) and keep the last result, which a read of the same
-    points returns again.  Scalar reads run in Python floats, over one
-    node's jets converted on its first scalar read, with the operations of
-    the array read in the same order, so an array read equals the stacked
-    scalar reads bit for bit when the coefficients do.  A read that is not
-    finite is a SolverError, and so is a solution that the first level's
-    propagators already carry past the float range, before any refinement.
+    longer than an accepted half step.  A read calls each coefficient once
+    (`values_at`) and keeps the last result, which a read of the same
+    points returns again.  A read that is not finite is a SolverError, and
+    so is a solution that the first level's propagators already carry past
+    the float range, before any refinement.
     """
 
     def __init__(self, op: LinearOperator, r: float, init: np.ndarray, rtol: float):
@@ -652,9 +648,6 @@ class StepReader:
         self._sides = [self._side(init, nodes[k:], at[k:], steps[k:]),
                        self._side(init, nodes[k::-1], at[k::-1], back)]
         self._shape = (init.shape[0] + 1, init.shape[1])
-        self._keys: list[list[float] | None] = [None, None]
-        self._rows: dict[tuple[bool, int], tuple] = {}
-        self._last_state: tuple[str, list] = ("", [])
         self._last: tuple[bytes, np.ndarray] | None = None
 
     def _side(self, init: np.ndarray, nodes: np.ndarray, at: np.ndarray,
@@ -668,36 +661,6 @@ class StepReader:
         if not np.isfinite(jets).all():
             raise SolverError(f"the solution from s = {self.r} leaves the float range")
         return np.abs(nodes - self.r), nodes, jets, -at[:, -1, [j for j, _ in self._coeffs]]
-
-    def state(self, s: float) -> list[list[float]]:
-        """The jets and y^(n) at s, as n + 1 rows of m floats; shared with
-        the previous read when s is the same float."""
-        s = float(s)
-        key = s.hex()  # tells -0.0 from 0.0
-        if self._last_state[0] == key:
-            return self._last_state[1]
-        left = s < self.r
-        keys = self._keys[left]
-        if keys is None:
-            keys = self._keys[left] = self._sides[left][0].tolist()
-        i = bisect_right(keys, abs(s - self.r)) - 1
-        row = self._rows.get((left, i))
-        if row is None:
-            _, nodes, jets, coeffs = self._sides[left]
-            row = self._rows[left, i] = (float(nodes[i]), jets[i].T.tolist(),
-                                         list(zip((j for j, _ in self._coeffs),
-                                                  coeffs[i].tolist())))
-        t0, cols, c0 = row
-        h = s - t0
-        mid = t0 + 0.5 * h
-        cm = [(j, float(a(mid))) for j, a in self._coeffs]
-        c1 = [(j, float(a(s))) for j, a in self._coeffs]
-        cols = [_rk4(col, c0, cm, c1, h) for col in cols]
-        if not all(map(math.isfinite, (x for col in cols for x in col))):
-            raise SolverError(f"the solution leaves the float range near s = {s}")
-        jets = [list(row) for row in zip(*cols)]
-        self._last_state = (key, jets)
-        return jets
 
     def read(self, s: np.ndarray) -> np.ndarray:
         """The jets and y^(n) at a 1-D array of p points, shaped (p, n + 1,

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -765,6 +767,37 @@ class TestArrayDerivatives:
         assert curve.point(none).shape == (0, 2)
         assert [d.shape for d in curve.derivatives(none)] == [(0, 2)] * 3
         assert curve.curvature(none).shape == (0,)
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS)
+    def test_numpy_scalars_read_as_floats(self, spec):
+        """A NumPy scalar or a 0-d array is read as the float it holds."""
+        curve = parse_curve_spec(spec).curve
+        for s in (curve.domain.lo, 0.5 * (curve.domain.lo + curve.domain.hi), 0.3):
+            want = (curve.point(s), *curve.derivatives(s), curve.curvature(s))
+            assert [np.shape(w) for w in want] == [(2,)] * 4 + [()]
+            for at in (np.float64(s), np.array(s)):
+                got = (curve.point(at), *curve.derivatives(at), curve.curvature(at))
+                assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_curve_closures_read_arrays_only():
+    """The closures of the three curve constructors take 1-D arrays and
+    test no types, so that the choice between a float and an array is
+    made in one place, `AffineCurve`."""
+    tree = ast.parse(Path(curve_mod.__file__).read_text())
+    builders = {"constant_curvature_curve", "reparam_unit_speed", "reconstruct_from_curvature"}
+    seen = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in builders:
+            seen.add(node.name)
+            for inner in ast.walk(node):
+                if inner is node or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                calls = {ast.unparse(c.func) for c in ast.walk(inner) if isinstance(c, ast.Call)}
+                assert "isinstance" not in calls, \
+                    f"{node.name}: {getattr(inner, 'name', 'lambda')} tests a type"
+    assert seen == builders
 
 
 def _quad_area(area, s):

@@ -585,7 +585,7 @@ class TestStepReader:
             op = make_operator(coeffs, Interval(-1.0, 1.5))
             reader = odekernel.StepReader(op, 0.0, rng.uniform(-1, 1, size=(n, 2)), 1e-11)
             ss = np.concatenate([[-1.0, 0.0, 1.5], rng.uniform(-1.0, 1.5, 60)])
-            stacked = np.array([reader.state(s) for s in ss.tolist()])
+            stacked = np.array([reader.read(np.array([s]))[0] for s in ss.tolist()])
             assert reader.read(ss).tobytes() == stacked.tobytes()
 
     def test_scalar_only_coefficients_are_read_entry_by_entry(self):
@@ -602,7 +602,7 @@ class TestStepReader:
         got = reader.read(ss)
         # one refused array call, then one call per midpoint and per point
         assert [type(s) for s in calls] == [np.ndarray] + [float] * 10
-        assert np.array_equal(got, np.array([reader.state(s) for s in ss.tolist()]))
+        assert np.array_equal(got, np.array([reader.read(np.array([s]))[0] for s in ss.tolist()]))
 
     def test_stiff_corner_needs_the_runge_kutta_check(self, monkeypatch):
         # constant k = -400: one Magnus step per interval is exact, but a
