@@ -33,6 +33,7 @@ from .curve import (
     constant_curvature_curve,
     curvature_from_graph,
     graph_curve,
+    graphing_interval,
     graphing_parameter_set,
     parabola_curve,
     reconstruct_from_curvature,
@@ -60,6 +61,7 @@ from .lattice import (
     Lattice,
     LatticePointSet,
     LinearConstraint,
+    PolyGraph,
     bound_general,
     bound_rigid,
     bound_sharp,
@@ -68,6 +70,7 @@ from .lattice import (
     conic_in_lattice_coords,
     enumerate_near_curve,
     enumerate_on_arc,
+    enumerate_on_graph,
     equal_spaced_orbit,
     lattice_equal,
     m_of_coords,

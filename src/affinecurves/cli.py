@@ -27,7 +27,7 @@ from .curve import (
     adapted_frame,
     area_function,
     constant_curvature_curve,
-    graphing_parameter_set,
+    graphing_interval,
     reconstruct_from_curvature,
 )
 from .kfuncs import DomainError, Interval, abar, ck, sk
@@ -40,6 +40,7 @@ from .lattice import (
     LinearConstraint,
     enumerate_near_curve,
     enumerate_on_arc,
+    enumerate_on_graph,
     m_of_coords,
     on_curve,
 )
@@ -350,7 +351,9 @@ def cmd_count(args) -> int:
 
     warning = None
     window = _window_constraints(args)
-    if spec.exact:
+    if spec.graph is not None:
+        points = enumerate_on_graph(spec.graph, window, lat, curve.inverse)
+    elif spec.exact:
         arc = ConicArc(conic=spec.conic, constraints=window, bbox=curve_bbox(curve))
         points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, ON_CURVE_TOL)
     else:
@@ -445,7 +448,8 @@ def _fig5() -> list[list]:
 
 def _fig6() -> list[list]:
     c = constant_curvature_curve(1.0, Interval(-1.2, 1.2))
-    fr, gset = adapted_frame(c, 0.0), graphing_parameter_set(c, 0.0)
+    fr = adapted_frame(c, 0.0)
+    gset = graphing_interval(c, 0.0, fr)
     return (_curve_rows("curve", c) + _rows("frame_origin", [fr.origin])
             + _rows("frame_tangent", [fr.origin + fr.tangent])
             + _rows("frame_normal", [fr.origin + fr.normal])
@@ -629,7 +633,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--multiplier", type=positive_int, default=None)
     for name in ("xmin", "xmax", "ymin", "ymax"):
         sp.add_argument(f"--{name}", type=exact_number, default=None)
-    common(sp, "tol", "format")
+    sp.add_argument("--tol", type=positive_float, default=None,
+                    help="proximity tolerance (default 1e-9) of curvature-ivp specs and "
+                         "framed constant-curvature specs; the other specs count exactly "
+                         "and ignore it")
+    common(sp, "format")
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("figures", help="CSV data for the figures")

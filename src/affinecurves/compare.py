@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .curve import AffineCurve, adapted_frame, area_function, graphing_parameter_set, wedge
+from .curve import AffineCurve, adapted_frame, area_function, graphing_interval, wedge
 from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
@@ -143,7 +143,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
 
     # graphing interval must cover (-R, R)
     r_reach = sk(k1, length)
-    gset = graphing_parameter_set(curve, s0)
+    gset = graphing_interval(curve, s0, fr)
     xi_lo, xi_hi = fr.to_adapted_rows(curve.point(np.array((gset.lo, gset.hi))))[:, 0].tolist()
     cover_defect = max(xi_lo - (-r_reach), r_reach - xi_hi)
     worst = max(worst, cover_defect)

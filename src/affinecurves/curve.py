@@ -142,10 +142,12 @@ class AffineCurve:
     So a scalar read equals the matching entry of an array read bit for
     bit, and a closure has one read path.
 
-    `inverse`, where the curve has one in closed form, maps a (p, 2)
-    array of points on the curve's conic to their parameters: NaN off the
-    curve's branch, and otherwise a parameter that may lie outside the
-    domain when the point lies beyond an end of the arc."""
+    `inverse`, where the curve has one, maps a (p, 2) array of points on
+    the curve's conic or graph to their parameters.  A constant-curvature
+    curve's inverse is in closed form: NaN off the curve's branch, and
+    otherwise a parameter that may lie outside the domain when the point
+    lies beyond an end of the arc.  A reparameterized curve's inverse
+    (`reparam_unit_speed`) is clipped to the domain."""
 
     domain: Interval
     position: Callable[[np.ndarray], np.ndarray]
@@ -185,13 +187,17 @@ class ParametricCurve:
     `specfiles` do (NumPy's `**` does not: it can differ from Python's in
     the last bit).  Such a closure is read in one call; one that raises
     TypeError or ValueError on an array, such as a `math` lambda, is read
-    entry by entry."""
+    entry by entry.
+
+    `inverse`, where given, maps a (p, 2) array of points on the curve to
+    their parameters t (a graph's x), as a 1-D array."""
 
     position: Callable[[float], Sequence[float]]
     d1: Callable[[float], Sequence[float]]
     d2: Callable[[float], Sequence[float]]
     d3: Callable[[float], Sequence[float]] | None = None
     d4: Callable[[float], Sequence[float]] | None = None
+    inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def rows(self, fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
         """fn, one of the closures, at each entry of t, as a (p, 2) array."""
@@ -287,11 +293,16 @@ _CC_WEIGHTS = _CC_WEIGHTS @ _TO_CHEB
 _CUMULATIVE = ((_CX[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS) @ _TO_MONO @ _TO_CHEB
 
 
-def _arclength_table(raw: ParametricCurve, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+def _arclength_table(raw: ParametricCurve, t0: float,
+                     t1: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The affine arc length s(t) = integral_t0^t (c' wedge c'')^(1/3) dt on
     t0 < t1 and its inverse t(s), as panels: their ends in s, from 0 to the
     arc length, and per panel the monomial coefficients of t in the local
     variable u = (s - centre) / half-width, shaped (panels, ARC_DEGREE + 1).
+    The third entry is s(t) itself, as the same panels in t: their left
+    ends, centres and half-widths in t, and per panel the coefficients
+    `lift` of u^1 .. u^(ARC_DEGREE + 1), u = (t - centre) / half-width, and
+    an offset, so that s(t) = offset + half-width (lift . u^k).
 
     [t0, t1] starts as ARC_PANELS equal panels.  On each panel the
     integrand is read at the Chebyshev points in one array call of d1 and
@@ -357,16 +368,19 @@ def _arclength_table(raw: ParametricCurve, t0: float, t1: float) -> tuple[np.nda
         coef = half[:, None] * (d @ _TO_MONO.T)
         coef[:, 0] += mid
         keep = ~split
-        done.append((lo[keep], half[keep] * total[keep], coef[keep]))
+        done.append((lo[keep], half[keep] * total[keep], coef[keep], mid[keep], half[keep],
+                     lift[keep], base[keep]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-    lo, length, coef = (np.concatenate(v) for v in zip(*done))
+    lo, length, coef, mid, half, lift, base = (np.concatenate(v) for v in zip(*done))
     order = np.argsort(lo)
     edges = np.concatenate(([0.0], np.cumsum(length[order])))
     if not (np.isfinite(edges[-1]) and edges[-1] > 0.0):
         raise DomainError(f"the affine arc length {edges[-1]} is not a positive float")
+    half = half[order]
+    forward = (lo[order], mid[order], half, lift[order], edges[:-1] - half * base[order])
     # panels too short for the sum to tell their ends apart are never read
     keep = 0.5 * np.diff(edges) > 0.0
-    return np.append(0.0, edges[1:][keep]), coef[order][keep]
+    return np.append(0.0, edges[1:][keep]), coef[order][keep], forward
 
 
 def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
@@ -386,10 +400,14 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
     s is clipped to the domain [0, lambda] and t to [t0, t1].  The third
     spatial derivative uses the raw fourth derivative when supplied and a
     finite difference of c'' otherwise (`_fd_rows`).
+
+    When the raw curve has an inverse, so does the result: s at the raw
+    inverse's t, read from the same table's forward panels (the integral
+    s(t) of each panel's interpolant), with t clipped to [t0, t1].
     """
     if raw.d3 is None:
         raise ValueError("reparameterization needs three raw derivatives")
-    edges, coef = _arclength_table(raw, t0, t1)
+    edges, coef, (t_lo, t_mid, t_half, lift, offset) = _arclength_table(raw, t0, t1)
     lam = float(edges[-1])
     domain = Interval(0.0, lam)
     centre, width = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
@@ -403,6 +421,15 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         for k in range(ARC_DEGREE - 1, -1, -1):
             t = t * u + cj[:, k]
         return np.clip(t, min(t0, t1), max(t0, t1))
+
+    def s_at(p: np.ndarray) -> np.ndarray:
+        t = np.clip(raw.inverse(p), t0, t1)
+        j = np.clip(np.searchsorted(t_lo, t, side="right") - 1, 0, len(t_lo) - 1)
+        u, lj = (t - t_mid[j]) / t_half[j], lift[j]
+        acc = lj[:, -1]
+        for k in range(ARC_DEGREE - 1, -1, -1):
+            acc = acc * u + lj[:, k]
+        return np.clip(offset[j] + t_half[j] * (acc * u), 0.0, lam)
 
     def position(s: np.ndarray) -> np.ndarray:
         return raw.rows(raw.position, t_at(s))
@@ -441,7 +468,8 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         return _wedge_rows(d2, d3)
 
     return AffineCurve(domain, position, derivatives, curvature,
-                       label=label or "reparameterized")
+                       label=label or "reparameterized",
+                       inverse=None if raw.inverse is None else s_at)
 
 
 def _fd_rows(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
@@ -494,13 +522,15 @@ class GraphJet:
 
 
 def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineCurve:
-    """Unit-speed curve for the convex graph y = f(x) on [x0, x1]."""
+    """Unit-speed curve for the convex graph y = f(x) on [x0, x1].  Its
+    inverse reads a point's x alone and returns the parameter s there."""
     raw = ParametricCurve(
         position=lambda t: (t, jet.f(t)),
         d1=lambda t: (1.0, jet.f1(t)),
         d2=lambda t: (0.0, jet.f2(t)),
         d3=lambda t: (0.0, jet.f3(t)),
         d4=lambda t: (0.0, jet.f4(t)),
+        inverse=lambda p: p[:, 0],
     )
     ts = np.linspace(x0, x1, 101)
     f2 = raw.rows(raw.d2, ts)[:, 1]
@@ -692,7 +722,14 @@ def adapted_frame(curve: AffineCurve, s0: float) -> AdaptedFrame:
 
 
 def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
-    """Connected component of s0 where the adapted x-coordinate increases.
+    """Connected component of s0 where the adapted x-coordinate increases
+    (`graphing_interval` in the frame `adapted_frame(curve, s0)`)."""
+    return graphing_interval(curve, s0, adapted_frame(curve, s0))
+
+
+def graphing_interval(curve: AffineCurve, s0: float, fr: AdaptedFrame) -> Interval:
+    """Connected component of s0 where the x-coordinate in fr, the adapted
+    frame at s0, increases.
 
     Endpoints are domain endpoints or zeros of x', bracketed to 1e-10;
     on the result the curve is the graph of a convex function in the
@@ -701,8 +738,6 @@ def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
     in one array call; the first step with x' <= 0 and the one before it
     bracket the zero.
     """
-    fr = adapted_frame(curve, s0)
-
     def xprime(s: float) -> float:
         return float(fr.to_adapted_vector(curve.derivatives(s)[0])[0])
 

@@ -1,4 +1,5 @@
-"""Exact lattice arithmetic, enumeration on conic arcs, and counting bounds.
+"""Exact lattice arithmetic, enumeration on conic arcs and polynomial
+graphs, and counting bounds.
 
 Membership decisions, triangle multipliers, and orbit verification all run
 in exact arithmetic over Python integers or Fractions (exact for integer
@@ -29,7 +30,7 @@ INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
 END_RTOL = 1e-12  # parameters this close to a domain end (relative) are placed at the end
 ON_CURVE_TOL = 1e-6  # distance from an exact candidate to its curve point, in `on_curve`
-MAX_SCAN_COLUMNS = 10**6  # lattice columns of an exact arc scan, points of a float window
+MAX_SCAN_COLUMNS = 10**6  # columns or vertical lines of an exact scan, points of a float window
 # stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, BRENT_RTOL, BRENT_MAXITER
 _cKDTree = None  # scipy.spatial.cKDTree, imported by the first enumerate_near_curve
@@ -375,6 +376,80 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
         positions=[positions[i] for i in order],
         params=[params[i] for i in order],
     )
+
+
+@dataclass(frozen=True)
+class PolyGraph:
+    """The graph y = p(x), lo <= x <= hi, of a polynomial p with exact
+    ascending coefficients (c0 + c1 x + c2 x^2 + ...)."""
+
+    coeffs: tuple[Fraction, ...]
+    lo: Fraction
+    hi: Fraction
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, u0, v0, u1, v1 = b, r, u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint], lat: Lattice,
+                       inverse: Callable[[np.ndarray], np.ndarray]) -> LatticePointSet:
+    """Complete enumeration of the lattice points on the graph that satisfy
+    the constraints, in increasing x, each placed at the parameter that
+    `inverse` (a curve's, from a (p, 2) array of points) gives it.
+
+    Every lattice point lies on a vertical lattice line.  With the lattice
+    cleared (`Lattice.cleared`), the x-components x1, x2 of the generators
+    have gcd g = a x1 + b x2 (extended Euclid), so w = a v1 + b v2 and the
+    vertical u = (x2 v1 - x1 v2) / g generate the lattice (the change of
+    basis has determinant -1), and line j holds the points
+    v0 + j w + i u at x = (x0 + j g) / den.  The graph crosses each line
+    once, at y = p(x): a lattice point exactly when den y - y0 - j wy is
+    an integer multiple i of uy, the y-components of den w and den u.
+    That is one divisibility test per line over Python integers, with p
+    cleared of its denominators; the constraints are tested on the point
+    cleared of den, also in integers.  Every line whose x lies in
+    [lo, hi] is visited, so the scan is complete; more than
+    MAX_SCAN_COLUMNS lines raise BudgetError before the scan.  A point
+    past the float range, which no float curve can place, is a
+    DomainError.
+    """
+    den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
+    g, a, b = _xgcd(x1, x2)
+    wy, uy = a * y1 + b * y2, (x2 * y1 - x1 * y2) // g
+    j_lo = math.ceil((graph.lo * den - x0) / g)
+    j_hi = math.floor((graph.hi * den - x0) / g)
+    if j_hi - j_lo + 1 > MAX_SCAN_COLUMNS:
+        raise BudgetError(f"the graph crosses {j_hi - j_lo + 1} vertical lattice lines; "
+                          f"the scan budget is {MAX_SCAN_COLUMNS}")
+    # with N = x0 + j g and p's coefficients times the lcm L of their
+    # denominators, H(N) = sum L c_k N^k den^(d - k) is L den^d p(N / den)
+    degree, scale = len(graph.coeffs) - 1, math.lcm(*(c.denominator for c in graph.coeffs))
+    ks = [int(c * scale) * den ** (degree - k) for k, c in enumerate(graph.coeffs)]
+    div = scale * den ** degree
+    gs = [_cleared((c.g1, c.g2, c.g0)) for c in constraints]
+    found: list[tuple[int, int]] = []
+    for j in range(j_lo, j_hi + 1):
+        nx = x0 + j * g
+        h = ks[-1]
+        for k in ks[-2::-1]:
+            h = h * nx + k
+        ny, rem = divmod(h * den, div)  # den p(x), an integer on a lattice point
+        if rem:
+            continue
+        i, rem = divmod(ny - y0 - j * wy, uy)
+        if not rem and all(g1 * nx + g2 * ny + g0 * den >= 0 for g1, g2, g0 in gs):
+            found.append((j * a + i * (x2 // g), j * b - i * (x1 // g)))
+    try:
+        q = _float_points(lat, found)
+    except OverflowError:
+        raise DomainError("a lattice point on the graph lies past the float range") from None
+    return _point_set(lat, found, inverse(q), True)
 
 
 def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,

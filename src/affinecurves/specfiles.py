@@ -31,7 +31,7 @@ from .curve import (
     reconstruct_from_curvature,
 )
 from .kfuncs import Interval
-from .lattice import Lattice
+from .lattice import Lattice, PolyGraph
 
 CURVE_KINDS = ("parabola", "conic", "graph", "constant-curvature", "curvature-ivp")
 MAX_EXPONENT = 400  # largest decimal exponent magnitude of an exact coefficient
@@ -128,12 +128,15 @@ def _adapted_frame(origin, tangent, normal) -> AdaptedFrame:
 
 @dataclass
 class CurveSpec:
-    """A parsed curve document: the unit-speed curve and the exact conic
-    when membership on the curve is decidable in rational arithmetic."""
+    """A parsed curve document: the unit-speed curve, and the exact conic
+    or (for graphs of degree three and more) the exact polynomial graph
+    when membership on the curve is decidable in rational arithmetic.
+    `exact` says whether the spec has an exact conic."""
 
     kind: str
     curve: AffineCurve
     conic: Conic | None = None
+    graph: PolyGraph | None = None
 
     @property
     def exact(self) -> bool:
@@ -157,13 +160,15 @@ def parse_curve_spec(data: dict) -> CurveSpec:
             raise SpecError("graph polynomial must have degree at least 2")
         if len(coeffs) == 3 and coeffs[2] <= 0.0:
             raise ConvexityError(f"{kind} needs a positive quadratic coefficient")
-        dom = _interval(_require(data, "domain"))
+        dom_strs = _require(data, "domain")
+        dom = _interval(dom_strs)
         # a convex graph lies below its chord, so finite ends bound its points from above
         if not all(math.isfinite(_horner(tuple(coeffs), x)) for x in (dom.lo, dom.hi)):
             raise SpecError(f"the {kind} leaves the float range on [{dom.lo}, {dom.hi}]")
         if len(coeffs) > 3:
-            return CurveSpec(kind, graph_curve(GraphJet(*_poly_fns(coeffs, 4)),
-                                               dom.lo, dom.hi, label=kind))
+            graph = PolyGraph(_fractions(coeff_strs, "coeffs"), *_fractions(dom_strs, "domain"))
+            curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
+            return CurveSpec(kind, curve, graph=graph)
         c0, c1, c2 = coeffs
         # the curvature-0 conic: x = x0 + a s, a = (2 c2)^(-1/3), so that
         # c' wedge c'' = 2 c2 a^3 = 1, framed at (x0, p(x0))

@@ -29,6 +29,7 @@ from affinecurves.lattice import (
     Lattice,
     enumerate_near_curve,
     enumerate_on_arc,
+    enumerate_on_graph,
     on_curve,
     plane_conic_from_lattice_frame,
 )
@@ -532,13 +533,25 @@ class TestInexactCounts:
         return code, json.loads(out[:out.rindex("}") + 1]), out.splitlines()[-1]
 
     def test_inexact_count_past_its_bound_is_inconclusive(self, tmp_path, z2_spec, capsys):
-        spec = write_json(tmp_path / "far.json", _FAR_QUARTIC)
-        code, payload, summary = self._run(["count", spec, z2_spec], capsys)
-        assert (code, summary) == (4, "bound 1 count 2")
+        # the flat reconstruction (s, s^2/2) holds 4 lattice points on [0, 6]; a
+        # multiplier far above theirs makes 2pts2 claim 3
+        spec = write_json(tmp_path / "flat.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["0"], "domain": ["0", "6"]})
+        code, payload, summary = self._run(["count", spec, z2_spec, "--theorem", "2pts2",
+                                            "--multiplier", "100000"], capsys)
+        assert (code, summary) == (4, "bound 3 count 4")
         assert not payload["exact_membership"]
         assert payload["certificate"]["hypotheses"][-1] == {
             "name": "exact-membership", "ok": False,
-            "detail": "count 2 > bound 1 by 1e-09 proximity membership"}
+            "detail": "count 4 > bound 3 by 1e-09 proximity membership"}
+
+    def test_far_quartic_counts_exactly(self, tmp_path, z2_spec, capsys):
+        # the float proximity count found 2 points past its bound of 1;
+        # the vertical lattice lines x = 69721016, 69721017 miss the graph
+        spec = write_json(tmp_path / "far.json", _FAR_QUARTIC)
+        code, payload, summary = self._run(["count", spec, z2_spec], capsys)
+        assert (code, summary) == (0, "bound 1 count 0")
+        assert payload["exact_membership"]
 
     def test_exact_count_past_its_bound_is_violated(self, tmp_path, z2_spec, capsys):
         # a multiplier far above the points' own makes 2pts2 claim 3 points
@@ -549,6 +562,89 @@ class TestInexactCounts:
         assert (code, summary) == (5, "bound 3 count 11")
         assert payload["exact_membership"]
         assert all(h["ok"] for h in payload["certificate"]["hypotheses"])
+
+
+def _convex_graph(rng, degree):
+    """Coefficient strings and integer domain of a seeded convex cubic or
+    quartic: p'' > 0 is checked exactly at the ends and, for a quartic, at
+    the vertex of p''."""
+    while True:
+        cs = [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4, 8))) for _ in range(degree + 1)]
+        cs[2] = Fraction(rng.randint(1, 16), 8)
+        lo = rng.randint(-3, 2)
+        hi = lo + rng.randint(1, 4)
+        xs = [Fraction(lo), Fraction(hi)]
+        if degree == 4 and cs[4] and lo < -cs[3] / (4 * cs[4]) < hi:
+            xs.append(-cs[3] / (4 * cs[4]))
+        if all(sum(k * (k - 1) * c * x ** (k - 2) for k, c in enumerate(cs) if k >= 2) > 0
+               for x in xs):
+            return [repr(float(c)) for c in cs], lo, hi
+
+
+class TestExactGraphCounts:
+    """`count` on cubic and quartic graph specs, by vertical lattice lines."""
+
+    @staticmethod
+    def _count(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_far_cubic_is_sharp(self, tmp_path, z2_spec, capsys):
+        # the float window of this arc held 7.2e11 lattice points
+        spec = write_json(tmp_path / "far.json", {
+            "type": "graph", "coeffs": ["0", "0", "0", "1"], "domain": ["100000", "100003"]})
+        assert main(["count", spec, z2_spec]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "bound 4 count 4 SHARP"
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[x, x ** 3] for x in range(10**5, 10**5 + 4)]
+
+    def test_seeded_convex_graphs_never_violate(self, tmp_path):
+        # an exact count over its bound would be a false `violated` (exit 5)
+        lattices = [write_json(tmp_path / f"lat{i}.json", lat)
+                    for i, lat in enumerate(_FUZZ_LATTICES + (
+                        {"v0": ["1/3", "-1/2"], "v1": ["1/2", "1/4"], "v2": ["-1/3", "1/2"]},))]
+        rng = random.Random(2026)
+        codes = {}
+        for i in range(200):
+            coeffs, lo, hi = _convex_graph(rng, 3 + i % 2)
+            spec = write_json(tmp_path / f"g{i}.json", {"type": "graph", "coeffs": coeffs,
+                                                        "domain": [str(lo), str(hi)]})
+            for j, lat in enumerate(lattices):
+                code, out, err = self._count(["count", spec, lat])
+                codes[code] = codes.get(code, 0) + 1
+                assert code in (0, 4), (coeffs, lo, hi, j, err)
+                if j == 0:  # the standard lattice: an exact scan over x
+                    payload = json.loads(out[:out.rindex("}") + 1])
+                    exact = [Fraction(c) for c in coeffs]
+                    want = [[x, int(y)] for x in range(lo, hi + 1)
+                            for y in [sum(c * x ** k for k, c in enumerate(exact))]
+                            if y.denominator == 1]
+                    assert [p[:2] for p in payload["points"]] == want
+                    assert payload["exact_membership"] is True
+        assert codes.get(0, 0) > 300
+
+    @pytest.mark.parametrize("coeffs,lo,hi", [
+        (("0", "0", "1", "0.05"), -1, 1),
+        (("1", "0.125", "0.5625", "0.0625"), -2, 1),
+        (("1", "-0.125", "0.875", "-0.0625"), -1, 2),
+        (("0", "0", "1", "0.05", "0.01"), -1, 2),
+        (("0.5", "-0.25", "0.6875", "0.0625"), -2, 1),
+    ])
+    def test_param_column_matches_float_placement(self, tmp_path, z2_spec, coeffs, lo, hi):
+        # the old placement: the tangency root of the float proximity scan
+        doc = {"type": "graph", "coeffs": list(coeffs), "domain": [str(lo), str(hi)]}
+        out = tmp_path / "points.csv"
+        code, _, _ = self._count(["count", write_json(tmp_path / "g.json", doc), z2_spec,
+                                  "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        near = enumerate_near_curve(parse_curve_spec(doc).curve, Lattice.standard(), 1e-6)
+        assert [(int(r[0]), int(r[1])) for r in rows] == near.coords
+        assert len(rows) >= 1
+        np.testing.assert_allclose([float(r[4]) for r in rows], near.params, rtol=0, atol=1e-13)
 
 
 class TestVerify:
@@ -713,27 +809,54 @@ class TestCount:
         assert rc == 0
 
     def test_float_window_over_budget_exits_3(self, tmp_path, z2_spec, capsys):
-        # the padded box of this graph holds about 5e10 lattice points
+        # the padded box of the flat reconstruction (s, s^2/2) on [0, 200]
+        # holds about 4e6 lattice points
         spec = write_json(tmp_path / "long.json", {
-            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
-            "domain": ["-1", "1000"]})
+            "type": "curvature-ivp", "kappa_coeffs": ["0"], "domain": ["0", "200"]})
         start = time.perf_counter()
         rc = main(["count", spec, z2_spec])
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
+        assert "window holds" in captured.err and "scan budget" in captured.err
+
+    def test_graph_over_line_budget_exits_3(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "long.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+            "domain": ["-1", "2000000"]})
+        start = time.perf_counter()
+        rc = main(["count", spec, z2_spec])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "crosses 2000002 vertical lattice lines" in captured.err
         assert "scan budget" in captured.err
 
     def test_inexact_warning_names_tolerance(self, tmp_path, z2_spec, capsys):
-        spec = write_json(tmp_path / "g.json", {
-            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["0.5", "-0.2"],
             "domain": ["-1", "1"]})
         for extra, tol in (([], "1e-09"), (["--tol", "1e-6"], "1e-06")):
             main(["count", spec, z2_spec, "--theorem", "low_aff_bd", *extra])
             out = capsys.readouterr().out
             warning = json.loads(out[:out.rindex("}") + 1])["warning"]
             assert f"using {tol} proximity membership" in warning
+
+    def test_exact_graph_count_ignores_tolerance(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+            "domain": ["-1", "1"]})
+        outs = []
+        for extra in ([], ["--tol", "1e-6"]):
+            assert main(["count", spec, z2_spec, "--theorem", "low_aff_bd", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        payload = json.loads(outs[0][:outs[0].rindex("}") + 1])
+        assert "warning" not in payload
+        assert payload["exact_membership"] is True
+        assert payload["points"] == [[0, 0, 0.0, 0.0]]
 
 
 class TestFigures:
@@ -1243,11 +1366,21 @@ class TestQuadraticGraphs:
         assert out.splitlines()[-1] == "bound 4 count 4 SHARP"
 
     def test_candidates_need_an_inverse(self):
-        curve = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+        # the flat reconstruction (s, s^2/2) on [-1, 1], through (0, 0) only
+        curve = parse_curve_spec({"type": "curvature-ivp", "kappa_coeffs": ["0"],
                                   "domain": ["-1", "1"]}).curve
         with pytest.raises(ValueError, match="no closed-form inverse"):
             on_curve(curve, Lattice.standard(), [(0, 0)], 1e-6)
         assert on_curve(curve, Lattice.standard(), None, 1e-9).coords == [(0, 0)]
+
+    def test_graph_candidates_are_placed_by_the_graph_inverse(self):
+        spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+                                 "domain": ["-1", "1"]})
+        exact = enumerate_on_graph(spec.graph, (), Lattice.standard(), spec.curve.inverse)
+        placed = on_curve(spec.curve, Lattice.standard(), [(0, 0)], 1e-6)
+        assert exact.coords == placed.coords == [(0, 0)]
+        assert exact.exact and placed.exact
+        assert exact.params == placed.params
 
 
 class TestPlacementCost:
@@ -1424,17 +1557,31 @@ class TestSubcommandOptions:
 
 class TestProximityWindow:
     def test_window_applies_to_proximity_points(self, tmp_path, z2_spec, capsys):
-        spec = write_json(tmp_path / "g.json", {
-            "type": "graph", "coeffs": ["0", "0", "1", "0.125"], "domain": ["-2", "2"]})
+        # the flat reconstruction (s, s^2/2) on [-2, 2]
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["0"], "domain": ["-2", "2"]})
         main(["count", spec, z2_spec, "--tol", "1e-6"])
         out = capsys.readouterr().out
         everything = json.loads(out[:out.rindex("}") + 1])
-        assert [p[:2] for p in everything["points"]] == [[-2, 3], [0, 0], [2, 5]]
+        assert [p[:2] for p in everything["points"]] == [[-2, 2], [0, 0], [2, 2]]
         main(["count", spec, z2_spec, "--xmin", "1", "--tol", "1e-6"])
         out = capsys.readouterr().out
         payload = json.loads(out[:out.rindex("}") + 1])
-        assert [p[:2] for p in payload["points"]] == [[2, 5]]
+        assert [p[:2] for p in payload["points"]] == [[2, 2]]
         assert payload["count"] == 1 and payload["exact_membership"] is False
+
+    def test_window_applies_to_exact_graph_points(self, tmp_path, z2_spec, capsys):
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "1", "0.125"], "domain": ["-2", "2"]})
+        main(["count", spec, z2_spec])
+        out = capsys.readouterr().out
+        everything = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in everything["points"]] == [[-2, 3], [0, 0], [2, 5]]
+        main(["count", spec, z2_spec, "--xmin", "1"])
+        out = capsys.readouterr().out
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[2, 5]]
+        assert payload["count"] == 1 and payload["exact_membership"] is True
 
     def test_window_edges_are_exact(self, tmp_path, z2_spec, capsys):
         spec = write_json(tmp_path / "g.json", {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,23 @@ class TestCoordBounds:
         c = parabola_curve(Interval(-1.0, 1.0))
         rep = coord_bounds_check(c, 0.0, 0.5, 1.0, 1.0)
         assert rep.verdict == "hypotheses-failed"
+
+    def test_builds_the_frame_once(self):
+        # the frame at s0 costs one scalar read of the point and one of the
+        # derivatives; the graphing interval reuses it
+        curve = reconstruct_from_curvature(lambda s: -0.5 + 0.0 * s, Interval(-2.0, 2.0))
+        sizes = []
+
+        def counting(read):
+            def counted(s):
+                sizes.append(np.size(s))
+                return read(s)
+            return counted
+
+        c = dataclasses.replace(curve, position=counting(curve.position.array_read),
+                                derivatives=counting(curve.derivatives.array_read))
+        assert coord_bounds_check(c, 0.0, -0.5, -0.5, 2.0).holds
+        assert sizes.count(1) == 2
 
 
 class TestTriangleBounds:

@@ -589,6 +589,45 @@ class TestAdaptedFrame:
             Conic.make("1e-300", 0, 0, 0, "-1e-10", 0).frame_at(0.0, 0.0)
 
 
+class TestGraphInverse:
+    """A graph curve's inverse, s at a point's x, read from the forward
+    panels of its arc-length table."""
+
+    @pytest.mark.parametrize("coeffs, domain", _convex_polynomials())
+    def test_inverse_of_point_and_quad_oracle(self, coeffs, domain):
+        (x0, x1), f2 = domain, np.polynomial.polynomial.polyder(coeffs, 2).tolist()
+        curve = parse_curve_spec({"type": "graph", "coeffs": [repr(float(c)) for c in coeffs],
+                                  "domain": [repr(x0), repr(x1)]}).curve
+        lam = curve.domain.hi
+        ss = np.linspace(0.0, lam, 257)
+        assert np.abs(curve.inverse(curve.point(ss)) - ss).max() <= 1e-12 * max(1.0, lam)
+        # s(x) as the integral of f''^(1/3) from x0, by quad
+        xs = np.linspace(x0, x1, 9)
+        want = [quad(lambda t: sum(a * t ** k for k, a in enumerate(f2)) ** (1.0 / 3.0), x0, x,
+                     epsabs=1e-13, epsrel=1e-13)[0] for x in xs.tolist()]
+        got = curve.inverse(np.column_stack((xs, np.full(xs.size, np.nan))))  # y is not read
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, lam)
+
+    def test_far_cubic_is_limited_by_the_rounding_of_x(self):
+        # at x near 1e5 one ulp of x is 1.5e-11 and ds/dx = (6 x)^(1/3) is
+        # about 84, so point(s) fixes s only to about 1e-9
+        curve = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "0", "1"],
+                                  "domain": ["100000", "100003"]}).curve
+        ss = np.linspace(0.0, curve.domain.hi, 257)
+        xs = curve.point(ss)[:, 0]
+        slope = np.cbrt(6.0 * xs)
+        assert (np.abs(curve.inverse(curve.point(ss)) - ss) <= 4 * slope * np.spacing(xs)).all()
+
+    def test_ends_and_beyond_are_clipped(self):
+        curve = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
+                                  "domain": ["-1", "1"]}).curve
+        got = curve.inverse(np.array([[-1.0, 0.0], [1.0, 0.0], [-5.0, 0.0], [5.0, 0.0]]))
+        assert got.tolist() == [0.0, curve.domain.hi, 0.0, curve.domain.hi]
+
+    def test_a_raw_curve_without_an_inverse_gives_none(self):
+        assert reparam_unit_speed(circle_raw(1.0), 0.0, 2.0).inverse is None
+
+
 class TestGraphingSet:
     def test_parabola_entire_domain(self):
         c = parabola_curve(Interval(-2.0, 4.0))

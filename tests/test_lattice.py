@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from affinecurves.lattice import (
     ConicArc,
     Lattice,
     LinearConstraint,
+    PolyGraph,
     bound_general,
     bound_rigid,
     bound_sharp,
@@ -20,6 +23,7 @@ from affinecurves.lattice import (
     bound_two_points,
     conic_in_lattice_coords,
     enumerate_on_arc,
+    enumerate_on_graph,
     equal_spaced_orbit,
     lattice_equal,
     m_of_coords,
@@ -30,6 +34,7 @@ from affinecurves.lattice import (
     triangle_multiplier,
 )
 from affinecurves.sharp_instances import hyperbola_general_instance, parabola_instance
+from affinecurves.specfiles import parse_curve_spec
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 BIG_L = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
@@ -431,6 +436,171 @@ class TestIntegerScan:
     def test_budget_admits_hyperbola_m0_7(self):
         m_lo, m_hi = lattice_mod._m_scan_range(hyperbola_general_instance(Z2, 7).arc, Z2)
         assert 4 * 10**5 < m_hi - m_lo <= lattice_mod.MAX_SCAN_COLUMNS
+
+
+def _poly(coeffs, x):
+    return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def _interpolant(points):
+    """The ascending coefficients of the polynomial through the points
+    (distinct x), by Lagrange's formula in Fractions."""
+    out = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                scale *= xi - xj
+        out = [o + yi * b / scale for o, b in zip(out, basis)]
+    return out
+
+
+def _y_range(coeffs, lo, hi, pieces=16):
+    """Rational bounds on p over [lo, hi]: on each of the pieces, the Taylor
+    expansion at its centre, with |x - centre| <= its half-width."""
+    ymin = ymax = None
+    for k in range(pieces):
+        a, b = lo + (hi - lo) * k / pieces, lo + (hi - lo) * (k + 1) / pieces
+        c, r = (a + b) / 2, (b - a) / 2
+        taylor, deriv = [], list(coeffs)
+        for order in range(len(coeffs)):
+            taylor.append(_poly(deriv, c) / math.factorial(order))
+            deriv = [j * d for j, d in enumerate(deriv)][1:]
+        spread = sum(abs(t) * r ** j for j, t in enumerate(taylor) if j)
+        lo_k, hi_k = taylor[0] - spread, taylor[0] + spread
+        ymin = lo_k if ymin is None else min(ymin, lo_k)
+        ymax = hi_k if ymax is None else max(ymax, hi_k)
+    return ymin, ymax
+
+
+def _box_scan(graph, constraints, lat):
+    """The lattice points on the graph that satisfy the constraints, by a
+    Fraction scan of every lattice point of the box [lo, hi] x [ymin, ymax]:
+    m over the box's corners, and per m the n that put x in [lo, hi]
+    (the generators' x-components are nonzero), in increasing x."""
+    ymin, ymax = _y_range(graph.coeffs, graph.lo, graph.hi)
+    ms = [lat.coords_of((x, y))[0] for x in (graph.lo, graph.hi) for y in (ymin, ymax)]
+    v0, v1, v2 = lat.v0, lat.v1, lat.v2
+    found = []
+    for m in range(math.floor(min(ms)), math.ceil(max(ms)) + 1):
+        ends = sorted(((graph.lo - v0[0] - m * v1[0]) / v2[0],
+                       (graph.hi - v0[0] - m * v1[0]) / v2[0]))
+        for n in range(math.ceil(ends[0]), math.floor(ends[1]) + 1):
+            x, y = lat.point(m, n)
+            if (graph.lo <= x <= graph.hi and y == _poly(graph.coeffs, x)
+                    and all(g.satisfied(x, y) for g in constraints)):
+                found.append((x, (m, n)))
+    return [c for _, c in sorted(found)]
+
+
+def _skewed_lattice(rng):
+    """A lattice with a nonzero origin, denominators 2 to 6, and nonzero
+    x-components in both generators."""
+    def q(lo, hi):
+        while True:
+            v = Fraction(rng.randint(lo, hi), rng.randint(2, 6))
+            if v:
+                return v
+    while True:
+        lat = Lattice.make((q(-6, 6), q(-6, 6)), (q(1, 6), q(-6, 6)), (q(-6, 6), q(-6, 6)))
+        if lat.cell_area:
+            return lat
+
+
+def _graph_through_lattice_points(rng, lat, degree):
+    """A graph of the given degree through at least degree lattice points
+    of distinct x, with a rational domain just past their x-range: the
+    interpolant of degree + 1 of them, plus a multiple of the product
+    of (x - x_i) over all but the last."""
+    points = {}
+    while len(points) < degree + 1:
+        x, y = lat.point(rng.randint(-2, 2), rng.randint(-2, 2))
+        points.setdefault(x, y)
+    coeffs = _interpolant(list(points.items()))
+    product = [Fraction(1)]
+    for xi in list(points)[:-1]:
+        product = [a - xi * b for a, b in zip([Fraction(0)] + product, product + [Fraction(0)])]
+    eps = Fraction(rng.choice((-1, 1)), rng.randint(7, 40))
+    coeffs = [c + eps * b for c, b in zip(coeffs, product)]
+    lo = min(points) - Fraction(rng.randint(0, 5), 4)
+    hi = max(points) + Fraction(rng.randint(0, 5), 4)
+    return PolyGraph(tuple(coeffs), lo, hi)
+
+
+def _convex_cubic(rng, c2):
+    """A dyadic cubic, convex for |x| <= 2 (as the benchmark draws them)."""
+    return [Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-2, 2), 8), c2,
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 2), 32)]
+
+
+# the graphs of test_near_curve_matches_exact_scan in test_cli.py, and 50
+# seeded cubics drawn as the benchmark draws its graphs
+NEAR_CURVE_GRAPHS = [
+    (("0", "0", "1", "0.05"), -1, 1),
+    (("1", "0.125", "0.5625", "0.0625"), -2, 1),
+    (("1", "-0.125", "0.875", "-0.0625"), -1, 2),
+    (("2", "0", "0.6875", "-0.03125"), -2, 1),
+    (("-0.5", "0.25", "0.5", "0.03125"), -2, 1),
+] + [(tuple(repr(float(c)) for c in _convex_cubic(rng, Fraction(8 + i % 10, 16))),
+      -1 - i % 2, 2 - i % 2)
+     for rng in [random.Random(431)] for i in range(50)]
+
+
+class TestGraphEnumeration:
+    """enumerate_on_graph, one divisibility test per vertical lattice line,
+    against independent routes."""
+
+    @staticmethod
+    def _by_x(points):
+        return np.asarray(points, dtype=float)[:, 0]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_box_scan_on_skewed_lattices(self, seed):
+        rng = random.Random(seed)
+        lat = _skewed_lattice(rng)
+        for degree in (3, 4):
+            graph = _graph_through_lattice_points(rng, lat, degree)
+            want = _box_scan(graph, (), lat)
+            assert len(want) >= degree  # the comparison is not vacuous
+            got = enumerate_on_graph(graph, (), lat, self._by_x)
+            assert got.coords == want
+            assert got.exact
+            assert got.params == sorted(got.params)
+            assert got.positions == [lat.point(m, n) for m, n in want]
+            # a window cut through the middle of the domain
+            cut = LinearConstraint.make(rng.choice((-1, 1)), Fraction(1, 7),
+                                        -(graph.lo + graph.hi) / 2)
+            got = enumerate_on_graph(graph, (cut,), lat, self._by_x)
+            assert got.coords == [c for c in want if cut.satisfied(*lat.point(*c))]
+
+    @pytest.mark.parametrize("coeffs,lo,hi", NEAR_CURVE_GRAPHS)
+    def test_matches_float_proximity_scan(self, coeffs, lo, hi):
+        spec = parse_curve_spec({"type": "graph", "coeffs": list(coeffs),
+                                 "domain": [str(lo), str(hi)]})
+        got = enumerate_on_graph(spec.graph, (), Z2, spec.curve.inverse)
+        near = lattice_mod.enumerate_near_curve(spec.curve, Z2, 1e-6)
+        assert got.coords == near.coords
+        assert got.exact and not near.exact
+        # the two placements of each point: the graph inverse and the
+        # tangency root of the float scan
+        np.testing.assert_allclose(got.params, near.params, rtol=0, atol=1e-13)
+
+    def test_line_budget(self, monkeypatch):
+        monkeypatch.setattr(lattice_mod, "MAX_SCAN_COLUMNS", 20)
+        half = Lattice.make((0, 0), (Fraction(1, 2), 0), (0, 1))
+        square = (Fraction(0), Fraction(0), Fraction(1))
+        graph = PolyGraph(square, Fraction(0), Fraction(19, 2))  # x = 0, 1/2, ..., 19/2
+        assert enumerate_on_graph(graph, (), half, self._by_x).coords == [
+            (2 * x, x * x) for x in range(10)]
+        with pytest.raises(lattice_mod.BudgetError, match="21 vertical lattice lines"):
+            enumerate_on_graph(PolyGraph(square, Fraction(0), Fraction(10)), (), half,
+                               self._by_x)
+
+    def test_point_past_the_float_range_is_a_domain_error(self):
+        graph = PolyGraph((Fraction(0), Fraction(0), Fraction(10**307)), Fraction(0), Fraction(10))
+        with pytest.raises(lattice_mod.DomainError, match="past the float range"):
+            enumerate_on_graph(graph, (), Z2, self._by_x)
 
 
 class TestCountBounds:

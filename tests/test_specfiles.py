@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from affinecurves import curve as curve_mod
 from affinecurves.curve import ConvexityError, OrientationError, affine_curvature_at
 from affinecurves.kfuncs import DomainError
-from affinecurves.lattice import Lattice
+from affinecurves.lattice import Lattice, PolyGraph
 from affinecurves.odekernel import SolverError
 from affinecurves.specfiles import (
     CURVE_KINDS,
@@ -121,9 +121,27 @@ class TestQuadraticSpecs:
                                    rtol=1e-13, atol=1e-13)
 
     def test_cubic_graph_has_none(self):
-        spec = parse_curve_spec(CUBIC_DOC)
+        # a curvature-ivp spec has no exact conic and no inverse
+        spec = parse_curve_spec({"type": "curvature-ivp", "kappa_coeffs": ["0.5", "-0.2"],
+                                 "domain": ["-1", "1"]})
         assert not spec.exact
+        assert spec.graph is None
         assert spec.curve.inverse is None
+
+    def test_cubic_graph_keeps_its_exact_polynomial(self):
+        spec = parse_curve_spec(CUBIC_DOC)
+        assert not spec.exact  # no conic: its exact route is the vertical lattice lines
+        assert spec.graph == PolyGraph((Fraction(0), Fraction(0), Fraction(1), Fraction(1, 20)),
+                                       Fraction(-1), Fraction(1))
+        ss = np.linspace(spec.curve.domain.lo, spec.curve.domain.hi, 9)
+        np.testing.assert_allclose(spec.curve.inverse(spec.curve.point(ss)), ss,
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("field,value", [("coeffs", ["0", "0", "1", "1e-401"]),
+                                             ("domain", ["-1", "1e-401"])])
+    def test_graph_exponent_past_the_limit_is_refused(self, field, value):
+        with pytest.raises(SpecError, match="exceeds 400"):
+            parse_curve_spec({**CUBIC_DOC, field: value})
 
     def test_quadratic_specs_solve_no_ode(self, monkeypatch):
         def refuse(*args, **kwargs):

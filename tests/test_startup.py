@@ -63,9 +63,9 @@ def _write(path, payload):
 
 def _exact_commands(tmp_path):
     """`examples` and `count` on the exported sharp instances, every
-    `verify` theorem, `bounds`, `figures`, and `area`, `curvature` and
+    `verify` theorem, `bounds`, `figures`, `area`, `curvature` and
     `arclength` on curvature-ivp, conic, constant-curvature and cubic
-    graph specs."""
+    graph specs, and `count` on the cubic graph (by vertical lattice lines)."""
     commands = []
     for name, m0 in (("parabola", 3), ("hyperbola", 2), ("hyperbola-general", 2)):
         for rigid in ((), ("--rigid",)):
@@ -86,17 +86,19 @@ def _exact_commands(tmp_path):
     for name, spec in specs.items():
         path = _write(tmp_path / f"{name}.json", spec)
         commands += [[command, path] for command in ("area", "curvature", "arclength")]
+    lattice = _write(tmp_path / "z2.json", {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
+    commands += [["count", str(tmp_path / "cubic.json"), lattice]]
     return commands
 
 
 def _float_commands(tmp_path):
-    """`count` on a cubic graph and on a curvature-ivp spec (the k-d tree of
-    the float window), one per process."""
-    lattice = _write(tmp_path / "z2.json", {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
-    cubic = _write(tmp_path / "cubic.json", _CUBIC)
+    """`count` on a curvature-ivp spec (the k-d tree of the float window),
+    one per process."""
+    lattice = _write(tmp_path / "z2-float.json",
+                     {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
     ivp = _write(tmp_path / "ivp.json", {"type": "curvature-ivp", "kappa_coeffs": ["0.5"],
                                          "domain": ["0", "2"]})
-    return [["count", cubic, lattice], ["count", ivp, lattice]]
+    return [["count", ivp, lattice]]
 
 
 @pytest.fixture(scope="module")
