@@ -61,6 +61,7 @@ from .sharp_instances import (
 from .specfiles import SpecError, curve_bbox, exact_number, load_curve_spec, load_lattice_spec
 
 OK, PARSE, DOMAIN, HYPOTHESES, VIOLATED = 0, 2, 3, 4, 5
+MAX_SAMPLES = 10**6  # rows of a --samples table, (s, r) pairs of a kernel --grid
 
 SCHEMA = 1
 
@@ -138,8 +139,10 @@ def cmd_area(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.grid < 2:
-        raise ValueError(f"--grid needs at least 2 points, got {args.grid}")
+    n = args.grid  # refused before anything is allocated
+    if n < 2 or n * (n - 1) // 2 > MAX_SAMPLES:
+        raise ValueError(f"--grid needs at least 2 points and at most {MAX_SAMPLES} (s, r) "
+                         f"pairs, got {n} points")
     interval = Interval(args.lo, args.hi)
     k = args.k
     # the closed form at an array of offsets s - r, in one profile read
@@ -556,10 +559,12 @@ def positive_int(text: str) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type: an integer of zero or more."""
+    """argparse type: an integer of zero or more, at most MAX_SAMPLES."""
     value = int(text)
     if value < 0:
         raise ValueError(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{value} samples exceed the limit of {MAX_SAMPLES}")
     return value
 
 

@@ -239,27 +239,22 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class ConicArc:
-    """Arc of an exact conic cut out by linear inequalities.
-
-    `frame` says whether the conic/constraints/bbox live in plane
-    coordinates or directly in the lattice's (m, n) coordinates; `param_of`
-    maps a plane point to its arc-length parameter for ordering."""
+    """The part of an exact plane conic inside a box that satisfies linear
+    inequalities; conic, constraints and box are all in plane coordinates."""
 
     conic: Conic
     constraints: tuple[LinearConstraint, ...]
     bbox: tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
-    frame: str = "plane"
-    param_of: Callable[[float, float], float] | None = None
 
 
 @dataclass
 class LatticePointSet:
-    """Enumerated lattice points on an arc, ordered by arc parameter."""
+    """Enumerated lattice points, ordered by parameter (on an arc, the scan index)."""
 
     coords: list[tuple[int, int]]
     positions: list[Vec2]
     params: list[float]
-    exact: bool = True
+    exact: bool
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -326,8 +321,6 @@ def _cleared_in_lattice(arc: ConicArc, lat: Lattice) -> tuple[list[int], list[li
     cleared = [_cleared((g.g1, g.g2, g.g0)) for g in arc.constraints]
     a, b, c, d, e, f = _cleared((arc.conic.a, arc.conic.b, arc.conic.c,
                                  arc.conic.d, arc.conic.e, arc.conic.f))
-    if arc.frame == "lattice":
-        return [a, b, c, d, e, f], cleared
     den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
     t = ((x1, x2, x0), (y1, y2, y0), (0, 0, den))
     s2 = ((2 * a, b, d), (b, 2 * c, e), (d, e, 2 * f))
@@ -338,12 +331,14 @@ def _cleared_in_lattice(arc: ConicArc, lat: Lattice) -> tuple[list[int], list[li
 
 
 def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
-    """Complete enumeration of lattice points on the arc.
+    """Complete enumeration of lattice points on the arc, in scan order
+    (m, then n, increasing), with the scan index as parameter.
 
     Works column-by-column in lattice coordinates: for each integer m in
-    the scan range the conic restricts to a quadratic in n, whose integer
-    roots are found exactly; the constraints are then tested exactly.
-    Every column of the range is visited, so the scan is complete.
+    the scan range (the box's corners and one column beyond) the conic
+    restricts to a quadratic in n, whose integer roots are found exactly;
+    the constraints are then tested exactly.  Every column of the range is
+    visited, so the scan is complete.
 
     The arithmetic is over Python integers: the conic and each constraint
     are taken to lattice coordinates and cleared to integers by
@@ -354,7 +349,8 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
     the roots (-b +- r) / 2a are the same rationals.  A range of more than
     MAX_SCAN_COLUMNS columns raises BudgetError before the scan.
     """
-    m_lo, m_hi = _m_scan_range(arc, lat)
+    m_lo, m_hi, _, _ = _box_coord_ranges(lat, arc.bbox[:2], arc.bbox[2:])
+    m_lo, m_hi = m_lo - 1, m_hi + 1
     if m_hi - m_lo > MAX_SCAN_COLUMNS:
         raise BudgetError(f"the arc crosses {m_hi - m_lo + 1} lattice columns; "
                           f"the scan budget is {MAX_SCAN_COLUMNS}")
@@ -364,18 +360,7 @@ def enumerate_on_arc(arc: ConicArc, lat: Lattice) -> LatticePointSet:
         for n in _integer_roots_quadratic(c, b * m + e, (a * m + d) * m + f):
             if all(g1 * m + g2 * n + g0 >= 0 for g1, g2, g0 in gs):
                 found.append((m, n))
-
-    positions = [lat.point(m, n) for m, n in found]
-    if arc.param_of is not None:
-        params = [arc.param_of(float(x), float(y)) for x, y in positions]
-    else:
-        params = [float(i) for i in range(len(found))]
-    order = sorted(range(len(found)), key=lambda i: params[i])
-    return LatticePointSet(
-        coords=[found[i] for i in order],
-        positions=[positions[i] for i in order],
-        params=[params[i] for i in order],
-    )
+    return _point_set(lat, found, np.arange(float(len(found))), True)
 
 
 @dataclass(frozen=True)
@@ -452,11 +437,11 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
     return _point_set(lat, found, inverse(q), True)
 
 
-def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
+def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
              tol: float) -> LatticePointSet:
     """The lattice points with the given coordinates, the candidates of an
     exact enumeration, that lie within distance tol of the curve, ordered
-    by parameter; coords None gives `enumerate_near_curve`.
+    by parameter.
 
     The candidates are placed in closed form, by the curve's `inverse`
     (every exact spec's curve is a constant-curvature curve, which has
@@ -471,8 +456,6 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]] | None,
     within tol of the nearer of c(lo) and c(hi), and takes that end as its
     parameter; so a closed circle's seed point is counted once.
     """
-    if coords is None:
-        return enumerate_near_curve(curve, lat, tol)
     if curve.inverse is None:
         raise ValueError(f"the curve {curve.label!r} has no closed-form inverse to place points")
     try:
@@ -637,14 +620,6 @@ def enumerate_near_curve(curve, lat: Lattice, tol: float = 1e-9) -> LatticePoint
     r = curve.point(s) - q
     on = np.flatnonzero(np.hypot(r[:, 0], r[:, 1]) <= tol)
     return _point_set(lat, [coords[j] for j in near[on].tolist()], s[on], False)
-
-
-def _m_scan_range(arc: ConicArc, lat: Lattice) -> tuple[int, int]:
-    xmin, xmax, ymin, ymax = arc.bbox
-    if arc.frame == "lattice":
-        return math.floor(xmin) - 1, math.ceil(xmax) + 1
-    m_lo, m_hi, _, _ = _box_coord_ranges(lat, (xmin, xmax), (ymin, ymax))
-    return m_lo - 1, m_hi + 1
 
 
 @dataclass
@@ -957,4 +932,4 @@ def equal_spaced_orbit(conic: Conic, k0: float, lat: Lattice,
     coords = _lattice_coords(lat, orbit)
     orbit_params = [params[0] + i * spacing for i in range(len(orbit))]
     return (LatticePointSet(coords=coords, positions=orbit,
-                            params=orbit_params), motion)
+                            params=orbit_params, exact=True), motion)

@@ -1,8 +1,8 @@
 """The extremal curve-plus-lattice configurations where the counting
 bounds are attained.
 
-Each instance packages a unit-speed curve, an exact lattice, an exactly
-enumerable arc, the expected lattice points, and the bound it attains.
+Each instance packages a unit-speed curve, its exact plane conic, an
+exact lattice, the expected lattice points, and the bound it attains.
 All instances have multiplier 1.
 """
 
@@ -26,11 +26,11 @@ from .lattice import (
     CountBoundCertificate,
     Lattice,
     LatticePointSet,
-    LinearConstraint,
     enumerate_on_arc,
     on_curve,
     plane_conic_from_lattice_frame,
 )
+from .specfiles import curve_bbox
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ class SharpInstance:
 
     curve: AffineCurve
     lattice: Lattice
-    arc: ConicArc
+    conic: Conic  # in plane coordinates
     expected_coords: tuple[tuple[int, int], ...]
     theorem: str  # 'sharp_lat' or 'rigid_lat'
     k0: float
@@ -85,23 +85,18 @@ class SharpInstance:
         return [self.lattice.point(m, n) for m, n in self.expected_coords[:4]]
 
     def enumerate(self) -> LatticePointSet:
-        """`count`'s exact route: the arc's scan, placed on the curve."""
-        coords = enumerate_on_arc(self.arc, self.lattice).coords
+        """`count`'s route: the conic's scan over the curve's padded box, placed on it."""
+        arc = ConicArc(self.conic, (), curve_bbox(self.curve))
+        coords = enumerate_on_arc(arc, self.lattice).coords
         return on_curve(self.curve, self.lattice, coords, ON_CURVE_TOL)
 
     def certificate(self) -> CountBoundCertificate:
         return COUNT_BOUNDS[self.theorem](self.k0, self.k0, self.curve.domain.length, 1,
                                           float(self.cell_area))
 
-    def plane_conic(self) -> Conic:
-        if self.arc.frame == "lattice":
-            return plane_conic_from_lattice_frame(self.arc.conic, self.lattice)
-        return self.arc.conic
-
     def to_curve_spec(self) -> dict:
         """Conic-type curve specification anchored at the curve's s = 0 point."""
-        conic = self.plane_conic()
-        seed = self.curve.point(0.0)
+        conic, seed = self.conic, self.curve.point(0.0)
         return {
             "type": "conic",
             "coeffs": [str(v) for v in (conic.a, conic.b, conic.c,
@@ -158,16 +153,9 @@ def parabola_instance(lat: Lattice | None = None, m0: int = 1,
     curve = constant_curvature_curve(0.0, domain, frame,
                                      label=f"parabola instance m0={m0}")
 
-    arc = ConicArc(
-        conic=Conic.make(1, 0, 0, -1, -2, 0),
-        constraints=(LinearConstraint.make(1, 0, -j_start),
-                     LinearConstraint.make(-1, 0, j_end)),
-        bbox=(j_start - 1.0, j_end + 1.0, 0.0, 0.0),
-        frame="lattice",
-    )
-
     return SharpInstance(
-        curve=curve, lattice=lat, arc=arc,
+        curve=curve, lattice=lat,
+        conic=plane_conic_from_lattice_frame(Conic.make(1, 0, 0, -1, -2, 0), lat),
         expected_coords=tuple(_orbit_coords(PARABOLA_STEP, (0, 0), j_end + 1)[j_start:]),
         theorem="rigid_lat" if rigid else "sharp_lat",
         k0=0.0, spacing=spacing,
@@ -212,19 +200,9 @@ def hyperbola_general_instance(lat: Lattice, m0: int,
 
     # the Fibonacci points (f_(2j-3), -f_(2j-2)), j = j_start .. j_end
     coords = _orbit_coords(ZXZ_STEP, (1, 0), j_end)[j_start - 1:]
-    (_, y_top), (x_end, y_bot) = coords[0], coords[-1]
-    arc = ConicArc(
-        conic=ZXZ_CONIC,
-        constraints=(LinearConstraint.make(1, 0, 0),
-                     LinearConstraint.make(0, 1, -y_bot),
-                     LinearConstraint.make(0, -1, y_top)),
-        bbox=(0.0, x_end + 1.0, y_bot - 1.0, y_top + 1.0),
-        frame="lattice",
-    )
-
     return SharpInstance(
-        curve=curve, lattice=lat, arc=arc, expected_coords=tuple(coords),
-        theorem="rigid_lat" if rigid else "sharp_lat",
+        curve=curve, lattice=lat, conic=plane_conic_from_lattice_frame(ZXZ_CONIC, lat),
+        expected_coords=tuple(coords), theorem="rigid_lat" if rigid else "sharp_lat",
         k0=k0, spacing=spacing,
     )
 

@@ -268,7 +268,7 @@ def test_criterion_6_hyperbola_exact():
     pts = inst.enumerate()
     assert pts.coords == [(1, 0), (1, -1), (2, -3), (5, -8)]
 
-    orbit, _ = equal_spaced_orbit(inst.arc.conic, inst.k0, inst.lattice,
+    orbit, _ = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
                                   inst.seed_points(), inst.seed_params[:4],
                                   count=8)
     for j in range(2, 9):

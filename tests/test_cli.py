@@ -233,6 +233,31 @@ class TestBadInput:
         assert "invalid non_negative_int value" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["curvature", "arclength", "area"])
+    def test_huge_samples_is_parse_error(self, parabola_spec, tmp_path, capsys, command):
+        # refused by the parser, before any table is allocated
+        out = tmp_path / "table.csv"
+        assert main([command, parabola_spec, "--out", str(out), "--samples", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"limit of {cli.MAX_SAMPLES}" in captured.err
+        assert not out.exists()
+
+    def test_huge_kernel_grid_is_parse_error(self, capsys):
+        assert main(["kernel", "--k", "1", "--grid", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in captured.err and f"{cli.MAX_SAMPLES} (s, r) pairs" in captured.err
+
+    def test_sample_limits(self, parabola_spec, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 10)
+        out = tmp_path / "table.csv"
+        assert main(["area", parabola_spec, "--out", str(out), "--samples", "10"]) == 0
+        assert len(out.read_text().splitlines()) == 11
+        assert main(["area", parabola_spec, "--out", str(out), "--samples", "11"]) == 2
+        assert main(["kernel", "--k", "1", "--grid", "5"]) == 0  # 10 pairs (s, r)
+        assert main(["kernel", "--k", "1", "--grid", "6"]) == 2  # 15 pairs
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_nonpositive_trials_is_parse_error(self, capsys, trials):
         assert main(["verify", "thm2.3", f"--trials={trials}"]) == 2
@@ -1034,8 +1059,8 @@ class TestCountOnArc:
                 return np.array([curve.point(u) for u in s])
             return curve.position(s)
 
-        got = on_curve(curve, lat, coords, tol)
-        ref = on_curve(dataclasses.replace(curve, position=stacked), lat, coords, tol)
+        got = _placed(curve, lat, coords, tol)
+        ref = _placed(dataclasses.replace(curve, position=stacked), lat, coords, tol)
         assert len(got) > 0
         assert got.coords == ref.coords
         assert got.params == ref.params
@@ -1049,6 +1074,14 @@ class TestCountOnArc:
         payload = json.loads(out[:out.rindex("}") + 1])
         assert payload["count"] == 1
         assert payload["points"] == [[0, 0, 0.0, 0.0]]
+
+
+def _placed(curve, lat, coords, tol):
+    """`on_curve` on the candidates coords; coords None: the float window
+    of `enumerate_near_curve`."""
+    if coords is None:
+        return enumerate_near_curve(curve, lat, tol)
+    return on_curve(curve, lat, coords, tol)
 
 
 def _on_curve_one_by_one(curve, lat, coords, tol):
@@ -1115,7 +1148,7 @@ class TestBatchedPlacement:
 
     @staticmethod
     def _assert_matches_oracle(curve, lat, coords, tol):
-        got = on_curve(curve, lat, coords, tol)
+        got = _placed(curve, lat, coords, tol)
         want_coords, want_positions, want_params = _on_curve_one_by_one(curve, lat, coords, tol)
         assert got.coords == want_coords
         assert got.positions == want_positions
@@ -1196,11 +1229,14 @@ class TestBatchedPlacement:
     def _lattice_conic_curve(conic_mn, lat, seed, interval):
         """The branch through the lattice point `seed` of the plane conic
         whose lattice-coordinate form is conic_mn, and all the lattice
-        points of the conic in the box |m|, |n| <= 40 as candidates."""
+        points of the conic in the plane box around |m|, |n| <= 40 as
+        candidates."""
         conic = plane_conic_from_lattice_frame(conic_mn, lat)
         start = lat.point(*seed)
         curve = conic.branch_curve((float(start[0]), float(start[1])), interval)
-        arc = ConicArc(conic=conic_mn, constraints=(), bbox=(-40, 40, -40, 40), frame="lattice")
+        corners = [lat.point(m, n) for m in (-40, 40) for n in (-40, 40)]
+        xs, ys = ([float(p[i]) for p in corners] for i in (0, 1))
+        arc = ConicArc(conic=conic, constraints=(), bbox=(min(xs), max(xs), min(ys), max(ys)))
         return curve, enumerate_on_arc(arc, lat).coords
 
     @pytest.mark.parametrize("seed", range(6))
@@ -1371,7 +1407,7 @@ class TestQuadraticGraphs:
                                   "domain": ["-1", "1"]}).curve
         with pytest.raises(ValueError, match="no closed-form inverse"):
             on_curve(curve, Lattice.standard(), [(0, 0)], 1e-6)
-        assert on_curve(curve, Lattice.standard(), None, 1e-9).coords == [(0, 0)]
+        assert enumerate_near_curve(curve, Lattice.standard(), 1e-9).coords == [(0, 0)]
 
     def test_graph_candidates_are_placed_by_the_graph_inverse(self):
         spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from affinecurves import lattice as lattice_mod
 from affinecurves.conics import Conic
-from affinecurves.kfuncs import abar, fk, hk
+from affinecurves.curve import AdaptedFrame, constant_curvature_curve
+from affinecurves.kfuncs import Interval, abar, fk, hk
 from affinecurves.lattice import (
+    ON_CURVE_TOL,
     AffineMap,
     ConicArc,
     Lattice,
@@ -29,12 +31,13 @@ from affinecurves.lattice import (
     m_of_coords,
     m_of_curve,
     motion_preserves_lattice,
+    on_curve,
     parity_multiplier_bound,
     plane_conic_from_lattice_frame,
     triangle_multiplier,
 )
 from affinecurves.sharp_instances import hyperbola_general_instance, parabola_instance
-from affinecurves.specfiles import parse_curve_spec
+from affinecurves.specfiles import curve_bbox, parse_curve_spec
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 BIG_L = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
@@ -60,8 +63,15 @@ def hyperbola_arc(y_lo, y_hi, x_hi):
             LinearConstraint.make(0, -1, y_hi),   # y <= y_hi
         ),
         bbox=(0.0, x_hi + 1.0, y_lo - 1.0, y_hi + 1.0),
-        param_of=lambda x, y: math.asinh(-math.sqrt(5.0) * y / 2.0) / ALPHA,
     )
+
+
+def hyperbola_curve(lo, hi):
+    """The unit-speed arc of HYPERBOLA through (1, 0) at s = 0, with
+    s = asinh(-sqrt(5) y / 2) / ALPHA and curvature -ALPHA^2."""
+    frame = AdaptedFrame(np.array((1.0, 0.0)), -ALPHA * np.array((1.0, 2.0)) / math.sqrt(5.0),
+                         ALPHA ** 2 * np.array((1.0, 0.0)))
+    return constant_curvature_curve(-ALPHA ** 2, Interval(lo, hi), frame)
 
 
 class TestLatticeBasics:
@@ -270,16 +280,23 @@ class TestEnumeration:
             constraints=(LinearConstraint.make(1, 0, 0),
                          LinearConstraint.make(-1, 0, 3)),
             bbox=(0.0, 3.0, -1.0, 4.0),
-            param_of=lambda x, y: x,
         )
         pts = enumerate_on_arc(arc, Z2)
         assert pts.coords == [(0, 0), (1, 0), (2, 1), (3, 3)]
-        assert pts.params == [0.0, 1.0, 2.0, 3.0]
+        assert pts.params == [0.0, 1.0, 2.0, 3.0]  # scan indices
+        # on the unit-speed parabola (s, s(s-1)/2), s = x
+        curve = constant_curvature_curve(0.0, Interval(0.0, 3.0), AdaptedFrame(
+            np.array((0.0, 0.0)), np.array((1.0, -0.5)), np.array((0.0, 1.0))))
+        placed = on_curve(curve, Z2, pts.coords, ON_CURVE_TOL)
+        assert placed.coords == pts.coords
+        assert placed.params == [0.0, 1.0, 2.0, 3.0]
 
     def test_hyperbola_window(self):
         pts = enumerate_on_arc(hyperbola_arc(-8, 0, 5), Z2)
-        assert pts.coords == [(1, 0), (1, -1), (2, -3), (5, -8)]
-        ds = [b - a for a, b in zip(pts.params, pts.params[1:])]
+        assert pts.coords == [(1, -1), (1, 0), (2, -3), (5, -8)]  # scan order
+        placed = on_curve(hyperbola_curve(0.0, 3 * BIG_L), Z2, pts.coords, ON_CURVE_TOL)
+        assert placed.coords == [(1, 0), (1, -1), (2, -3), (5, -8)]
+        ds = [b - a for a, b in zip(placed.params, placed.params[1:])]
         for d in ds:
             assert d == pytest.approx(BIG_L, abs=1e-12)
 
@@ -304,7 +321,6 @@ class TestEnumeration:
             constraints=(LinearConstraint.make(1, 0, 0),
                          LinearConstraint.make(-1, 0, 4)),
             bbox=(0.0, 4.0, -1.0, 7.0),
-            param_of=lambda x, y: x,
         )
         pts = enumerate_on_arc(arc, lat)
         assert [(float(x), float(y)) for x, y in pts.positions] == [
@@ -313,10 +329,10 @@ class TestEnumeration:
     def test_lattice_frame_conic(self):
         latconic = conic_in_lattice_coords(PARABOLA, Z2)
         assert (latconic.a, latconic.d, latconic.e) == (1, -1, -2)
-        arc = ConicArc(conic=latconic,
+        arc = ConicArc(conic=plane_conic_from_lattice_frame(latconic, Z2),
                        constraints=(LinearConstraint.make(1, 0, 0),
                                     LinearConstraint.make(-1, 0, 3)),
-                       bbox=(0.0, 3.0, 0.0, 0.0), frame="lattice")
+                       bbox=(0.0, 3.0, 0.0, 0.0))
         pts = enumerate_on_arc(arc, Z2)
         assert pts.coords == [(0, 0), (1, 0), (2, 1), (3, 3)]
 
@@ -352,14 +368,12 @@ def _fraction_roots_quadratic(a, b, c):
 def _fraction_scan(arc, lat):
     """The column scan of `enumerate_on_arc` in Fraction arithmetic, in
     scan order: the reference for the integer scan."""
-    conic, constraints = arc.conic, arc.constraints
-    if arc.frame != "lattice":
-        sub = lattice_mod._lattice_substitution(lat)
-        conic = conic.substituted(sub)
-        constraints = tuple(g.substituted(sub) for g in constraints)
-    m_lo, m_hi = lattice_mod._m_scan_range(arc, lat)
+    sub = lattice_mod._lattice_substitution(lat)
+    conic = arc.conic.substituted(sub)
+    constraints = tuple(g.substituted(sub) for g in arc.constraints)
+    m_lo, m_hi, _, _ = lattice_mod._box_coord_ranges(lat, arc.bbox[:2], arc.bbox[2:])
     found = []
-    for m in range(m_lo, m_hi + 1):
+    for m in range(m_lo - 1, m_hi + 2):
         mf = Fraction(m)
         b1 = conic.b * mf + conic.e
         c0 = conic.a * mf * mf + conic.d * mf + conic.f
@@ -415,16 +429,12 @@ class TestIntegerScan:
     """enumerate_on_arc against the Fraction column scan it replaces."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_lattices(), _lattice_frame_conics(), st.booleans(), st.data())
-    def test_matches_fraction_scan(self, lat, conic_point, plane, data):
+    @given(_lattices(), _lattice_frame_conics(), st.data())
+    def test_matches_fraction_scan(self, lat, conic_point, data):
         conic, (m0, n0) = conic_point
-        if plane:
-            conic, centre = plane_conic_from_lattice_frame(conic, lat), lat.point(m0, n0)
-        else:
-            centre = (Fraction(m0), n0)
+        conic, centre = plane_conic_from_lattice_frame(conic, lat), lat.point(m0, n0)
         constraints, bbox = data.draw(_windows(centre))
-        arc = ConicArc(conic=conic, constraints=constraints, bbox=bbox,
-                       frame="plane" if plane else "lattice")
+        arc = ConicArc(conic=conic, constraints=constraints, bbox=bbox)
         assert enumerate_on_arc(arc, lat).coords == _fraction_scan(arc, lat)
 
     @pytest.mark.parametrize("lat", [Z2, Lattice.make((1, 2), (2, 1), (Fraction(1, 2), 3))])
@@ -434,7 +444,9 @@ class TestIntegerScan:
         assert inst.enumerate().coords == list(inst.expected_coords)
 
     def test_budget_admits_hyperbola_m0_7(self):
-        m_lo, m_hi = lattice_mod._m_scan_range(hyperbola_general_instance(Z2, 7).arc, Z2)
+        bbox = curve_bbox(hyperbola_general_instance(Z2, 7).curve)
+        m_lo, m_hi, _, _ = lattice_mod._box_coord_ranges(Z2, bbox[:2], bbox[2:])
+        m_lo, m_hi = m_lo - 1, m_hi + 1  # the columns that enumerate_on_arc scans
         assert 4 * 10**5 < m_hi - m_lo <= lattice_mod.MAX_SCAN_COLUMNS
 
 

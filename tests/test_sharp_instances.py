@@ -1,9 +1,12 @@
+import csv
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from affinecurves.cli import main
 from affinecurves.conics import Conic
 from affinecurves.curve import affine_curvature_at
 from affinecurves.kfuncs import hk
@@ -77,7 +80,7 @@ class TestParabola:
 
     def test_orbit_extension(self):
         inst = parabola_instance(m0=2)
-        orbit, _ = equal_spaced_orbit(inst.plane_conic(), inst.k0, inst.lattice,
+        orbit, _ = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
                                       inst.seed_points(), inst.seed_params[:4],
                                       count=8)
         for j, (m, n) in enumerate(orbit.coords):
@@ -119,7 +122,7 @@ class TestHyperbolaZxZ:
 
     def test_fibonacci_orbit_exact(self):
         inst = hyperbola_zxz_instance(2)
-        orbit, phi = equal_spaced_orbit(inst.arc.conic, inst.k0, inst.lattice,
+        orbit, phi = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
                                         inst.seed_points(),
                                         inst.seed_params[:4], count=8)
         assert (phi.m11, phi.m12, phi.m21, phi.m22) == (1, -1, -1, 2)
@@ -129,7 +132,7 @@ class TestHyperbolaZxZ:
 
     def test_curve_on_conic(self):
         inst = hyperbola_zxz_instance(1)
-        conic = inst.arc.conic
+        conic = inst.conic
         for s in (0.0, 0.8, 2.0):
             x, y = inst.curve.point(s)
             assert conic.evaluate_float(x, y) == pytest.approx(0.0, abs=1e-10)
@@ -241,7 +244,7 @@ class TestSpecExport:
 
     def test_parabola_plane_conic(self):
         inst = parabola_instance(m0=1)
-        conic = inst.plane_conic()
+        conic = inst.conic
         assert (conic.a, conic.b, conic.c, conic.d, conic.e, conic.f) == (
             1, 0, 0, -1, -2, 0)
 
@@ -257,7 +260,7 @@ class TestInstanceCurves:
     ])
     def test_sharp_curve_on_conic(self, make):
         inst = make()
-        curve, conic = inst.curve, inst.plane_conic()
+        curve, conic = inst.curve, inst.conic
         assert curve.unit_speed_defect(200) <= 1e-10
         assert curve.structure_defect(200) <= 1e-12
         for s in np.linspace(curve.domain.lo, curve.domain.hi, 25):
@@ -313,6 +316,31 @@ class TestExactRoute:
         assert pts.coords == list(inst.expected_coords)
         assert pts.params == pytest.approx(_oracle_params(inst), rel=1e-12)
 
+    @pytest.mark.parametrize("rigid", [False, True])
+    @pytest.mark.parametrize("m0", [1, 3, 6])
+    @pytest.mark.parametrize("family,lat", [
+        (family, lat) for family in ("parabola", "hyperbola-general")
+        for lat in (Lattice.make((0, 0), (2, 0), (0, 4)),
+                    Lattice.make((1, 2), (2, 1), (Fraction(1, 2), 3)))
+    ] + [("hyperbola", Lattice.standard())])
+    def test_enumerate_is_what_count_prints(self, tmp_path, capsys, family, lat, m0, rigid):
+        inst = {"parabola": lambda: parabola_instance(lat, m0, rigid),
+                "hyperbola": lambda: hyperbola_zxz_instance(m0, rigid),
+                "hyperbola-general": lambda: hyperbola_general_instance(lat, m0, rigid)}[family]()
+        curve_spec, lattice_spec, table = (tmp_path / f for f in ("c.json", "l.json", "t.csv"))
+        curve_spec.write_text(json.dumps(inst.to_curve_spec()))
+        lattice_spec.write_text(json.dumps(inst.to_lattice_spec()))
+        assert main(["count", str(curve_spec), str(lattice_spec), "--out", str(table)]) == 0
+        out = capsys.readouterr().out
+        printed = json.loads(out[:out.rindex("}") + 1])["points"]
+        pts = inst.enumerate()
+        assert pts.coords == [(m, n) for m, n, _, _ in printed] == list(inst.expected_coords)
+        with open(table) as f:
+            params = [float(row["param"]) for row in csv.DictReader(f)]
+        tol = 1e-12 * max(1.0, inst.curve.domain.length)
+        assert len(params) == len(pts.params)
+        assert all(abs(s - t) <= tol for s, t in zip(pts.params, params))
+
     def test_expected_coords_are_the_old_closed_forms(self):
         for m0 in range(6):
             assert parabola_instance(m0=m0).expected_coords == tuple(
@@ -323,7 +351,7 @@ class TestExactRoute:
     @pytest.mark.parametrize("inst,step", [(parabola_instance(m0=2), PARABOLA_STEP),
                                            (hyperbola_zxz_instance(2), ZXZ_STEP)])
     def test_steps_are_the_solved_motion(self, inst, step):
-        _, motion = equal_spaced_orbit(inst.plane_conic(), inst.k0, inst.lattice,
+        _, motion = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
                                        inst.seed_points(), inst.seed_params, count=6)
         assert motion == step
         assert step.orbit(inst.expected_coords[0], 4) == inst.seed_points()
