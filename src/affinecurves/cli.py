@@ -163,7 +163,8 @@ def cmd_kernel(args) -> int:
         for s, vb in zip(grid[i + 1:], closed_values):
             va = col(float(s))
             worst = max(worst, abs(va - vb))
-            rows.append([repr(float(s)), repr(float(r)), repr(va), repr(vb)])
+            if args.out:
+                rows.append([repr(float(s)), repr(float(r)), repr(va), repr(vb)])
     print(worst)
     if args.out:
         _emit(_csv_text(["s", "r", "kernel", "closed_form"], rows), args.out)

@@ -549,8 +549,8 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     jets (0, 1, 0) and (0, 0, 1) at s = 0, so they are the two columns of
     one matrix solve; the result is unique given the frame.  The solve is
     an `odekernel.StepReader` at rtol 1e-11: Magnus step propagators
-    outward from s = 0 to each end, and per read one Runge-Kutta step from
-    the last node between 0 and s, which also gives c''' = -kappa c'.  A read
+    outward from s = 0 to each end, and per read one Magnus step from the
+    last node between 0 and s, which also gives c''' = -kappa c'.  A read
     calls kappa once where it takes arrays, and once per entry where it
     does not (see `odekernel.values_at`).
     """
@@ -598,6 +598,7 @@ _G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = _WG
 
 AREA_TOL = 1e-11            # absolute, and relative to the largest |A| sampled
 AREA_MAX_DEPTH = 7          # bisections of a knot interval before its panels count as they are
+AREA_BLOCK = 4096           # panels whose nodes one curve read takes
 
 
 @dataclass(frozen=True)
@@ -608,10 +609,10 @@ class AreaFunction:
     is right-handed.  A call at a 1-D array of samples computes all of
     them in one adaptive Gauss-Kronrod pass: the knots are the sorted
     samples and the base a, every panel between knots is read at its 21
-    nodes in one array call of the curve, and the rejected panels of all
-    intervals are bisected together.  A panel is accepted when QUADPACK's
-    error estimate is within its length's share of
-    AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
+    nodes, in one array call of the curve per AREA_BLOCK panels, and the
+    rejected panels of all intervals are bisected together.  A panel is
+    accepted when QUADPACK's error estimate is within its length's share
+    of AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
     bisections count with their estimates and errors, so a pass always
     ends, after at most 2**(AREA_MAX_DEPTH + 1) - 1 panels per interval.
     An integrand that leaves the float range is a DomainError.
@@ -647,7 +648,9 @@ class AreaFunction:
             if not len(lo):
                 break
             with np.errstate(over="ignore", invalid="ignore"):
-                res, err = self._panels(lo, hi)
+                parts = [self._panels(lo[b:b + AREA_BLOCK], hi[b:b + AREA_BLOCK])
+                         for b in range(0, len(lo), AREA_BLOCK)]
+                res, err = (np.concatenate(v) for v in zip(*parts))
             if not (np.isfinite(res).all() and np.isfinite(err).all()):
                 raise DomainError("the swept area leaves the float range")
             sums = totals + np.bincount(owner, res, minlength=n)

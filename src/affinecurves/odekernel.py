@@ -26,7 +26,7 @@ running products of the propagators, K(s_j; r_i) = e_1^T P_{j-1} ... P_i
 e_n, with no inverse of a fundamental matrix.  Curve reconstruction, read
 at arbitrary points, keeps the accepted half steps of the same
 refinement as the nodes of a StepReader, and reads between them by one
-classical Runge-Kutta step from a node.
+Magnus step from a node.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # test suite takes about 39 000.
 MAX_RHS_EVALS = 200_000
 DENSE_GRID = 16  # the intervals of each side of a StepReader before refinement
-READ_RTOL = 1e-9  # how far a StepReader's Runge-Kutta reads may stray from its Magnus steps
 # the Taylor coefficients 1/k!, k < 16, of exp in blocks of four
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
@@ -448,19 +447,7 @@ def _frozen_overflows(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndar
     return not np.isfinite(e[len(e) // 2:] @ e[:len(e) // 2]).all()
 
 
-def _rk4_steps(a0: np.ndarray, am: np.ndarray, a1: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The propagators of one classical Runge-Kutta step over steps of
-    length h, from A at each step's start, midpoint and end."""
-    hh = h[:, None, None]
-    eye = np.eye(a0.shape[1])
-    k2 = am @ (eye + 0.5 * hh * a0)
-    k3 = am @ (eye + 0.5 * hh * k2)
-    k4 = a1 @ (eye + hh * k3)
-    return eye + hh / 6.0 * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rtol: float,
-            read_rtol: float | None):
+def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rtol: float):
     """The Magnus steps over the intervals of an ascending grid, refined
     where they disagree; yields one level at a time: the pieces' halves,
     all first halves, then all second halves, as their starts, lengths, A
@@ -468,18 +455,16 @@ def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rto
     propagator Q = P2 P1 from its half steps; then which pieces are split.
 
     A piece, first each interval, is accepted when its one step P and its
-    two half steps agree, max|Q - P| / 15 <= rtol max(1, max|Q|), and,
-    unless read_rtol is None, when one classical Runge-Kutta step over
-    each half agrees with its Magnus step to read_rtol max(1, max|step|).
-    A piece that fails is split into its halves, whose one steps are P1
-    and P2, so only the pieces that need it (a kink in a coefficient, a
-    stiff stretch) are refined.  The steps' nodes are nested, so a level reads A only at the
-    quarter points of its pieces, and a piece's ends are always read: a
-    kink near an end, with a flat coefficient on the piece's side of it,
-    still moves Q from P.  A piece whose Q is not finite is split too,
-    unless `_frozen_overflows` finds that the solution itself leaves the
-    float range there, a SolverError.  Every coefficient read counts
-    against MAX_RHS_EVALS."""
+    two half steps agree, max|Q - P| / 15 <= rtol max(1, max|Q|).  A piece
+    that fails is split into its halves, whose one steps are P1 and P2, so
+    only the pieces that need it (a kink in a coefficient, a stiff
+    stretch) are refined.  The steps' nodes are nested, so a level reads A
+    only at the quarter points of its pieces, and a piece's ends are
+    always read: a kink near an end, with a flat coefficient on the
+    piece's side of it, still moves Q from P.  A piece whose Q is not
+    finite is split too, unless `_frozen_overflows` finds that the
+    solution itself leaves the float range there, a SolverError.  Every
+    coefficient read counts against MAX_RHS_EVALS."""
     grid = np.asarray(grid, dtype=float)
     t0, h = grid[:-1], np.diff(grid)
     reads = 2 * len(grid) - 1
@@ -507,10 +492,6 @@ def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rto
                     raise SolverError(f"the propagator from s = {t0[np.argmax(lost)]} "
                                       "overflows; the solution leaves the float range")
             split = (np.abs(q - one).max(axis=(1, 2)) > 15.0 * rtol * scale) | lost
-            if read_rtol is not None:
-                miss = (np.abs(_rk4_steps(lows, mids, highs, halves) - steps).max(axis=(1, 2))
-                        > read_rtol * np.maximum(1.0, np.abs(steps).max(axis=(1, 2))))
-                split |= miss[:len(h)] | miss[len(h):]
         yield starts, halves, lows, mids, highs, steps, q, split
         both = np.tile(split, 2)
         t0, h, one = starts[both], halves[both], steps[both]
@@ -526,7 +507,7 @@ def step_propagators(op: LinearOperator, grid: np.ndarray,
 
     Each P_j is the product of the accepted Magnus half steps of its
     interval, refined by `_refine` at DEFAULT_RTOL."""
-    levels = [(q, split) for *_, q, split in _refine(op, forcing, grid, DEFAULT_RTOL, None)]
+    levels = [(q, split) for *_, q, split in _refine(op, forcing, grid, DEFAULT_RTOL)]
     out = np.empty((0,) + levels[0][0].shape[1:])
     for q, split in reversed(levels):  # a split piece is its second half after its first
         q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
@@ -575,50 +556,24 @@ def _carried_past_float_range(level: tuple, k: int, init: np.ndarray) -> bool:
         return not all(np.isfinite(side @ init).all() for side in sides)
 
 
-def _rate(c: list, v: list) -> list:
-    """A v for the companion matrix A of the (j, a_j) pairs c."""
-    top = 0.0
-    for j, cj in c:
-        top = top - cj * v[j]
-    out = v[1:]
-    out.append(top)
-    return out
-
-
-def _rk4(u: list, c0: list, cm: list, c1: list, h) -> list:
-    """One classical Runge-Kutta step of length h of the companion system
-    u' = A u from the jet rows u, with (j, a_j) pairs of the nonzero
-    coefficients at the step's start, midpoint and end: the rows after
-    the step and, last, y^(n) there from the equation, with h broadcast
-    against the rows."""
-    half = 0.5 * h
-    k1 = _rate(c0, u)
-    k2 = _rate(cm, [x + half * k for x, k in zip(u, k1)])
-    k3 = _rate(cm, [x + half * k for x, k in zip(u, k2)])
-    k4 = _rate(c1, [x + h * k for x, k in zip(u, k3)])
-    sixth = h / 6.0
-    v = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
-    return v + _rate(c1, v)[-1:]
-
-
 class StepReader:
     """The jets of D y = 0 from the (n, m) jets `init` at r, read anywhere
     on the operator's interval, with y^(n) from the equation: the dense
     counterpart of step_propagators.
 
     Each side of r is cut into DENSE_GRID equal intervals, and the grid of
-    both is refined by `_refine` at tolerance rtol and at READ_RTOL for the
-    reads.  The ends of the accepted half steps are the nodes.  Their jets
-    are the running products, outward from r, of the half steps'
-    propagators applied to init; left of r the steps are taken backwards,
-    which for a Magnus step is its inverse.  A read at s is one classical
-    Runge-Kutta step from the last node between r and s, with A reused at
-    that node and read at the step's midpoint and at s, so a step is never
-    longer than an accepted half step.  A read calls each coefficient once
-    (`values_at`) and keeps the last result, which a read of the same
-    points returns again.  A read that is not finite is a SolverError, and
-    so is a solution that the first level's propagators already carry past
-    the float range, before any refinement.
+    both is refined by `_refine` at tolerance rtol.  The ends of the
+    accepted half steps are the nodes.  Their jets are the running
+    products, outward from r, of the half steps' propagators applied to
+    init; left of r the steps are taken backwards, which for a Magnus step
+    is its inverse.  A read at s is one Magnus step from the last node
+    between r and s, with A kept at that node and read at the step's
+    midpoint and at s, so a step is never longer than an accepted half
+    step; y^(n) is the last row of A(s) times the jets.  A read calls each
+    coefficient once (`values_at`) and keeps the last result, which a read
+    of the same points returns again.  A read that is not finite is a
+    SolverError, and so is a solution that the first level's propagators
+    already carry past the float range, before any refinement.
     """
 
     def __init__(self, op: LinearOperator, r: float, init: np.ndarray, rtol: float):
@@ -628,7 +583,7 @@ class StepReader:
         grid = np.unique(np.concatenate((np.linspace(lo, r, DENSE_GRID + 1),
                                          np.linspace(r, hi, DENSE_GRID + 1))))
         parts = []
-        for level in _refine(op, None, grid, rtol, READ_RTOL):
+        for level in _refine(op, None, grid, rtol):
             if not parts and _carried_past_float_range(level, int(np.searchsorted(grid, r)), init):
                 raise SolverError(f"the solution from s = {r} leaves the float range")
             keep = np.tile(~level[-1], 2)
@@ -654,13 +609,13 @@ class StepReader:
               steps: np.ndarray) -> tuple:
         """One side of r, from the nodes outward from r, the companion
         matrices there and the steps between them: the node keys (their
-        distances from r, ascending), the nodes, their jets and their
-        nonzero coefficients."""
+        distances from r, ascending), the nodes, their jets and the
+        companion matrices."""
         with np.errstate(over="ignore", invalid="ignore"):
             jets = np.concatenate((init[None], _running_products(steps.copy()) @ init))
         if not np.isfinite(jets).all():
             raise SolverError(f"the solution from s = {self.r} leaves the float range")
-        return np.abs(nodes - self.r), nodes, jets, -at[:, -1, [j for j, _ in self._coeffs]]
+        return np.abs(nodes - self.r), nodes, jets, at
 
     def read(self, s: np.ndarray) -> np.ndarray:
         """The jets and y^(n) at a 1-D array of p points, shaped (p, n + 1,
@@ -673,19 +628,19 @@ class StepReader:
         for left, mask in enumerate((right, ~right)):
             if not mask.any():
                 continue
-            keys, nodes, jets, coeffs = self._sides[left]
+            keys, nodes, jets, at = self._sides[left]
             ss = s[mask]
             i = np.searchsorted(keys, np.abs(ss - self.r), side="right") - 1
             t0 = nodes[i]
             h = ss - t0
-            both = np.concatenate((t0 + 0.5 * h, ss))
-            read = [values_at(a, both)[:, None] for _, a in self._coeffs]
-            c0 = [(j, coeffs[i, k][:, None]) for k, (j, _) in enumerate(self._coeffs)]
-            cm = [(j, v[:len(ss)]) for (j, _), v in zip(self._coeffs, read)]
-            c1 = [(j, v[len(ss):]) for (j, _), v in zip(self._coeffs, read)]
+            both = np.concatenate((t0 + 0.5 * h, ss))  # the midpoints, then the ends
+            a = np.zeros((len(both),) + at.shape[1:])
+            a[:, :-1, 1:] = np.eye(at.shape[1] - 1)
+            for j, c in self._coeffs:
+                a[:, -1, j] = -values_at(c, both)
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = _rk4(list(jets[i].transpose(1, 0, 2)), c0, cm, c1, h[:, None])
-            out[mask] = np.stack(rows, axis=1)
+                u = _magnus_steps(at[i], a[:len(ss)], a[len(ss):], h) @ jets[i]
+                out[mask] = np.concatenate((u, a[len(ss):, -1:] @ u), axis=1)
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             raise SolverError("the solution leaves the float range near "

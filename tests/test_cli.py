@@ -122,6 +122,21 @@ class TestBasicCommands:
         worst = float(capsys.readouterr().out.strip())
         assert worst <= 1e-8
 
+    def test_kernel_builds_its_rows_only_for_out(self, tmp_path, capsys):
+        import tracemalloc
+
+        argv = ["kernel", "--k", "1", "--grid", "120"]
+        assert main(["kernel", "--k", "1", "--grid", "3"]) == 0  # SciPy loads here
+        peaks = []
+        for extra in ([], ["--out", str(tmp_path / "kernel.csv")]):
+            tracemalloc.start()
+            try:
+                assert main(argv + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
+
     @pytest.mark.parametrize("family", ["second", "third"])
     @pytest.mark.parametrize("k", ["-25", "-4", "0", "1", "9"])
     def test_kernel_closed_form_is_the_scalar_one(self, tmp_path, capsys, family, k):
@@ -745,6 +760,15 @@ class TestVerify:
         for r in reports:
             assert [h["ok"] for h in r["hypotheses"]
                     if h["name"] == "swept-area-quadrature"] == [True]
+
+    @pytest.mark.parametrize("argv", [["--L=2", "--trials=5", "--seed=8"],
+                                      ["--L=3", "--trials=5", "--seed=28"],
+                                      ["--L=4", "--trials=20", "--seed=3"]])
+    def test_thm23_reconstructions_hold(self, argv, capsys):
+        assert main(["verify", "thm2.3", *argv]) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert {r["verdict"] for r in reports} == {"holds"}
 
     @pytest.mark.parametrize("theorem", ["thm2.3", "thm3.4", "cor4.2",
                                          "prop4.3", "thm5.8"])
@@ -1510,6 +1534,25 @@ class TestAreaTable:
         assert main(["area", spec, "--out", str(out), "--samples", str(samples)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(8.0 / 12.0, rel=1e-12)
         assert out.read_text().splitlines()[1:] == ["0.0,0.0"] * samples
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "parabola", "coeffs": ["0", "0", "0.5"], "domain": ["0", "5"]},
+        {"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"], "seed": ["1", "0"],
+         "domain": ["0", "2"]},
+        {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1.3"]},
+        {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5"], "domain": ["-1", "2"]},
+    ], ids=["parabola", "conic", "cubic-graph", "curvature-ivp"])
+    def test_blocks_of_panels_give_the_same_table(self, spec, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "spec.json", spec)
+        tables = []
+        for block in (curve_mod.AREA_BLOCK, 3):
+            monkeypatch.setattr(curve_mod, "AREA_BLOCK", block)
+            out = tmp_path / f"area{block}.csv"
+            assert main(["area", path, "--out", str(out), "--samples", "50"]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
 
     def test_one_pass_reads_the_curve_in_arrays(self, graph_spec, tmp_path, capsys,
                                                 monkeypatch):

@@ -540,6 +540,16 @@ class TestAreaFunction:
         rec = reconstruct_from_curvature(kap, Interval(0.0, 2.0))
         assert area_ode_residual(rec, area_function(rec, 0.0)) <= 1e-5
 
+    def test_ode_residual_of_band_reconstructions(self):
+        # the reads between the reconstruction's nodes are its own Magnus
+        # steps, so differencing A'' across a node finds no seam
+        from affinecurves.cli import _random_band_curvature
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            rec = reconstruct_from_curvature(_random_band_curvature(rng, -2.0, 1.0),
+                                             Interval(0.0, 1.0 + trial % 3))
+            assert area_ode_residual(rec, area_function(rec, 0.0)) <= 1e-7
+
 
 class TestAdaptedFrame:
     def test_parabola_identity(self):

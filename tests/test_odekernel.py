@@ -604,19 +604,19 @@ class TestStepReader:
         assert [type(s) for s in calls] == [np.ndarray] + [float] * 10
         assert np.array_equal(got, np.array([reader.read(np.array([s]))[0] for s in ss.tolist()]))
 
-    def test_stiff_corner_needs_the_runge_kutta_check(self, monkeypatch):
-        # constant k = -400: one Magnus step per interval is exact, but a
-        # Runge-Kutta read over a whole half step is not
-        op = third_order_op(-400.0, Interval(0.0, 1.0))
+    @pytest.mark.parametrize("kappa, hi", [(-400.0, 1.0), (9.0, 3.0),
+                                           (lambda s: -24.0 + math.sin(1.3 * s), 4.0)],
+                             ids=["k=-400", "k=9", "band"])
+    def test_stiff_and_oscillating_reads_equal_dop853(self, kappa, hi):
+        # constant k = -400: one Magnus step per interval is exact, and so
+        # must be a read over a whole half step
+        op = third_order_op(kappa, Interval(0.0, hi))
         init = np.eye(3)[:, 1:]
-        ss = np.linspace(0.0, 1.0, 301)
+        ss = np.linspace(0.0, hi, 301)
         want = solve_ivp(op, 0.0, 0.0, init, rtol=1e-13, atol=1e-15).eval(ss)
         scale = np.abs(want).max(axis=(1, 2))[:, None, None]
         got = odekernel.StepReader(op, 0.0, init, 1e-11).read(ss)[:, :-1]
         assert (np.abs(got - want) <= 1e-9 * scale).all()
-        monkeypatch.setattr(odekernel, "READ_RTOL", None)
-        got = odekernel.StepReader(op, 0.0, init, 1e-11).read(ss)[:, :-1]
-        assert not (np.abs(got - want) <= 1e-6 * scale).all()
 
     def test_overflow_is_solver_error(self):
         with pytest.raises(SolverError, match="float range"):
