@@ -62,6 +62,7 @@ from .specfiles import SpecError, curve_bbox, exact_number, load_curve_spec, loa
 
 OK, PARSE, DOMAIN, HYPOTHESES, VIOLATED = 0, 2, 3, 4, 5
 MAX_SAMPLES = 10**6  # rows of a --samples table, (s, r) pairs of a kernel --grid
+CSV_BLOCK = 65536  # rows of a --samples table formatted and written at a time
 
 SCHEMA = 1
 
@@ -86,6 +87,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _write_columns(out: str, header: list[str], *columns: np.ndarray) -> None:
+    """_csv_text of the float columns into `out`, CSV_BLOCK rows at a time."""
+    with open(out, "w") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(0, len(columns[0]), CSV_BLOCK):
+            writer.writerows(zip(*(map(repr, c[i:i + CSV_BLOCK].tolist()) for c in columns)))
+
+
 def _exit_from_reports(reports) -> int:
     verdicts = {r.verdict for r in reports}
     if any(v == "violated" for v in verdicts):
@@ -103,8 +113,7 @@ def cmd_arclength(args) -> int:
     print(dom.length)
     if args.out:
         ss = np.linspace(dom.lo, dom.hi, args.samples)
-        rows = [[repr(float(s)), repr(float(s - dom.lo))] for s in ss]
-        _emit(_csv_text(["s", "arclength_from_start"], rows), args.out)
+        _write_columns(args.out, ["s", "arclength_from_start"], ss, ss - dom.lo)
     return OK
 
 
@@ -118,8 +127,7 @@ def cmd_curvature(args) -> int:
     kv = c.curvature(np.append(ss, where))  # one read; the last entry is at `where`
     print(float(kv[-1]))
     if args.out:
-        rows = [[repr(float(s)), repr(float(k))] for s, k in zip(ss, kv)]
-        _emit(_csv_text(["s", "kappa"], rows), args.out)
+        _write_columns(args.out, ["s", "kappa"], ss, kv[:-1])
     return OK
 
 
@@ -133,8 +141,7 @@ def cmd_area(args) -> int:
     values = area(np.append(ss, c.domain.hi))  # one pass; the last entry is A(hi)
     print(float(values[-1]))
     if args.out:
-        rows = [[repr(float(s)), repr(float(a))] for s, a in zip(ss, values)]
-        _emit(_csv_text(["s", "area"], rows), args.out)
+        _write_columns(args.out, ["s", "area"], ss, values[:-1])
     return OK
 
 
@@ -226,7 +233,7 @@ def _verify_thm34(args, rng):
         kap = lambda s, kb=kbar, g=gap: kb(s) - g
         reports.append(compare_solutions(kap, kbar, 3, 1, 0.5, (0.0, 0.0, 0.0),
                                          interval, tol=args.tol or 1e-7,
-                                         positivity_grid_n=31))
+                                         positivity_grid_n=41))
     return reports
 
 

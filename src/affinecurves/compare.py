@@ -18,7 +18,7 @@ from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
 # bench/test_bench.py reads it as compare.solve_ivp
-from .odekernel import check_forward_positive, grid_jets, solve_ivp, third_order_op
+from .odekernel import POSITIVITY_TOL, forced_table, solve_ivp, third_order_op
 from .reports import BoundReport, Hypothesis, sturm_range, swept_area_quadrature
 
 DEFAULT_SLACK = 1e-7
@@ -37,22 +37,22 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
                  tol: float = DEFAULT_SLACK, positivity_grid_n: int = 81) -> BoundReport:
     """Area comparison against a reference curvature profile.
 
-    Solves the reference area from its third-order initial value problem,
-    by the step propagators of the curvature grid, while the curve's own
-    area comes from the sweep integral, so the two sides of the
-    inequality travel independent computational routes.  A
-    sweep whose quadrature error estimate exceeds the report's slack fails
-    the hypothesis `swept-area-quadrature`, never the inequality.
+    The reference area and the reference kernel's certificate come from
+    one forced table of its third-order initial value problem on the
+    positivity grid (`forced_table`).  The curve's own area still comes
+    from the swept quadrature, so the two sides of the inequality travel
+    independent computational routes.  A sweep whose quadrature error
+    estimate exceeds the report's slack fails the hypothesis
+    `swept-area-quadrature`, never the inequality.
     """
     if not (Interval(0.0, length).lo >= curve.domain.lo
             and length <= curve.domain.hi + 1e-12):
         raise ValueError(f"curve not defined on [0, {length}]")
     kbar = kappa_bar if callable(kappa_bar) else (lambda s, k=float(kappa_bar): k)
-    interval = Interval(0.0, length)
 
     hyps: list[Hypothesis] = []
-    pos = check_forward_positive(third_order_op(kbar, interval),
-                                 grid_n=positivity_grid_n)
+    pos, jets = forced_table(third_order_op(kbar, Interval(0.0, length)), 0.5, (0.0, 0.0, 0.0),
+                             np.linspace(0.0, length, positivity_grid_n), 1, POSITIVITY_TOL)
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
     grid = np.linspace(0.0, length, 161)
@@ -69,7 +69,7 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
         direction = "none"
         hyps.append(Hypothesis("curvature-ordering", False, "curvatures not ordered"))
 
-    a_ref = float(grid_jets(third_order_op(kbar, interval), 0.5, (0.0, 0.0, 0.0), grid)[-1, 0])
+    a_ref = float(jets[-1, 0])
     a_val, a_err = area_function(curve, 0.0).with_error(length)
 
     # kappa <= kappa_bar forces the swept area to dominate the reference

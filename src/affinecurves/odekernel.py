@@ -10,23 +10,17 @@ a cross-validation oracle against direct integration.  The comparison
 theorems read K only there, so each column is solved rightward from r.
 
 Kernel columns, read at arbitrary points, are DOP853 solves with dense
-output.  SciPy loads on the first such solve (and on the first
-`KernelSolution` read, for its quadrature), not with this module, so the
-Magnus paths below run without it.  Solves read only on a fixed grid
-(forward-positivity, the comparison solves, the reference area) are
-products of step propagators instead: over each grid interval,
-fourth-order Magnus steps exp(Omega) of the companion system u' = A u,
-with A read at each step's ends and midpoint, carry the state from one
-grid point to the next, and a forcing f rides along as a constant last
-state entry.  The steps of an interval are halved where two successive
-propagators disagree by more than DEFAULT_RTOL, so only the stretches
-that need it (a kink in a coefficient, a stiff stretch) are refined.
-Forward-positivity then reads every kernel column of the grid from
-running products of the propagators, K(s_j; r_i) = e_1^T P_{j-1} ... P_i
-e_n, with no inverse of a fundamental matrix.  Curve reconstruction, read
-at arbitrary points, keeps the accepted half steps of the same
-refinement as the nodes of a StepReader, and reads between them by one
-Magnus step from a node.
+output; SciPy loads on the first such solve (and the first
+`KernelSolution` read), not with this module.  Solves read only on a
+fixed grid take one fourth-order Magnus step exp(Omega) of the companion
+system u' = A u per grid interval, with A read at its ends and midpoint,
+and refine only where a pair of intervals disagrees with its one step by
+more than DEFAULT_RTOL (a kink, a stiff stretch); a forcing rides along
+as a constant last state entry.  Each operator gets one table of these
+propagators P_j, whose running products give the forward-positivity
+certificate, K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n with no inverse,
+and the comparison solution or the reference area.  Curve reconstruction
+keeps the accepted half steps as the nodes of a StepReader.
 """
 
 from __future__ import annotations
@@ -45,6 +39,7 @@ from .reports import BoundReport, Hypothesis
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 POSITIVITY_GRID = 201
+POSITIVITY_TOL = 1e-9  # a certificate holds when the least kernel value is >= -tol
 KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # Right-hand-side evaluations (DOP853), coefficient node reads (Magnus) or
 # integrand reads (the arc-length panels of curve.reparam_unit_speed) one
@@ -502,17 +497,24 @@ def step_propagators(op: LinearOperator, grid: np.ndarray,
                      forcing: CoeffLike | None) -> np.ndarray:
     """The propagators P_j, shaped (len(grid) - 1, N, N), that carry the
     state (y, ..., y^(n-1)) of D y = f from grid[j] to grid[j + 1] of an
-    ascending grid.  With forcing None, N = n and f = 0; otherwise N = n + 1
-    and the state carries a last entry that stays 1.
-
-    Each P_j is the product of the accepted Magnus half steps of its
-    interval, refined by `_refine` at DEFAULT_RTOL."""
-    levels = [(q, split) for *_, q, split in _refine(op, forcing, grid, DEFAULT_RTOL)]
-    out = np.empty((0,) + levels[0][0].shape[1:])
-    for q, split in reversed(levels):  # a split piece is its second half after its first
+    ascending grid.  With forcing None, N = n and f = 0; otherwise N = n + 1,
+    the state carries a last entry that stays 1, and the n x n block of P_j
+    is the unforced propagator.  `_refine` at DEFAULT_RTOL runs on every
+    other grid point: a pair of intervals that passes takes one Magnus half
+    step each, a pair that fails refines its own intervals, and with an odd
+    interval count the last interval is its own piece."""
+    levels = [lv[-3:] for lv in _refine(op, forcing, np.append(grid[:-1:2], grid[-1]),
+                                        DEFAULT_RTOL)]
+    steps = levels[0][0]
+    out = steps[:0]
+    for halves, q, split in reversed(levels):  # a split piece is its second half after its first
+        halves[np.tile(split, 2)] = out
         q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
         out = q
-    return out
+    props = steps.reshape((2, -1) + steps.shape[1:]).swapaxes(0, 1).reshape(steps.shape)
+    if len(grid) % 2 == 0:  # the last interval's own piece
+        props[-2] = props[-1] @ props[-2]
+    return props[:len(grid) - 1]
 
 
 def _running_products(prod: np.ndarray) -> np.ndarray:
@@ -529,13 +531,16 @@ def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
               grid: np.ndarray) -> np.ndarray:
     """The jets (y, ..., y^(n-1)) of D y = f at each point of an ascending
     grid, shaped (len(grid), n), from init at grid[0]: the running products
-    P_j ... P_0 of the step propagators, formed in a doubling scan, applied
-    to (init, 1)."""
-    prod = step_propagators(op, grid, forcing)
+    P_j ... P_0 of the step propagators (a doubling scan) applied to (init, 1)."""
+    return _table_jets(step_propagators(op, grid, forcing), init, grid[0])
+
+
+def _table_jets(prod: np.ndarray, init: Sequence[float], start: float) -> np.ndarray:
+    """grid_jets from its forced table of propagators, which it overwrites."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.vstack(((*init, 1.0), _running_products(prod) @ (*init, 1.0)))
     if not np.isfinite(u).all():
-        raise SolverError(f"the solution from s = {grid[0]} leaves the float range")
+        raise SolverError(f"the solution from s = {start} leaves the float range")
     return u[:, :-1]
 
 
@@ -749,25 +754,27 @@ class PositivityReport:
 
 
 def check_forward_positive(op: LinearOperator, grid_n: int = POSITIVITY_GRID,
-                           tol: float = 1e-9) -> PositivityReport:
-    """Evaluate K(s; r) on the triangular grid s > r and report the minimum.
-
-    Kernel zeros are isolated, so a grid scan is a faithful certificate at
-    this resolution.  Every column comes from the step propagators P_j of
-    the grid: the jet of K(.; r_i) starts as e_n at r_i and is carried
-    forward by V <- P_j V, so K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n.  The
-    scan runs over (r, s) in ascending order and keeps the first minimum,
-    as a column-by-column scan would.  A table that leaves the float range
-    is a SolverError.
-    """
+                           tol: float = POSITIVITY_TOL) -> PositivityReport:
+    """The minimum of K(s; r) over s > r on a grid of grid_n equal steps, by
+    `kernel_table` on the unforced propagators.  Kernel zeros are isolated,
+    so a grid scan is a faithful certificate at this resolution."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    interval = op.interval
-    grid = np.linspace(interval.lo, interval.hi, grid_n)
-    ker = np.full((grid_n, grid_n), np.inf)  # ker[i, j] = K(grid[j]; grid[i]), j > i
-    cols = np.zeros((op.order, grid_n))  # column i: the jet of K(.; grid[i]) at grid[j]
+    grid = np.linspace(op.interval.lo, op.interval.hi, grid_n)
+    return kernel_table(op, grid, step_propagators(op, grid, None), tol)
+
+
+def kernel_table(op: LinearOperator, grid: np.ndarray, props: np.ndarray,
+                 tol: float) -> PositivityReport:
+    """check_forward_positive on an ascending grid from the propagators P_j
+    of its intervals, or their n x n blocks: K(s_j; r_i) = e_1^T P_{j-1} ...
+    P_i e_n, scanned over (r, s) in ascending order, keeping the first
+    minimum.  A table that leaves the float range is a SolverError."""
+    n, interval = op.order, op.interval
+    ker = np.full((len(grid),) * 2, np.inf)  # ker[i, j] = K(grid[j]; grid[i]), j > i
+    cols = np.zeros((n, len(grid)))  # column i: the jet of K(.; grid[i]) at grid[j]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, p in enumerate(step_propagators(op, grid, None)):
+        for j, p in enumerate(props[:, :n, :n]):
             cols[-1, j] = 1.0
             cols[:, :j + 1] = p @ cols[:, :j + 1]
             ker[:j + 1, j + 1] = cols[0, :j + 1]
@@ -775,28 +782,45 @@ def check_forward_positive(op: LinearOperator, grid_n: int = POSITIVITY_GRID,
         raise SolverError(f"the kernel of {op.label or 'the operator'} on [{interval.lo}, "
                           f"{interval.hi}] leaves the float range")
     i, j = np.unravel_index(np.argmin(ker), ker.shape)
-    return PositivityReport(op.label or "operator", interval, grid_n, tol,
+    return PositivityReport(op.label or "operator", interval, len(grid), tol,
                             float(ker[i, j]), (float(grid[j]), float(grid[i])))
+
+
+def forced_table(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
+                 grid: np.ndarray, every: int, tol: float) -> tuple[PositivityReport, np.ndarray]:
+    """One forced table of D y = f on an ascending grid, read twice:
+    `kernel_table` on every `every`-th grid point, and grid_jets from init."""
+    prod = step_propagators(op, grid, forcing)
+    coarse = prod[::every]
+    for i in range(1, every):
+        coarse = prod[i::every] @ coarse
+    return kernel_table(op, grid[::every], coarse, tol), _table_jets(prod, init, grid[0])
 
 
 def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
                       forcing: CoeffLike, init: Sequence[float], interval: Interval,
                       tol: float = 1e-7, grid_n: int = 201,
-                      positivity_grid_n: int = 61) -> BoundReport:
+                      positivity_grid_n: int = 41) -> BoundReport:
     """Executable form of the order-n comparison theorem.
 
     Solves y^(n) + kappa y^(ell) = f and the barred problem with shared
     initial data, checks the two hypotheses numerically (forward-positive
     kernel for the barred operator; y^(ell) > 0 almost everywhere), and
     verifies that the pointwise ordering of the coefficients forces the
-    ordering of the solutions on a sample grid.
-    """
+    ordering of the solutions on a grid of grid_n points.  The barred
+    solution and the certificate, read at every k-th grid point, come from
+    one `forced_table`, so (grid_n - 1) % (positivity_grid_n - 1) == 0 (a
+    ValueError otherwise)."""
+    if positivity_grid_n < 2 or (grid_n - 1) % (positivity_grid_n - 1):
+        raise ValueError(f"positivity_grid_n {positivity_grid_n} does not nest in grid_n {grid_n}")
     kap, kap_bar = _as_fn(kappa), _as_fn(kappa_bar)
     op = power_op(n, ell, kap, interval)
     op_bar = power_op(n, ell, kap_bar, interval)
     grid = np.linspace(interval.lo, interval.hi, grid_n)
     # a constant forcing stays a number, which the steps read without calls
-    jets, jets_bar = grid_jets(op, forcing, init, grid), grid_jets(op_bar, forcing, init, grid)
+    jets = grid_jets(op, forcing, init, grid)
+    pos, jets_bar = forced_table(op_bar, forcing, init, grid,
+                                 (grid_n - 1) // (positivity_grid_n - 1), tol)
     kv = np.array([kap(s) for s in grid])
     kbv = np.array([kap_bar(s) for s in grid])
     ktol = 1e-12 * max(1.0, float(np.max(np.abs(kv))), float(np.max(np.abs(kbv))))
@@ -812,7 +836,6 @@ def compare_solutions(kappa: CoeffLike, kappa_bar: CoeffLike, n: int, ell: int,
         direction = "none"
         hyps.append(Hypothesis("curvature-ordering", False, "coefficients not ordered"))
 
-    pos = check_forward_positive(op_bar, positivity_grid_n, tol)
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
     dvals = jets[:, ell]

@@ -1679,3 +1679,27 @@ class TestProximityWindow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid exact_number value" in captured.err
+
+
+class TestCSVBlocks:
+    """`area`, `curvature` and `arclength` write their --out table
+    CSV_BLOCK rows at a time: the bytes do not depend on the block."""
+
+    @pytest.mark.parametrize("command", ["area", "curvature", "arclength"])
+    @pytest.mark.parametrize("spec", [
+        {"type": "parabola", "coeffs": ["0", "0", "0.5"], "domain": ["0", "5"]},
+        {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1.3"]},
+        {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5"], "domain": ["-1", "2"]},
+    ], ids=["parabola", "cubic-graph", "curvature-ivp"])
+    def test_blocks_give_the_same_bytes(self, command, spec, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "spec.json", spec)
+        tables = []
+        for block in (cli.CSV_BLOCK, 3):
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
+            out = tmp_path / f"{command}{block}.csv"
+            assert main([command, path, "--out", str(out), "--samples", "50"]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 51
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second

@@ -21,6 +21,7 @@ from affinecurves.curve import (
     reconstruct_from_curvature,
 )
 from affinecurves.kfuncs import Interval, abar, hk
+from affinecurves.odekernel import solve_ivp, third_order_op
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -207,3 +208,29 @@ class TestTriangleBounds:
             exact = triangle_ratio_exact(k0, 2.0)
             asym = triangle_ratio_asymptotic(k0, 2.0)
             assert abs(asym - exact) <= 0.10 * abs(exact)
+
+
+class TestReferenceArea:
+    """area_compare's reference area, read from the same forced table as
+    its kernel certificate, against DOP853 and the closed form."""
+
+    @pytest.mark.parametrize("k_bar, length, grid_n", [
+        (lambda s: -1.0 + 0.5 * math.sin(2.0 * s), 3.0, 81),
+        (lambda s: min(0.0, -2.0 + 3.0 * math.sin(2.0 * s)), 2.5, 41),
+        (lambda s: -9.0 + math.cos(s), 4.0, 41),
+    ], ids=["band", "kinked", "stiff"])
+    def test_reference_area_equals_dop853(self, k_bar, length, grid_n):
+        # kappa = 0 >= k_bar: the reference area is the report's rhs
+        rep = area_compare(parabola_curve(Interval(0.0, length)), k_bar, length,
+                           positivity_grid_n=grid_n)
+        op = third_order_op(k_bar, Interval(0.0, length))
+        want = solve_ivp(op, 0.5, 0.0, (0.0, 0.0, 0.0), rtol=1e-13, atol=1e-15)(length)
+        assert rep.hypotheses[0].ok
+        assert rep.rhs == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-16.0, -0.7, 0.0, 2.0])
+    def test_constant_reference_area_is_abar(self, k):
+        length = 1.5
+        rep = area_compare(constant_curvature_curve(k, Interval(0.0, length)), k, length)
+        assert rep.equality
+        assert rep.lhs == pytest.approx(abar(k, length), rel=1e-12)

@@ -474,8 +474,9 @@ class TestStepPropagators:
         assert np.allclose(sine, sk(k, grid), rtol=1e-13, atol=1e-16)
 
     def test_constant_coefficients_pass_the_first_check(self):
-        # Magnus is exact for constant coefficients, up to rounding: each
-        # interval reads its ends, its midpoint and its two quarter points
+        # Magnus is exact for constant coefficients, up to rounding: the
+        # pairs of intervals pass at once, so the grid is read at its 41
+        # points and the 40 midpoints of its intervals
         reads = []
 
         def kappa(s):
@@ -484,7 +485,7 @@ class TestStepPropagators:
 
         step_propagators(third_order_op(kappa, Interval(0.0, 4.0)),
                          np.linspace(0.0, 4.0, 41), None)
-        assert len(reads) == 41 + 40 * 3
+        assert len(reads) == 41 + 40
 
     @pytest.mark.parametrize("at", [0.02, 0.05, 0.5, 0.9, 0.95])
     def test_kink_anywhere_in_an_interval(self, at):
@@ -700,3 +701,107 @@ class TestComparison:
             rep = compare_solutions(kap, kbar, 3, 1, 0.5, (0.0, 0.0, 0.0),
                                     interval, positivity_grid_n=21, grid_n=101)
             assert rep.holds, rep.to_dict()
+
+
+def _dop853_propagators(op, grid, forcing):
+    """The forced propagator of each grid interval by its own DOP853 solves
+    at rtol 1e-13: the unforced block from the identity jets, the forcing
+    column from a zero jet."""
+    n = op.order
+    out = np.zeros((len(grid) - 1, n + 1, n + 1))
+    out[:, n, n] = 1.0
+    for j in range(len(grid) - 1):
+        piece = make_operator(op.coeffs, Interval(grid[j], grid[j + 1]))
+        out[j, :n, :n] = solve_ivp(piece, 0.0, grid[j], np.eye(n),
+                                   rtol=1e-13, atol=1e-15).eval(grid[j + 1])
+        out[j, :n, n] = solve_ivp(piece, forcing, grid[j], np.zeros(n),
+                                  rtol=1e-13, atol=1e-15).eval(grid[j + 1])
+    return out
+
+
+def _band_operator(rng):
+    """y^(n) + kappa y^(ell), n in 2..4, with a sinusoidal band kappa, on
+    an interval of length 0.5 to 2.5."""
+    n = int(rng.integers(2, 5))
+    mid, amp, w = rng.uniform(-6, 2), rng.uniform(0, 2), rng.uniform(0.5, 3)
+    kappa = lambda s, c=(mid, amp, w): c[0] + c[1] * math.sin(c[2] * s)
+    return odekernel.power_op(n, int(rng.integers(0, n)), kappa,
+                              Interval(0.0, float(rng.uniform(0.5, 2.5))))
+
+
+KINK = np.linspace(0.0, 4.0, 161)[60] + 0.5 * 0.025
+
+
+class TestForcedTable:
+    """One forced table of step propagators, with one Magnus step per grid
+    interval where a pair of intervals passes, against DOP853 interval by
+    interval, the unforced certificate and the closed forms."""
+
+    @pytest.mark.parametrize("kappa, grid", [
+        (lambda s: -24.0 + math.sin(1.3 * s), np.linspace(0.0, 4.0, 201)),
+        (lambda s: -3.0 + math.cos(2.0 * s), np.linspace(0.0, 1.5, 12)),
+        (lambda s: min(0.0, -20.0 * (s - KINK)), np.linspace(0.0, 4.0, 161)),
+    ], ids=["stiff-band", "odd-intervals", "kink"])
+    def test_propagators_equal_interval_dop853(self, kappa, grid):
+        op = third_order_op(kappa, Interval(float(grid[0]), float(grid[-1])))
+        want = _dop853_propagators(op, grid, 0.5)
+        got = step_propagators(op, grid, 0.5)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        # the forcing column keeps the table block triangular
+        unforced = step_propagators(op, grid, None)
+        assert np.abs(unforced - got[:, :3, :3]).max() <= 1e-12 * np.abs(unforced).max()
+
+    def test_a_smooth_grid_takes_one_step_per_interval(self, monkeypatch):
+        # 100 pairs: 101 ends and 100 midpoints, then the 200 interval
+        # midpoints; 100 pair steps and 200 interval steps
+        reads, exps = [], []
+        expm = odekernel._expm
+        monkeypatch.setattr(odekernel, "_expm", lambda o: exps.append(len(o)) or expm(o))
+
+        def kappa(s):
+            reads.append(s)
+            return -1.0 + 0.5 * math.sin(1.3 * s)
+
+        step_propagators(third_order_op(kappa, Interval(0.0, 4.0)),
+                         np.linspace(0.0, 4.0, 201), None)
+        assert len(reads) == 401
+        assert sum(exps) == 300
+
+    def test_certificate_matches_check_forward_positive(self):
+        rng = np.random.default_rng(27)
+        violations = 0
+        for trial in range(40):
+            if trial % 5 == 0:  # y'' + k y past pi / sqrt(k): the kernel changes sign
+                k = float(rng.uniform(1.0, 9.0))
+                op = odekernel.power_op(2, 0, k, Interval(
+                    0.0, math.pi / math.sqrt(k) * float(rng.uniform(1.1, 2.0))))
+            else:
+                op = _band_operator(rng)
+            grid_n = int(rng.integers(5, 42))
+            want = check_forward_positive(op, grid_n)
+            grid = np.linspace(op.interval.lo, op.interval.hi, grid_n)
+            got, jets = odekernel.forced_table(op, 0.5, np.zeros(op.order), grid, 1,
+                                               want.tol)
+            assert got.verdict == want.verdict
+            assert got.witness == want.witness
+            assert abs(got.min_value - want.min_value) <= 1e-12 * max(1.0, abs(want.min_value))
+            assert np.allclose(jets, grid_jets(op, 0.5, np.zeros(op.order), grid),
+                               rtol=1e-12, atol=1e-14)
+            violations += not want.certified
+        assert violations >= 8
+
+    def test_nested_certificate_reads_every_kth_point(self):
+        op = third_order_op(lambda s: -4.0 + math.sin(2.0 * s), Interval(0.0, 2.0))
+        got, _ = odekernel.forced_table(op, 0.5, (0.0, 0.0, 0.0),
+                                        np.linspace(0.0, 2.0, 201), 5, 1e-9)
+        want = check_forward_positive(op, 41)
+        assert got.grid_n == 41 and got.certified
+        assert got.min_value == pytest.approx(want.min_value, rel=1e-8)
+        assert got.witness == pytest.approx(want.witness, rel=1e-12)
+
+    @pytest.mark.parametrize("grid_n, positivity_grid_n", [(201, 61), (201, 31), (101, 1)])
+    def test_positivity_grid_must_nest(self, grid_n, positivity_grid_n):
+        with pytest.raises(ValueError, match="does not nest"):
+            compare_solutions(-1.0, 0.0, 3, 1, 0.5, (0.0, 0.0, 0.0), UNIT,
+                              grid_n=grid_n, positivity_grid_n=positivity_grid_n)
