@@ -48,8 +48,7 @@ from .odekernel import (
     SolverError,
     compare_solutions,
     lagrange_kernel,
-    oscillator_op,
-    third_order_op,
+    power_op,
 )
 from .reports import Hypothesis, sturm_range, swept_area_quadrature
 from .sharp_instances import (
@@ -145,25 +144,26 @@ def cmd_area(args) -> int:
     return OK
 
 
+# kernel --family -> (n, ell) of y^(n) + k y^(ell), and its Lagrange kernel
+# in closed form at an array of offsets d = s - r, in one profile read
+KERNEL_FAMILIES = {
+    "second": (2, 0, lambda k, d: sk(k, d).tolist()),
+    "third": (3, 1, lambda k, d: ((1.0 - ck(k, d)) / k).tolist() if k != 0.0
+              else [u ** 2 / 2.0 for u in d.tolist()]),
+}
+
+
 def cmd_kernel(args) -> int:
     n = args.grid  # refused before anything is allocated
     if n < 2 or n * (n - 1) // 2 > MAX_SAMPLES:
         raise ValueError(f"--grid needs at least 2 points and at most {MAX_SAMPLES} (s, r) "
                          f"pairs, got {n} points")
     interval = Interval(args.lo, args.hi)
-    k = args.k
-    # the closed form at an array of offsets s - r, in one profile read
-    if args.family == "second":
-        op = oscillator_op(k, interval)
-        closed = lambda d: sk(k, d).tolist()
-    else:
-        op = third_order_op(k, interval)
-        closed = ((lambda d: ((1.0 - ck(k, d)) / k).tolist()) if k != 0.0
-                  else (lambda d: [u ** 2 / 2.0 for u in d.tolist()]))
-    kernel = lagrange_kernel(op)
+    n_order, ell, closed = KERNEL_FAMILIES[args.family]
+    kernel = lagrange_kernel(power_op(n_order, ell, args.k, interval))
     grid = np.linspace(args.lo, args.hi, args.grid)
     r_at, s_at = np.triu_indices(len(grid), 1)  # every pair r < s, column by column
-    closed_values = iter(closed(grid[s_at] - grid[r_at]))
+    closed_values = iter(closed(args.k, grid[s_at] - grid[r_at]))
     rows, worst = [], 0.0
     for i, r in enumerate(grid[:-1]):
         col = kernel.column(float(r))
@@ -614,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_area)
 
     sp = sub.add_parser("kernel", help="Lagrange kernel vs closed form")
-    sp.add_argument("--family", choices=("second", "third"), default="third")
+    sp.add_argument("--family", choices=tuple(KERNEL_FAMILIES), default="third")
     sp.add_argument("--k", type=finite_float, required=True)
     sp.add_argument("--lo", type=finite_float, default=0.0)
     sp.add_argument("--hi", type=finite_float, default=1.0)

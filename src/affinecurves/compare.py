@@ -25,7 +25,7 @@ DEFAULT_SLACK = 1e-7
 EQUALITY_RTOL = 1e-6
 
 
-def _slack(bound: float, tol: float = DEFAULT_SLACK) -> float:
+def _slack(bound: float, tol: float) -> float:
     return tol * max(1.0, abs(bound))
 
 

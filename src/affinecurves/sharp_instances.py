@@ -4,6 +4,11 @@ bounds are attained.
 Each instance packages a unit-speed curve, its exact plane conic, an
 exact lattice, the expected lattice points, and the bound it attains.
 All instances have multiplier 1.
+
+A lattice family (parabola, hyperbola) is its lattice-frame conic, its
+unimodular step and its start point; its curve, curvature k0 and spacing
+L come from its plane conic as `count` derives them from the exported
+spec.  ALPHA and ZXZ_SPACING are reference closed forms for the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .conics import Conic
 from .curve import AdaptedFrame, AffineCurve, constant_curvature_curve
-from .kfuncs import Interval
+from .kfuncs import Interval, gk
 from .lattice import (
     COUNT_BOUNDS,
     ON_CURVE_TOL,
@@ -36,9 +41,10 @@ logger = logging.getLogger(__name__)
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 ZXZ_SPACING = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
+# each family in lattice coordinates: its conic, and the motion carrying
+# each of its lattice points to the next; n = m(m-1)/2 and x^2 - xy - y^2 = 1
+PARABOLA_CONIC = Conic.make(1, 0, 0, -1, -2, 0)
 ZXZ_CONIC = Conic.make(1, -1, -1, 0, 0, -1)
-# the motions carrying each lattice point of a family to the next, in
-# lattice coordinates: along n = m(m-1)/2, and along x^2 - xy - y^2 = 1
 PARABOLA_STEP = AffineMap.make(((1, 0), (1, 1)), (1, 0))
 ZXZ_STEP = AffineMap.make(((1, -1), (-1, 2)))
 
@@ -127,6 +133,24 @@ def _orbit_coords(step: AffineMap, start: tuple[int, int], count: int) -> list[t
     return [(int(m), int(n)) for m, n in step.orbit(start, count)]
 
 
+def _orbit_instance(lattice_conic: Conic, step: AffineMap, start: tuple[int, int],
+                    lat: Lattice, m0: int, rigid: bool) -> SharpInstance:
+    """The family's orbit points i = (1 if rigid else 0) .. 2*m0 + 1 at s = i L
+    on the plane conic's branch through the start point (s = 0), L = gk(k0, cell/2)."""
+    lat = _oriented(lat)
+    conic = plane_conic_from_lattice_frame(lattice_conic, lat)
+    k0 = conic.curvature()
+    spacing = gk(k0, float(lat.cell_area) / 2.0)
+    first, last = (1 if rigid else 0), 2 * m0 + 1
+    seed = tuple(float(c) for c in lat.point(*start))
+    return SharpInstance(
+        curve=conic.branch_curve(seed, Interval(first * spacing, last * spacing)),
+        lattice=lat, conic=conic,
+        expected_coords=tuple(_orbit_coords(step, start, last + 1)[first:]),
+        theorem="rigid_lat" if rigid else "sharp_lat", k0=k0, spacing=spacing,
+    )
+
+
 def parabola_instance(lat: Lattice | None = None, m0: int = 1,
                       rigid: bool = False) -> SharpInstance:
     """Parabolic arc through 2*m0+2 (or 2*m0+1 for the rigid variant)
@@ -137,74 +161,28 @@ def parabola_instance(lat: Lattice | None = None, m0: int = 1,
     """
     if m0 < 0:
         raise ValueError("m0 must be nonnegative")
-    lat = _oriented(lat or Lattice.standard())
-    cell = float(lat.cell_area)
-    alpha = cell ** (-1.0 / 3.0)
-    spacing = 1.0 / alpha
-    v0 = np.array([float(c) for c in lat.v0])
-    v1 = np.array([float(c) for c in lat.v1])
-    v2 = np.array([float(c) for c in lat.v2])
-
-    j_start = 1 if rigid else 0
-    j_end = 2 * m0 + 1
-    domain = Interval(j_start * spacing, j_end * spacing)
-
-    frame = AdaptedFrame(v0, alpha * (v1 - v2 / 2.0), alpha * alpha * v2)
-    curve = constant_curvature_curve(0.0, domain, frame,
-                                     label=f"parabola instance m0={m0}")
-
-    return SharpInstance(
-        curve=curve, lattice=lat,
-        conic=plane_conic_from_lattice_frame(Conic.make(1, 0, 0, -1, -2, 0), lat),
-        expected_coords=tuple(_orbit_coords(PARABOLA_STEP, (0, 0), j_end + 1)[j_start:]),
-        theorem="rigid_lat" if rigid else "sharp_lat",
-        k0=0.0, spacing=spacing,
-    )
+    return _orbit_instance(PARABOLA_CONIC, PARABOLA_STEP, (0, 0), lat or Lattice.standard(),
+                           m0, rigid)
 
 
 def hyperbola_zxz_instance(m0: int, rigid: bool = False) -> SharpInstance:
     """Arc of x^2 - xy - y^2 = 1 through the odd-index Fibonacci points of
-    the standard lattice; constant curvature -alpha^2."""
+    the standard lattice; constant curvature -ALPHA^2."""
     return hyperbola_general_instance(Lattice.standard(), m0, rigid)
 
 
 def hyperbola_general_instance(lat: Lattice, m0: int,
                                rigid: bool = False) -> SharpInstance:
     """The standard-lattice hyperbola example transferred to an arbitrary
-    lattice.
+    lattice: the Fibonacci points (f_(2j-3), -f_(2j-2)) in lattice
+    coordinates, j from 1 (2 for the rigid variant) to 2*m0 + 2.
 
-    With b = (v1 wedge v2)^(1/3) the transferred curve evaluates the
-    standard coordinates at s/b, its spacing is b L, and its curvature
-    -alpha^2 / b^2; this keeps unit affine speed and the profile identity
-    hk(k0, spacing) = cell/2.
+    With b = (v1 wedge v2)^(1/3) its curvature is -ALPHA^2 / b^2 and its
+    spacing b ZXZ_SPACING, up to rounding.
     """
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
-    lat = _oriented(lat)
-    cell = float(lat.cell_area)
-    b = cell ** (1.0 / 3.0)
-    spacing = b * ZXZ_SPACING
-    w = ALPHA / b
-    k0 = -w ** 2
-    v0 = np.array([float(c) for c in lat.v0])
-    v1 = np.array([float(c) for c in lat.v1])
-    v2 = np.array([float(c) for c in lat.v2])
-
-    j_start = 2 if rigid else 1
-    j_end = 2 * m0 + 2
-    domain = Interval((j_start - 1) * spacing, (j_end - 1) * spacing)
-
-    frame = AdaptedFrame(v0 + v1, -w * (v1 + 2.0 * v2) / math.sqrt(5.0), w * w * v1)
-    curve = constant_curvature_curve(k0, domain, frame,
-                                     label=f"transferred hyperbola m0={m0}")
-
-    # the Fibonacci points (f_(2j-3), -f_(2j-2)), j = j_start .. j_end
-    coords = _orbit_coords(ZXZ_STEP, (1, 0), j_end)[j_start - 1:]
-    return SharpInstance(
-        curve=curve, lattice=lat, conic=plane_conic_from_lattice_frame(ZXZ_CONIC, lat),
-        expected_coords=tuple(coords), theorem="rigid_lat" if rigid else "sharp_lat",
-        k0=k0, spacing=spacing,
-    )
+    return _orbit_instance(ZXZ_CONIC, ZXZ_STEP, (1, 0), lat, m0, rigid)
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,10 @@ def _fractions(values, what: str) -> tuple[Fraction, ...]:
         raise SpecError(f"bad {what}: {exc}") from None
 
 
-def _interval(values, what: str = "domain") -> Interval:
-    lo, hi = _floats(values, 2, what)
+def _interval(values) -> Interval:
+    lo, hi = _floats(values, 2, "domain")
     if not (lo < hi and math.isfinite(hi - lo)):
-        raise SpecError(f"{what} endpoints must increase, by a finite length")
+        raise SpecError("domain endpoints must increase, by a finite length")
     return Interval(lo, hi)
 
 

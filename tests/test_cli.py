@@ -989,6 +989,9 @@ class TestCountOnArc:
         ("parabola", 9, True), ("parabola", 12, True),
         ("hyperbola", 3, False), ("hyperbola", 4, False), ("hyperbola", 5, True),
         ("hyperbola-general", 3, False), ("hyperbola-general", 4, True),
+        ("parabola", 0, False), ("parabola", 15, False), ("parabola", 15, True),
+        ("hyperbola", 7, False), ("hyperbola", 7, True),
+        ("hyperbola-general", 5, False), ("hyperbola-general", 5, True),
     ])
     def test_exported_instance_is_sharp(self, tmp_path, capsys, name, m0, rigid):
         argv = ["examples", name, "--m0", str(m0), "--outdir", str(tmp_path)]

@@ -1,11 +1,14 @@
+import ast
 import csv
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from affinecurves import sharp_instances
 from affinecurves.cli import main
 from affinecurves.conics import Conic
 from affinecurves.curve import affine_curvature_at
@@ -24,6 +27,7 @@ from affinecurves.sharp_instances import (
     parabola_instance,
     rotation_trace,
 )
+from affinecurves.specfiles import parse_curve_spec
 
 
 def check_instance(inst):
@@ -341,6 +345,23 @@ class TestExactRoute:
         assert len(params) == len(pts.params)
         assert all(abs(s - t) <= tol for s, t in zip(pts.params, params))
 
+    @pytest.mark.parametrize("rigid", [False, True])
+    @pytest.mark.parametrize("m0", [1, 3, 6])
+    @pytest.mark.parametrize("make", [parabola_instance, hyperbola_general_instance])
+    @pytest.mark.parametrize("lat", [Lattice.make((0, 0), (2, 0), (0, 4)),
+                                     Lattice.make((1, 2), (2, 1), (Fraction(1, 2), 3)),
+                                     Lattice.standard()])
+    def test_curve_is_the_one_count_reads(self, lat, make, m0, rigid):
+        """The instance's curve is the curve `count` parses from its export,
+        bit for bit; its k0 is the conic's curvature and L spans half a cell."""
+        inst = make(lat, m0, rigid)
+        ss = np.linspace(inst.curve.domain.lo, inst.curve.domain.hi, 101)
+        counted = parse_curve_spec(inst.to_curve_spec()).curve
+        assert counted.point(ss).tobytes() == inst.curve.point(ss).tobytes()
+        assert inst.k0 == inst.conic.curvature()
+        cell = float(inst.cell_area)
+        assert abs(hk(inst.k0, inst.spacing) - cell / 2.0) <= 1e-15 * max(1.0, cell)
+
     def test_expected_coords_are_the_old_closed_forms(self):
         for m0 in range(6):
             assert parabola_instance(m0=m0).expected_coords == tuple(
@@ -376,3 +397,15 @@ class TestExactRoute:
             old = [(inst.radius * math.cos(j * config.theta),
                     inst.radius * math.sin(j * config.theta)) for j in range(7)]
             np.testing.assert_allclose(pts, old, rtol=0, atol=1e-15 * max(1.0, inst.radius))
+
+
+def test_only_the_circle_builds_a_frame():
+    """The lattice families take their frames from their conics
+    (`Conic.branch_curve`), so `AdaptedFrame(` is called in
+    `circle_instance` only."""
+    tree = ast.parse(Path(sharp_instances.__file__).read_text())
+    calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+             and ast.unparse(c.func).split(".")[-1] == "AdaptedFrame"]
+    circle, = (f for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name == "circle_instance")
+    assert calls and calls == [c for c in ast.walk(circle) if c in calls]
