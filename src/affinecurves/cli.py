@@ -25,6 +25,7 @@ from .curve import (
     ConvexityError,
     OrientationError,
     adapted_frame,
+    area_from_ode,
     area_function,
     constant_curvature_curve,
     graphing_interval,
@@ -123,7 +124,12 @@ def cmd_curvature(args) -> int:
     if where not in c.domain:
         raise DomainError(f"evaluation point {where} outside domain")
     ss = np.linspace(c.domain.lo, c.domain.hi, args.samples if args.out else 0)
-    kv = c.curvature(np.append(ss, where))  # one read; the last entry is at `where`
+    at = np.append(ss, where)  # one read; the last entry is at `where`
+    with np.errstate(over="ignore", invalid="ignore"):
+        kv = c.curvature(at)
+    finite = np.isfinite(kv)
+    if not finite.all():
+        raise DomainError(f"the curvature is not finite at s = {at[np.argmin(finite)]}")
     print(float(kv[-1]))
     if args.out:
         _write_columns(args.out, ["s", "kappa"], ss, kv[:-1])
@@ -131,13 +137,23 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_area(args) -> int:
+    """A(s), the area between c on [base, s] and the segments from the
+    apex (default c(base)), at hi and with --out at each sample.  A comes
+    from the area ODE A''' + kappa A' = 1/2 solved on the sample grid
+    (`area_from_ode`), so a curvature-ivp curve is integrated only for the
+    curve points that --apex asks for.  A polynomial graph of degree
+    three or more keeps the swept-area quadrature (`area_function`): each
+    read of its curvature costs about as much as the quadrature's one read
+    of its points, and the ODE's refinement makes several."""
     spec = load_curve_spec(args.curve)
     c = spec.curve
     base = args.base if args.base is not None else c.domain.lo
-    apex = tuple(args.apex) if args.apex else None
-    area = area_function(c, base, apex)
     ss = np.linspace(c.domain.lo, c.domain.hi, args.samples if args.out else 0)
-    values = area(np.append(ss, c.domain.hi))  # one pass; the last entry is A(hi)
+    at = np.append(ss, c.domain.hi)  # one pass; the last entry is A(hi)
+    if spec.graph is None:
+        values = area_from_ode(c, base, args.apex, at)
+    else:
+        values = area_function(c, base, args.apex)(at)
     print(float(values[-1]))
     if args.out:
         _write_columns(args.out, ["s", "area"], ss, values[:-1])
@@ -501,6 +517,10 @@ def _write_spec(path: Path, spec: dict) -> str:
 
 
 def _export_sharp(inst, args, outdir: Path) -> dict:
+    if inst.curve.domain.length == 0.0:  # a spec domain must have positive length
+        raise ValueError(f"the {args.name} instance with --m0 {args.m0}"
+                         f"{' --rigid' if args.rigid else ''} is one point on a zero-length "
+                         "arc, which count cannot read; use --m0 1 or more")
     return {
         "m0": args.m0,
         "rigid": args.rigid,

@@ -9,6 +9,7 @@ a convex graph.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .kfuncs import BRENT_MAXITER, BRENT_RTOL, DomainError, Interval, brent_root, ck, sk, ybar
 from . import odekernel
-from .odekernel import SolverError, StepReader, third_order_op, values_at
+from .odekernel import SolverError, StepReader, grid_jets, power_op, third_order_op, values_at
 
 Vec = np.ndarray
 
@@ -548,24 +549,30 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     The adapted coordinates x and y both solve u''' + kappa u' = 0, with
     jets (0, 1, 0) and (0, 0, 1) at s = 0, so they are the two columns of
     one matrix solve; the result is unique given the frame.  The solve is
-    an `odekernel.StepReader` at rtol 1e-11: Magnus step propagators
-    outward from s = 0 to each end, and per read one Magnus step from the
-    last node between 0 and s, which also gives c''' = -kappa c'.  A read
-    calls kappa once where it takes arrays, and once per entry where it
-    does not (see `odekernel.values_at`).
+    an `odekernel.StepReader` at rtol 1e-11, built on the first read of a
+    position or a derivative (a read of the curvature alone integrates
+    nothing; a failed build is a SolverError on that read, and again on
+    the next): Magnus step propagators outward from s = 0 to each end, and
+    per read one Magnus step from the last node between 0 and s, which
+    also gives c''' = -kappa c'.  A read calls kappa once where it takes
+    arrays, and once per entry where it does not (see
+    `odekernel.values_at`).
     """
     if not interval.lo <= 0.0 <= interval.hi:
         raise ValueError("reconstruction interval must contain the anchor s = 0")
     fr = frame or AdaptedFrame.identity()
     kap = kappa if callable(kappa) else (lambda s, k=float(kappa): k)
-    sol = StepReader(third_order_op(kap, interval), 0.0,
-                     np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 1e-11)
+
+    @functools.cache
+    def solution() -> StepReader:
+        return StepReader(third_order_op(kap, interval), 0.0,
+                          np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 1e-11)
 
     def position(s: np.ndarray) -> np.ndarray:
-        return fr.from_adapted_rows(sol.read(np.clip(s, interval.lo, interval.hi))[:, 0])
+        return fr.from_adapted_rows(solution().read(np.clip(s, interval.lo, interval.hi))[:, 0])
 
     def derivatives(s: np.ndarray):
-        u = sol.read(np.clip(s, interval.lo, interval.hi))
+        u = solution().read(np.clip(s, interval.lo, interval.hi))
         return tuple(u[:, k, :1] * fr.tangent + u[:, k, 1:] * fr.normal for k in (1, 2, 3))
 
     def curvature(s: np.ndarray) -> np.ndarray:
@@ -596,9 +603,10 @@ _GK_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
 _G_WEIGHTS = np.zeros(21)
 _G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = _WG
 
-AREA_TOL = 1e-11            # absolute, and relative to the largest |A| sampled
+AREA_TOL = 1e-11            # quadrature: absolute, and relative to the largest |A| sampled;
+                            # the area ODE: the rtol of its step doubling
 AREA_MAX_DEPTH = 7          # bisections of a knot interval before its panels count as they are
-AREA_BLOCK = 4096           # panels whose nodes one curve read takes
+AREA_BLOCK = 4096           # panels whose nodes one curve read takes; grid points of one ODE solve
 
 
 @dataclass(frozen=True)
@@ -606,11 +614,14 @@ class AreaFunction:
     """Signed area swept between the curve and segments from the apex p0.
 
     A(s) = 1/2 integral_a^s (c - p0) wedge c'; positive where the sweep
-    is right-handed.  A call at a 1-D array of samples computes all of
-    them in one adaptive Gauss-Kronrod pass: the knots are the sorted
-    samples and the base a, every panel between knots is read at its 21
-    nodes, in one array call of the curve per AREA_BLOCK panels, and the
-    rejected panels of all intervals are bisected together.  A panel is
+    is right-handed.  This is the quadrature route, which reads the curve
+    itself: `verify` takes its areas here, independently of the area ODE
+    that `area_from_ode` (the `area` command) solves, and the tests check
+    each route against the other.  A call at a 1-D array of samples
+    computes all of them in one adaptive Gauss-Kronrod pass: the knots are
+    the sorted samples and the base a, every panel between knots is read
+    at its 21 nodes, in one array call of the curve per AREA_BLOCK panels,
+    and the rejected panels of all intervals are bisected together.  A panel is
     accepted when QUADPACK's error estimate is within its length's share
     of AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
     bisections count with their estimates and errors, so a pass always
@@ -701,11 +712,67 @@ def _from_base(per_interval: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:
+def _check_base(curve: AffineCurve, a: float) -> None:
     if not (a in curve.domain):
         raise ValueError(f"base parameter {a} outside curve domain")
+
+
+def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:
+    _check_base(curve, a)
     apex = curve.point(a) if p0 is None else np.asarray(p0, dtype=float)
     return AreaFunction(curve, a, apex)
+
+
+def area_from_ode(curve: AffineCurve, a: float, p0: Sequence[float] | None,
+                  s: np.ndarray) -> np.ndarray:
+    """`area_function(curve, a, p0)` at each entry of a 1-D array s, from
+    the paper's area ODE instead of by quadrature.
+
+    The area from the apex c(a) solves A''' + kappa A' = 1/2 with a zero
+    jet at a, which reads kappa alone.  On each side of a it is solved
+    outward, in the distance u from a: B(u) = A(a + u) or A(a - u) solves
+    B''' + kappa(a +- u) B' = +-1/2, by `odekernel.grid_jets` at rtol
+    AREA_TOL on the distances of that side's entries, with 0 in front.
+    Another apex p0 adds the triangle 1/2 (c(a) - p0) wedge (c(s) - c(a)),
+    read from the curve AREA_BLOCK points at a time: the same apex taken
+    into the ODE's jet at a instead carries the error of c(a) and its
+    derivatives along the whole solve (8e-10 against 1e-10 relative on a
+    reconstructed curve).  A(a) is exactly 0.0.  A solve that leaves the
+    float range is a SolverError, a triangle a DomainError."""
+    _check_base(curve, a)
+    out = np.empty(len(s))
+    for sign, side in ((1.0, s >= a), (-1.0, s < a)):
+        if side.any():
+            u = sign * (s[side] - a)
+            grid = np.unique(np.append(0.0, u))
+            op = power_op(3, 1, lambda v, sign=sign: curve.curvature(a + sign * v),
+                          Interval(0.0, grid[-1]))
+            out[side] = _area_on_grid(op, 0.5 * sign, grid)[np.searchsorted(grid, u)]
+    if p0 is not None:
+        ca = curve.point(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = ca - np.asarray(p0, dtype=float)
+            for i in range(0, len(s), AREA_BLOCK):
+                out[i:i + AREA_BLOCK] += 0.5 * _wedge_rows(r, curve.point(s[i:i + AREA_BLOCK]) - ca)
+        if not np.isfinite(out).all():
+            raise DomainError("the swept area leaves the float range")
+    return out
+
+
+def _area_on_grid(op: odekernel.LinearOperator, forcing: float, grid: np.ndarray) -> np.ndarray:
+    """y at each point of an ascending grid of y''' + kappa y' = forcing
+    with a zero jet at grid[0]: `grid_jets` at rtol AREA_TOL on consecutive
+    blocks of at most AREA_BLOCK grid points, each from the last jet of the
+    block before.  A block's propagator tables stay a few MB, and it is
+    never longer than odekernel.MAX_RHS_EVALS // 4 points: one solve
+    charges about two coefficient reads per grid point against that budget."""
+    size = min(AREA_BLOCK, odekernel.MAX_RHS_EVALS // 4)
+    values, jet = [np.zeros(1)], np.zeros(3)
+    for i in range(0, len(grid) - 1, size - 1):
+        jets = grid_jets(op, forcing, jet, grid[i:i + size], AREA_TOL)
+        values.append(jets[1:, 0])
+        jet = jets[-1]
+    return np.concatenate(values)
 
 
 def area_ode_residual(curve: AffineCurve, area: AreaFunction) -> float:

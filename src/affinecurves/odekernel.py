@@ -15,12 +15,14 @@ output; SciPy loads on the first such solve (and the first
 fixed grid take one fourth-order Magnus step exp(Omega) of the companion
 system u' = A u per grid interval, with A read at its ends and midpoint,
 and refine only where a pair of intervals disagrees with its one step by
-more than DEFAULT_RTOL (a kink, a stiff stretch); a forcing rides along
-as a constant last state entry.  Each operator gets one table of these
-propagators P_j, whose running products give the forward-positivity
-certificate, K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n with no inverse,
-and the comparison solution or the reference area.  Curve reconstruction
-keeps the accepted half steps as the nodes of a StepReader.
+more than a tolerance, DEFAULT_RTOL unless the caller gives one: at a
+kink, over a stiff stretch.  A forcing rides along as a constant last
+state entry.  Each operator gets one table of these propagators P_j,
+whose running products give the forward-positivity certificate,
+K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n with no inverse, and the
+comparison solution, the reference area or the area of the `area`
+command.  Curve reconstruction keeps the accepted half steps as the nodes
+of a StepReader.
 """
 
 from __future__ import annotations
@@ -397,26 +399,27 @@ def values_at(c: Callable, s: np.ndarray) -> np.ndarray:
 
 
 def _companion(op: LinearOperator, forcing: CoeffLike | None, s: np.ndarray) -> np.ndarray:
-    """The companion matrices A(s) of u' = A u at each point of s, with
-    the forcing as a last column when it is given: one plain call of each
-    coefficient per point (none for a forcing given as a number).  A value
-    that is not finite is a SolverError."""
+    """The companion matrices A(s) of u' = A u at each point of a 1-D array
+    s, with the forcing as a last column when it is given.  Each
+    coefficient, and a forcing given as a closure, is read by `values_at`:
+    one call at the whole array where it takes arrays, one per entry where
+    it does not (none for a forcing given as a number).  A value that is
+    not finite is a SolverError."""
     n = op.order
     size = n + (forcing is not None)
-    nodes = s.tolist()
-    a = np.zeros((len(nodes), size, size))
+    a = np.zeros((len(s), size, size))
     a[:, np.arange(n - 1), np.arange(1, n)] = 1.0
     for j, c in enumerate(op.coeffs):
         if c is not _zero:
-            a[:, n - 1, j] = np.fromiter(map(c, nodes), float, len(nodes))
+            a[:, n - 1, j] = values_at(c, s)
     a[:, n - 1, :n] *= -1.0
     if callable(forcing):
-        a[:, n - 1, n] = np.fromiter(map(forcing, nodes), float, len(nodes))
+        a[:, n - 1, n] = values_at(forcing, s)
     elif forcing is not None:
         a[:, n - 1, n] = forcing
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
-        raise SolverError(f"a coefficient is not finite at s = {nodes[int(np.argmin(finite))]}")
+        raise SolverError(f"a coefficient is not finite at s = {s[int(np.argmin(finite))]}")
     return a
 
 
@@ -454,19 +457,17 @@ def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rto
     that fails is split into its halves, whose one steps are P1 and P2, so
     only the pieces that need it (a kink in a coefficient, a stiff
     stretch) are refined.  The steps' nodes are nested, so a level reads A
-    only at the quarter points of its pieces, and a piece's ends are
-    always read: a kink near an end, with a flat coefficient on the
+    only at the quarter points of its pieces (the first level reads the
+    grid, its midpoints and its quarter points in one `_companion` call),
+    and a piece's ends are always read: a kink near an end, with a flat
+    coefficient on the
     piece's side of it, still moves Q from P.  A piece whose Q is not
     finite is split too, unless `_frozen_overflows` finds that the
     solution itself leaves the float range there, a SolverError.  Every
     coefficient read counts against MAX_RHS_EVALS."""
     grid = np.asarray(grid, dtype=float)
     t0, h = grid[:-1], np.diff(grid)
-    reads = 2 * len(grid) - 1
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        ends = _companion(op, forcing, grid)
-        lo, mid, hi = ends[:-1], _companion(op, forcing, t0 + 0.5 * h), ends[1:]
-        one = _magnus_steps(lo, mid, hi, h)
+    reads, first = 2 * len(grid) - 1, True
     while len(h):
         reads += 2 * len(h)
         if reads > MAX_RHS_EVALS:
@@ -475,8 +476,15 @@ def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rto
                               "the equation is too stiff for this interval")
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             halves, starts = np.tile(0.5 * h, 2), np.concatenate((t0, t0 + 0.5 * h))
+            if first:  # the ends, midpoints and quarter points in one read
+                a = _companion(op, forcing, np.concatenate((grid, starts[len(h):],
+                                                            starts + 0.5 * halves)))
+                lo, hi = a[:len(h)], a[1:len(grid)]
+                mid, mids = a[len(grid):len(grid) + len(h)], a[len(grid) + len(h):]
+                one, first = _magnus_steps(lo, mid, hi, h), False
+            else:
+                mids = _companion(op, forcing, starts + 0.5 * halves)
             lows, highs = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-            mids = _companion(op, forcing, starts + 0.5 * halves)
             steps = _magnus_steps(lows, mids, highs, halves)
             q = steps[len(h):] @ steps[:len(h)]
             scale = np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
@@ -493,27 +501,36 @@ def _refine(op: LinearOperator, forcing: CoeffLike | None, grid: np.ndarray, rto
         lo, mid, hi = lows[both], mids[both], highs[both]
 
 
-def step_propagators(op: LinearOperator, grid: np.ndarray,
-                     forcing: CoeffLike | None) -> np.ndarray:
+def step_propagators(op: LinearOperator, grid: np.ndarray, forcing: CoeffLike | None,
+                     rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """The propagators P_j, shaped (len(grid) - 1, N, N), that carry the
     state (y, ..., y^(n-1)) of D y = f from grid[j] to grid[j + 1] of an
     ascending grid.  With forcing None, N = n and f = 0; otherwise N = n + 1,
     the state carries a last entry that stays 1, and the n x n block of P_j
-    is the unforced propagator.  `_refine` at DEFAULT_RTOL runs on every
-    other grid point: a pair of intervals that passes takes one Magnus half
-    step each, a pair that fails refines its own intervals, and with an odd
-    interval count the last interval is its own piece."""
-    levels = [lv[-3:] for lv in _refine(op, forcing, np.append(grid[:-1:2], grid[-1]),
-                                        DEFAULT_RTOL)]
+    is the unforced propagator.  Where each pair of intervals is halved by
+    its middle grid point (an equally spaced grid, to a few ulps), `_refine`
+    at rtol runs on every other grid point: a pair that passes takes one
+    Magnus half step per interval, a pair that fails refines its own
+    intervals, and with an odd interval count the last interval is its own
+    piece.  On any other grid each interval is its own piece."""
+    ends = grid[:-2:2]
+    paired = (np.abs(ends + 0.5 * (grid[2::2] - ends) - grid[1:-1:2]).max(initial=0.0)
+              <= 64.0 * np.spacing(np.abs(grid).max()))
+    levels = [lv[-3:] for lv in _refine(op, forcing, np.append(grid[:-1:2], grid[-1])
+                                        if paired else grid, rtol)]
     steps = levels[0][0]
     out = steps[:0]
-    for halves, q, split in reversed(levels):  # a split piece is its second half after its first
-        halves[np.tile(split, 2)] = out
-        q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
-        out = q
-    props = steps.reshape((2, -1) + steps.shape[1:]).swapaxes(0, 1).reshape(steps.shape)
-    if len(grid) % 2 == 0:  # the last interval's own piece
-        props[-2] = props[-1] @ props[-2]
+    # a split piece is its second half after its first; the table's readers check it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for halves, q, split in reversed(levels):
+            halves[np.tile(split, 2)] = out
+            q[split] = out[len(out) // 2:] @ out[:len(out) // 2]
+            out = q
+        if not paired:
+            return out
+        props = steps.reshape((2, -1) + steps.shape[1:]).swapaxes(0, 1).reshape(steps.shape)
+        if len(grid) % 2 == 0:  # the last interval's own piece
+            props[-2] = props[-1] @ props[-2]
     return props[:len(grid) - 1]
 
 
@@ -528,11 +545,12 @@ def _running_products(prod: np.ndarray) -> np.ndarray:
 
 
 def grid_jets(op: LinearOperator, forcing: CoeffLike, init: Sequence[float],
-              grid: np.ndarray) -> np.ndarray:
+              grid: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """The jets (y, ..., y^(n-1)) of D y = f at each point of an ascending
     grid, shaped (len(grid), n), from init at grid[0]: the running products
-    P_j ... P_0 of the step propagators (a doubling scan) applied to (init, 1)."""
-    return _table_jets(step_propagators(op, grid, forcing), init, grid[0])
+    P_j ... P_0 of the step propagators at rtol (a doubling scan) applied to
+    (init, 1)."""
+    return _table_jets(step_propagators(op, grid, forcing, rtol), init, grid[0])
 
 
 def _table_jets(prod: np.ndarray, init: Sequence[float], start: float) -> np.ndarray:
@@ -574,16 +592,17 @@ class StepReader:
     is its inverse.  A read at s is one Magnus step from the last node
     between r and s, with A kept at that node and read at the step's
     midpoint and at s, so a step is never longer than an accepted half
-    step; y^(n) is the last row of A(s) times the jets.  A read calls each
-    coefficient once (`values_at`) and keeps the last result, which a read
-    of the same points returns again.  A read that is not finite is a
-    SolverError, and so is a solution that the first level's propagators
-    already carry past the float range, before any refinement.
+    step; y^(n) is the last row of A(s) times the jets.  A read takes A at
+    its midpoints and points from one `_companion` call and keeps the last
+    result, which a read of the same points returns again.  A read that is
+    not finite is a SolverError, and so is a solution that the first
+    level's propagators already carry past the float range, before any
+    refinement.
     """
 
     def __init__(self, op: LinearOperator, r: float, init: np.ndarray, rtol: float):
         self.r = r
-        self._coeffs = [(j, a) for j, a in enumerate(op.coeffs) if a is not _zero]
+        self._op = op
         lo, hi = op.interval.lo, op.interval.hi
         grid = np.unique(np.concatenate((np.linspace(lo, r, DENSE_GRID + 1),
                                          np.linspace(r, hi, DENSE_GRID + 1))))
@@ -638,12 +657,9 @@ class StepReader:
             i = np.searchsorted(keys, np.abs(ss - self.r), side="right") - 1
             t0 = nodes[i]
             h = ss - t0
-            both = np.concatenate((t0 + 0.5 * h, ss))  # the midpoints, then the ends
-            a = np.zeros((len(both),) + at.shape[1:])
-            a[:, :-1, 1:] = np.eye(at.shape[1] - 1)
-            for j, c in self._coeffs:
-                a[:, -1, j] = -values_at(c, both)
             with np.errstate(over="ignore", invalid="ignore"):
+                # the midpoints, then the ends
+                a = _companion(self._op, None, np.concatenate((t0 + 0.5 * h, ss)))
                 u = _magnus_steps(at[i], a[:len(ss)], a[len(ss):], h) @ jets[i]
                 out[mask] = np.concatenate((u, a[len(ss):, -1:] @ u), axis=1)
         finite = np.isfinite(out).all(axis=(1, 2))

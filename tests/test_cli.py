@@ -10,6 +10,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,12 +363,13 @@ class TestBadInput:
 
     def test_stiff_reconstruction_stops_at_its_budget(self, tmp_path, capsys, monkeypatch):
         # kappa(s) = 1e6 s on [0, 50] turns about 37 000 times: the
-        # solve stops at its budget of right-hand sides instead of hanging
+        # solve stops at its budget of right-hand sides instead of hanging;
+        # --apex reads the curve at the base, so area integrates it
         monkeypatch.setattr(odekernel, "MAX_RHS_EVALS", 50_000)
         spec = write_json(tmp_path / "stiff.json", {
             "type": "curvature-ivp", "kappa_coeffs": ["0", "1e6"], "domain": ["0", "50"]})
         start = time.perf_counter()
-        assert main(["arclength", spec]) == 3
+        assert main(["area", spec, "--apex", "0", "0"]) == 3
         assert time.perf_counter() - start < 1.5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -388,7 +390,6 @@ class TestBadInput:
     @pytest.mark.parametrize("coeffs, domain", [
         (["0", "0", "1e200"], ["0", "1"]),  # NumPy's overflow warning came first
         (["1e308", "1e308"], ["0", "2"]),  # six SciPy warnings came first
-        (["-85257.73575321586"], ["0", "2.0078560403053807"]),  # area printed nan
     ])
     def test_huge_curvature_is_one_domain_error(self, tmp_path, capsys, coeffs, domain):
         spec = write_json(tmp_path / "ivp.json", {
@@ -400,6 +401,31 @@ class TestBadInput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("domain error: ")
+
+    def test_huge_constant_curvature_gets_its_area(self, tmp_path, capsys):
+        # q = sqrt(-k) L = 586: the swept area printed nan, then exited 3;
+        # the area ODE gives abar(k, L) = 4.137e246
+        k, length = -85257.73575321586, 2.0078560403053807
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": [repr(k)], "domain": ["0", repr(length)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["area", spec]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert float(captured.out) == pytest.approx(kfuncs.abar(k, length), rel=1e-9)
+
+    def test_curvature_that_is_not_finite_is_one_domain_error(self, tmp_path, capsys):
+        # 1e308 + 1e308 s overflows at s = 1: the curve is not integrated,
+        # so the sample itself is refused
+        spec = write_json(tmp_path / "ivp.json", {
+            "type": "curvature-ivp", "kappa_coeffs": ["1e308", "1e308"], "domain": ["0", "2"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curvature", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: the curvature is not finite at s = 1.0\n"
 
 
 # curvature coefficients as spec strings: moderate, stiff, huge, tiny and zero
@@ -440,6 +466,32 @@ class TestCurvatureIVPFuzz:
                     assert err.getvalue() == "", (command, spec)
                 else:
                     assert len(err.getvalue().splitlines()) == 1, (command, spec)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(_KAPPA_COEFF, min_size=1, max_size=4),
+           lo=st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(1e-9, 1e-3)),
+           hi=st.one_of(st.floats(1e-6, 4.0), st.floats(4.0, 12.0)),
+           at=st.floats(0.0, 1.0))
+    def test_area_base_and_apex(self, coeffs, lo, hi, at):
+        # the area ODE from an interior base, and the triangle of --apex,
+        # which reads the curve
+        spec = {"type": "curvature-ivp", "kappa_coeffs": coeffs, "domain": [repr(-lo), repr(hi)]}
+        base = repr(min(hi, -lo + at * (hi + lo)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "ivp.json", spec)
+            for extra in ([f"--base={base}"], ["--apex", "0", "0"]):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main(["area", path, *extra])
+                assert code in (0, 2, 3), (extra, spec)
+                if code == 0:
+                    assert "nan" not in out.getvalue().lower(), (extra, spec)
+                    assert "inf" not in out.getvalue().lower(), (extra, spec)
+                    assert err.getvalue() == "", (extra, spec)
+                else:
+                    assert len(err.getvalue().splitlines()) == 1, (extra, spec)
 
 
 # spec numbers: small integers, moderate floats, and powers of ten up to
@@ -964,6 +1016,18 @@ class TestExamples:
         payload = json.loads(capsys.readouterr().out)
         assert payload["expected_bound"] == 5
         assert payload["theorem"] == "rigid_lat"
+
+    def test_zero_length_export_is_refused(self, tmp_path, capsys):
+        # parabola --m0 0 --rigid is one lattice point on the arc [L, L],
+        # which count refused as a spec with exit 2
+        assert main(["examples", "parabola", "--m0", "0", "--rigid",
+                     "--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "zero-length arc" in captured.err and "--m0 1" in captured.err
+        assert list(tmp_path.iterdir()) == []
+        assert main(["examples", "parabola", "--m0", "0", "--outdir", str(tmp_path)]) == 0
 
     def test_circle_export(self, tmp_path, capsys):
         rc = main(["examples", "circle", "--outdir", str(tmp_path)])
@@ -1512,7 +1576,8 @@ class TestPlacementCost:
 
 class TestAreaTable:
     """`area` computes its printed value and every `--out` row in one
-    pass of the swept-area quadrature."""
+    solve of the area ODE; `area_function`, the swept-area quadrature that
+    verify reads, computes a table of samples in one pass."""
 
     @pytest.fixture
     def graph_spec(self, tmp_path):
@@ -1545,20 +1610,16 @@ class TestAreaTable:
         {"type": "graph", "coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1.3"]},
         {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5"], "domain": ["-1", "2"]},
     ], ids=["parabola", "conic", "cubic-graph", "curvature-ivp"])
-    def test_blocks_of_panels_give_the_same_table(self, spec, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path / "spec.json", spec)
+    def test_blocks_of_panels_give_the_same_table(self, spec, monkeypatch):
+        curve = parse_curve_spec(spec).curve
+        ss = np.append(np.linspace(curve.domain.lo, curve.domain.hi, 50), curve.domain.hi)
         tables = []
         for block in (curve_mod.AREA_BLOCK, 3):
             monkeypatch.setattr(curve_mod, "AREA_BLOCK", block)
-            out = tmp_path / f"area{block}.csv"
-            assert main(["area", path, "--out", str(out), "--samples", "50"]) == 0
-            tables.append(out.read_bytes())
+            tables.append(curve_mod.area_function(curve, curve.domain.lo)(ss).tobytes())
         assert tables[0] == tables[1]
-        first, second = capsys.readouterr().out.splitlines()
-        assert first == second
 
-    def test_one_pass_reads_the_curve_in_arrays(self, graph_spec, tmp_path, capsys,
-                                                monkeypatch):
+    def test_one_pass_reads_the_curve_in_arrays(self, graph_spec, monkeypatch):
         reads = []
         point = AffineCurve.point
 
@@ -1567,9 +1628,9 @@ class TestAreaTable:
             return point(self, s)
 
         monkeypatch.setattr(AffineCurve, "point", counted)
-        out = tmp_path / "area.csv"
-        assert main(["area", graph_spec, "--apex", "0", "0", "--out", str(out),
-                     "--samples", "65"]) == 0
+        curve = load_curve_spec(graph_spec).curve
+        ss = np.linspace(curve.domain.lo, curve.domain.hi, 65)
+        curve_mod.area_function(curve, curve.domain.lo, (0.0, 0.0))(np.append(ss, curve.domain.hi))
         # the first call reads the 21 nodes of all 64 panels between samples
         assert 1 <= len(reads) <= 3
         assert reads[0] == 21 * 64
@@ -1598,6 +1659,163 @@ class TestAreaTable:
             assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
                          "--trials", "1"]) == 4
         assert 0 < sum(nodes) <= 21 * (2 ** (AREA_MAX_DEPTH + 1) - 1)  # one interval
+
+
+# the specs of the area-ODE checks, each with its constant curvature (None
+# where it varies); every spec runs at its base lo, at an interior base and
+# with the apex (0, 0) from both
+AREA_SPECS = {
+    "parabola": ({"type": "parabola", "coeffs": ["0", "0", "0.5"], "domain": ["0", "5"]}, 0.0),
+    "hyperbola": ({"type": "conic", "coeffs": ["1", "-1", "-1", "0", "0", "-1"],
+                   "seed": ["1", "0"], "domain": ["0", "2"]}, "conic"),
+    "ellipse": ({"type": "conic", "coeffs": ["1", "0", "2", "0", "0", "-1"],
+                 "seed": ["1", "0"], "domain": ["-0.5", "1.5"]}, "conic"),
+    "constant-negative": ({"type": "constant-curvature", "k": "-2",
+                           "domain": ["-0.5", "1.5"]}, -2.0),
+    "constant-positive": ({"type": "constant-curvature", "k": "3", "domain": ["0", "1.2"]}, 3.0),
+    "quartic": ({"type": "graph", "coeffs": ["0", "0", "1", "0.05", "0.01"],
+                 "domain": ["-1", "1.3"]}, None),
+    "ivp": ({"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5"], "domain": ["-1", "2"]},
+            None),
+}
+AREA_MODES = ("lo", "interior", "apex", "interior-apex")
+
+
+def _area_table(spec, mode, tmp_path, capsys, samples=33):
+    """`area --out` of a spec in one of AREA_MODES: the curve, the base,
+    the apex (None for c(base)), the sample parameters and areas."""
+    path = write_json(tmp_path / "spec.json", spec)
+    curve = load_curve_spec(path).curve
+    lo, hi = curve.domain.lo, curve.domain.hi
+    base = lo + 0.37 * (hi - lo) if mode.startswith("interior") else lo
+    apex = (0.0, 0.0) if mode.endswith("apex") else None
+    out = tmp_path / "area.csv"
+    argv = ["area", path, "--out", str(out), "--samples", str(samples), "--base", repr(base)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + (["--apex", "0", "0"] if apex else [])) == 0
+    printed = capsys.readouterr().out.strip()
+    lines = out.read_text().splitlines()[1:]
+    assert lines[-1].split(",")[1] == printed  # the last row is A(hi), the printed area
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    return curve, base, apex, rows[:, 0], rows[:, 1]
+
+
+def _mp_jets(kappa, t0, jet, ts, forcing):
+    """The jets at each t of ts of y''' + kappa y' = forcing from jet at
+    t0, by mpmath's Taylor-series solver; left of t0 by the mirrored
+    problem z(u) = y(t0 - u), since the solver runs forwards only."""
+    out = {}
+    for sign in (1, -1):
+        side = sorted((t for t in ts if (t - t0) * sign > 0), key=lambda t: abs(t - t0))
+        if side:
+            solve = mpmath.odefun(lambda u, z: [z[1], z[2], sign * forcing
+                                                - kappa(t0 + sign * u) * z[1]],
+                                  0, [jet[0], sign * jet[1], jet[2]])
+            for t in side:
+                z = solve(abs(mpmath.mpf(t) - t0))
+                out[t] = [z[0], sign * z[1], z[2]]
+    return [out.get(t, jet) for t in ts]
+
+
+def _graph_area(coeffs, x0, x, apex):
+    """1/2 integral_x0^x ((X - px) f'(X) - (f(X) - py)) dX in Fractions,
+    the area swept along the graph of f from x0 seen from the apex (px,
+    py), (x0, f(x0)) when apex is None."""
+    cs = [Fraction(c) for c in coeffs]
+    f = lambda t: sum(c * t ** i for i, c in enumerate(cs))
+    px, py = (x0, f(x0)) if apex is None else (Fraction(apex[0]), Fraction(apex[1]))
+    # the integrand's coefficients: X f' - px f' - f + py
+    integrand = [-c for c in cs] + [Fraction(0)]
+    integrand[0] += py
+    for i in range(1, len(cs)):
+        integrand[i] += i * cs[i]
+        integrand[i - 1] -= px * i * cs[i]
+    prim = lambda t: sum(c * t ** (i + 1) / (i + 1) for i, c in enumerate(integrand))
+    return (prim(x) - prim(x0)) / 2
+
+
+class TestAreaODE:
+    """`area` takes A from the area ODE A''' + kappa A' = 1/2 on its sample
+    grid, against the swept-area quadrature and against exact references."""
+
+    @pytest.mark.parametrize("mode", AREA_MODES)
+    @pytest.mark.parametrize("name", list(AREA_SPECS))
+    def test_matches_the_quadrature(self, name, mode, tmp_path, capsys):
+        curve, base, apex, ss, got = _area_table(AREA_SPECS[name][0], mode, tmp_path, capsys)
+        assert base not in ss or got[np.searchsorted(ss, base)] == 0.0  # A(base) is exact
+        want = curve_mod.area_function(curve, base, apex)(ss)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["lo", "interior"])
+    @pytest.mark.parametrize("name", [n for n, (_, k) in AREA_SPECS.items() if k is not None])
+    def test_constant_curvature_is_abar(self, name, mode, tmp_path, capsys):
+        spec, k = AREA_SPECS[name]
+        if k == "conic":
+            k = parse_curve_spec(spec).conic.curvature()
+        _, base, _, ss, got = _area_table(spec, mode, tmp_path, capsys)
+        # A(s) = abar(k, s - base), an odd function of s - base
+        want = np.array([math.copysign(kfuncs.abar(k, abs(s - base)), s - base) for s in ss])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", AREA_MODES)
+    def test_graph_is_its_exact_area(self, mode, tmp_path, capsys):
+        spec = AREA_SPECS["quartic"][0]
+        curve, base, apex, ss, got = _area_table(spec, mode, tmp_path, capsys)
+        xs = curve.point(ss)[:, 0].tolist()
+        x0 = Fraction(float(curve.point(base)[0]))
+        want = np.array([float(_graph_area(spec["coeffs"], x0, Fraction(x), apex)) for x in xs])
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", AREA_MODES)
+    def test_ivp_matches_mpmath(self, mode, tmp_path, capsys):
+        curve, base, apex, ss, got = _area_table(AREA_SPECS["ivp"][0], mode, tmp_path, capsys,
+                                                 samples=13)
+        kappa = lambda s: -1 + s / 2  # the spec's curvature, in mpmath
+        with mpmath.workdps(25):
+            jet = [0, 0, 0]
+            if apex is not None:  # the curve's jet at the base, from its frame at s = 0
+                x, y = (_mp_jets(kappa, 0, j, [base], 0)[0] for j in ([0, 1, 0], [0, 0, 1]))
+                jet = [0, (x[0] * y[1] - y[0] * x[1]) / 2, (x[0] * y[2] - y[0] * x[2]) / 2]
+            want = np.array([float(j[0]) for j in _mp_jets(kappa, mpmath.mpf(base), jet,
+                                                           ss.tolist(), mpmath.mpf(1) / 2)])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "constant-curvature", "k": "-25", "domain": ["0", "4"]},
+        {"type": "curvature-ivp", "kappa_coeffs": ["-25"], "domain": ["0", "4"]},
+    ], ids=["constant-curvature", "curvature-ivp"])
+    def test_stiff_corner_is_abar(self, spec, tmp_path, capsys):
+        # q = sqrt(-k) L = 20: the swept area was off by 5.8e-9 relative
+        _, base, _, ss, got = _area_table(spec, "lo", tmp_path, capsys)
+        want = np.array([kfuncs.abar(-25.0, s) for s in ss])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("command", ["area", "curvature", "arclength"])
+    def test_ivp_commands_integrate_the_curve_only_for_the_apex(self, command, tmp_path,
+                                                               capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated the curve")
+
+        monkeypatch.setattr(odekernel.StepReader, "__init__", refuse)
+        path = write_json(tmp_path / "ivp.json", AREA_SPECS["ivp"][0])
+        out = tmp_path / "table.csv"
+        assert main([command, path, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 66
+        if command == "area":
+            with pytest.raises(AssertionError, match="integrated the curve"):
+                main([command, path, "--apex", "0", "0"])
+
+    def test_samples_past_one_solve_budget(self, tmp_path, capsys, monkeypatch):
+        # blocks of at most MAX_RHS_EVALS // 4 grid points, each within the budget
+        monkeypatch.setattr(odekernel, "MAX_RHS_EVALS", 400)
+        _, _, _, ss, got = _area_table(AREA_SPECS["ivp"][0], "interior", tmp_path, capsys,
+                                       samples=2001)
+        monkeypatch.undo()
+        want = curve_mod.area_from_ode(load_curve_spec(write_json(
+            tmp_path / "again.json", AREA_SPECS["ivp"][0])).curve, ss[0] + 0.37 * (ss[-1] - ss[0]),
+            None, ss)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSubcommandOptions:

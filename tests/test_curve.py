@@ -384,8 +384,10 @@ class TestReconstruction:
         assert d2 == pytest.approx(fr.normal, abs=1e-12)
 
     def test_solver_failure_is_typed(self):
+        # the solve runs on the first read of a point or a derivative
+        c = reconstruct_from_curvature(-1e30, Interval(0.0, 1.0))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
-            reconstruct_from_curvature(-1e30, Interval(0.0, 1.0))
+            c.point(0.5)
 
     def test_evaluation_clamps_to_domain(self):
         c = reconstruct_from_curvature(lambda s: s, Interval(-1.0, 1.0))

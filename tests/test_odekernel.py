@@ -452,6 +452,20 @@ class TestStepPropagators:
             assert np.array_equal(got[0], init)
             assert np.allclose(got, want, rtol=1e-8, atol=1e-9 * np.abs(want).max())
 
+    @pytest.mark.parametrize("grid", [
+        [0.0, 0.1, 1.0, 1.05, 2.0],  # pairs halved off their middle
+        [0.0, 0.3, 0.6, 0.65, 1.3, 1.95, 2.0],
+        [0.0, 0.5, 1.0, 1.5, 2.0],  # even: one Magnus half step per interval
+    ])
+    def test_uneven_grids_give_their_own_points(self, grid):
+        # the propagators of a pair of unequal intervals carried its
+        # midpoint's jet to its middle grid point
+        op = third_order_op(lambda s: -2.0 + 1.5 * math.sin(3.0 * s), Interval(0.0, 2.0))
+        grid = np.array(grid)
+        got = grid_jets(op, 0.5, (0.0, 0.3, -0.2), grid)
+        want = solve_ivp(op, 0.5, 0.0, (0.0, 0.3, -0.2), rtol=1e-13, atol=1e-15).eval(grid)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-10)
+
     def test_unforced_jets_are_the_propagator_products(self):
         op = third_order_op(lambda s: -3.0 + math.cos(2.0 * s), Interval(0.0, 1.5))
         grid = np.linspace(0.0, 1.5, 7)
@@ -476,16 +490,16 @@ class TestStepPropagators:
     def test_constant_coefficients_pass_the_first_check(self):
         # Magnus is exact for constant coefficients, up to rounding: the
         # pairs of intervals pass at once, so the grid is read at its 41
-        # points and the 40 midpoints of its intervals
+        # points and the 40 midpoints of its intervals, in one array read
         reads = []
 
         def kappa(s):
-            reads.append(s)
+            reads.append(np.size(s))
             return -25.0
 
         step_propagators(third_order_op(kappa, Interval(0.0, 4.0)),
                          np.linspace(0.0, 4.0, 41), None)
-        assert len(reads) == 41 + 40
+        assert reads == [41 + 40]
 
     @pytest.mark.parametrize("at", [0.02, 0.05, 0.5, 0.9, 0.95])
     def test_kink_anywhere_in_an_interval(self, at):
@@ -506,8 +520,9 @@ class TestStepPropagators:
         kinked = _kinked((-10.0, 12.0, 1.3))
 
         def kappa(s):
+            value = kinked(s)  # refuses an array, which is then read point by point
             reads.append(s)
-            return kinked(s)
+            return value
 
         grid = np.linspace(0.0, 4.0, 161)
         step_propagators(third_order_op(kappa, Interval(0.0, 4.0)), grid, 0.5)
@@ -760,8 +775,9 @@ class TestForcedTable:
         monkeypatch.setattr(odekernel, "_expm", lambda o: exps.append(len(o)) or expm(o))
 
         def kappa(s):
+            value = -1.0 + 0.5 * math.sin(1.3 * s)  # refuses an array: read point by point
             reads.append(s)
-            return -1.0 + 0.5 * math.sin(1.3 * s)
+            return value
 
         step_propagators(third_order_op(kappa, Interval(0.0, 4.0)),
                          np.linspace(0.0, 4.0, 201), None)

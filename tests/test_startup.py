@@ -65,7 +65,8 @@ def _exact_commands(tmp_path):
     """`examples` and `count` on the exported sharp instances, every
     `verify` theorem, `bounds`, `figures`, `area`, `curvature` and
     `arclength` on curvature-ivp, conic, constant-curvature and cubic
-    graph specs, and `count` on the cubic graph (by vertical lattice lines)."""
+    graph specs, `area --apex` and `area --base` on the curvature-ivp
+    spec, and `count` on the cubic graph (by vertical lattice lines)."""
     commands = []
     for name, m0 in (("parabola", 3), ("hyperbola", 2), ("hyperbola-general", 2)):
         for rigid in ((), ("--rigid",)):
@@ -86,6 +87,8 @@ def _exact_commands(tmp_path):
     for name, spec in specs.items():
         path = _write(tmp_path / f"{name}.json", spec)
         commands += [[command, path] for command in ("area", "curvature", "arclength")]
+    ivp = str(tmp_path / "ivp.json")
+    commands += [["area", ivp, "--apex", "0", "0"], ["area", ivp, "--base", "0.25"]]
     lattice = _write(tmp_path / "z2.json", {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
     commands += [["count", str(tmp_path / "cubic.json"), lattice]]
     return commands
