@@ -12,8 +12,6 @@ from .compare import (
     coord_bounds_check,
     triangle_bound_arc,
     triangle_bound_rect,
-    triangle_ratio_asymptotic,
-    triangle_ratio_exact,
     verify_triangle_bound,
 )
 from .conics import Conic
@@ -26,8 +24,6 @@ from .curve import (
     OrientationError,
     ParametricCurve,
     adapted_frame,
-    affine_arclength,
-    affine_curvature_at,
     area_function,
     area_ode_residual,
     constant_curvature_curve,
@@ -67,17 +63,14 @@ from .lattice import (
     bound_sharp,
     bound_three_points,
     bound_two_points,
-    conic_in_lattice_coords,
     enumerate_near_curve,
     enumerate_on_arc,
     enumerate_on_graph,
     equal_spaced_orbit,
-    lattice_equal,
     m_of_coords,
     m_of_curve,
     motion_preserves_lattice,
     on_curve,
-    parity_multiplier_bound,
     triangle_multiplier,
 )
 from .odekernel import (
@@ -89,14 +82,10 @@ from .odekernel import (
     check_forward_positive,
     compare_solutions,
     grid_jets,
-    lagrange_kernel,
     make_operator,
-    oscillator_op,
     power_op,
     solve_ivp,
-    solve_via_kernel,
     step_propagators,
-    third_order_op,
 )
 from .reports import BoundReport, Hypothesis
 from .sharp_instances import (
@@ -106,9 +95,7 @@ from .sharp_instances import (
     circle_instance,
     hyperbola_general_instance,
     hyperbola_zxz_instance,
-    is_classified_angle,
     parabola_instance,
-    rotation_trace,
 )
 from .specfiles import (
     CurveSpec,

@@ -1,10 +1,10 @@
 """Command-line front end: computation, verification sweeps, lattice
 counting, and figure data.
 
-Exit codes: 0 success, 2 parse error, 3 domain/orientation error,
-4 hypotheses failed, 5 bound violated.  All randomized sweeps take an
-explicit seed (default 0) and log it in their output, so identical
-invocations produce byte-identical JSON/CSV.
+Exit codes: 0 success, 1 stdout closed early, 2 parse error,
+3 domain/orientation error, 4 hypotheses failed, 5 bound violated.  All
+randomized sweeps take an explicit seed (default 0) and log it in their
+output, so identical invocations produce byte-identical JSON/CSV.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,12 +46,7 @@ from .lattice import (
     m_of_coords,
     on_curve,
 )
-from .odekernel import (
-    SolverError,
-    compare_solutions,
-    lagrange_kernel,
-    power_op,
-)
+from .odekernel import LagrangeKernel, SolverError, compare_solutions, power_op
 from .reports import Hypothesis, sturm_range, swept_area_quadrature
 from .sharp_instances import (
     circle_instance,
@@ -176,7 +172,7 @@ def cmd_kernel(args) -> int:
                          f"pairs, got {n} points")
     interval = Interval(args.lo, args.hi)
     n_order, ell, closed = KERNEL_FAMILIES[args.family]
-    kernel = lagrange_kernel(power_op(n_order, ell, args.k, interval))
+    kernel = LagrangeKernel(power_op(n_order, ell, args.k, interval))
     grid = np.linspace(args.lo, args.hi, args.grid)
     r_at, s_at = np.triu_indices(len(grid), 1)  # every pair r < s, column by column
     closed_values = iter(closed(args.k, grid[s_at] - grid[r_at]))
@@ -709,7 +705,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: `main`, whose code is the exit status.  A reader
+    that closes stdout early (`count ... | head -1`) ends the process with
+    status 1 and nothing on stderr; stdout then points at devnull, so the
+    flush at exit cannot raise again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
 # bench/test_bench.py reads it as compare.solve_ivp
-from .odekernel import POSITIVITY_TOL, forced_table, solve_ivp, third_order_op
+from .odekernel import POSITIVITY_TOL, forced_table, power_op, solve_ivp
 from .reports import BoundReport, Hypothesis, sturm_range, swept_area_quadrature
 
 DEFAULT_SLACK = 1e-7
@@ -51,7 +51,7 @@ def area_compare(curve: AffineCurve, kappa_bar, length: float,
     kbar = kappa_bar if callable(kappa_bar) else (lambda s, k=float(kappa_bar): k)
 
     hyps: list[Hypothesis] = []
-    pos, jets = forced_table(third_order_op(kbar, Interval(0.0, length)), 0.5, (0.0, 0.0, 0.0),
+    pos, jets = forced_table(power_op(3, 1, kbar, Interval(0.0, length)), 0.5, (0.0, 0.0, 0.0),
                              np.linspace(0.0, length, positivity_grid_n), 1, POSITIVITY_TOL)
     hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
 
@@ -176,26 +176,6 @@ def triangle_bound_rect(k0: float, lam: float) -> float:
     if lam <= 0.0:
         raise ValueError("arc length must be positive")
     return hk(k0, lam / 2.0)
-
-
-def triangle_ratio_exact(k0: float, lam: float) -> float:
-    """Exact sharpness deficit of the arc bound for the constant-curvature
-    arc of length lam with vertices at its endpoints and midpoint:
-    hk(k0, L)/abar(k0, 2L) - 1 with L = lam/2 (negative for k0 < 0)."""
-    half = lam / 2.0
-    return hk(k0, half) / abar(k0, lam) - 1.0
-
-
-def triangle_ratio_asymptotic(k0: float, lam: float) -> float:
-    """Large-|k0| model of triangle_ratio_exact for k0 < 0: -2 e^(-sqrt|k0| lam/2).
-
-    The leading constant follows from sinh x ~ e^x/2 and
-    sinh x cosh x ~ e^(2x)/4 in the exact deficit
-    -(sinh x - x)/(sinh x cosh x - x), x = sqrt(|k0|) lam/2.
-    """
-    if k0 >= 0.0:
-        raise ValueError("asymptotic regime needs k0 < 0")
-    return -2.0 * math.exp(-math.sqrt(-k0) * lam / 2.0)
 
 
 def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, float],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kfuncs import BRENT_MAXITER, BRENT_RTOL, DomainError, Interval, brent_root, ck, sk, ybar
 from . import odekernel
-from .odekernel import SolverError, StepReader, grid_jets, power_op, third_order_op, values_at
+from .odekernel import SolverError, StepReader, grid_jets, power_op, values_at
 
 Vec = np.ndarray
 
@@ -69,7 +69,8 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
 class AdaptedFrame:
     """Affine frame (origin, tangent, normal) with tangent wedge normal = 1.
 
-    `to_adapted` sends origin -> (0,0), tangent -> (1,0), normal -> (0,1).
+    `to_adapted_rows` sends origin -> (0,0), tangent -> (1,0), normal -> (0,1),
+    and `from_adapted_rows` back.
     """
 
     origin: Vec
@@ -90,15 +91,12 @@ class AdaptedFrame:
     def det(self) -> float:
         return wedge(self.tangent, self.normal)
 
-    def to_adapted(self, p: Sequence[float]) -> Vec:
-        return self.to_adapted_rows(np.reshape(np.asarray(p, dtype=float), (1, 2)))[0]
-
     def to_adapted_vector(self, v: Sequence[float]) -> Vec:
         """Linear part only (for derivatives)."""
         return self.to_adapted_vector_rows(np.reshape(np.asarray(v, dtype=float), (1, 2)))[0]
 
     def to_adapted_rows(self, p: np.ndarray) -> np.ndarray:
-        """`to_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
+        """The adapted coordinates of each point, a row of a (p, 2) array."""
         return self.to_adapted_vector_rows(p - self.origin)
 
     def to_adapted_vector_rows(self, v: np.ndarray) -> np.ndarray:
@@ -107,11 +105,8 @@ class AdaptedFrame:
         return np.column_stack(((self.normal[1] * v[:, 0] - self.normal[0] * v[:, 1]) / d,
                                 (-self.tangent[1] * v[:, 0] + self.tangent[0] * v[:, 1]) / d))
 
-    def from_adapted(self, xy: Sequence[float]) -> Vec:
-        return self.from_adapted_rows(np.reshape(np.asarray(xy, dtype=float), (1, 2)))[0]
-
     def from_adapted_rows(self, xy: np.ndarray) -> np.ndarray:
-        """`from_adapted` of each row of a (p, 2) array, as a (p, 2) array."""
+        """The plane points of each row of adapted coordinates of a (p, 2) array."""
         return self.origin + xy[:, :1] * self.tangent + xy[:, 1:] * self.normal
 
 
@@ -164,19 +159,6 @@ class AffineCurve:
     def point(self, s: float | np.ndarray) -> Vec:
         return np.asarray(self.position(s), dtype=float)
 
-    def velocity(self, s: float) -> Vec:
-        return self.derivatives(s)[0]
-
-    def unit_speed_defect(self, n: int = 1000) -> float:
-        d1, d2, _ = self.derivatives(np.linspace(self.domain.lo, self.domain.hi, n))
-        return float(np.max(np.abs(_wedge_rows(d1, d2) - 1.0)))
-
-    def structure_defect(self, n: int = 200) -> float:
-        """Sup of |c''' + kappa c'| over a sample grid."""
-        ss = np.linspace(self.domain.lo, self.domain.hi, n)
-        d1, _, d3 = self.derivatives(ss)
-        return float(np.max(np.abs(d3 + self.curvature(ss)[:, None] * d1)))
-
 
 @dataclass(frozen=True)
 class ParametricCurve:
@@ -209,12 +191,6 @@ class ParametricCurve:
         else:
             return np.column_stack((x, y)).astype(float, copy=False)
         return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
-
-
-def affine_curvature_at(curve: AffineCurve, s: float) -> float:
-    """kappa = c'' wedge c''', valid under unit affine speed."""
-    _, d2, d3 = curve.derivatives(s)
-    return wedge(d2, d3)
 
 
 def constant_curvature_curve(k: float, interval: Interval,
@@ -382,12 +358,6 @@ def _arclength_table(raw: ParametricCurve, t0: float,
     # panels too short for the sum to tell their ends apart are never read
     keep = 0.5 * np.diff(edges) > 0.0
     return np.append(0.0, edges[1:][keep]), coef[order][keep], forward
-
-
-def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
-    """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]: the sum of the
-    panels of `_arclength_table`."""
-    return float(_arclength_table(raw, t0, t1)[0][-1])
 
 
 def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
@@ -565,7 +535,7 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
 
     @functools.cache
     def solution() -> StepReader:
-        return StepReader(third_order_op(kap, interval), 0.0,
+        return StepReader(power_op(3, 1, kap, interval), 0.0,
                           np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 1e-11)
 
     def position(s: np.ndarray) -> np.ndarray:

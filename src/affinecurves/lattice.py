@@ -208,14 +208,6 @@ def _m_of_all_triples(lat: Lattice, points: Sequence) -> int:
     return int(best)
 
 
-def parity_multiplier_bound(a: int, b: int, c: int, r: int) -> int:
-    """Analytic lower bound for the multiplier on a x^2 + b xy + c y^2 = r:
-    2 when a, c, r are odd and b is even (mod-2 argument), else 1."""
-    if a % 2 == 1 and c % 2 == 1 and r % 2 == 1 and b % 2 == 0:
-        return 2
-    return 1
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """g1 x + g2 y + g0 >= 0 with exact coefficients."""
@@ -230,11 +222,6 @@ class LinearConstraint:
 
     def satisfied(self, x: Fraction, y: Fraction) -> bool:
         return self.g1 * x + self.g2 * y + self.g0 >= 0
-
-    def substituted(self, t: list[list[Fraction]]) -> "LinearConstraint":
-        g = (self.g1, self.g2, self.g0)
-        new = tuple(sum(g[i] * t[i][j] for i in range(3)) for j in range(3))
-        return LinearConstraint(new[0], new[1], new[2])
 
 
 @dataclass(frozen=True)
@@ -261,21 +248,6 @@ class LatticePointSet:
 
     def positions_float(self) -> list[tuple[float, float]]:
         return [(float(x), float(y)) for x, y in self.positions]
-
-
-def _lattice_substitution(lat: Lattice) -> list[list[Fraction]]:
-    """Homogeneous matrix of (m, n) -> v0 + m v1 + n v2."""
-    return [
-        [lat.v1[0], lat.v2[0], lat.v0[0]],
-        [lat.v1[1], lat.v2[1], lat.v0[1]],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]
-
-
-def conic_in_lattice_coords(conic: Conic, lat: Lattice) -> Conic:
-    """Exact conic satisfied by the lattice coordinates of points of the
-    plane conic."""
-    return conic.substituted(_lattice_substitution(lat))
 
 
 def plane_conic_from_lattice_frame(conic: Conic, lat: Lattice) -> Conic:
@@ -791,17 +763,6 @@ COUNT_BOUNDS = {
 def _on_generators(lat: Lattice, v: Vec2) -> bool:
     """Whether the vector v is an integer combination of the generators."""
     return (lat.v0[0] + v[0], lat.v0[1] + v[1]) in lat
-
-
-def lattice_equal(lat_a: Lattice, lat_b: Lattice) -> bool:
-    """Exact set equality: each origin lies in the other lattice and each
-    generator pair is an integral combination of the other."""
-
-    def absorbed(target: Lattice, other: Lattice) -> bool:
-        return other.v0 in target and all(_on_generators(target, v)
-                                          for v in (other.v1, other.v2))
-
-    return absorbed(lat_a, lat_b) and absorbed(lat_b, lat_a)
 
 
 @dataclass(frozen=True)

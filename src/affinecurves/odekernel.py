@@ -5,20 +5,21 @@ its coefficient functions on an interval.  The forward kernel K(s; r),
 s >= r, solves, for each fixed r, the homogeneous equation in s with a
 unit jet on the top derivative at r; it reproduces solutions of the
 non-homogeneous problem with zero initial data as
-y(s) = integral_r^s K(s; t) f(t) dt for s >= r, which this module uses as
-a cross-validation oracle against direct integration.  The comparison
-theorems read K only there, so each column is solved rightward from r.
+y(s) = integral_r^s K(s; t) f(t) dt for s >= r, which the tests'
+`reference.solve_via_kernel` checks against direct integration.  The
+comparison theorems read K only there, so each column is solved
+rightward from r.
 
 Kernel columns, read at arbitrary points, are DOP853 solves with dense
-output; SciPy loads on the first such solve (and the first
-`KernelSolution` read), not with this module.  Solves read only on a
-fixed grid take one fourth-order Magnus step exp(Omega) of the companion
-system u' = A u per grid interval, with A read at its ends and midpoint,
-and refine only where a pair of intervals disagrees with its one step by
-more than a tolerance, DEFAULT_RTOL unless the caller gives one: at a
-kink, over a stiff stretch.  A forcing rides along as a constant last
-state entry.  Each operator gets one table of these propagators P_j,
-whose running products give the forward-positivity certificate,
+output, read one point at a time; SciPy loads on the first such solve,
+not with this module.  Solves read only on a fixed grid take one
+fourth-order Magnus step exp(Omega) of the companion system u' = A u per
+grid interval, with A read at its ends and midpoint, and refine only
+where a pair of intervals disagrees with its one step by more than a
+tolerance, DEFAULT_RTOL unless the caller gives one: at a kink, over a
+stiff stretch.  A forcing rides along as a constant last state entry.
+Each operator gets one table of these propagators P_j, whose running
+products give the forward-positivity certificate,
 K(s_j; r_i) = e_1^T P_{j-1} ... P_i e_n with no inverse, and the
 comparison solution, the reference area or the area of the `area`
 command.  Curve reconstruction keeps the accepted half steps as the nodes
@@ -42,7 +43,6 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 POSITIVITY_GRID = 201
 POSITIVITY_TOL = 1e-9  # a certificate holds when the least kernel value is >= -tol
-KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
 # Right-hand-side evaluations (DOP853), coefficient node reads (Magnus) or
 # integrand reads (the arc-length panels of curve.reparam_unit_speed) one
 # solve may take before it fails with SolverError; the largest solve of the
@@ -53,10 +53,9 @@ DENSE_GRID = 16  # the intervals of each side of a StepReader before refinement
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
 
 CoeffLike = float | Callable[[float], float]
-# SciPy's solve_ivp and quad, imported by the first dop853 and the first
-# KernelSolution read: importing scipy.integrate takes about half a second
+# SciPy's solve_ivp, imported by the first dop853: importing
+# scipy.integrate takes about half a second
 _sp_solve_ivp = None
-_quad = None
 
 
 class SolverError(RuntimeError):
@@ -109,16 +108,6 @@ def make_operator(coeffs: Sequence[CoeffLike], interval: Interval, label: str = 
     return LinearOperator(tuple(_as_fn(c) for c in coeffs), interval, label)
 
 
-def oscillator_op(kappa: CoeffLike, interval: Interval) -> LinearOperator:
-    """y'' + kappa(s) y."""
-    return make_operator((kappa, 0.0), interval, label="y''+ky")
-
-
-def third_order_op(kappa: CoeffLike, interval: Interval) -> LinearOperator:
-    """y''' + kappa(s) y'."""
-    return make_operator((0.0, kappa, 0.0), interval, label="y'''+ky'")
-
-
 def power_op(n: int, ell: int, kappa: CoeffLike, interval: Interval) -> LinearOperator:
     """y^(n) + kappa(s) y^(ell)."""
     if not 0 <= ell < n:
@@ -135,11 +124,9 @@ class DenseReader:
     A read picks the step scipy would pick (the lower-index step at a step
     time, the first or last step outside the span) and evaluates that
     step's interpolant with scipy's Horner scheme, entry by entry and in
-    the same order of IEEE operations.  Scalar reads run in Python floats
-    over one step's rows, converted on the step's first read; array reads
-    gather each point's step from one (steps, 7, N) table, stacked on the
-    first array read.  Nothing is built at solve time: most solves are
-    read only a few times.
+    the same order of IEEE operations.  A read is of one point, in Python
+    floats over one step's rows, converted on the step's first read.
+    Nothing is built at solve time: most solves are read only a few times.
     """
 
     def __init__(self, ts: np.ndarray, steps: list):
@@ -148,7 +135,6 @@ class DenseReader:
         self._ascending = bool(ts[-1] >= ts[0])
         self._sorted: list[float] | None = None
         self._rows: dict[int, tuple[float, float, list[list[float]]]] = {}
-        self._table: tuple[np.ndarray, ...] | None = None
 
     def _segment(self, t: float) -> int:
         """The step scipy reads at t: its search on the ascending step
@@ -189,31 +175,6 @@ class DenseReader:
         """The whole state at t."""
         x, x1, cols = self._at(float(t))
         return [self._horner(x, x1, col) for col in cols]
-
-    def read(self, t: np.ndarray) -> np.ndarray:
-        """The states at a 1-D array of p points, as scipy's (N, p) array."""
-        if self._table is None:
-            steps = self._steps
-            self._table = (self._ts if self._ascending else self._ts[::-1],
-                           np.array([step.t_old for step in steps]),
-                           np.array([step.h for step in steps]),
-                           np.stack([step.F for step in steps]),
-                           np.stack([step.y_old for step in steps]))
-        ts, t_old, h, F, y_old = self._table
-        last = len(F) - 1
-        seg = np.searchsorted(ts, t, side="left" if self._ascending else "right") - 1
-        np.clip(seg, 0, last, out=seg)
-        if not self._ascending:
-            seg = last - seg
-        x = ((t - t_old[seg]) / h[seg])[:, None]
-        x1 = 1 - x
-        rows = F[seg]
-        y = np.zeros((len(t), rows.shape[2]))
-        for i in range(rows.shape[1] - 1, -1, -1):
-            y += rows[:, i]
-            y *= x if i % 2 == 0 else x1
-        y += y_old[seg]
-        return y.T
 
 
 def dop853(fun: Callable[[float, np.ndarray], np.ndarray], t0: float, t_end: float,
@@ -271,59 +232,24 @@ class IVPSolution:
 
     def eval(self, s: float | np.ndarray) -> np.ndarray:
         """The jet(s) at s, shaped like `init`; for a 1-D array of p points,
-        shaped (p,) + init.shape, read with one dense-output call per side
-        of r (bitwise equal to the scalar reads)."""
+        shaped (p,) + init.shape, one scalar read per point."""
         if isinstance(s, np.ndarray) and s.ndim:  # np.ndim would turn each float into an array
-            return self._eval_array(s.astype(float))
+            if s.ndim != 1:
+                raise ValueError(f"need a scalar or a 1-D array of points, got shape {s.shape}")
+            return np.array([self.eval(t) for t in s.tolist()]).reshape(s.shape + self.init.shape)
         s, dense = self._side(s)
         if dense is None:
             return self.init.copy()
         # scipy's flat state holds the jets column by column
         return np.array(dense.state(s)).reshape(self.init.T.shape).T
 
-    def _eval_array(self, s: np.ndarray) -> np.ndarray:
-        if s.ndim != 1:
-            raise ValueError(f"need a scalar or a 1-D array of points, got shape {s.shape}")
-        lo, hi = self.domain.lo, self.domain.hi
-        pad = 1e-9 * max(1.0, abs(hi - lo))
-        outside = (s < lo - pad) | (s > hi + pad)
-        if outside.any():
-            raise ValueError(f"evaluation point {s[outside][0]} outside domain [{lo}, {hi}]")
-        s = np.clip(s, lo, hi)
-        out = np.empty(s.shape + self.init.shape)
-        right = s >= self.r
-        for side, dense in ((right, self._right), (~right, self._left)):
-            if side.any():
-                # (n*m, p) reshapes to (m, n, p), then transposes to (p, n, m)
-                out[side] = self.init if dense is None else \
-                    dense.read(s[side]).reshape(self.init.T.shape + (-1,)).T
-        return out
-
     def __call__(self, s: float, deriv: int = 0) -> float:
         """Entry `deriv` of a single jet at s; only that entry is read."""
         if self.init.ndim != 1:
-            return float(self.eval(s)[deriv])
+            raise ValueError(f"a solve of {self.init.shape[1]} jets has no single entry at s; "
+                             "read its jets with eval")
         s, dense = self._side(s)
         return float(self.init[deriv]) if dense is None else dense.entry(s, deriv)
-
-    def residual(self) -> float:
-        """Sup of |y^(n) + sum a_j y^(j) - f| with y^(n) taken by central
-        differences of the top stored derivative (an honest re-check, not
-        the solver's own right-hand side)."""
-        lo, hi = self.domain.lo, self.domain.hi
-        step = 1e-6 * max(1.0, hi - lo)
-        worst = 0.0
-        for s in np.linspace(lo, hi, 50):
-            sm, sp = max(lo, s - step), min(hi, s + step)
-            if sp - sm < step:
-                continue
-            u = self.eval(s)
-            dtop = (self.eval(sp)[-1] - self.eval(sm)[-1]) / (sp - sm)
-            acc = dtop - self.forcing(s)
-            for j, a in enumerate(self.op.coeffs):
-                acc += a(s) * u[j]
-            worst = max(worst, float(np.max(np.abs(acc))))
-        return worst
 
 
 def _integrate(op: LinearOperator, forcing, r: float, init: np.ndarray, t_end: float,
@@ -690,49 +616,6 @@ class LagrangeKernel:
 
     def __call__(self, s: float, r: float, deriv: int = 0) -> float:
         return self.column(r)(s, deriv)
-
-
-def lagrange_kernel(op: LinearOperator) -> LagrangeKernel:
-    return LagrangeKernel(op)
-
-
-class KernelSolution:
-    """y(s) = integral_r^s K(s; t) f(t) dt, s >= r, evaluated by adaptive
-    quadrature.
-
-    Solves D y = f with zero initial data at r; derivatives up to order
-    n-1 come from differentiating under the integral sign.
-    """
-
-    def __init__(self, kernel: LagrangeKernel, forcing: CoeffLike, r: float):
-        self.kernel = kernel
-        self.r = r
-        self.forcing = _as_fn(forcing)
-
-    @property
-    def domain(self) -> Interval:
-        return self.kernel.op.interval
-
-    def __call__(self, s: float, deriv: int = 0) -> float:
-        if deriv >= self.kernel.op.order:
-            raise ValueError("derivative order exceeds kernel differentiability")
-        if s == self.r:
-            return 0.0
-        global _quad
-        if _quad is None:
-            from scipy.integrate import quad as _quad
-        val, err = _quad(
-            lambda t: self.kernel(s, t, deriv) * self.forcing(t),
-            self.r, s, epsabs=KERNEL_QUAD_TOL, epsrel=1e-10, limit=200,
-        )
-        if abs(err) > 1e3 * KERNEL_QUAD_TOL * max(1.0, abs(val)):
-            raise SolverError(f"kernel quadrature error {err} too large at s = {s}")
-        return val
-
-
-def solve_via_kernel(op: LinearOperator, forcing: CoeffLike,
-                     r: float | None = None) -> KernelSolution:
-    return KernelSolution(LagrangeKernel(op), forcing, op.interval.lo if r is None else r)
 
 
 @dataclass

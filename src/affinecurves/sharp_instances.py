@@ -49,18 +49,6 @@ PARABOLA_STEP = AffineMap.make(((1, 0), (1, 1)), (1, 0))
 ZXZ_STEP = AffineMap.make(((1, -1), (-1, 2)))
 
 
-def fibonacci(n: int) -> int:
-    """f_0 = 0, f_1 = 1, extended to f_{-1} = 1."""
-    if n == -1:
-        return 1
-    if n < -1:
-        raise ValueError("only indices >= -1 are needed here")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 @dataclass(frozen=True)
 class SharpInstance:
     """A curve/lattice pair attaining one of the counting bounds, with
@@ -80,15 +68,8 @@ class SharpInstance:
         return len(self.expected_coords)
 
     @property
-    def seed_params(self) -> tuple[float, ...]:
-        return tuple(self.curve.domain.lo + i * self.spacing for i in range(4))
-
-    @property
     def cell_area(self) -> Fraction:
         return self.lattice.cell_area
-
-    def seed_points(self):
-        return [self.lattice.point(m, n) for m, n in self.expected_coords[:4]]
 
     def enumerate(self) -> LatticePointSet:
         """`count`'s route: the conic's scan over the curve's padded box, placed on it."""
@@ -201,25 +182,6 @@ class CircleConfig:
     lattice_frame_conic: Conic
     point_coords: tuple[tuple[int, int], ...]
     cell_area_over_r2: float  # geometric cell area divided by r^2
-
-    def orbit_coords(self, count: int) -> list[tuple[int, int]]:
-        return _orbit_coords(AffineMap.make(self.basis_matrix, self.offset),
-                             self.point_coords[0], count)
-
-    def orbit_on_conic(self, count: int) -> bool:
-        return all(self.lattice_frame_conic(m, n) == 0
-                   for m, n in self.orbit_coords(count))
-
-
-def rotation_trace(theta: float) -> float:
-    return 2.0 * math.cos(theta)
-
-
-def is_classified_angle(theta: float) -> bool:
-    """Whether 2 cos(theta) is within 1e-9 of an integer, which happens
-    exactly at multiples of pi/3 and pi/2."""
-    t = rotation_trace(theta)
-    return abs(t - round(t)) <= 1e-9
 
 
 # Square: quarter-turn orbit.  Hexagonal: sixth-turn orbit; a fundamental

@@ -1,0 +1,242 @@
+"""Test-only oracles and checks: definitions that no command of the CLI
+reaches, kept beside the tests that read them.
+
+Each is the same code it was in the package, written as a function of
+the object it inspects where it was a method (`unit_speed_defect(curve)`
+for `curve.unit_speed_defect()`).  The package's own routes stay the
+routes under test; these are the independent checks against them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from scipy.integrate import quad
+
+from affinecurves.conics import Conic
+from affinecurves.curve import AffineCurve, ParametricCurve, _arclength_table, _wedge_rows, wedge
+from affinecurves.kfuncs import Interval, abar, hk
+from affinecurves.lattice import AffineMap, Lattice, LinearConstraint, _on_generators
+from affinecurves.odekernel import (
+    CoeffLike,
+    IVPSolution,
+    LagrangeKernel,
+    LinearOperator,
+    SolverError,
+    _as_fn,
+    make_operator,
+)
+from affinecurves.sharp_instances import CircleConfig, SharpInstance, _orbit_coords
+
+KERNEL_QUAD_TOL = 1e-11  # absolute tolerance of the kernel-integral quadrature
+
+
+# ---------------------------------------------------------------- compare
+
+def triangle_ratio_exact(k0: float, lam: float) -> float:
+    """Exact sharpness deficit of the arc bound for the constant-curvature
+    arc of length lam with vertices at its endpoints and midpoint:
+    hk(k0, L)/abar(k0, 2L) - 1 with L = lam/2 (negative for k0 < 0)."""
+    half = lam / 2.0
+    return hk(k0, half) / abar(k0, lam) - 1.0
+
+
+def triangle_ratio_asymptotic(k0: float, lam: float) -> float:
+    """Large-|k0| model of triangle_ratio_exact for k0 < 0: -2 e^(-sqrt|k0| lam/2).
+
+    The leading constant follows from sinh x ~ e^x/2 and
+    sinh x cosh x ~ e^(2x)/4 in the exact deficit
+    -(sinh x - x)/(sinh x cosh x - x), x = sqrt(|k0|) lam/2.
+    """
+    if k0 >= 0.0:
+        raise ValueError("asymptotic regime needs k0 < 0")
+    return -2.0 * math.exp(-math.sqrt(-k0) * lam / 2.0)
+
+
+# ------------------------------------------------------------------ curve
+
+def affine_curvature_at(curve: AffineCurve, s: float) -> float:
+    """kappa = c'' wedge c''', valid under unit affine speed."""
+    _, d2, d3 = curve.derivatives(s)
+    return wedge(d2, d3)
+
+
+def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
+    """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]: the sum of the
+    panels of `curve._arclength_table`."""
+    return float(_arclength_table(raw, t0, t1)[0][-1])
+
+
+def unit_speed_defect(curve: AffineCurve, n: int = 1000) -> float:
+    """Sup of |c' wedge c'' - 1| over n equally spaced parameters."""
+    d1, d2, _ = curve.derivatives(np.linspace(curve.domain.lo, curve.domain.hi, n))
+    return float(np.max(np.abs(_wedge_rows(d1, d2) - 1.0)))
+
+
+def structure_defect(curve: AffineCurve, n: int = 200) -> float:
+    """Sup of |c''' + kappa c'| over n equally spaced parameters."""
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, n)
+    d1, _, d3 = curve.derivatives(ss)
+    return float(np.max(np.abs(d3 + curve.curvature(ss)[:, None] * d1)))
+
+
+# ---------------------------------------------------------------- lattice
+
+def parity_multiplier_bound(a: int, b: int, c: int, r: int) -> int:
+    """Analytic lower bound for the multiplier on a x^2 + b xy + c y^2 = r:
+    2 when a, c, r are odd and b is even (mod-2 argument), else 1."""
+    if a % 2 == 1 and c % 2 == 1 and r % 2 == 1 and b % 2 == 0:
+        return 2
+    return 1
+
+
+def lattice_substitution(lat: Lattice) -> list[list[Fraction]]:
+    """Homogeneous matrix of (m, n) -> v0 + m v1 + n v2."""
+    return [
+        [lat.v1[0], lat.v2[0], lat.v0[0]],
+        [lat.v1[1], lat.v2[1], lat.v0[1]],
+        [Fraction(0), Fraction(0), Fraction(1)],
+    ]
+
+
+def conic_in_lattice_coords(conic: Conic, lat: Lattice) -> Conic:
+    """Exact conic satisfied by the lattice coordinates of points of the
+    plane conic."""
+    return conic.substituted(lattice_substitution(lat))
+
+
+def constraint_substituted(g: LinearConstraint, t: list[list[Fraction]]) -> LinearConstraint:
+    """The constraint g after the homogeneous substitution t of (x, y, 1)."""
+    coeffs = (g.g1, g.g2, g.g0)
+    new = tuple(sum(coeffs[i] * t[i][j] for i in range(3)) for j in range(3))
+    return LinearConstraint(new[0], new[1], new[2])
+
+
+def lattice_equal(lat_a: Lattice, lat_b: Lattice) -> bool:
+    """Exact set equality: each origin lies in the other lattice and each
+    generator pair is an integral combination of the other."""
+
+    def absorbed(target: Lattice, other: Lattice) -> bool:
+        return other.v0 in target and all(_on_generators(target, v)
+                                          for v in (other.v1, other.v2))
+
+    return absorbed(lat_a, lat_b) and absorbed(lat_b, lat_a)
+
+
+# -------------------------------------------------------------- odekernel
+
+def oscillator_op(kappa: CoeffLike, interval: Interval) -> LinearOperator:
+    """y'' + kappa(s) y."""
+    return make_operator((kappa, 0.0), interval, label="y''+ky")
+
+
+def third_order_op(kappa: CoeffLike, interval: Interval) -> LinearOperator:
+    """y''' + kappa(s) y'."""
+    return make_operator((0.0, kappa, 0.0), interval, label="y'''+ky'")
+
+
+def lagrange_kernel(op: LinearOperator) -> LagrangeKernel:
+    return LagrangeKernel(op)
+
+
+class KernelSolution:
+    """y(s) = integral_r^s K(s; t) f(t) dt, s >= r, evaluated by adaptive
+    quadrature.
+
+    Solves D y = f with zero initial data at r; derivatives up to order
+    n-1 come from differentiating under the integral sign.
+    """
+
+    def __init__(self, kernel: LagrangeKernel, forcing: CoeffLike, r: float):
+        self.kernel = kernel
+        self.r = r
+        self.forcing = _as_fn(forcing)
+
+    @property
+    def domain(self) -> Interval:
+        return self.kernel.op.interval
+
+    def __call__(self, s: float, deriv: int = 0) -> float:
+        if deriv >= self.kernel.op.order:
+            raise ValueError("derivative order exceeds kernel differentiability")
+        if s == self.r:
+            return 0.0
+        val, err = quad(
+            lambda t: self.kernel(s, t, deriv) * self.forcing(t),
+            self.r, s, epsabs=KERNEL_QUAD_TOL, epsrel=1e-10, limit=200,
+        )
+        if abs(err) > 1e3 * KERNEL_QUAD_TOL * max(1.0, abs(val)):
+            raise SolverError(f"kernel quadrature error {err} too large at s = {s}")
+        return val
+
+
+def solve_via_kernel(op: LinearOperator, forcing: CoeffLike,
+                     r: float | None = None) -> KernelSolution:
+    return KernelSolution(LagrangeKernel(op), forcing, op.interval.lo if r is None else r)
+
+
+def residual(sol: IVPSolution) -> float:
+    """Sup of |y^(n) + sum a_j y^(j) - f| with y^(n) taken by central
+    differences of the top stored derivative (an honest re-check, not
+    the solver's own right-hand side)."""
+    lo, hi = sol.domain.lo, sol.domain.hi
+    step = 1e-6 * max(1.0, hi - lo)
+    worst = 0.0
+    for s in np.linspace(lo, hi, 50):
+        sm, sp = max(lo, s - step), min(hi, s + step)
+        if sp - sm < step:
+            continue
+        u = sol.eval(s)
+        dtop = (sol.eval(sp)[-1] - sol.eval(sm)[-1]) / (sp - sm)
+        acc = dtop - sol.forcing(s)
+        for j, a in enumerate(sol.op.coeffs):
+            acc += a(s) * u[j]
+        worst = max(worst, float(np.max(np.abs(acc))))
+    return worst
+
+
+# -------------------------------------------------------- sharp_instances
+
+def fibonacci(n: int) -> int:
+    """f_0 = 0, f_1 = 1, extended to f_{-1} = 1."""
+    if n == -1:
+        return 1
+    if n < -1:
+        raise ValueError("only indices >= -1 are needed here")
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def rotation_trace(theta: float) -> float:
+    return 2.0 * math.cos(theta)
+
+
+def is_classified_angle(theta: float) -> bool:
+    """Whether 2 cos(theta) is within 1e-9 of an integer, which happens
+    exactly at multiples of pi/3 and pi/2."""
+    t = rotation_trace(theta)
+    return abs(t - round(t)) <= 1e-9
+
+
+def orbit_coords(config: CircleConfig, count: int) -> list[tuple[int, int]]:
+    """The configuration's first count points, the rotation orbit of its first."""
+    return _orbit_coords(AffineMap.make(config.basis_matrix, config.offset),
+                         config.point_coords[0], count)
+
+
+def orbit_on_conic(config: CircleConfig, count: int) -> bool:
+    return all(config.lattice_frame_conic(m, n) == 0 for m, n in orbit_coords(config, count))
+
+
+def seed_params(inst: SharpInstance) -> tuple[float, ...]:
+    """The parameters of the instance's first four lattice points."""
+    return tuple(inst.curve.domain.lo + i * inst.spacing for i in range(4))
+
+
+def seed_points(inst: SharpInstance) -> list:
+    """The instance's first four lattice points, exact."""
+    return [inst.lattice.point(m, n) for m, n in inst.expected_coords[:4]]

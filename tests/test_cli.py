@@ -3,7 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -960,6 +963,26 @@ class TestCount:
         assert payload["points"] == [[0, 0, 0.0, 0.0]]
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the command writes (`count ... |
+    head -1`): the console script exits 1, with nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [["count", "{curve}", "{lattice}", "--format", "json"],
+                                      ["figures", "fig1"]], ids=["count", "figures"])
+    def test_exits_1_quietly(self, argv, hyperbola_spec, z2_spec):
+        argv = [a.format(curve=hyperbola_spec, lattice=z2_spec) for a in argv]
+        src = str(Path(cli.__file__).parent.parent)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "affinecurves.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 class TestFigures:
     @pytest.mark.parametrize("fig", ["fig1", "fig5", "fig6", "fig7", "fig8"])
     def test_figures_emit_csv(self, fig, capsys):
@@ -1198,7 +1221,7 @@ def _on_curve_one_by_one(curve, lat, coords, tol):
         lo, hi = float(ss[max(i - 1, 0)]), float(ss[min(i + 1, len(ss) - 1)])
 
         def tangency(s, q=q):
-            return float(np.dot(curve.point(s) - q, curve.velocity(s)))
+            return float(np.dot(curve.point(s) - q, curve.derivatives(s)[0]))
 
         if tangency(lo) <= 0.0 <= tangency(hi):
             s = brentq(tangency, lo, hi, xtol=1e-15)

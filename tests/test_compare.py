@@ -10,8 +10,6 @@ from affinecurves.compare import (
     coord_bounds_check,
     triangle_bound_arc,
     triangle_bound_rect,
-    triangle_ratio_asymptotic,
-    triangle_ratio_exact,
     verify_triangle_bound,
 )
 from affinecurves.conics import Conic
@@ -21,7 +19,9 @@ from affinecurves.curve import (
     reconstruct_from_curvature,
 )
 from affinecurves.kfuncs import Interval, abar, hk
-from affinecurves.odekernel import solve_ivp, third_order_op
+from affinecurves.odekernel import solve_ivp
+
+from reference import third_order_op, triangle_ratio_asymptotic, triangle_ratio_exact
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 

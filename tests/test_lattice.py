@@ -23,21 +23,26 @@ from affinecurves.lattice import (
     bound_sharp,
     bound_three_points,
     bound_two_points,
-    conic_in_lattice_coords,
     enumerate_on_arc,
     enumerate_on_graph,
     equal_spaced_orbit,
-    lattice_equal,
     m_of_coords,
     m_of_curve,
     motion_preserves_lattice,
     on_curve,
-    parity_multiplier_bound,
     plane_conic_from_lattice_frame,
     triangle_multiplier,
 )
 from affinecurves.sharp_instances import hyperbola_general_instance, parabola_instance
 from affinecurves.specfiles import curve_bbox, parse_curve_spec
+
+from reference import (
+    conic_in_lattice_coords,
+    constraint_substituted,
+    lattice_equal,
+    lattice_substitution,
+    parity_multiplier_bound,
+)
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 BIG_L = math.asinh(math.sqrt(5.0) / 2.0) / ALPHA
@@ -368,9 +373,9 @@ def _fraction_roots_quadratic(a, b, c):
 def _fraction_scan(arc, lat):
     """The column scan of `enumerate_on_arc` in Fraction arithmetic, in
     scan order: the reference for the integer scan."""
-    sub = lattice_mod._lattice_substitution(lat)
+    sub = lattice_substitution(lat)
     conic = arc.conic.substituted(sub)
-    constraints = tuple(g.substituted(sub) for g in arc.constraints)
+    constraints = tuple(constraint_substituted(g, sub) for g in arc.constraints)
     m_lo, m_hi, _, _ = lattice_mod._box_coord_ranges(lat, arc.bbox[:2], arc.bbox[2:])
     found = []
     for m in range(m_lo - 1, m_hi + 2):

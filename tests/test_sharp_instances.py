@@ -11,7 +11,6 @@ import pytest
 from affinecurves import sharp_instances
 from affinecurves.cli import main
 from affinecurves.conics import Conic
-from affinecurves.curve import affine_curvature_at
 from affinecurves.kfuncs import hk
 from affinecurves.lattice import Lattice, equal_spaced_orbit, m_of_curve
 from affinecurves.sharp_instances import (
@@ -20,14 +19,24 @@ from affinecurves.sharp_instances import (
     ZXZ_SPACING,
     ZXZ_STEP,
     circle_instance,
-    fibonacci,
     hyperbola_general_instance,
     hyperbola_zxz_instance,
-    is_classified_angle,
     parabola_instance,
-    rotation_trace,
 )
 from affinecurves.specfiles import parse_curve_spec
+
+from reference import (
+    affine_curvature_at,
+    fibonacci,
+    is_classified_angle,
+    orbit_coords,
+    orbit_on_conic,
+    rotation_trace,
+    seed_params,
+    seed_points,
+    structure_defect,
+    unit_speed_defect,
+)
 
 
 def check_instance(inst):
@@ -39,7 +48,7 @@ def check_instance(inst):
     cert = inst.certificate()
     assert cert.conclusive, cert.to_dict()
     assert cert.bound == inst.expected_bound == len(pts)
-    assert inst.curve.unit_speed_defect(100) <= 1e-8
+    assert unit_speed_defect(inst.curve, 100) <= 1e-8
     ks = [affine_curvature_at(inst.curve, s)
           for s in (inst.curve.domain.lo, inst.curve.domain.hi)]
     for k in ks:
@@ -85,7 +94,7 @@ class TestParabola:
     def test_orbit_extension(self):
         inst = parabola_instance(m0=2)
         orbit, _ = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
-                                      inst.seed_points(), inst.seed_params[:4],
+                                      seed_points(inst), seed_params(inst)[:4],
                                       count=8)
         for j, (m, n) in enumerate(orbit.coords):
             assert (m, n) == (j, j * (j - 1) // 2)
@@ -127,8 +136,8 @@ class TestHyperbolaZxZ:
     def test_fibonacci_orbit_exact(self):
         inst = hyperbola_zxz_instance(2)
         orbit, phi = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
-                                        inst.seed_points(),
-                                        inst.seed_params[:4], count=8)
+                                        seed_points(inst),
+                                        seed_params(inst)[:4], count=8)
         assert (phi.m11, phi.m12, phi.m21, phi.m22) == (1, -1, -1, 2)
         for j in range(2, 9):
             assert orbit.coords[j - 1] == (fibonacci(2 * j - 3),
@@ -187,7 +196,7 @@ class TestCircle:
         inst = circle_instance(1.0)
         assert inst.radius == 1.0
         assert inst.lam_full == pytest.approx(2 * math.pi)
-        assert inst.curve.unit_speed_defect(100) <= 1e-12
+        assert unit_speed_defect(inst.curve, 100) <= 1e-12
 
     def test_radius_scaling(self):
         inst = circle_instance(4.0)
@@ -213,10 +222,10 @@ class TestCircle:
     def test_orbits_close_on_conic(self):
         inst = circle_instance(1.0)
         square, hexa = inst.configs
-        assert square.orbit_coords(5)[4] == square.point_coords[0]
-        assert hexa.orbit_coords(7)[6] == hexa.point_coords[0]
-        assert square.orbit_on_conic(8)
-        assert hexa.orbit_on_conic(12)
+        assert orbit_coords(square, 5)[4] == square.point_coords[0]
+        assert orbit_coords(hexa, 7)[6] == hexa.point_coords[0]
+        assert orbit_on_conic(square, 8)
+        assert orbit_on_conic(hexa, 12)
 
     def test_angle_classification(self):
         for mult in range(1, 7):
@@ -265,8 +274,8 @@ class TestInstanceCurves:
     def test_sharp_curve_on_conic(self, make):
         inst = make()
         curve, conic = inst.curve, inst.conic
-        assert curve.unit_speed_defect(200) <= 1e-10
-        assert curve.structure_defect(200) <= 1e-12
+        assert unit_speed_defect(curve, 200) <= 1e-10
+        assert structure_defect(curve, 200) <= 1e-12
         for s in np.linspace(curve.domain.lo, curve.domain.hi, 25):
             x, y = curve.point(s)
             assert abs(conic.evaluate_float(x, y)) <= 1e-11 * (1.0 + x * x + y * y)
@@ -276,8 +285,8 @@ class TestInstanceCurves:
     def test_circle_curve(self, k):
         inst = circle_instance(k)
         curve, r = inst.curve, inst.radius
-        assert curve.unit_speed_defect(200) <= 1e-12
-        assert curve.structure_defect(200) <= 1e-12
+        assert unit_speed_defect(curve, 200) <= 1e-12
+        assert structure_defect(curve, 200) <= 1e-12
         for s in np.linspace(curve.domain.lo, curve.domain.hi, 25):
             x, y = curve.point(s)
             assert x * x + y * y == pytest.approx(r * r, rel=1e-14)
@@ -373,9 +382,9 @@ class TestExactRoute:
                                            (hyperbola_zxz_instance(2), ZXZ_STEP)])
     def test_steps_are_the_solved_motion(self, inst, step):
         _, motion = equal_spaced_orbit(inst.conic, inst.k0, inst.lattice,
-                                       inst.seed_points(), inst.seed_params, count=6)
+                                       seed_points(inst), seed_params(inst), count=6)
         assert motion == step
-        assert step.orbit(inst.expected_coords[0], 4) == inst.seed_points()
+        assert step.orbit(inst.expected_coords[0], 4) == seed_points(inst)
 
     def test_zxz_step_preserves_the_form(self):
         q = lambda x, y: x * x - x * y - y * y
@@ -386,8 +395,8 @@ class TestExactRoute:
     def test_seed_params_follow_the_domain(self):
         for inst in (parabola_instance(m0=2, rigid=True), hyperbola_zxz_instance(2, rigid=True)):
             lo = inst.curve.domain.lo
-            assert inst.seed_params == tuple(lo + i * inst.spacing for i in range(4))
-            assert inst.seed_params[0] == pytest.approx(inst.enumerate().params[0], abs=1e-12)
+            assert seed_params(inst) == tuple(lo + i * inst.spacing for i in range(4))
+            assert seed_params(inst)[0] == pytest.approx(inst.enumerate().params[0], abs=1e-12)
 
     @pytest.mark.parametrize("k", [1.0, 0.5, 4.0])
     def test_plane_points_read_the_curve(self, k):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinecurves import curve as curve_mod
-from affinecurves.curve import ConvexityError, OrientationError, affine_curvature_at
+from affinecurves.curve import ConvexityError, OrientationError
 from affinecurves.kfuncs import DomainError
 from affinecurves.lattice import Lattice, PolyGraph
 from affinecurves.odekernel import SolverError
@@ -19,6 +19,8 @@ from affinecurves.specfiles import (
     parse_curve_spec,
     parse_lattice_spec,
 )
+
+from reference import affine_curvature_at, unit_speed_defect
 
 
 class TestCurveSpecs:
@@ -44,7 +46,7 @@ class TestCurveSpecs:
                                  "coeffs": ["0", "0", "1", "0.05"],
                                  "domain": ["-1", "1"]})
         assert not spec.exact
-        assert spec.curve.unit_speed_defect(50) <= 1e-8
+        assert unit_speed_defect(spec.curve, 50) <= 1e-8
 
     def test_graph_concave_rejected(self):
         with pytest.raises(ConvexityError):
@@ -164,7 +166,7 @@ class TestQuadraticSpecs:
         x, y = curve.point(ss).T
         np.testing.assert_allclose(x, ss - 2.0, atol=1e-15)
         np.testing.assert_allclose(y, 1.0 - 0.5 * x + 0.5 * x * x, rtol=1e-15, atol=1e-15)
-        assert curve.unit_speed_defect(50) <= 1e-15
+        assert unit_speed_defect(curve, 50) <= 1e-15
         assert curve.curvature(ss).tolist() == [0.0] * 11
 
     @pytest.mark.parametrize("kind", ["parabola", "graph"])
@@ -182,7 +184,7 @@ class TestQuadraticSpecs:
         for values in (curve.point(ss), *curve.derivatives(ss), curve.inverse(curve.point(ss))):
             assert np.all(np.isfinite(values))
         np.testing.assert_allclose(curve.point(ss)[:, 0], np.linspace(-1.0, 1.0, 9), atol=1e-15)
-        assert curve.unit_speed_defect(9) <= 1e-12
+        assert unit_speed_defect(curve, 9) <= 1e-12
 
 
 class TestNonFinite:
