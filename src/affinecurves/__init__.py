@@ -20,9 +20,7 @@ from .curve import (
     AffineCurve,
     AreaFunction,
     ConvexityError,
-    GraphJet,
     OrientationError,
-    ParametricCurve,
     adapted_frame,
     area_function,
     area_ode_residual,

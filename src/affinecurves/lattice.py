@@ -429,7 +429,7 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
     parameter; so a closed circle's seed point is counted once.
     """
     if curve.inverse is None:
-        raise ValueError(f"the curve {curve.label!r} has no closed-form inverse to place points")
+        raise ValueError("the curve has no closed-form inverse to place points")
     try:
         q = _float_points(lat, coords)
     except OverflowError:  # a candidate past the float range is far from the curve

@@ -317,7 +317,8 @@ def values_at(c: Callable, s: np.ndarray) -> np.ndarray:
     whole array (a number it returns is broadcast), or, where c raises
     TypeError or ValueError on an array (a `math` lambda), one call per
     entry.  A closure that takes arrays must give each entry the float of
-    the scalar call, as `ParametricCurve` asks of its closures."""
+    the scalar call, as the polynomials of `specfiles` do (NumPy's `**`
+    does not: it can differ from Python's in the last bit)."""
     try:
         return np.broadcast_to(np.asarray(c(s), dtype=float), s.shape)
     except (TypeError, ValueError):

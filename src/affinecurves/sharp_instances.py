@@ -236,6 +236,6 @@ def circle_instance(k: float) -> CircleInstance:
 
     frame = AdaptedFrame(np.array((r, 0.0)), np.array((0.0, r * w)),
                          np.array((-r * w * w, 0.0)))
-    curve = constant_curvature_curve(k, domain, frame, label=f"circle k={k}")
+    curve = constant_curvature_curve(k, domain, frame)
     return CircleInstance(curve=curve, k=k, radius=r, lam_full=lam_full,
                           configs=(_SQUARE, _HEX))

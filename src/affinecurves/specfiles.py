@@ -25,7 +25,6 @@ from .curve import (
     AdaptedFrame,
     AffineCurve,
     ConvexityError,
-    GraphJet,
     constant_curvature_curve,
     graph_curve,
     reconstruct_from_curvature,
@@ -167,7 +166,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
             raise SpecError(f"the {kind} leaves the float range on [{dom.lo}, {dom.hi}]")
         if len(coeffs) > 3:
             graph = PolyGraph(_fractions(coeff_strs, "coeffs"), *_fractions(dom_strs, "domain"))
-            curve = graph_curve(GraphJet(*_poly_fns(coeffs, 4)), dom.lo, dom.hi, label=kind)
+            curve = graph_curve(_poly_fns(coeffs, 4), dom.lo, dom.hi)
             return CurveSpec(kind, curve, graph=graph)
         c0, c1, c2 = coeffs
         # the curvature-0 conic: x = x0 + a s, a = (2 c2)^(-1/3), so that
@@ -176,7 +175,7 @@ def parse_curve_spec(data: dict) -> CurveSpec:
         frame = _adapted_frame((x0, c0 + (c1 + c2 * x0) * x0), (a, a * (c1 + 2.0 * c2 * x0)),
                                (0.0, 2.0 * c2 * a * a))
         lam = dom.length * (2.0 * c2) ** (1.0 / 3.0)
-        curve = constant_curvature_curve(0.0, Interval(0.0, lam), frame, label=kind)
+        curve = constant_curvature_curve(0.0, Interval(0.0, lam), frame)
         q0, q1, q2 = _fractions(coeff_strs, "coeffs")
         return CurveSpec(kind, curve, Conic.make(q2, 0, 0, q1, -1, q0))
 

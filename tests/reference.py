@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from affinecurves.conics import Conic
-from affinecurves.curve import AffineCurve, ParametricCurve, _arclength_table, _wedge_rows, wedge
+from affinecurves.curve import AffineCurve, _arclength_table, _wedge_rows, wedge
 from affinecurves.kfuncs import Interval, abar, hk
 from affinecurves.lattice import AffineMap, Lattice, LinearConstraint, _on_generators
 from affinecurves.odekernel import (
@@ -63,10 +63,10 @@ def affine_curvature_at(curve: AffineCurve, s: float) -> float:
     return wedge(d2, d3)
 
 
-def affine_arclength(raw: ParametricCurve, t0: float, t1: float) -> float:
-    """Integral of (c' wedge c'')^(1/3) dt over [t0, t1]: the sum of the
-    panels of `curve._arclength_table`."""
-    return float(_arclength_table(raw, t0, t1)[0][-1])
+def affine_arclength(g, t0: float, t1: float) -> float:
+    """Integral of g^(1/3) dt over [t0, t1], g the closure of c' wedge c''
+    (of a graph, f''): the sum of the panels of `curve._arclength_table`."""
+    return float(_arclength_table(g, t0, t1)[0][-1])
 
 
 def unit_speed_defect(curve: AffineCurve, n: int = 1000) -> float:

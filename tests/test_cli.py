@@ -839,6 +839,18 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_cor42_reads_tol(self, capsys):
+        """The sandwich's slack is --tol (default 1e-7) times max(1, abar(k0, L)),
+        as the other theorems scale theirs."""
+        hi = kfuncs.abar(-3.0, 2.0)
+        assert hi > 1.0
+        for extra, tol in (([], 1e-7), (["--tol", "0.01"], 0.01)):
+            assert main(["verify", "cor4.2", "--k0", "-3", "--trials", "1", *extra]) == 0
+            out = capsys.readouterr().out
+            (report,) = json.loads(out[out.index("{"):])["reports"]
+            assert report["slack"] == tol * hi
+            assert f"vs slack {tol * hi:.3g}" in json.dumps(report["hypotheses"])
+
     def test_csv_format(self, capsys):
         assert main(["verify", "cor4.2", "--trials", "2", "--seed", "1",
                      "--format", "csv"]) == 0
