@@ -25,7 +25,6 @@ from .curve import (
     area_function,
     area_ode_residual,
     constant_curvature_curve,
-    curvature_from_graph,
     graph_curve,
     graphing_interval,
     graphing_parameter_set,

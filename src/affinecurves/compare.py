@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 
-from .curve import AffineCurve, adapted_frame, area_function, graphing_interval, wedge
+from .curve import AffineCurve, adapted_frame, graphing_interval, wedge
 from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
 # bench/test_bench.py reads it as compare.solve_ivp
-from .odekernel import POSITIVITY_TOL, forced_table, power_op, solve_ivp
-from .reports import BoundReport, Hypothesis, sturm_range, swept_area_quadrature
+from .odekernel import POSITIVITY_TOL, _compare, solve_ivp
+from .reports import BoundReport, Hypothesis, sturm_range
 
 DEFAULT_SLACK = 1e-7
 EQUALITY_RTOL = 1e-6
@@ -35,60 +35,29 @@ def _sample_constant(values: np.ndarray, target: float) -> bool:
 
 def area_compare(curve: AffineCurve, kappa_bar, length: float,
                  tol: float = DEFAULT_SLACK, positivity_grid_n: int = 81) -> BoundReport:
-    """Area comparison against a reference curvature profile.
+    """Area comparison against a reference curvature profile: the order-3
+    comparison theorem for A''' + kappa A' = 1/2 with a zero jet at 0,
+    which the area swept from c(0) solves (`odekernel._compare`).
 
-    The reference area and the reference kernel's certificate come from
-    one forced table of its third-order initial value problem on the
-    positivity grid (`forced_table`).  The curve's own area still comes
-    from the swept quadrature, so the two sides of the inequality travel
-    independent computational routes.  A sweep whose quadrature error
-    estimate exceeds the report's slack fails the hypothesis
-    `swept-area-quadrature`, never the inequality.
+    Both areas come from that comparison on a grid of
+    4 (positivity_grid_n - 1) + 1 points, the curve's with kappa read as
+    `curve.curvature`, so the curve itself is never integrated; the
+    reference kernel's certificate is read at every fourth point, at
+    POSITIVITY_TOL.  The report compares A(L) with the reference area
+    Ā(L): lhs, rhs = Ā(L), A(L) for kappa <= kappa_bar (A dominates),
+    swapped for kappa >= kappa_bar, with slack tol max(1, |rhs|) and
+    witness L.
     """
     if not (Interval(0.0, length).lo >= curve.domain.lo
             and length <= curve.domain.hi + 1e-12):
         raise ValueError(f"curve not defined on [0, {length}]")
-    kbar = kappa_bar if callable(kappa_bar) else (lambda s, k=float(kappa_bar): k)
-
-    hyps: list[Hypothesis] = []
-    pos, jets = forced_table(power_op(3, 1, kbar, Interval(0.0, length)), 0.5, (0.0, 0.0, 0.0),
-                             np.linspace(0.0, length, positivity_grid_n), 1, POSITIVITY_TOL)
-    hyps.append(Hypothesis("forward-positive-kernel", pos.certified, pos.verdict))
-
-    grid = np.linspace(0.0, length, 161)
-    kv = curve.curvature(grid)
-    kbv = np.array([kbar(s) for s in grid])
-    ktol = 1e-9 * max(1.0, float(np.max(np.abs(kbv))))
-    if np.all(kv <= kbv + ktol):
-        direction = "le"
-        hyps.append(Hypothesis("curvature-ordering", True, "kappa <= kappa_bar"))
-    elif np.all(kv >= kbv - ktol):
-        direction = "ge"
-        hyps.append(Hypothesis("curvature-ordering", True, "kappa >= kappa_bar"))
-    else:
-        direction = "none"
-        hyps.append(Hypothesis("curvature-ordering", False, "curvatures not ordered"))
-
-    a_ref = float(jets[-1, 0])
-    a_val, a_err = area_function(curve, 0.0).with_error(length)
-
-    # kappa <= kappa_bar forces the swept area to dominate the reference
-    if direction == "ge":
-        lhs, rhs = a_val, a_ref
-    else:
-        lhs, rhs = a_ref, a_val
-    slack = _slack(rhs, tol)
-    hyps.append(swept_area_quadrature(a_err, slack))
-
-    eq = abs(a_val - a_ref) <= EQUALITY_RTOL * max(1.0, abs(a_ref))
-    notes = ""
-    if eq:
-        same = _sample_constant(kv - kbv, 0.0)
-        notes = ("area equality; kappa == kappa_bar on samples" if same
-                 else "area equality but curvatures differ beyond sampling tolerance")
-
+    _, area, area_bar, direction, hyps, eq, notes = _compare(
+        curve.curvature, kappa_bar, 3, 1, 0.5, (0.0, 0.0, 0.0), Interval(0.0, length),
+        4 * (positivity_grid_n - 1) + 1, positivity_grid_n, tol, POSITIVITY_TOL)
+    a_val, a_ref = float(area[-1]), float(area_bar[-1])
+    lhs, rhs = (a_val, a_ref) if direction == "ge" else (a_ref, a_val)
     return BoundReport(theorem="area-comparison", hypotheses=hyps,
-                       lhs=lhs, rhs=rhs, slack=slack,
+                       lhs=lhs, rhs=rhs, slack=_slack(rhs, tol),
                        equality=eq, witness=length, notes=notes)
 
 

@@ -114,8 +114,14 @@ class Conic:
 
     def branch_curve(self, seed: tuple[float, float], interval: Interval) -> AffineCurve:
         """Unit-speed parameterization of the branch through the seed point,
-        anchored there at s = 0."""
-        if abs(self.evaluate_float(*seed)) > 1e-9:
+        anchored there at s = 0.  A seed (x, y) is on the conic when
+        |Q(x, y)| <= 1e-9 (|a| x^2 + |b x y| + |c| y^2 + |d x| + |e y| + |f|),
+        a residual relative to the terms' scale, which must be finite."""
+        x, y = seed
+        terms = (x * x, abs(x * y), y * y, abs(x), abs(y), 1.0)
+        scale = sum(abs(float(q)) * t for q, t in
+                    zip((self.a, self.b, self.c, self.d, self.e, self.f), terms))
+        if not (math.isfinite(scale) and abs(self.evaluate_float(x, y)) <= 1e-9 * scale):
             raise DomainError(f"seed {seed} not on the conic")
         k = self.curvature()
         fr = self.frame_at(*seed)

@@ -408,27 +408,6 @@ def _fd_rows(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return np.where(central, f1 - fm, one_sided).T / (2 * step)
 
 
-def curvature_from_graph(f2: Callable[[float], float], x: float,
-                         f3: Callable[[float], float] | None = None,
-                         f4: Callable[[float], float] | None = None) -> float:
-    """Affine curvature of the convex graph y = f(x) at x.
-
-    Evaluates -1/2 ((f'')^(-2/3))'', expanded as
-    f''''/(3 f''^(5/3)) - 5 f'''^2 / (9 f''^(8/3)).  Missing third/fourth
-    derivatives fall back to central differences of f''.
-    """
-    v2 = f2(x)
-    if v2 <= 0.0:
-        raise ConvexityError(f"f''({x}) = {v2} <= 0")
-    h = 1e-4 * max(1.0, abs(x))
-    v3 = f3(x) if f3 is not None else (f2(x + h) - f2(x - h)) / (2 * h)
-    if f4 is not None:
-        v4 = f4(x)
-    else:
-        v4 = (f2(x + h) - 2 * v2 + f2(x - h)) / (h * h)
-    return v4 / (3.0 * v2 ** (5.0 / 3.0)) - 5.0 * v3 * v3 / (9.0 * v2 ** (8.0 / 3.0))
-
-
 def graph_curve(f: Sequence[Callable], x0: float, x1: float) -> AffineCurve:
     """Unit-speed curve for the convex graph y = f(x) on [x0, x1], from the
     closures of f and its first four derivatives: f'' > 0 at 101 equally
@@ -515,10 +494,11 @@ class AreaFunction:
 
     A(s) = 1/2 integral_a^s (c - p0) wedge c'; positive where the sweep
     is right-handed.  This is the quadrature route, which reads the curve
-    itself: `verify` takes its areas here, independently of the area ODE
-    that `area_from_ode` (the `area` command) solves, and the tests check
-    each route against the other.  A call at a 1-D array of samples
-    computes all of them in one adaptive Gauss-Kronrod pass: the knots are
+    itself: `verify thm2.3` takes its areas here, independently of the
+    area ODE that `area_from_ode` (the `area` command, `verify cor4.2`)
+    solves, and the tests check each route against the other.  A call at
+    a 1-D array of samples computes all of them in one adaptive
+    Gauss-Kronrod pass: the knots are
     the sorted samples and the base a, every panel between knots is read
     at its 21 nodes, in one array call of the curve per AREA_BLOCK panels,
     and the rejected panels of all intervals are bisected together.  A panel is

@@ -29,7 +29,7 @@ EQ_BOUNDARY_RTOL = 1e-12
 INT_RATIO_TOL = 1e-9
 CLOSEST_SAMPLES = 2048  # curve samples behind each closest-point search
 END_RTOL = 1e-12  # parameters this close to a domain end (relative) are placed at the end
-ON_CURVE_TOL = 1e-6  # distance from an exact candidate to its curve point, in `on_curve`
+ON_CURVE_TOL = 1e-9  # offset of an exact candidate from an arc end, relative to max(1, |p_i|)
 MAX_SCAN_COLUMNS = 10**6  # columns or vertical lines of an exact scan, points of a float window
 # stopping rule of the tangency roots, |step| <= ROOT_XTOL + ROOT_RTOL |s|, as brentq's
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 1e-15, BRENT_RTOL, BRENT_MAXITER
@@ -412,21 +412,22 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
 def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
              tol: float) -> LatticePointSet:
     """The lattice points with the given coordinates, the candidates of an
-    exact enumeration, that lie within distance tol of the curve, ordered
-    by parameter.
+    exact enumeration, that lie on the curve's arc, ordered by parameter.
 
-    The candidates are placed in closed form, by the curve's `inverse`
-    (every exact spec's curve is a constant-curvature curve, which has
-    one; a curve without one raises ValueError): it gives each candidate's
-    parameter, NaN off the curve's branch.  A candidate whose parameter
-    lies strictly inside the domain is on the arc when it lies within tol
-    of the curve point at that parameter; the scan put it on the spec's
-    conic, but the curve's own conic can differ from it (a conic spec's
-    curve is built from a float seed).  A candidate whose parameter lies
-    outside the domain, or within END_RTOL max(1, |lo|, |hi|) of an end,
-    where rounding could put it on either side, is on the arc when it lies
-    within tol of the nearer of c(lo) and c(hi), and takes that end as its
-    parameter; so a closed circle's seed point is counted once.
+    The candidates lie on the spec's conic, which the curve follows: a
+    conic spec's seed is on it to a rounding residual (`Conic.branch_curve`).
+    They are placed in closed form, by the curve's `inverse` (every exact
+    spec's curve is a constant-curvature curve, which has one; a curve
+    without one raises ValueError): it gives each candidate's parameter,
+    NaN off the curve's branch.  A candidate whose parameter lies strictly
+    inside the domain is on the arc; no float distance decides it.  A
+    candidate whose parameter lies outside the domain, or within
+    END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put it on
+    either side, is on the arc when each of its coordinates p_i lies
+    within tol max(1, |p_i|) of that of c(lo) or c(hi), the float
+    rounding of a point of that size, and takes that end (lo where both
+    match) as its parameter; so a closed circle's seed point is counted
+    once.
     """
     if curve.inverse is None:
         raise ValueError("the curve has no closed-form inverse to place points")
@@ -440,12 +441,11 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
     band = END_RTOL * max(1.0, abs(lo), abs(hi))
     inside = (s > lo + band) & (s < hi - band)
     ends = curve.point(np.array((lo, hi)))
-    d_lo, d_hi = (np.hypot(*(q - end).T) for end in ends)
-    at_end = ~inside & ~np.isnan(s) & (np.minimum(d_lo, d_hi) <= tol)
-    s = np.where(at_end, np.where(d_lo <= d_hi, lo, hi), s)
-    near = np.flatnonzero(inside)
-    on_arc = near[np.hypot(*(curve.point(s[near]) - q[near]).T) <= tol]
-    on = np.union1d(on_arc, np.flatnonzero(at_end))
+    reach = tol * np.maximum(1.0, np.abs(q))
+    at_lo, at_hi = (~inside & ~np.isnan(s) & np.all(np.abs(q - end) <= reach, axis=1)
+                    for end in ends)
+    s = np.where(at_lo, lo, np.where(at_hi, hi, s))
+    on = np.flatnonzero(inside | at_lo | at_hi)
     return _point_set(lat, [coords[j] for j in on.tolist()], s[on], True)
 
 

@@ -47,12 +47,15 @@ def _require(data: dict, key: str):
 
 
 def _floats(values, n: int | None, what: str) -> list[float]:
-    """n floats (n None: one or more) from a list of numbers or numeric strings."""
+    """n floats (n None: one or more) from a list of numbers or numeric
+    strings: a decimal string by float(), a "p/q" string as its correctly
+    rounded Fraction."""
     if not isinstance(values, (list, tuple)) or not values or (n is not None and len(values) != n):
         raise SpecError(f"{what} must be a list of {n or 'one or more'} values")
     try:
-        floats = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+        floats = [float(exact_number(v)) if isinstance(v, str) and "/" in v else float(v)
+                  for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"bad number in {what}: {exc}") from None
     if not all(math.isfinite(v) for v in floats):
         raise SpecError(f"non-finite number in {what}: {values}")

@@ -11,13 +11,14 @@ directory holding the same input specs.  The list covers every
 subcommand: one spec of each of the five kinds; 25 polynomial graphs, each
 through `area` (with `--out`, with `--apex` and with `--base`),
 `curvature` (with `--out` and with `--at`), `arclength --out` and
-`count --out`; `verify` of all seven theorems at seeds 0-2; `examples`
-and then `count` on the parabola, hyperbola and hyperbola-general
-instances at `--m0` 1-3, with and without `--rigid`; and `kernel --grid
-51` for both families.  For each command the script compares stdout,
-stderr, the exit code, the `--out` file and the files of `--outdir`.  It
-prints each command that differs and what differs, and exits 1 when any
-does, 0 when none does.
+`count --out`; `verify` of all seven theorems at seeds 0-2, and of
+`cor4.2` and `thm4.1` at two stiff corners; `examples` and then `count`
+on the parabola, hyperbola and hyperbola-general instances at `--m0`
+1-3, with and without `--rigid`; `count` on two instances under exact
+equi-affine maps; and `kernel --grid 51` for both families.  For each
+command the script compares stdout, stderr, the exit code, the `--out`
+file and the files of `--outdir`.  It prints each command that differs
+and what differs, and exits 1 when any does, 0 when none does.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ KIND_SPECS = {
                            "normal": ["0", "1"]},
     "curvature-ivp": {"type": "curvature-ivp", "kappa_coeffs": ["-1", "0.5", "0.2"],
                       "domain": ["-1", "1.5"]},
+}
+
+
+# exported instances under p -> M p + t, the conic pulled back exactly:
+# hyperbola-general --m0 3 under M = [[1000, 1], [999, 1]], and the
+# circle on Z^2 under M = [[89, 55], [55, 34]], t = (1/3, 2/5)
+MAPPED_SPECS = {
+    "mapped-hyperbola": (
+        {"type": "conic", "coeffs": ["-995999/16", "996997/8", "-249499/4", "0", "0", "-1"],
+         "seed": ["2000.0", "1998.0"], "domain": ["0.0", "12.982031346378296"]},
+        {"v0": ["0", "0"], "v1": ["2000", "1998"], "v2": ["4", "4"]}),
+    "mapped-circle": (
+        {"type": "conic",
+         "coeffs": ["4181", "-13530", "10946", "7874/3", "-21234/5", "92456/225"],
+         "seed": ["89.33333333333333", "55.4"], "domain": ["0", "6.283185307179586"]},
+        {"v0": ["1/3", "2/5"], "v1": ["89", "55"], "v2": ["55", "34"]}),
 }
 
 
@@ -147,7 +164,13 @@ def commands(workdir: Path) -> list[list[str]]:
         for seed in ("0", "1", "2"):
             cmds.append(["verify", theorem, "--seed", seed])
     cmds += [["verify", "thm5.6", "--constant", "-0.5", "--L", "1.0"],
-             ["verify", "cor4.2", "--trials", "3", "--format", "csv", "--out", OUT]]
+             ["verify", "cor4.2", "--trials", "3", "--format", "csv", "--out", OUT],
+             ["verify", "cor4.2", "--k0=-158.32950352406675", "--k1=-158.28296741619855",
+              "--L=3.5408603545701647", "--trials", "1", "--seed", "57"],
+             ["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4", "--trials", "3"]]
+    for name, (curve, lattice) in MAPPED_SPECS.items():
+        cmds.append(["count", write(f"{name}-curve", curve), write(f"{name}-lattice", lattice),
+                     "--out", OUT])
     for name in ("parabola", "hyperbola", "hyperbola-general"):
         for m0 in ("1", "2", "3"):
             for rigid in ([], ["--rigid"]):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from affinecurves.conics import Conic
-from affinecurves.curve import AffineCurve, _arclength_table, _wedge_rows, wedge
+from affinecurves.curve import AffineCurve, ConvexityError, _arclength_table, _wedge_rows, wedge
 from affinecurves.kfuncs import Interval, abar, hk
 from affinecurves.lattice import AffineMap, Lattice, LinearConstraint, _on_generators
 from affinecurves.odekernel import (
@@ -67,6 +67,18 @@ def affine_arclength(g, t0: float, t1: float) -> float:
     """Integral of g^(1/3) dt over [t0, t1], g the closure of c' wedge c''
     (of a graph, f''): the sum of the panels of `curve._arclength_table`."""
     return float(_arclength_table(g, t0, t1)[0][-1])
+
+
+def curvature_from_graph(f2, x: float, f3, f4) -> float:
+    """Affine curvature of the convex graph y = f(x) at x, from the
+    closures of its second, third and fourth derivatives: with
+    v_k = f^(k)(x), -1/2 ((f'')^(-2/3))'' expands as
+    v4 / (3 v2^(5/3)) - 5 v3^2 / (9 v2^(8/3))."""
+    v2 = f2(x)
+    if v2 <= 0.0:
+        raise ConvexityError(f"f''({x}) = {v2} <= 0")
+    v3 = f3(x)
+    return f4(x) / (3.0 * v2 ** (5.0 / 3.0)) - 5.0 * v3 * v3 / (9.0 * v2 ** (8.0 / 3.0))
 
 
 def unit_speed_defect(curve: AffineCurve, n: int = 1000) -> float:

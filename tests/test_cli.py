@@ -24,7 +24,8 @@ from affinecurves import cli, kfuncs, odekernel, specfiles
 from affinecurves import curve as curve_mod
 from affinecurves import lattice as lattice_mod
 from affinecurves.cli import main
-from affinecurves.curve import AREA_MAX_DEPTH, AffineCurve, AreaFunction
+from affinecurves.curve import (
+    AREA_MAX_DEPTH, AffineCurve, AreaFunction, reconstruct_from_curvature)
 from affinecurves.conics import Conic
 from affinecurves.kfuncs import Interval, ck, sk
 from affinecurves.lattice import (
@@ -50,6 +51,21 @@ from affinecurves.specfiles import (
 )
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
+
+
+# the hypotheses of the comparison theorem, thm3.4's and thm4.1's, in report order
+COMPARISON_HYPOTHESES = ("curvature-ordering", "forward-positive-kernel",
+                         "derivative-positive-ae")
+
+
+def _report_area(report: dict) -> float:
+    """A(L) of a verify report: thm4.1's side for the curve (rhs where
+    kappa <= kappa_bar, lhs where kappa >= kappa_bar), cor4.2's note."""
+    if report["theorem"] == "cor4.2":
+        return float(report["notes"].split()[1])
+    order = report["hypotheses"][0]
+    assert order["name"] == "curvature-ordering" and order["ok"]
+    return report["rhs"] if "kappa <= kappa_bar" in order["detail"] else report["lhs"]
 
 
 def write_json(path, payload):
@@ -764,10 +780,6 @@ class TestVerify:
                        "detail": f"k1 = {cap * 2}, cap = {cap}"}
 
     @pytest.mark.parametrize("argv, hypothesis", [
-        # the swept area of a curve whose coordinates grow like e^42 loses
-        # every digit: the quadrature estimate is about 4e18
-        (["verify", "cor4.2", "--k0=-158.32950352406675", "--k1=-158.28296741619855",
-          "--L=3.5408603545701647", "--trials", "1", "--seed", "57"], "swept-area-quadrature"),
         # the wedge of plane points of size 2e19 rounds by about 1e24
         (["verify", "thm5.8", "--k0=-104.14543984852982", "--k1=-103.97355152839717",
           "--L=5.178193249829169", "--trials", "2", "--seed", "659"], "wedge-conditioning"),
@@ -783,8 +795,27 @@ class TestVerify:
             if r["verdict"] == "hypotheses-failed":
                 assert [h["ok"] for h in r["hypotheses"] if h["name"] == hypothesis] == [False]
 
-    @pytest.mark.parametrize("theorem, hypothesis", [("cor4.2", "swept-area-quadrature"),
-                                                     ("prop4.3", "wedge-conditioning"),
+    @pytest.mark.parametrize("theorem, k0, k1, length, seed", [
+        # q = sqrt(-k0) L = 44.6: the swept quadrature lost every digit here
+        # (4.33e17 with an error estimate of 1.7e18)
+        ("cor4.2", -158.32950352406675, -158.28296741619855, 3.5408603545701647, 57),
+        # q = 80; one trial, a constant reference in [k0, k1] above the band
+        ("thm4.1", -400.0, -399.0, 4.0, 0),
+    ])
+    def test_stiff_corner_area_lies_in_the_sandwich(self, capsys, theorem, k0, k1, length,
+                                                    seed):
+        """At the stiff corners the area comes from the area ODE: the
+        verdict holds, and A(L) lies in the closed-form sandwich
+        [abar(k1, L), abar(k0, L)] of a curvature in [k0, k1]."""
+        assert main(["verify", theorem, f"--k0={k0!r}", f"--k1={k1!r}", f"--L={length!r}",
+                     "--trials", "1", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        (report,) = json.loads(out[out.index("{"):])["reports"]
+        assert report["verdict"] == "holds"
+        area = _report_area(report)
+        assert kfuncs.abar(k1, length) <= area <= kfuncs.abar(k0, length)
+
+    @pytest.mark.parametrize("theorem, hypothesis", [("prop4.3", "wedge-conditioning"),
                                                      ("thm5.8", "wedge-conditioning")])
     def test_numeric_hypotheses_hold_on_tame_sweeps(self, capsys, theorem, hypothesis):
         assert main(["verify", theorem, "--trials", "3", "--seed", "0"]) == 0
@@ -792,19 +823,77 @@ class TestVerify:
         for r in json.loads(out[out.index("{"):])["reports"]:
             assert [h["ok"] for h in r["hypotheses"] if h["name"] == hypothesis] == [True]
 
+    def test_cor42_tame_sweep_has_no_numeric_hypothesis(self, capsys):
+        # the area ODE needs no quadrature check: the sandwich is the verdict
+        assert main(["verify", "cor4.2", "--trials", "3", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert [(r["verdict"], r["hypotheses"]) for r in reports] == [("holds", [])] * 3
+        lo, hi = kfuncs.abar(0.0, 2.0), kfuncs.abar(-1.0, 2.0)
+        assert all(lo <= _report_area(r) <= hi for r in reports)
+
+    @staticmethod
+    def _trials(monkeypatch, capsys, argv):
+        """The reports of a verify run, each with its trial's curvature and
+        reconstructed curve."""
+        built = []
+        build = cli.reconstruct_from_curvature
+
+        def recorded(kap, interval, frame=None):
+            built.append((kap, build(kap, interval, frame)))
+            return built[-1][1]
+
+        monkeypatch.setattr(cli, "reconstruct_from_curvature", recorded)
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert len(reports) == len(built) >= 3
+        return [(r, kap, curve) for r, (kap, curve) in zip(reports, built)]
+
+    @pytest.mark.parametrize("argv", [
+        ["--k0=-1", "--k1=0", "--L=2", "--trials=6", "--seed=4"],           # q = 2
+        ["--k0=-9", "--k1=-4", "--L=3", "--trials=3", "--seed=12"],         # q = 9
+        ["--k0=-16", "--k1=-14", "--L=4", "--trials=6", "--seed=11"],       # q = 16
+    ])
+    @pytest.mark.parametrize("theorem", ["thm4.1", "cor4.2"])
+    def test_area_matches_the_quadrature_oracle(self, capsys, monkeypatch, theorem, argv):
+        """The report's A(L), from the area ODE, against the swept-area
+        quadrature of the reconstructed curve: within the quadrature's
+        error estimate plus 1e-9 |A|."""
+        for report, _, curve in self._trials(monkeypatch, capsys, [theorem, *argv]):
+            area = _report_area(report)
+            want, err = AreaFunction(curve, 0.0, curve.point(0.0)).with_error(curve.domain.hi)
+            assert abs(area - want) <= err + 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("theorem", ["thm4.1", "cor4.2"])
+    def test_q20_area_matches_a_tight_dop853_solve(self, capsys, monkeypatch, theorem):
+        """At q = sqrt(-k0) L = 20 the swept quadrature of the reconstructed
+        curve is off by up to 6.6e-9 relative, twice its own error
+        estimate, since (c - c(0)) ^ c' cancels on coordinates that grow
+        like e^q; the oracle is the area ODE solved by DOP853 at rtol
+        1e-13, and the report's A(L) must lie within 1e-9 |A| of it."""
+        argv = [theorem, "--k0=-25", "--k1=-23", "--L=4", "--trials=6", "--seed=11"]
+        for report, kap, curve in self._trials(monkeypatch, capsys, argv):
+            length = curve.domain.hi
+            op = odekernel.power_op(3, 1, kap, Interval(0.0, length))
+            want = odekernel.solve_ivp(op, 0.5, 0.0, (0.0, 0.0, 0.0), rtol=1e-13,
+                                       atol=1e-16)(length)
+            assert abs(_report_area(report) - want) <= 1e-9 * abs(want)
+
     def test_unknown_theorem(self):
         assert main(["verify", "thm9.9"]) == 2
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_thm41_failed_sweep_quadrature_is_a_hypothesis(self, capsys):
-        # the sweep's error estimate (about 1e47) swamps its stiff area
+    def test_thm41_q80_corner_holds(self, capsys):
+        # the swept quadrature's error estimate (about 1e47) swamped this
+        # area; the comparison's own solves keep their digits
         assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
-                     "--trials", "1"]) == 4
+                     "--trials", "3"]) == 0
         out = capsys.readouterr().out
-        (report,) = json.loads(out[out.index("{"):])["reports"]
-        assert report["verdict"] == "hypotheses-failed"
-        assert [h["ok"] for h in report["hypotheses"]
-                if h["name"] == "swept-area-quadrature"] == [False]
+        reports = json.loads(out[out.index("{"):])["reports"]
+        assert [r["verdict"] for r in reports] == ["holds"] * 3
+        for r in reports:
+            assert [(h["name"], h["ok"]) for h in r["hypotheses"]] == [
+                (name, True) for name in COMPARISON_HYPOTHESES]
 
     def test_thm41_stiff_corner_holds(self, capsys):
         assert main(["verify", "thm4.1", "--k0=-25", "--k1=-23", "--L", "4",
@@ -813,8 +902,8 @@ class TestVerify:
         reports = json.loads(out[out.index("{"):])["reports"]
         assert [r["verdict"] for r in reports] == ["holds"] * 3
         for r in reports:
-            assert [h["ok"] for h in r["hypotheses"]
-                    if h["name"] == "swept-area-quadrature"] == [True]
+            assert [(h["name"], h["ok"]) for h in r["hypotheses"]] == [
+                (name, True) for name in COMPARISON_HYPOTHESES]
 
     @pytest.mark.parametrize("argv", [["--L=2", "--trials=5", "--seed=8"],
                                       ["--L=3", "--trials=5", "--seed=28"],
@@ -849,7 +938,7 @@ class TestVerify:
             out = capsys.readouterr().out
             (report,) = json.loads(out[out.index("{"):])["reports"]
             assert report["slack"] == tol * hi
-            assert f"vs slack {tol * hi:.3g}" in json.dumps(report["hypotheses"])
+            assert report["hypotheses"] == []
 
     def test_csv_format(self, capsys):
         assert main(["verify", "cor4.2", "--trials", "2", "--seed", "1",
@@ -1433,10 +1522,10 @@ class TestBatchedPlacement:
 
 
 class TestConicSpecOffItsSeed:
-    # a conic spec's curve is the branch through a float seed, checked
-    # against the conic only to an absolute residual; on a conic scaled
-    # down to tiny coefficients, a seed off the conic passes and gives a
-    # different conic, whose curve misses the scanned lattice points
+    # a conic spec's curve is the branch through a float seed, which must
+    # lie on the conic to a residual relative to the conic's terms at the
+    # seed: on a conic scaled down to tiny coefficients, a seed off the
+    # conic is refused, though its residual 3e-12 is small in absolute terms
 
     @pytest.fixture
     def spec(self, tmp_path):
@@ -1444,20 +1533,76 @@ class TestConicSpecOffItsSeed:
             "type": "conic", "coeffs": ["1e-12", "0", "1e-12", "0", "0", "-1e-12"],
             "seed": ["2", "0"], "domain": ["0", "6.5"]})
 
-    def test_count_reports_no_points(self, spec, z2_spec, capsys):
-        assert main(["count", spec, z2_spec]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out[:out.rindex("}") + 1])["points"] == []
-        assert out.endswith("count 0\n")
+    def test_count_refuses_the_seed(self, spec, z2_spec, capsys):
+        assert main(["count", spec, z2_spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not on the conic" in captured.err
 
-    def test_closed_form_same_as_sampling(self, spec):
-        curve = load_curve_spec(spec)
-        lat = Lattice.standard()
-        coords = _arc_candidates(curve, lat)
-        assert sorted(coords) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-        got = on_curve(curve.curve, lat, coords, 1e-6)
-        ref_coords, _, _ = _on_curve_one_by_one(curve.curve, lat, coords, 1e-6)
-        assert len(got) == len(ref_coords) == 0
+    def test_load_refuses_the_seed(self, spec):
+        with pytest.raises(kfuncs.DomainError, match="not on the conic"):
+            load_curve_spec(spec)
+
+
+def _mapped(curve: dict, lattice: dict, matrix, shift) -> tuple[dict, dict]:
+    """A conic spec and its lattice under p -> M p + t, M in SL(2, Z): the
+    conic pulled back exactly (`Conic.substituted` of the inverse map),
+    the seed's exact image rounded to floats, the domain kept (the map
+    preserves affine arc length)."""
+    (a, b), (c, d) = matrix
+    tx, ty = (Fraction(v) for v in shift)
+    assert a * d - b * c == 1
+    inverse = [[Fraction(d), Fraction(-b), -(d * tx - b * ty)],
+               [Fraction(-c), Fraction(a), -(-c * tx + a * ty)], [0, 0, 1]]
+    conic = Conic.make(*curve["coeffs"]).substituted(inverse)
+
+    def image(p, by=(tx, ty)):
+        x, y = (Fraction(v) for v in p)
+        return (a * x + b * y + by[0], c * x + d * y + by[1])
+
+    return ({"type": "conic", "domain": curve["domain"],
+             "coeffs": [str(v) for v in (conic.a, conic.b, conic.c, conic.d, conic.e, conic.f)],
+             "seed": [repr(float(v)) for v in image(curve["seed"])]},
+            {"v0": [str(v) for v in image(lattice["v0"])],
+             "v1": [str(v) for v in image(lattice["v1"], (0, 0))],
+             "v2": [str(v) for v in image(lattice["v2"], (0, 0))]})
+
+
+class TestMappedInstances:
+    """Exported instances under an exact equi-affine map count as they
+    did: each interior candidate is on the arc by the curve's inverse,
+    not by a float distance, and the mapped seed is refused only by a
+    residual relative to the conic's scale."""
+
+    @pytest.mark.parametrize("name, matrix, shift, summary", [
+        # the float curve passes 1.52e-6 from the exact point (89, -144):
+        # an absolute 1e-6 distance dropped it (bound 8 count 7)
+        ("hyperbola-general", ((1000, 1), (999, 1)), (0, 0), "bound 8 count 8 SHARP"),
+        # the seed (89.333..., 55.4) has a float residual of 6.4e-9, which
+        # an absolute 1e-9 refused (exit 3)
+        ("circle", ((89, 55), (55, 34)), ("1/3", "2/5"), "bound 5 count 4"),
+    ])
+    def test_count_is_invariant(self, tmp_path, capsys, name, matrix, shift, summary):
+        argv = ["examples", name, "--outdir", str(tmp_path)]
+        assert main(argv + (["--m0", "3"] if name != "circle" else [])) == 0
+        capsys.readouterr()
+        curve = json.loads((tmp_path / f"{name}-curve.json").read_text())
+        lattice_path = tmp_path / f"{name}-lattice.json"
+        lattice = (json.loads(lattice_path.read_text()) if lattice_path.exists()
+                   else {"v0": ["0", "0"], "v1": ["1", "0"], "v2": ["0", "1"]})
+        plain = (write_json(tmp_path / "plain-curve.json", curve),
+                 write_json(tmp_path / "plain-lattice.json", lattice))
+        mapped = [write_json(tmp_path / f"mapped-{kind}.json", doc)
+                  for kind, doc in zip(("curve", "lattice"), _mapped(curve, lattice, matrix, shift))]
+        payloads = []
+        for paths in (plain, mapped):
+            assert main(["count", *paths]) == 0
+            out = capsys.readouterr().out
+            assert out.splitlines()[-1] == summary
+            payloads.append(json.loads(out[:out.rindex("}") + 1]))
+        assert payloads[1]["exact_membership"] is True
+        # the same lattice coordinates, in the same order along the arc
+        assert [p[:2] for p in payloads[1]["points"]] == [p[:2] for p in payloads[0]["points"]]
 
 
 # lattice points v0 + m v1 + n v2 = (m/2, (m + n)/4 - 1/2): all of
@@ -1680,7 +1825,9 @@ class TestAreaTable:
         reports = json.loads(out[out.index("{"):])["reports"]
         assert [r["verdict"] for r in reports] == ["holds"] * 3
 
-    def test_thm41_lost_sweep_has_bounded_work(self, capsys, monkeypatch):
+    def test_lost_quadrature_has_bounded_work(self, monkeypatch):
+        # at q = sqrt(400) 4 = 80 the panels never converge: each bisects
+        # AREA_MAX_DEPTH times at most, without a warning
         nodes = []
         prime = AreaFunction.prime
 
@@ -1689,11 +1836,24 @@ class TestAreaTable:
             return prime(self, s)
 
         monkeypatch.setattr(AreaFunction, "prime", counted)
+        curve = reconstruct_from_curvature(lambda s: -400.0, Interval(0.0, 4.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4",
-                         "--trials", "1"]) == 4
+            AreaFunction(curve, 0.0, curve.point(0.0)).with_error(4.0)
         assert 0 < sum(nodes) <= 21 * (2 ** (AREA_MAX_DEPTH + 1) - 1)  # one interval
+
+    @pytest.mark.parametrize("theorem", ["thm4.1", "cor4.2"])
+    def test_verify_areas_never_integrate_the_curve(self, capsys, monkeypatch, theorem):
+        # both areas solve the area ODE, which reads kappa alone: no point
+        # or derivative of the reconstructed curve is read
+        reads = []
+        monkeypatch.setattr(odekernel.StepReader, "read", lambda self, s: reads.append(s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", theorem, "--k0=-400", "--k1=-399", "--L", "4",
+                         "--trials", "3"]) == 0
+        assert "holds" in capsys.readouterr().out
+        assert reads == []
 
 
 # the specs of the area-ODE checks, each with its constant curvature (None

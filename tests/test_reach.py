@@ -21,11 +21,10 @@ PACKAGE = Path(affinecurves.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 # read by name from outside src/: the DOP853 oracle's read API, the CLI
-# entry points, and two definitions that planned work builds on
-# (equal_spaced_orbit: orbit enumeration of the sharp families;
-# curvature_from_graph: proved curvature enclosures)
+# entry points, and one definition that planned work builds on
+# (equal_spaced_orbit: orbit enumeration of the sharp families)
 KEEP = {"odekernel.IVPSolution.eval", "odekernel.DenseReader.state", "cli.main", "cli.entry",
-        "lattice.equal_spaced_orbit", "curve.curvature_from_graph"}
+        "lattice.equal_spaced_orbit"}
 
 
 def _tracer_targets() -> set[str]:

@@ -61,6 +61,17 @@ class TestCurveSpecs:
                               "coeffs": ["1", "0", "1", "0", "0", "-1"],
                               "seed": ["2", "0"], "domain": ["0", "1"]})
 
+    @pytest.mark.parametrize("coeffs", [["1", "0", "1", "0", "0", "-1"],
+                                        ["1", "-1", "-1", "1", "1", "-1"]],
+                             ids=["zero-coefficient", "all-terms"])
+    def test_conic_seed_whose_scale_overflows(self, coeffs):
+        # x^2 overflows, so the residual's scale is inf or nan: refused,
+        # not read as a residual within it
+        from affinecurves.kfuncs import DomainError
+        with pytest.raises(DomainError):
+            parse_curve_spec({"type": "conic", "coeffs": coeffs,
+                              "seed": ["1e160", "1e160"], "domain": ["0", "1"]})
+
     def test_constant_curvature_with_frame(self):
         spec = parse_curve_spec({
             "type": "constant-curvature", "k": "-1",
@@ -185,6 +196,49 @@ class TestQuadraticSpecs:
             assert np.all(np.isfinite(values))
         np.testing.assert_allclose(curve.point(ss)[:, 0], np.linspace(-1.0, 1.0, 9), atol=1e-15)
         assert unit_speed_defect(curve, 9) <= 1e-12
+
+
+class TestFractionStrings:
+    """`p/q` strings in `graph` and `parabola` coeffs and domain, and in a
+    `constant-curvature` k, parse as their correctly rounded floats, and
+    the exact routes keep their Fractions; decimal strings parse as
+    before."""
+
+    @pytest.mark.parametrize("kind, coeffs, domain", [
+        ("graph", ["0", "0", "1/2", "1/32"], ["-1", "3/2"]),
+        ("parabola", ["1/3", "-1/7", "1/2"], ["-2/3", "5/2"]),
+        ("graph", ["-5/4", "0.1", "3/8"], ["1/3", "2"]),
+    ])
+    def test_graph_coefficients_and_domain(self, kind, coeffs, domain):
+        spec = parse_curve_spec({"type": kind, "coeffs": coeffs, "domain": domain})
+        rounded = parse_curve_spec({"type": kind, "domain": [repr(float(Fraction(v))) for v in domain],
+                                    "coeffs": [repr(float(Fraction(v))) for v in coeffs]})
+        ss = np.linspace(spec.curve.domain.lo, spec.curve.domain.hi, 9)
+        assert spec.curve.domain == rounded.curve.domain
+        assert spec.curve.point(ss).tolist() == rounded.curve.point(ss).tolist()
+        exact = tuple(Fraction(v) for v in coeffs)
+        if len(coeffs) > 3:
+            assert spec.graph == PolyGraph(exact, *(Fraction(v) for v in domain))
+        else:
+            assert (spec.conic.a, spec.conic.d, spec.conic.f) == (exact[2], exact[1], exact[0])
+
+    def test_constant_curvature_k(self):
+        spec = parse_curve_spec({"type": "constant-curvature", "k": "-1/3",
+                                 "domain": ["0", "1"]})
+        assert spec.curve.curvature(0.5) == float(Fraction(-1, 3))
+        assert spec.conic.c == Fraction(-1, 3)
+
+    def test_decimal_strings_keep_their_floats(self):
+        spec = parse_curve_spec({"type": "parabola", "coeffs": ["0", "0.1", "7e-1"],
+                                 "domain": ["-0.3", "0.9"]})
+        assert spec.curve.point(0.0)[0] == -0.3  # the frame's origin is at x = lo
+        assert (spec.conic.a, spec.conic.d) == (Fraction(7, 10), Fraction(1, 10))
+
+    @pytest.mark.parametrize("value", ["1/0", "1/x", "1//2"])
+    def test_bad_fraction_is_a_spec_error(self, value):
+        with pytest.raises(SpecError, match="bad number"):
+            parse_curve_spec({"type": "parabola", "coeffs": ["0", "0", "1"],
+                              "domain": ["0", value]})
 
 
 class TestNonFinite:
