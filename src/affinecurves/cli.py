@@ -23,11 +23,12 @@ import numpy as np
 
 from . import compare as cmp
 from .curve import (
+    AREA_BLOCK,
     ConvexityError,
     OrientationError,
     adapted_frame,
-    area_from_ode,
     area_function,
+    area_ode_residual,
     constant_curvature_curve,
     graphing_interval,
     reconstruct_from_curvature,
@@ -134,24 +135,25 @@ def cmd_curvature(args) -> int:
 
 def cmd_area(args) -> int:
     """A(s), the area between c on [base, s] and the segments from the
-    apex (default c(base)), at hi and with --out at each sample.  A comes
+    apex (default c(base)), at hi and with --out at each sample.  A
+    polynomial graph takes its exact area in x (`PolyGraph.area`) at the
+    x(s) of the samples, read from the curve AREA_BLOCK samples at a time;
+    it solves no ODE and reads no curvature.  Every other curve takes A
     from the area ODE A''' + kappa A' = 1/2 solved on the sample grid
-    (`area_from_ode`), so a curvature-ivp curve is integrated only for the
-    curve points that --apex asks for.  A polynomial graph of degree
-    three or more keeps the swept-area quadrature (`area_function`): its
-    curvature costs about 0.1 ms a read, and the ODE's step doubling reads
-    it once per level.  On x^2 + 0.05 x^3 over [-1, 1] (best of 15, 2-core
-    x86_64) the ODE takes 1.8 ms to the quadrature's 0.4 ms for A(hi)
-    alone and 1.3 to 0.5 ms at 9 samples, and 0.6 to 1.4 ms at 65."""
+    (`AreaFunction`), so a curvature-ivp curve is integrated only for the
+    curve points that --apex asks for."""
     spec = load_curve_spec(args.curve)
     c = spec.curve
     base = args.base if args.base is not None else c.domain.lo
     ss = np.linspace(c.domain.lo, c.domain.hi, args.samples if args.out else 0)
     at = np.append(ss, c.domain.hi)  # one pass; the last entry is A(hi)
+    area = area_function(c, base, args.apex)  # a base outside the domain is refused here
     if spec.graph is None:
-        values = area_from_ode(c, base, args.apex, at)
+        values = area(at)
     else:
-        values = area_function(c, base, args.apex)(at)
+        xs = np.concatenate([c.point(at[i:i + AREA_BLOCK])[:, 0]
+                             for i in range(0, len(at), AREA_BLOCK)])
+        values = spec.graph.area(float(c.point(base)[0]), xs, args.apex)
     print(float(values[-1]))
     if args.out:
         _write_columns(args.out, ["s", "area"], ss, values[:-1])
@@ -224,7 +226,6 @@ def _random_band_curvature(rng, k0, k1):
 
 
 def _verify_thm23(args, rng):
-    from .curve import area_ode_residual
     reports = []
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, -2.0, 1.0)
@@ -282,7 +283,7 @@ def _verify_cor42(args, rng):
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, args.k0, args.k1)
         curve = reconstruct_from_curvature(kap, Interval(0.0, args.L))
-        val = float(area_from_ode(curve, 0.0, None, np.array([args.L]))[0])
+        val = area_function(curve, 0.0)(args.L)
         reports.append(cmp.BoundReport(
             theorem="cor4.2", lhs=max(lo_b - val, val - hi_b), rhs=0.0,
             slack=(args.tol or 1e-7) * max(1.0, hi_b), notes=f"area {val} in [{lo_b}, {hi_b}]"))

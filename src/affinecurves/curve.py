@@ -5,7 +5,9 @@ first three derivatives, and the curvature, all in the affine arc-length
 parameter (c' wedge c'' identically 1).  Constructors take a constant
 curvature with a frame (closed form), a curvature function with an
 initial frame (reconstruction), or a convex graph y = f(x) with the
-closures of f and its first four derivatives.
+closures of f and its first four derivatives.  The area swept from a
+point of the curve is the solution of the paper's area ODE
+A''' + kappa A' = 1/2 (`AreaFunction`), which reads the curvature alone.
 """
 
 from __future__ import annotations
@@ -460,153 +462,16 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
     return AffineCurve(interval, position, derivatives, curvature)
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21): the Kronrod
-# abscissae from the end inwards, then the centre, with their weights; the
-# embedded 10-point Gauss rule uses every second abscissa, from the second
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208626368857, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_GK_NODES = np.array([-x for x in _XGK] + list(_XGK[-2::-1]))
-_GK_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
-_G_WEIGHTS = np.zeros(21)
-_G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = _WG
-
-AREA_TOL = 1e-11            # quadrature: absolute, and relative to the largest |A| sampled;
-                            # the area ODE: the rtol of its step doubling
-AREA_MAX_DEPTH = 7          # bisections of a knot interval before its panels count as they are
-AREA_BLOCK = 4096           # panels whose nodes one curve read takes; grid points of one ODE solve
+AREA_TOL = 1e-11   # the rtol of the area ODE's step doubling
+AREA_BLOCK = 4096  # grid points of one ODE solve; curve points of one read
 
 
 @dataclass(frozen=True)
 class AreaFunction:
-    """Signed area swept between the curve and segments from the apex p0.
-
-    A(s) = 1/2 integral_a^s (c - p0) wedge c'; positive where the sweep
-    is right-handed.  This is the quadrature route, which reads the curve
-    itself: `verify thm2.3` takes its areas here, independently of the
-    area ODE that `area_from_ode` (the `area` command, `verify cor4.2`)
-    solves, and the tests check each route against the other.  A call at
-    a 1-D array of samples computes all of them in one adaptive
-    Gauss-Kronrod pass: the knots are
-    the sorted samples and the base a, every panel between knots is read
-    at its 21 nodes, in one array call of the curve per AREA_BLOCK panels,
-    and the rejected panels of all intervals are bisected together.  A panel is
-    accepted when QUADPACK's error estimate is within its length's share
-    of AREA_TOL * max(1, |A|).  Panels still rejected after AREA_MAX_DEPTH
-    bisections count with their estimates and errors, so a pass always
-    ends, after at most 2**(AREA_MAX_DEPTH + 1) - 1 panels per interval.
-    An integrand that leaves the float range is a DomainError.
-    The values are partial sums outward from the base, so A(a) = 0.
-    """
-
-    curve: AffineCurve
-    a: float
-    p0: Vec
-
-    def __call__(self, s: float | np.ndarray) -> float | np.ndarray:
-        return self.with_error(s)[0]
-
-    def with_error(self, s: float | np.ndarray) -> tuple:
-        """A(s) and an estimate of its absolute error, at a float or at
-        each entry of a 1-D array."""
-        ss = np.atleast_1d(np.asarray(s, dtype=float))
-        knots = np.unique(np.append(ss, self.a))
-        base = int(np.searchsorted(knots, self.a))
-        values, errors = self._sweep(knots, base)
-        at = np.searchsorted(knots, ss)
-        if np.ndim(s):
-            return values[at], errors[at]
-        return float(values[at[0]]), float(errors[at[0]])
-
-    def _sweep(self, knots: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-        """A and its error estimate at the knots, zero at knots[base]."""
-        n = len(knots) - 1
-        lo, hi, owner = knots[:-1], knots[1:], np.arange(n)
-        totals, errors = np.zeros(n), np.zeros(n)
-        span = knots[-1] - knots[0]
-        for depth in range(AREA_MAX_DEPTH + 1):
-            if not len(lo):
-                break
-            with np.errstate(over="ignore", invalid="ignore"):
-                parts = [self._panels(lo[b:b + AREA_BLOCK], hi[b:b + AREA_BLOCK])
-                         for b in range(0, len(lo), AREA_BLOCK)]
-                res, err = (np.concatenate(v) for v in zip(*parts))
-            if not (np.isfinite(res).all() and np.isfinite(err).all()):
-                raise DomainError("the swept area leaves the float range")
-            sums = totals + np.bincount(owner, res, minlength=n)
-            tol = AREA_TOL * max(1.0, float(np.max(np.abs(_from_base(sums, base)))))
-            with np.errstate(over="ignore"):
-                cap = tol * (hi - lo)
-            if not np.isfinite(cap).all():
-                raise DomainError("the swept area leaves the float range")
-            ok = (err <= cap / span) | (depth == AREA_MAX_DEPTH)
-            totals += np.bincount(owner[ok], res[ok], minlength=n)
-            errors += np.bincount(owner[ok], err[ok], minlength=n)
-            lo, hi, owner = lo[~ok], hi[~ok], owner[~ok]
-            mid = 0.5 * (lo + hi)
-            lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.append(owner, owner)
-        return _from_base(totals, base), np.abs(_from_base(errors, base))
-
-    def _panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """QUADPACK qk21 on each panel [lo, hi]: the Kronrod value and the
-        error estimate, with the integrand read at all nodes at once."""
-        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = centre[:, None] + half[:, None] * _GK_NODES
-        f = self.prime(nodes.ravel()).reshape(nodes.shape)
-        resk = (f * _GK_WEIGHTS).sum(axis=1)
-        resg = (f * _G_WEIGHTS).sum(axis=1)
-        width = np.abs(half)
-        resabs = (np.abs(f) * _GK_WEIGHTS).sum(axis=1) * width
-        resasc = (np.abs(f - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1) * width
-        err = np.abs((resk - resg) * half)
-        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc != 0.0)
-        err = np.where(resasc != 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
-        return resk * half, np.maximum(50.0 * np.finfo(float).eps * resabs, err)
-
-    def prime(self, s: float | np.ndarray) -> float | np.ndarray:
-        """A'(s), at a float or at each entry of a 1-D array."""
-        return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[0])
-
-    def second(self, s: float | np.ndarray) -> float | np.ndarray:
-        """A''(s), at a float or at each entry of a 1-D array."""
-        return 0.5 * _wedge_rows(self.curve.point(s) - self.p0, self.curve.derivatives(s)[1])
-
-
-def _from_base(per_interval: np.ndarray, base: int) -> np.ndarray:
-    """Partial sums of the per-interval values outward from knot `base`:
-    the integral from knots[base] to each knot, exactly 0 at the base."""
-    out = np.zeros(len(per_interval) + 1)
-    out[base + 1:] = np.cumsum(per_interval[base:])
-    out[:base] = -np.cumsum(per_interval[:base][::-1])[::-1]
-    return out
-
-
-def _check_base(curve: AffineCurve, a: float) -> None:
-    if not (a in curve.domain):
-        raise ValueError(f"base parameter {a} outside curve domain")
-
-
-def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:
-    _check_base(curve, a)
-    apex = curve.point(a) if p0 is None else np.asarray(p0, dtype=float)
-    return AreaFunction(curve, a, apex)
-
-
-def area_from_ode(curve: AffineCurve, a: float, p0: Sequence[float] | None,
-                  s: np.ndarray) -> np.ndarray:
-    """`area_function(curve, a, p0)` at each entry of a 1-D array s, from
-    the paper's area ODE instead of by quadrature.
+    """Signed area swept between the curve and segments from the apex p0,
+    c(a) where p0 is None: A(s) = 1/2 integral_a^s (c - p0) wedge c',
+    positive where the sweep is right-handed, at a float or at each entry
+    of a 1-D array, from the paper's area ODE.
 
     The area from the apex c(a) solves A''' + kappa A' = 1/2 with a zero
     jet at a, which reads kappa alone.  On each side of a it is solved
@@ -617,26 +482,54 @@ def area_from_ode(curve: AffineCurve, a: float, p0: Sequence[float] | None,
     read from the curve AREA_BLOCK points at a time: the same apex taken
     into the ODE's jet at a instead carries the error of c(a) and its
     derivatives along the whole solve (8e-10 against 1e-10 relative on a
-    reconstructed curve).  A(a) is exactly 0.0.  A solve that leaves the
-    float range is a SolverError, a triangle a DomainError."""
-    _check_base(curve, a)
-    out = np.empty(len(s))
-    for sign, side in ((1.0, s >= a), (-1.0, s < a)):
-        if side.any():
-            u = sign * (s[side] - a)
-            grid = np.unique(np.append(0.0, u))
-            op = power_op(3, 1, lambda v, sign=sign: curve.curvature(a + sign * v),
-                          Interval(0.0, grid[-1]))
-            out[side] = _area_on_grid(op, 0.5 * sign, grid)[np.searchsorted(grid, u)]
-    if p0 is not None:
-        ca = curve.point(a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = ca - np.asarray(p0, dtype=float)
-            for i in range(0, len(s), AREA_BLOCK):
-                out[i:i + AREA_BLOCK] += 0.5 * _wedge_rows(r, curve.point(s[i:i + AREA_BLOCK]) - ca)
-        if not np.isfinite(out).all():
-            raise DomainError("the swept area leaves the float range")
-    return out
+    reconstructed curve).  With p0 None no point of the curve is read.
+    A(a) is exactly 0.0.  A solve that leaves the float range is a
+    SolverError, a triangle a DomainError."""
+
+    curve: AffineCurve
+    a: float
+    p0: Vec | None
+
+    def __call__(self, s: float | np.ndarray) -> float | np.ndarray:
+        curve, a, ss = self.curve, self.a, np.atleast_1d(np.asarray(s, dtype=float))
+        out = np.empty(len(ss))
+        for sign, side in ((1.0, ss >= a), (-1.0, ss < a)):
+            if side.any():
+                u = sign * (ss[side] - a)
+                grid = np.unique(np.append(0.0, u))
+                op = power_op(3, 1, lambda v, sign=sign: curve.curvature(a + sign * v),
+                              Interval(0.0, grid[-1]))
+                out[side] = _area_on_grid(op, 0.5 * sign, grid)[np.searchsorted(grid, u)]
+        if self.p0 is not None:
+            ca = curve.point(a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = ca - self.p0
+                for i in range(0, len(ss), AREA_BLOCK):
+                    block = curve.point(ss[i:i + AREA_BLOCK])
+                    out[i:i + AREA_BLOCK] += 0.5 * _wedge_rows(r, block - ca)
+            if not np.isfinite(out).all():
+                raise DomainError("the swept area leaves the float range")
+        return out if np.ndim(s) else float(out[0])
+
+    @property
+    def apex(self) -> Vec:
+        return self.curve.point(self.a) if self.p0 is None else self.p0
+
+    def prime(self, s: float | np.ndarray) -> float | np.ndarray:
+        """A'(s), at a float or at each entry of a 1-D array."""
+        return 0.5 * _wedge_rows(self.curve.point(s) - self.apex, self.curve.derivatives(s)[0])
+
+    def second(self, s: float | np.ndarray) -> float | np.ndarray:
+        """A''(s), at a float or at each entry of a 1-D array."""
+        return 0.5 * _wedge_rows(self.curve.point(s) - self.apex, self.curve.derivatives(s)[1])
+
+
+def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:
+    """The `AreaFunction` of the curve from c(a) seen from p0; a base
+    outside the domain is a ValueError."""
+    if not (a in curve.domain):
+        raise ValueError(f"base parameter {a} outside curve domain")
+    return AreaFunction(curve, a, None if p0 is None else np.asarray(p0, dtype=float))
 
 
 def _area_on_grid(op: odekernel.LinearOperator, forcing: float, grid: np.ndarray) -> np.ndarray:

@@ -344,6 +344,41 @@ class PolyGraph:
     lo: Fraction
     hi: Fraction
 
+    def area(self, x0: float, x: np.ndarray, apex: Sequence[float] | None) -> np.ndarray:
+        """1/2 integral_x0^x ((X - px) p'(X) - (p(X) - py)) dX at each entry
+        of x: the area swept along the graph from (x0, p(x0)), seen from
+        the apex (px, py), or from (x0, p(x0)) where apex is None.
+
+        In u = X - x0, with q the coefficients of p(x0 + u) (a Taylor
+        shift) and d = x0 - px, the integrand has the coefficients
+        g_k = (k - 1) q_k + (k + 1) d q_k+1, and py more in g_0; so the
+        area is the polynomial sum_k g_k u^(k+1) / (2 (k + 1)).  Its
+        coefficients are exact in Fractions, divided by the power of two
+        2^e that brings the largest near 1, and rounded once; the
+        polynomial is read by Horner's rule at u = x - x0 and multiplied
+        by 2^e, so a coefficient past the float range still gives a
+        finite area, and A(x0) is exactly 0.0.  An area past the float
+        range is a DomainError."""
+        start, q = Fraction(x0), list(self.coeffs)
+        for i in range(len(q) - 1):
+            for k in range(len(q) - 2, i - 1, -1):
+                q[k] += start * q[k + 1]
+        px, py = (start, q[0]) if apex is None else (Fraction(apex[0]), Fraction(apex[1]))
+        q.append(Fraction(0))
+        g = [(k - 1) * q[k] + (k + 1) * (start - px) * q[k + 1] for k in range(len(q) - 1)]
+        g[0] += py
+        exact = [gk / (2 * k + 2) for k, gk in enumerate(g)]
+        e = max(c.numerator.bit_length() - c.denominator.bit_length() for c in exact if c)
+        coeffs = [0.0] + [float(c / Fraction(2) ** e) for c in exact]
+        u, out = x - x0, np.zeros(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in coeffs[::-1]:
+                out = out * u + c
+            out = np.ldexp(out, e)
+        if not np.isfinite(out).all():
+            raise DomainError("the swept area leaves the float range")
+        return out
+
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""

@@ -641,17 +641,6 @@ class PositivityReport:
         s, r = self.witness if self.witness else (float("nan"), float("nan"))
         return f"violation(s={s:.6g}, r={r:.6g}, value={self.min_value:.6g})"
 
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "interval": [self.interval.lo, self.interval.hi],
-            "grid_n": self.grid_n,
-            "tol": self.tol,
-            "min_value": self.min_value,
-            "witness": list(self.witness) if self.witness else None,
-            "verdict": "certified-positive-on-grid" if self.certified else "violation",
-        }
-
 
 def check_forward_positive(op: LinearOperator, grid_n: int = POSITIVITY_GRID,
                            tol: float = POSITIVITY_TOL) -> PositivityReport:

@@ -45,6 +45,7 @@ from reference import (
     seed_params,
     seed_points,
     solve_via_kernel,
+    swept_area,
     third_order_op,
     triangle_ratio_asymptotic,
     triangle_ratio_exact,
@@ -177,7 +178,7 @@ def test_criterion_3_area_oracle_equivalence():
     worst = 0.0
     for name, curve in cases:
         length = curve.domain.hi
-        integral = area_function(curve, 0.0)
+        integral = swept_area(curve, 0.0)
         via_ode = ode_area(curve, length)
         for s in np.linspace(0.2, length, 5):
             worst = max(worst, abs(integral(float(s)) - via_ode(float(s))))

@@ -24,8 +24,7 @@ from affinecurves import cli, kfuncs, odekernel, specfiles
 from affinecurves import curve as curve_mod
 from affinecurves import lattice as lattice_mod
 from affinecurves.cli import main
-from affinecurves.curve import (
-    AREA_MAX_DEPTH, AffineCurve, AreaFunction, reconstruct_from_curvature)
+from affinecurves.curve import AffineCurve, reconstruct_from_curvature
 from affinecurves.conics import Conic
 from affinecurves.kfuncs import Interval, ck, sk
 from affinecurves.lattice import (
@@ -49,6 +48,9 @@ from affinecurves.specfiles import (
     load_lattice_spec,
     parse_curve_spec,
 )
+
+import reference
+from reference import AREA_MAX_DEPTH, SweptArea, swept_area
 
 ALPHA = 2.0 ** (-1.0 / 3.0) * 5.0 ** (1.0 / 6.0)
 
@@ -862,7 +864,7 @@ class TestVerify:
         error estimate plus 1e-9 |A|."""
         for report, _, curve in self._trials(monkeypatch, capsys, [theorem, *argv]):
             area = _report_area(report)
-            want, err = AreaFunction(curve, 0.0, curve.point(0.0)).with_error(curve.domain.hi)
+            want, err = swept_area(curve, 0.0).with_error(curve.domain.hi)
             assert abs(area - want) <= err + 1e-9 * abs(want)
 
     @pytest.mark.parametrize("theorem", ["thm4.1", "cor4.2"])
@@ -1756,8 +1758,8 @@ class TestPlacementCost:
 
 class TestAreaTable:
     """`area` computes its printed value and every `--out` row in one
-    solve of the area ODE; `area_function`, the swept-area quadrature that
-    verify reads, computes a table of samples in one pass."""
+    pass; `swept_area`, the tests' swept-area quadrature, computes a table
+    of samples in one pass."""
 
     @pytest.fixture
     def graph_spec(self, tmp_path):
@@ -1794,9 +1796,9 @@ class TestAreaTable:
         curve = parse_curve_spec(spec).curve
         ss = np.append(np.linspace(curve.domain.lo, curve.domain.hi, 50), curve.domain.hi)
         tables = []
-        for block in (curve_mod.AREA_BLOCK, 3):
-            monkeypatch.setattr(curve_mod, "AREA_BLOCK", block)
-            tables.append(curve_mod.area_function(curve, curve.domain.lo)(ss).tobytes())
+        for block in (reference.AREA_BLOCK, 3):
+            monkeypatch.setattr(reference, "AREA_BLOCK", block)
+            tables.append(swept_area(curve, curve.domain.lo)(ss).tobytes())
         assert tables[0] == tables[1]
 
     def test_one_pass_reads_the_curve_in_arrays(self, graph_spec, monkeypatch):
@@ -1810,7 +1812,7 @@ class TestAreaTable:
         monkeypatch.setattr(AffineCurve, "point", counted)
         curve = load_curve_spec(graph_spec).curve
         ss = np.linspace(curve.domain.lo, curve.domain.hi, 65)
-        curve_mod.area_function(curve, curve.domain.lo, (0.0, 0.0))(np.append(ss, curve.domain.hi))
+        swept_area(curve, curve.domain.lo, (0.0, 0.0))(np.append(ss, curve.domain.hi))
         # the first call reads the 21 nodes of all 64 panels between samples
         assert 1 <= len(reads) <= 3
         assert reads[0] == 21 * 64
@@ -1829,17 +1831,17 @@ class TestAreaTable:
         # at q = sqrt(400) 4 = 80 the panels never converge: each bisects
         # AREA_MAX_DEPTH times at most, without a warning
         nodes = []
-        prime = AreaFunction.prime
+        prime = SweptArea.prime
 
         def counted(self, s):
             nodes.append(np.size(s))
             return prime(self, s)
 
-        monkeypatch.setattr(AreaFunction, "prime", counted)
+        monkeypatch.setattr(SweptArea, "prime", counted)
         curve = reconstruct_from_curvature(lambda s: -400.0, Interval(0.0, 4.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            AreaFunction(curve, 0.0, curve.point(0.0)).with_error(4.0)
+            SweptArea(curve, 0.0, curve.point(0.0)).with_error(4.0)
         assert 0 < sum(nodes) <= 21 * (2 ** (AREA_MAX_DEPTH + 1) - 1)  # one interval
 
     @pytest.mark.parametrize("theorem", ["thm4.1", "cor4.2"])
@@ -1932,14 +1934,15 @@ def _graph_area(coeffs, x0, x, apex):
 
 class TestAreaODE:
     """`area` takes A from the area ODE A''' + kappa A' = 1/2 on its sample
-    grid, against the swept-area quadrature and against exact references."""
+    grid, and a polynomial graph's A from its exact area in x, against the
+    swept-area quadrature and against exact references."""
 
     @pytest.mark.parametrize("mode", AREA_MODES)
     @pytest.mark.parametrize("name", list(AREA_SPECS))
     def test_matches_the_quadrature(self, name, mode, tmp_path, capsys):
         curve, base, apex, ss, got = _area_table(AREA_SPECS[name][0], mode, tmp_path, capsys)
         assert base not in ss or got[np.searchsorted(ss, base)] == 0.0  # A(base) is exact
-        want = curve_mod.area_function(curve, base, apex)(ss)
+        want = swept_area(curve, base, apex)(ss)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("mode", ["lo", "interior"])
@@ -2007,10 +2010,82 @@ class TestAreaODE:
         _, _, _, ss, got = _area_table(AREA_SPECS["ivp"][0], "interior", tmp_path, capsys,
                                        samples=2001)
         monkeypatch.undo()
-        want = curve_mod.area_from_ode(load_curve_spec(write_json(
-            tmp_path / "again.json", AREA_SPECS["ivp"][0])).curve, ss[0] + 0.37 * (ss[-1] - ss[0]),
-            None, ss)
+        want = curve_mod.area_function(load_curve_spec(write_json(
+            tmp_path / "again.json", AREA_SPECS["ivp"][0])).curve,
+            ss[0] + 0.37 * (ss[-1] - ss[0]))(ss)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+FLAT_QUARTIC = {"type": "graph", "coeffs": ["0", "0", "1e-9", "0", "1"], "domain": ["-3", "3"]}
+
+
+class TestGraphArea:
+    """A polynomial graph's `area` is its exact area in x, at the x(s) of
+    the samples read from the curve: it solves no ODE and reads no
+    curvature."""
+
+    def test_flat_bottomed_quartic_is_its_exact_area(self, tmp_path, capsys):
+        # the quadrature printed 388.67162663176373: its panels never converged
+        assert main(["area", write_json(tmp_path / "flat.json", FLAT_QUARTIC)]) == 0
+        want = _graph_area(FLAT_QUARTIC["coeffs"], Fraction(-3), Fraction(3), None)
+        assert want == Fraction("388.800000036")
+        assert abs(float(capsys.readouterr().out) - want) <= 1e-12 * want
+
+    def test_flat_bottomed_quartic_table_is_its_exact_area(self, tmp_path, capsys):
+        # the quadrature printed 388.7895778517959 with --samples 65
+        curve, base, _, ss, got = _area_table(FLAT_QUARTIC, "lo", tmp_path, capsys, samples=65)
+        x0 = Fraction(float(curve.point(base)[0]))
+        want = [_graph_area(FLAT_QUARTIC["coeffs"], x0, Fraction(x), None)
+                for x in curve.point(ss)[:, 0].tolist()]
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got.tolist(), want))
+        assert abs(got[-1] - Fraction("388.800000036")) <= 1e-12 * got[-1]
+
+    @pytest.mark.parametrize("mode", AREA_MODES)
+    def test_solves_no_ode_and_reads_no_curvature(self, mode, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the area ODE's inputs")
+
+        build = specfiles.graph_curve
+        monkeypatch.setattr(odekernel, "step_propagators", refuse)
+        monkeypatch.setattr(specfiles, "graph_curve",
+                            lambda *a: dataclasses.replace(build(*a), curvature=refuse))
+        _area_table(AREA_SPECS["quartic"][0], mode, tmp_path, capsys)
+
+    def test_blocks_of_reads_give_the_same_table(self, tmp_path, capsys, monkeypatch):
+        tables = []
+        for block in (cli.AREA_BLOCK, 3):
+            monkeypatch.setattr(cli, "AREA_BLOCK", block)
+            got = _area_table(AREA_SPECS["quartic"][0], "interior-apex", tmp_path, capsys)[4]
+            tables.append(got.tobytes())
+        assert tables[0] == tables[1]
+
+    def test_base_outside_the_domain_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "quart.json", AREA_SPECS["quartic"][0])
+        assert main(["area", path, "--base", "5"]) == 2
+        assert "outside curve domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", [["-1", "30"], ["-3", "30"]],
+                             ids=["value", "coefficient-and-value"])
+    def test_area_past_the_float_range_exits_3(self, domain, tmp_path, capsys):
+        # on [-3, 30] the area's u coefficient, 3.4e308, has no float either
+        path = write_json(tmp_path / "quart.json", dict(AREA_SPECS["quartic"][0], domain=domain))
+        assert main(["area", path, "--apex", "1e308", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err
+
+    @pytest.mark.parametrize("domain", [["-1", "1.3"], ["-3", "-2.9"]],
+                             ids=["large-terms", "coefficient-past-the-range"])
+    def test_finite_area_from_a_far_apex_prints(self, domain, tmp_path, capsys):
+        # the integrand's terms reach 2.9e308 on [-1, 1.3], and on
+        # [-3, -2.9] the u coefficient is 3.4e308; the areas are finite
+        spec = dict(AREA_SPECS["quartic"][0], domain=domain)
+        path = write_json(tmp_path / "quart.json", spec)
+        assert main(["area", path, "--apex", "1e308", "1e308"]) == 0
+        got = float(capsys.readouterr().out)
+        curve = load_curve_spec(path).curve
+        x0, x1 = (Fraction(float(v)) for v in curve.point(np.array([curve.domain.lo, curve.domain.hi]))[:, 0])
+        want = _graph_area(spec["coeffs"], x0, x1, (1e308, 1e308))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestSubcommandOptions:

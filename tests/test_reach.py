@@ -26,6 +26,13 @@ ROOT = Path(__file__).resolve().parents[1]
 KEEP = {"odekernel.IVPSolution.eval", "odekernel.DenseReader.state", "cli.main", "cli.entry",
         "lattice.equal_spaced_orbit"}
 
+# the bare names that more than one src/ definition carries, dunders
+# aside: a use is matched by its name alone, so one reached definition of
+# such a name hides another that nothing reaches (as `to_dict` hid
+# PositivityReport.to_dict).  Each of these was checked by hand; a new
+# shared name fails `test_shared_names_are_checked_by_hand` until it is.
+SHARED = {"entry", "make", "det", "point", "cell_area", "to_dict", "_horner", "_side", "verdict"}
+
 
 def _tracer_targets() -> set[str]:
     """`module.attribute` of each entry of bench/tracing.py's TARGETS."""
@@ -63,11 +70,26 @@ def _definitions(module: str, body: list, prefix: str = ""):
                 yield from _definitions(module, node.body, f"{prefix}{node.name}.")
 
 
+def _trees(package: Path) -> dict[str, ast.Module]:
+    """The parsed modules of `package`, `__init__` aside, by name."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def shared_names(package: Path) -> set[str]:
+    """The names, dunders aside, of more than one definition of `package`."""
+    seen: dict[str, int] = {}
+    for module, tree in _trees(package).items():
+        for _, node in _definitions(module, tree.body):
+            seen[node.name] = seen.get(node.name, 0) + 1
+    return {name for name, count in seen.items()
+            if count > 1 and not (name.startswith("__") and name.endswith("__"))}
+
+
 def unreached(package: Path) -> list[str]:
     """The qualified names of the definitions of `package` that nothing in
     it reaches and that are not kept."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
-             if path.stem != "__init__"}
+    trees = _trees(package)
     uses: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -93,6 +115,10 @@ def unreached(package: Path) -> list[str]:
 def test_every_definition_is_reached_or_kept():
     found = unreached(PACKAGE)
     assert not found, f"reached by no src/ code and not kept: {', '.join(found)}"
+
+
+def test_shared_names_are_checked_by_hand():
+    assert shared_names(PACKAGE) == SHARED
 
 
 def test_keep_list_sources_are_read():
