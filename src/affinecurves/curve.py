@@ -220,8 +220,8 @@ def _monomials_of_chebyshev(n: int) -> np.ndarray:
 # Panels of the arc-length integral: the ARC_DEGREE + 1 Chebyshev points
 # of the second kind on [-1, 1], ascending; the matrices that take values
 # there to Chebyshev coefficients (the discrete cosine transform of the
-# points) and Chebyshev to monomial coefficients; the Clenshaw-Curtis
-# weights; and the integral from -1 to each point
+# points) and Chebyshev to monomial coefficients; and the Clenshaw-Curtis
+# weights
 ARC_DEGREE = 16
 ARC_PANELS = 8    # equal panels of [t0, t1] before refinement
 ARC_RTOL = 1e-14  # the resolution each panel must reach (see _arclength_table)
@@ -235,33 +235,27 @@ _POWERS = np.arange(1, ARC_DEGREE + 2)
 _CC_WEIGHTS = np.zeros(ARC_DEGREE + 1)  # the integrals of T_k, then of the interpolant's basis
 _CC_WEIGHTS[::2] = 2.0 / (1.0 - np.arange(0.0, ARC_DEGREE + 1, 2) ** 2)
 _CC_WEIGHTS = _CC_WEIGHTS @ _TO_CHEB
-_CUMULATIVE = ((_CX[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS) @ _TO_MONO @ _TO_CHEB
 
 
-def _arclength_table(g: Callable, t0: float,
-                     t1: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+def _arclength_table(g: Callable, t0: float, t1: float) -> tuple[np.ndarray, ...]:
     """The affine arc length s(t) = integral_t0^t g^(1/3) dt on t0 < t1, g
-    the closure of c' wedge c'' (of a graph (t, f(t)), f''), and its
-    inverse t(s), as panels: their ends in s, from 0 to the arc length,
-    and per panel the monomial coefficients of t in the local variable
-    u = (s - centre) / half-width, shaped (panels, ARC_DEGREE + 1).
-    The third entry is s(t) itself, as the same panels in t: their left
-    ends, centres and half-widths in t, and per panel the coefficients
-    `lift` of u^1 .. u^(ARC_DEGREE + 1), u = (t - centre) / half-width, and
-    an offset, so that s(t) = offset + half-width (lift . u^k).
+    the closure of c' wedge c'' (of a graph (t, f(t)), f''), as panels in
+    t: the panels' ends in s, from 0 to the arc length, then per panel its
+    left end, centre and half-width in t, the coefficients `lift` of
+    u^1 .. u^(ARC_DEGREE + 1), u = (t - centre) / half-width, and an
+    offset, so that s(t) = offset + half-width (lift . u^k), and the
+    monomial coefficients `a` of the integrand g^(1/3) in u, shaped
+    (panels, ARC_DEGREE + 1), so that ds/du = half-width (a . u^k).
 
     [t0, t1] starts as ARC_PANELS equal panels.  On each panel the
     integrand is read at the Chebyshev points by one `values_at` of g per
-    level, and its interpolant is integrated in closed form.  The
-    inverse is found at the Chebyshev points in s of the panel's s-range,
-    by Newton's method on the integrated interpolant from a linear guess.
-    A panel is accepted when the last two Chebyshev coefficients of the
-    integrand sum to at most ARC_RTOL times its largest value, those of
-    the inverse (in the local variables) to at most ARC_RTOL, and Newton
-    has converged; otherwise it is halved, unless it is already too short
-    to halve.  c' wedge c'' <= 0 at a node is an OrientationError, a value
-    that is not finite a DomainError, and more node reads than
-    odekernel.MAX_RHS_EVALS a SolverError."""
+    level, and its interpolant is integrated in closed form.  A panel is
+    accepted when the last two Chebyshev coefficients of the integrand
+    sum to at most ARC_RTOL times its largest value; otherwise it is
+    halved, unless it is already too short to halve.  c' wedge c'' <= 0 at
+    a node is an OrientationError, a value that is not finite a
+    DomainError, and more node reads than odekernel.MAX_RHS_EVALS a
+    SolverError."""
     ends = np.linspace(t0, t1, ARC_PANELS + 1)
     lo, hi = ends[:-1], ends[1:]
     done, reads = [], 0
@@ -286,47 +280,22 @@ def _arclength_table(g: Callable, t0: float,
         c = w @ _TO_CHEB.T
         total = w @ _CC_WEIGHTS  # the integral over the local variable's [-1, 1]
         a = c @ _TO_MONO.T
-        lift = a / _POWERS  # the integral from -1 is lift . (x^k - (-1)^k), k = 1..17
+        lift = a / _POWERS  # the integral from -1 is lift . (u^k - (-1)^k), k = 1..17
         base = lift @ (-1.0) ** _POWERS
-        # the inverse at the panel's Chebyshev points in s, where the
-        # integral reaches its share (1 + x) / 2 of the total: first linearly
-        # between its shares at the points in t (panel p shifted by 2p, so
-        # that one interpolation serves all panels), then by Newton's method
-        share, shift = 0.5 * (1.0 + _CX), 2.0 * np.arange(len(lo))[:, None]
-        known = (w @ _CUMULATIVE.T) / total[:, None]
-        x = np.interp((share + shift).ravel(), (known + shift).ravel(),
-                      (_CX + shift).ravel()).reshape(t.shape) - shift
-        want = share * total[:, None] + base[:, None]
-        for _ in range(8):
-            powers = np.cumprod(np.broadcast_to(x[..., None], x.shape + (_POWERS.size,)), axis=-1)
-            value = (powers @ lift[..., None])[..., 0]
-            slope = a[:, :1] + (powers[..., :-1] @ a[:, 1:, None])[..., 0]
-            step = (value - want) / slope
-            x = np.clip(x - step, -1.0, 1.0)
-            moved = np.abs(step).max(axis=1)
-            if moved.max() <= 1e-13:
-                break
-        x[:, 0], x[:, -1] = -1.0, 1.0
-        d = x @ _TO_CHEB.T
-        ok = ((np.abs(c[:, -2:]).sum(axis=1) <= ARC_RTOL * w.max(axis=1))
-              & (np.abs(d[:, -2:]).sum(axis=1) <= ARC_RTOL) & (moved <= 1e-13))
+        ok = np.abs(c[:, -2:]).sum(axis=1) <= ARC_RTOL * w.max(axis=1)
         split = ~ok & (lo < mid) & (mid < hi)
-        coef = half[:, None] * (d @ _TO_MONO.T)
-        coef[:, 0] += mid
         keep = ~split
-        done.append((lo[keep], half[keep] * total[keep], coef[keep], mid[keep], half[keep],
-                     lift[keep], base[keep]))
+        done.append((lo[keep], half[keep] * total[keep], mid[keep], half[keep],
+                     lift[keep], base[keep], a[keep]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-    lo, length, coef, mid, half, lift, base = (np.concatenate(v) for v in zip(*done))
+    lo, length, mid, half, lift, base, a = (np.concatenate(v) for v in zip(*done))
     order = np.argsort(lo)
     edges = np.concatenate(([0.0], np.cumsum(length[order])))
     if not (np.isfinite(edges[-1]) and edges[-1] > 0.0):
         raise DomainError(f"the affine arc length {edges[-1]} is not a positive float")
     half = half[order]
-    forward = (lo[order], mid[order], half, lift[order], edges[:-1] - half * base[order])
-    # panels too short for the sum to tell their ends apart are never read
-    keep = 0.5 * np.diff(edges) > 0.0
-    return np.append(0.0, edges[1:][keep]), coef[order][keep], forward
+    return (edges, lo[order], mid[order], half, lift[order], edges[:-1] - half * base[order],
+            a[order])
 
 
 def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCurve:
@@ -335,30 +304,53 @@ def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCur
     read by `odekernel.values_at`.
 
     c' wedge c'' is f'', so t(s) is the inverse of s(t), the integral of
-    f''^(1/3), stored when the curve is built as the panels of
-    `_arclength_table`: a read of t(s) is a search for its panel and
-    Horner's rule on the panel's coefficients, with s clipped to the
-    domain [0, lambda] and t to [t0, t1].  The derivatives follow from
-    (1, f'), (0, f''), (0, f'''), (0, f'''') and t' = f''^(-1/3) by the
-    chain rule, a zero x-component kept as its term 0.0 (0.0 + t'', so a
-    zero t'' reads +0.0).  The inverse takes a point's x as t, clipped to
-    [t0, t1], and reads s there from the table's forward panels (the
-    integral s(t) of each panel's interpolant).
+    f''^(1/3), which is stored when the curve is built as the panels of
+    `_arclength_table`.  A read of t(s), s clipped to the domain
+    [0, lambda], finds the panel whose s-range holds s and solves
+    s(t) = s there: a linear guess in the panel variable u, then Newton
+    steps on the panel's polynomial (its slope, the integrand, by Horner's
+    rule on `a`), clipped to [-1, 1].  Each entry stops after its own
+    first step of at most 1e-9 in u, which leaves an error of about that
+    step's square, or after 8 steps, so an entry reads the same bits in
+    an array as alone; arrays are solved AREA_BLOCK entries at a time.
+    s = 0 reads t0 and s = lambda reads t1, and t is clipped to [t0, t1].
+    The derivatives follow from (1, f'), (0, f''), (0, f'''), (0, f'''')
+    and t' = f''^(-1/3) by the chain rule, a zero x-component kept as its
+    term 0.0 (0.0 + t'', so a zero t'' reads +0.0).  The inverse takes a
+    point's x as t, clipped to [t0, t1], and reads s there from the same
+    panels.
     """
     f0, f1, f2, f3, f4 = f
-    edges, coef, (t_lo, t_mid, t_half, lift, offset) = _arclength_table(f2, t0, t1)
+    edges, t_lo, t_mid, t_half, lift, offset, a = _arclength_table(f2, t0, t1)
     lam = float(edges[-1])
-    centre, width = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    last = len(coef) - 1
+    # the first panel of positive width in s: a panel's length can fall
+    # below the float spacing of s, or underflow
+    first = np.searchsorted(edges, 0.0, side="right") - 1
 
     def t_at(s: np.ndarray) -> np.ndarray:
         s = np.clip(s, 0.0, lam)
-        j = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, last)
-        u, cj = (s - centre[j]) / width[j], coef[j]
-        t = cj[:, -1]
-        for k in range(ARC_DEGREE - 1, -1, -1):
-            t = t * u + cj[:, k]
-        return np.clip(t, min(t0, t1), max(t0, t1))
+        t = np.empty(s.shape)
+        for b in range(0, s.size, AREA_BLOCK):
+            sb = s[b:b + AREA_BLOCK]
+            # the panel with edges[j] < s <= edges[j + 1], so of positive width
+            j = np.maximum(np.searchsorted(edges, sb) - 1, first)
+            lj, aj, hj, oj = lift[j], a[j], t_half[j], offset[j]
+            u = np.clip(2.0 * (sb - edges[j]) / (edges[j + 1] - edges[j]) - 1.0, -1.0, 1.0)
+            live = np.ones(sb.shape, dtype=bool)
+            for _ in range(8):
+                acc, slope = lj[:, -1], aj[:, -1]
+                for k in range(ARC_DEGREE - 1, -1, -1):
+                    acc = acc * u + lj[:, k]
+                    slope = slope * u + aj[:, k]
+                step = (oj + hj * (acc * u) - sb) / hj / slope  # hj * slope can underflow
+                u = np.where(live, np.clip(u - step, -1.0, 1.0), u)
+                live &= np.abs(step) > 1e-9
+                if not live.any():
+                    break
+            t[b:b + AREA_BLOCK] = t_mid[j] + hj * u
+        t[s <= 0.0] = t0
+        t[s >= lam] = t1
+        return np.clip(t, t0, t1)
 
     def s_at(p: np.ndarray) -> np.ndarray:
         t = np.clip(p[:, 0], t0, t1)
@@ -463,7 +455,7 @@ def reconstruct_from_curvature(kappa: Callable[[float], float] | float,
 
 
 AREA_TOL = 1e-11   # the rtol of the area ODE's step doubling
-AREA_BLOCK = 4096  # grid points of one ODE solve; curve points of one read
+AREA_BLOCK = 4096  # grid points of one ODE solve; curve points of one read or t(s) solve
 
 
 @dataclass(frozen=True)

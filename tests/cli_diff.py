@@ -8,7 +8,7 @@ Run by hand (pytest does not collect it):
 One fixed list of command lines runs under each tree, in one child
 interpreter per tree (the two run side by side), each in its own scratch
 directory holding the same input specs.  The list covers every
-subcommand: one spec of each of the five kinds; 25 polynomial graphs, each
+subcommand: one spec of each of the five kinds; 26 polynomial graphs, each
 through `area` (with `--out`, with `--apex` and with `--base`),
 `curvature` (with `--out` and with `--at`), `arclength --out` and
 `count --out`; `verify` of all seven theorems at seeds 0-2, and of
@@ -104,13 +104,14 @@ def _dec(x: Fraction) -> str:
 
 
 def graphs() -> list[dict]:
-    """25 convex polynomial graphs with dyadic coefficients: the README
-    cubic, a far cubic, a flat-bottomed quartic, and 11 cubics and 11
-    quartics drawn from a fixed seed."""
+    """26 convex polynomial graphs with dyadic coefficients: the README
+    cubic, a far cubic, a flat-bottomed quartic on [-1, 1] and on [-3, 3],
+    and 11 cubics and 11 quartics drawn from a fixed seed."""
     rng = random.Random(20)
     out = [{"coeffs": ["0", "0", "1", "0.05"], "domain": ["-1", "1"]},
            {"coeffs": ["0", "0", "0", "1"], "domain": ["100000", "100003"]},
-           {"coeffs": ["0", "0", "1e-9", "0", "1"], "domain": ["-1", "1"]}]
+           {"coeffs": ["0", "0", "1e-9", "0", "1"], "domain": ["-1", "1"]},
+           {"coeffs": ["0", "0", "1e-9", "0", "1"], "domain": ["-3", "3"]}]
     for i in range(11):
         # f'' >= 2 c2 - 6 |c3| |x| > 0 for |x| <= 2
         c = [Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-2, 2), 8),

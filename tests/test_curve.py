@@ -15,6 +15,7 @@ from affinecurves.curve import (
     AdaptedFrame,
     ConvexityError,
     OrientationError,
+    _arclength_table,
     adapted_frame,
     area_function,
     area_ode_residual,
@@ -217,6 +218,10 @@ def _convex_polynomials(n=30, seed=19):
     return polys
 
 
+# f'' = 2e-9 + 12 x^2: near-zero curvature at x = 0
+FLAT_QUARTIC = ([0.0, 0.0, 1e-9, 0.0, 1.0], (-3.0, 3.0))
+
+
 def _raw_oracle(f2, t0, t1):
     """lambda by `quad` at 1e-13, and t(s) by a DOP853 solve of
     dt/ds = f''(t)^(-1/3) at rtol 1e-13, atol 1e-15."""
@@ -245,6 +250,43 @@ class TestReparamOracle:
         got = curve.point(ss)[:, 0]  # a graph's x is its t
         assert np.abs(got - t_of_s(ss)[0]).max() <= 1e-11 * max(1.0, x1 - x0)
         assert [curve.point(s)[0] for s in ss.tolist()] == got.tolist()
+
+    def test_ends_read_the_domain_ends(self):
+        """s = 0 reads (x0, f(x0)) and s = lambda reads (x1, f(x1)) bit for
+        bit, in an array and alone, on 286 seeded convex polynomials and
+        the flat-bottomed quartic."""
+        for coeffs, (x0, x1) in [*_convex_polynomials(143, seed=7), FLAT_QUARTIC]:
+            curve = parse_curve_spec({"type": "graph", "coeffs": [repr(float(c)) for c in coeffs],
+                                      "domain": [repr(x0), repr(x1)]}).curve
+            f0 = _poly_fns(coeffs, 0)[0]
+            ends = [0.0, curve.domain.hi]
+            want = [[x0, f0(x0)], [x1, f0(x1)]]
+            assert curve.point(np.array(ends)).tolist() == want, (coeffs, (x0, x1))
+            assert [curve.point(s).tolist() for s in ends] == want, (coeffs, (x0, x1))
+
+    def test_flat_quartic_panels(self):
+        """f'' = 2e-9 + 12 x^2 on [-3, 3] takes 72 panels, resolved by the
+        integrand alone (108 when the table also stored t(s))."""
+        coeffs, (x0, x1) = FLAT_QUARTIC
+        edges = _arclength_table(_poly_fns(coeffs, 2)[2], x0, x1)[0]
+        assert len(edges) - 1 <= 72
+
+    @pytest.mark.parametrize("coeffs, domain", [
+        *_convex_polynomials(), FLAT_QUARTIC, ([0.0, 0.0, 0.0, 1.0], (1e5, 1e5 + 3.0))])
+    def test_inverse_undoes_a_read(self, coeffs, domain):
+        """inverse(point(s)) is s at every panel edge, at both ends and on
+        257 points, within its conditioning: 4 (eps lambda + s'(t) ulp(t)),
+        s'(t) = f''(t)^(1/3), since the read rounds t (to about 1e-9 in s
+        on x^3 over [1e5, 1e5 + 3])."""
+        (x0, x1), f2 = domain, _poly_fns(coeffs, 2)[2]
+        curve = parse_curve_spec({"type": "graph", "coeffs": [repr(float(c)) for c in coeffs],
+                                  "domain": [repr(x0), repr(x1)]}).curve
+        lam = curve.domain.hi
+        ss = np.concatenate((_arclength_table(f2, x0, x1)[0], np.linspace(0.0, lam, 257)))
+        p = curve.point(ss)
+        t = p[:, 0]  # a graph's x is its t
+        bound = 4.0 * (np.finfo(float).eps * lam + np.cbrt(f2(t)) * np.spacing(np.abs(t)))
+        assert (np.abs(curve.inverse(p) - ss) <= bound).all()
 
     @pytest.mark.parametrize("f, t0, t1", [
         (circle_graph(1.0), -0.9, 0.9),
