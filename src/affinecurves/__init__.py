@@ -9,6 +9,7 @@ point counting with exact arithmetic.
 from .compare import (
     area_bounds,
     area_compare,
+    area_ode_residual,
     coord_bounds_check,
     triangle_bound_arc,
     triangle_bound_rect,
@@ -23,10 +24,8 @@ from .curve import (
     OrientationError,
     adapted_frame,
     area_function,
-    area_ode_residual,
     constant_curvature_curve,
     graph_curve,
-    graphing_interval,
     graphing_parameter_set,
     parabola_curve,
     reconstruct_from_curvature,

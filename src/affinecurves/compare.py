@@ -2,9 +2,10 @@
 
 Each check returns a BoundReport whose hypotheses were verified
 numerically, never assumed: kernel forward-positivity by grid
-certification, curvature orderings by sampling.  Inequality checks use an
-absolute slack of 1e-7 scaled by max(1, |bound|), since the compared
-quantities chain several 1e-8-accurate evaluations.
+certification, curvature orderings by sampling.  Inequality checks use a
+slack of 1e-7 scaled by max(1, |bound|), or take each point's margin
+relative to its own scale, since the compared quantities chain several
+1e-8-accurate evaluations.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import math
 
 import numpy as np
 
-from .curve import AffineCurve, adapted_frame, graphing_interval, wedge
+from .curve import AREA_TOL, AffineCurve, _wedge_rows, adapted_frame
 from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
 # bench/test_bench.py reads it as compare.solve_ivp
-from .odekernel import POSITIVITY_TOL, _compare, solve_ivp
+from .odekernel import POSITIVITY_TOL, _compare, _table_jets, power_op, solve_ivp, step_propagators
 from .reports import BoundReport, Hypothesis, sturm_range
 
 DEFAULT_SLACK = 1e-7
@@ -69,66 +70,90 @@ def area_bounds(k0: float, k1: float, length: float) -> tuple[float, float]:
     return lower, upper
 
 
+def area_ode_residual(curve: AffineCurve, a: float, tol: float) -> BoundReport:
+    """The area ODE A''' + kappa A' = 1/2 of the area swept from p = c(a)
+    (thm2.3), at 41 equally spaced points of the domain.
+
+    A' = 1/2 (c - p) wedge c' and A''' = 1/2 (c' wedge c'' + (c - p) wedge
+    c''') come from one array read of the points (p among them) and one
+    of the derivatives.  Each point's residual |A''' + kappa A' - 1/2| is
+    taken relative to |A'''| + |kappa A'| + 1/2; lhs is the largest, with
+    slack tol, and the witness is its s.  The hypothesis
+    `jet-conditioning` asks that the rounding bound
+    eps (|c'| |c''| + |c - p| |c'''|) of the two wedges, on the same
+    scale, is at most tol at every point.
+    """
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, 41)
+    pts = curve.point(np.append(a, ss))
+    r = pts[1:] - pts[0]
+    d1, d2, d3 = curve.derivatives(ss)
+    ka1 = curve.curvature(ss) * (0.5 * _wedge_rows(r, d1))
+    a3 = 0.5 * (_wedge_rows(d1, d2) + _wedge_rows(r, d3))
+    scale = np.abs(a3) + np.abs(ka1) + 0.5
+    res = np.abs(a3 + ka1 - 0.5) / scale
+    n1, n2, n3, nr = (np.linalg.norm(v, axis=1) for v in (d1, d2, d3, r))
+    rounding = float(np.max(math.ulp(1.0) * (n1 * n2 + nr * n3) / scale))
+    worst = int(np.argmax(res))
+    hyps = [Hypothesis("jet-conditioning", rounding <= tol,
+                       f"relative rounding bound {rounding:.3g} vs slack {tol:.3g}")]
+    return BoundReport(theorem="area-ode", hypotheses=hyps, lhs=float(res[worst]), rhs=0.0,
+                       slack=tol, witness=float(ss[worst]))
+
+
 def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
                        length: float, tol: float = DEFAULT_SLACK) -> BoundReport:
     """Adapted-coordinate rectangle bounds around c(s0).
 
-    Checks both two-sided profile bounds on a grid in (-L, L), and that
-    the graphing interval covers (-R, R) with R the oscillatory profile at
-    L.  The report's lhs is the worst signed violation (<= 0 when every
-    bound holds).
+    In the adapted frame at s0, the points and c' are read at 100 equally
+    spaced u in [-L, L] (the ends in, u = 0 out).  Each point is checked
+    against sk(k1, |u|) <= |x| <= sk(k0, |u|) and ybar(k1, u) <= y <=
+    ybar(k0, u), each margin relative to max(1, |its profile at u|), and
+    against x' > 0, its margin -x' relative to max(1, |x'|).  Under the
+    hypotheses x' solves w'' + kappa w = 0, w(0) = 1, w'(0) = 0, whose
+    zeros lie pi / sqrt(k1) >= 2L apart (none for k1 <= 0), so x' > 0 at
+    +-L makes the curve a graph over [x(-L), x(L)]; that covers (-R, R),
+    R = sk(k1, L), exactly when the x-lower bound holds at +-L.  lhs is
+    the worst margin, with slack tol, and the witness is its u.  Equality
+    needs a bound met within EQUALITY_RTOL at some u and the curvature
+    sampled from 0 to u constant at that bound's k (k1 for a lower bound,
+    k0 for an upper); otherwise the notes say near-equality.
     """
     if s0 - length < curve.domain.lo - 1e-12 or s0 + length > curve.domain.hi + 1e-12:
         raise ValueError(f"(-L, L) around s0 = {s0} exceeds the curve domain")
 
     hyps = [sturm_range(k1, (math.pi / (2.0 * length)) ** 2)]
 
-    us = np.linspace(-length, length, 101)[1:-1]
+    us = np.linspace(-length, length, 100)
     kv = curve.curvature(s0 + us)
     in_band = bool(np.all(kv >= k0 - 1e-9) and np.all(kv <= k1 + 1e-9))
     hyps.append(Hypothesis("curvature-in-band", in_band,
                            f"sampled range [{kv.min():.6g}, {kv.max():.6g}]"))
 
     fr = adapted_frame(curve, s0)
-    worst = -math.inf
-    witness = None
+    x, y = fr.to_adapted_rows(curve.point(s0 + us)).T
+    xp = fr.to_adapted_vector_rows(curve.derivatives(s0 + us)[0])[:, 0]
+    au = np.abs(us)
+    profiles = np.array((sk(k1, au), sk(k0, au), ybar(k1, us), ybar(k0, us)))
+    ax = np.abs(x)
+    gaps = np.array((profiles[0] - ax, ax - profiles[1], profiles[2] - y, y - profiles[3]))
+    margins = np.vstack((gaps / np.maximum(1.0, np.abs(profiles)),
+                         -xp / np.maximum(1.0, np.abs(xp))))
+    side, at = np.unravel_index(np.argmax(margins), margins.shape)
+
+    notes = f"x(-L), x(L) = {x[0]:.6g}, {x[-1]:.6g} vs target radius {profiles[0, -1]:.6g}"
     eq = False
-    eq_side = None
-    scale = 1.0
-    # the curve and the four profiles over the grid, one array read each
-    rows = zip(us.tolist(), fr.to_adapted_rows(curve.point(s0 + us)).tolist(),
-               sk(k1, np.abs(us)).tolist(), sk(k0, np.abs(us)).tolist(),
-               ybar(k1, us).tolist(), ybar(k0, us).tolist())
-    for u, (x, y), xlo, xhi, ylo, yhi in rows:
-        scale = max(scale, abs(xhi), abs(yhi))
-        gaps = (xlo - abs(x), abs(x) - xhi, ylo - y, y - yhi)
-        g = max(gaps)
-        if g > worst:
-            worst, witness = g, u
-        if u != 0.0 and not eq:
-            for side, gap in zip(("x-lower", "x-upper", "y-lower", "y-upper"), gaps):
-                if abs(gap) <= EQUALITY_RTOL * max(1.0, scale):
-                    eq, eq_side = True, (side, u)
-
-    # graphing interval must cover (-R, R)
-    r_reach = sk(k1, length)
-    gset = graphing_interval(curve, s0, fr)
-    xi_lo, xi_hi = fr.to_adapted_rows(curve.point(np.array((gset.lo, gset.hi))))[:, 0].tolist()
-    cover_defect = max(xi_lo - (-r_reach), r_reach - xi_hi)
-    worst = max(worst, cover_defect)
-
-    notes = f"graphing interval [{xi_lo:.6g}, {xi_hi:.6g}] vs target radius {r_reach:.6g}"
-    if eq:
-        side, at = eq_side
-        const = k1 if "lower" in side else k0
-        if _sample_constant(curve.curvature(s0 + np.linspace(0.0, at, 33)), const):
-            notes += f"; equality on {side} at u = {at:.6g}: curvature constant {const}"
-        else:
-            notes += f"; near-equality on {side} at u = {at:.6g} without constant curvature"
+    met = np.abs(margins[:4]) <= EQUALITY_RTOL
+    if met.any():
+        j = int(np.flatnonzero(met.any(axis=0))[0])
+        name = ("x-lower", "x-upper", "y-lower", "y-upper")[int(np.argmax(met[:, j]))]
+        const = k1 if "lower" in name else k0
+        eq = _sample_constant(kv[(us * us[j] > 0.0) & (au <= au[j])], const)
+        notes += (f"; equality on {name} at u = {us[j]:.6g}: curvature constant {const}" if eq
+                  else f"; near-equality on {name} at u = {us[j]:.6g} without constant curvature")
 
     return BoundReport(theorem="coordinate-bounds", hypotheses=hyps,
-                       lhs=worst, rhs=0.0, slack=tol * scale,
-                       equality=eq, witness=witness, notes=notes)
+                       lhs=float(margins[side, at]), rhs=0.0, slack=tol,
+                       equality=eq, witness=float(us[at]), notes=notes)
 
 
 def triangle_bound_arc(k0: float, lam: float) -> float:
@@ -151,7 +176,12 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
                           bound_kind: str = "arc",
                           tol: float = DEFAULT_SLACK) -> BoundReport:
     """Check one inscribed triangle against the selected area bound, with
-    k0 and k1 the least and greatest curvature on a 201-point grid."""
+    k0 and k1 the least and greatest curvature on a 201-point grid.
+
+    The triangle's area is A13 - A12 - A23, where Aij is the area between
+    the arc from vertex i to vertex j and its chord.  All three come from
+    one forced table of the area ODE A''' + kappa A' = 1/2 on the
+    vertices, at rtol AREA_TOL, so no point of the curve is read."""
     s1, s2, s3 = vertices
     if not (s1 < s2 < s3):
         raise ValueError("vertex parameters must be strictly increasing")
@@ -164,8 +194,13 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
     k0, k1 = float(kv.min()), float(kv.max())
     lam = curve.domain.length
 
-    p1, p2, p3 = curve.point(np.array(vertices, dtype=float))
-    area = 0.5 * abs(wedge(p2 - p1, p3 - p1))
+    # A_a(b), the area between c|[a, b] and its chord, solves the area ODE
+    # from a zero jet at a: entry [0, 3] of the forced propagator from a to b
+    props = step_propagators(power_op(3, 1, curve.curvature, Interval(s1, s3)),
+                             np.array(vertices, dtype=float), 0.5, AREA_TOL)
+    a23 = float(props[1, 0, 3])
+    a12, a13 = _table_jets(props, (0.0, 0.0, 0.0), s1)[1:, 0].tolist()
+    area = a13 - a12 - a23
 
     hyps = [Hypothesis("curvature-lower-bound", bool(np.all(kv >= k0 - 1e-9)),
                        f"k0 = {k0}")]
@@ -188,13 +223,12 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
     else:
         raise ValueError(f"unknown bound kind {bound_kind!r}")
 
-    # the wedge of plane points of size |p| carries a rounding error of
-    # about eps |p|^2, which must stay under the slack for a verdict
+    # each area carries an error of about AREA_TOL times itself, which
+    # must stay under the slack for a verdict
     slack = _slack(bound, tol)
-    size = float(np.max(np.abs((p1, p2, p3))))
-    rounding = math.ulp(1.0) * size * size
-    hyps.append(Hypothesis("wedge-conditioning", rounding <= slack,
-                           f"wedge rounding bound {rounding:.3g} vs slack {slack:.3g}"))
+    error = AREA_TOL * (a13 + a12 + a23)
+    hyps.append(Hypothesis("area-conditioning", error <= slack,
+                           f"area error bound {error:.3g} vs slack {slack:.3g}"))
 
     eq = abs(area - bound) <= EQUALITY_RTOL * max(1.0, abs(bound))
     if eq:

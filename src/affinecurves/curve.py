@@ -386,22 +386,6 @@ def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCur
     return AffineCurve(Interval(0.0, lam), position, derivatives, curvature, inverse=s_at)
 
 
-def _fd_rows(fn: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
-             domain: Interval) -> np.ndarray:
-    """First derivative of fn, which reads a 1-D array (of scalars or of
-    vectors), at each entry of s by second-order differences, with fn read
-    once: central where s -/+ step lie in the domain, otherwise one-sided,
-    forward where s + 2 step does and backward where it does not."""
-    step = 1e-5 * max(1.0, domain.length)
-    central = (s - step >= domain.lo) & (s + step <= domain.hi)
-    forward = central | (s + 2 * step <= domain.hi)
-    sign = np.where(forward, 1.0, -1.0)
-    reads = fn(np.concatenate((s, s + sign * step, s + sign * (2 * step), s - step)))
-    f0, f1, f2, fm = (v.T for v in np.split(reads, 4))  # entries on the last axis
-    one_sided = np.where(forward, -3 * f0 + 4 * f1 - f2, 3 * f0 - 4 * f1 + f2)
-    return np.where(central, f1 - fm, one_sided).T / (2 * step)
-
-
 def graph_curve(f: Sequence[Callable], x0: float, x1: float) -> AffineCurve:
     """Unit-speed curve for the convex graph y = f(x) on [x0, x1], from the
     closures of f and its first four derivatives: f'' > 0 at 101 equally
@@ -503,18 +487,6 @@ class AreaFunction:
                 raise DomainError("the swept area leaves the float range")
         return out if np.ndim(s) else float(out[0])
 
-    @property
-    def apex(self) -> Vec:
-        return self.curve.point(self.a) if self.p0 is None else self.p0
-
-    def prime(self, s: float | np.ndarray) -> float | np.ndarray:
-        """A'(s), at a float or at each entry of a 1-D array."""
-        return 0.5 * _wedge_rows(self.curve.point(s) - self.apex, self.curve.derivatives(s)[0])
-
-    def second(self, s: float | np.ndarray) -> float | np.ndarray:
-        """A''(s), at a float or at each entry of a 1-D array."""
-        return 0.5 * _wedge_rows(self.curve.point(s) - self.apex, self.curve.derivatives(s)[1])
-
 
 def area_function(curve: AffineCurve, a: float, p0: Sequence[float] | None = None) -> AreaFunction:
     """The `AreaFunction` of the curve from c(a) seen from p0; a base
@@ -540,16 +512,6 @@ def _area_on_grid(op: odekernel.LinearOperator, forcing: float, grid: np.ndarray
     return np.concatenate(values)
 
 
-def area_ode_residual(curve: AffineCurve, area: AreaFunction) -> float:
-    """Sup over 41 points of the domain of |A''' + kappa A' - 1/2|, with
-    A''' taken by differencing A'' (the two lower derivatives are
-    evaluated in closed form from the wedge expressions), all read in one
-    array call each."""
-    ss = np.linspace(curve.domain.lo, curve.domain.hi, 41)
-    a3 = _fd_rows(area.second, ss, curve.domain)
-    return float(np.max(np.abs(a3 + curve.curvature(ss) * area.prime(ss) - 0.5)))
-
-
 def adapted_frame(curve: AffineCurve, s0: float) -> AdaptedFrame:
     """Frame with axes along the affine tangent and normal at c(s0)."""
     d1, d2, _ = curve.derivatives(s0)
@@ -557,14 +519,8 @@ def adapted_frame(curve: AffineCurve, s0: float) -> AdaptedFrame:
 
 
 def graphing_parameter_set(curve: AffineCurve, s0: float) -> Interval:
-    """Connected component of s0 where the adapted x-coordinate increases
-    (`graphing_interval` in the frame `adapted_frame(curve, s0)`)."""
-    return graphing_interval(curve, s0, adapted_frame(curve, s0))
-
-
-def graphing_interval(curve: AffineCurve, s0: float, fr: AdaptedFrame) -> Interval:
-    """Connected component of s0 where the x-coordinate in fr, the adapted
-    frame at s0, increases.
+    """Connected component of s0 where the x-coordinate in the adapted
+    frame at s0 (`adapted_frame`) increases.
 
     Endpoints are domain endpoints or zeros of x', bracketed to 1e-10;
     on the result the curve is the graph of a convex function in the
@@ -573,6 +529,8 @@ def graphing_interval(curve: AffineCurve, s0: float, fr: AdaptedFrame) -> Interv
     in one array call; the first step with x' <= 0 and the one before it
     bracket the zero.
     """
+    fr = adapted_frame(curve, s0)
+
     def xprime(s: float) -> float:
         return float(fr.to_adapted_vector(curve.derivatives(s)[0])[0])
 

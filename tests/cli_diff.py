@@ -11,8 +11,9 @@ directory holding the same input specs.  The list covers every
 subcommand: one spec of each of the five kinds; 26 polynomial graphs, each
 through `area` (with `--out`, with `--apex` and with `--base`),
 `curvature` (with `--out` and with `--at`), `arclength --out` and
-`count --out`; `verify` of all seven theorems at seeds 0-2, and of
-`cor4.2` and `thm4.1` at two stiff corners; `examples` and then `count`
+`count --out`; `verify` of all seven theorems at seeds 0-2, of `cor4.2`,
+`thm4.1`, `prop4.3`, `thm5.8` and `thm5.6` at stiff corners, and of
+`thm2.3` at `--L` 10 and 20; `examples` and then `count`
 on the parabola, hyperbola and hyperbola-general instances at `--m0`
 1-3, with and without `--rigid`; `count` on two instances under exact
 equi-affine maps; and `kernel --grid 51` for both families.  For each
@@ -168,7 +169,12 @@ def commands(workdir: Path) -> list[list[str]]:
              ["verify", "cor4.2", "--trials", "3", "--format", "csv", "--out", OUT],
              ["verify", "cor4.2", "--k0=-158.32950352406675", "--k1=-158.28296741619855",
               "--L=3.5408603545701647", "--trials", "1", "--seed", "57"],
-             ["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4", "--trials", "3"]]
+             ["verify", "thm4.1", "--k0=-400", "--k1=-399", "--L", "4", "--trials", "3"],
+             ["verify", "prop4.3", "--k0=-400", "--k1=-399.9", "--L", "4", "--trials", "2"],
+             ["verify", "thm5.8", "--k0=-104.14543984852982", "--k1=-103.97355152839717",
+              "--L=5.178193249829169", "--trials", "2", "--seed", "659"],
+             ["verify", "thm5.6", "--k0=-400", "--k1=-399", "--L", "4", "--trials", "3"],
+             ["verify", "thm2.3", "--L", "10"], ["verify", "thm2.3", "--L", "20"]]
     for name, (curve, lattice) in MAPPED_SPECS.items():
         cmds.append(["count", write(f"{name}-curve", curve), write(f"{name}-lattice", lattice),
                      "--out", OUT])

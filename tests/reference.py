@@ -17,7 +17,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from affinecurves.conics import Conic
-from affinecurves.curve import AffineCurve, ConvexityError, _arclength_table, _wedge_rows, wedge
+from affinecurves.curve import (
+    AffineCurve,
+    AreaFunction,
+    ConvexityError,
+    _arclength_table,
+    _wedge_rows,
+    wedge,
+)
 from affinecurves.kfuncs import DomainError, Interval, abar, hk
 from affinecurves.lattice import AffineMap, Lattice, LinearConstraint, _on_generators
 from affinecurves.odekernel import (
@@ -93,6 +100,45 @@ def structure_defect(curve: AffineCurve, n: int = 200) -> float:
     ss = np.linspace(curve.domain.lo, curve.domain.hi, n)
     d1, _, d3 = curve.derivatives(ss)
     return float(np.max(np.abs(d3 + curve.curvature(ss)[:, None] * d1)))
+
+
+def _apex(area: AreaFunction) -> np.ndarray:
+    return area.curve.point(area.a) if area.p0 is None else area.p0
+
+
+def area_prime(area: AreaFunction, s: float | np.ndarray) -> float | np.ndarray:
+    """A'(s) of an `AreaFunction`, at a float or at each entry of a 1-D array."""
+    return 0.5 * _wedge_rows(area.curve.point(s) - _apex(area), area.curve.derivatives(s)[0])
+
+
+def area_second(area: AreaFunction, s: float | np.ndarray) -> float | np.ndarray:
+    """A''(s) of an `AreaFunction`, at a float or at each entry of a 1-D array."""
+    return 0.5 * _wedge_rows(area.curve.point(s) - _apex(area), area.curve.derivatives(s)[1])
+
+
+def _fd_rows(fn, s: np.ndarray, domain: Interval) -> np.ndarray:
+    """First derivative of fn, which reads a 1-D array (of scalars or of
+    vectors), at each entry of s by second-order differences, with fn read
+    once: central where s -/+ step lie in the domain, otherwise one-sided,
+    forward where s + 2 step does and backward where it does not."""
+    step = 1e-5 * max(1.0, domain.length)
+    central = (s - step >= domain.lo) & (s + step <= domain.hi)
+    forward = central | (s + 2 * step <= domain.hi)
+    sign = np.where(forward, 1.0, -1.0)
+    reads = fn(np.concatenate((s, s + sign * step, s + sign * (2 * step), s - step)))
+    f0, f1, f2, fm = (v.T for v in np.split(reads, 4))  # entries on the last axis
+    one_sided = np.where(forward, -3 * f0 + 4 * f1 - f2, 3 * f0 - 4 * f1 + f2)
+    return np.where(central, f1 - fm, one_sided).T / (2 * step)
+
+
+def differenced_ode_residual(area: AreaFunction) -> float:
+    """Sup over 41 points of the domain of |A''' + kappa A' - 1/2|, with
+    A''' taken by differencing A'' (`_fd_rows`), so a seam between the
+    nodes of a reconstructed curve shows."""
+    curve = area.curve
+    ss = np.linspace(curve.domain.lo, curve.domain.hi, 41)
+    a3 = _fd_rows(lambda s: area_second(area, s), ss, curve.domain)
+    return float(np.max(np.abs(a3 + curve.curvature(ss) * area_prime(area, ss) - 0.5)))
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21): the Kronrod

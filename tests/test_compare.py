@@ -7,6 +7,7 @@ import pytest
 from affinecurves.compare import (
     area_bounds,
     area_compare,
+    area_ode_residual,
     coord_bounds_check,
     triangle_bound_arc,
     triangle_bound_rect,
@@ -159,6 +160,33 @@ class TestCoordBounds:
                                 derivatives=counting(curve.derivatives.array_read))
         assert coord_bounds_check(c, 0.0, -0.5, -0.5, 2.0).holds
         assert sizes.count(1) == 2
+
+    def test_stiff_band_checks_each_point_on_its_own_scale(self):
+        # q = sqrt(400) 4 = 80: the profiles reach 1e33 at u = +-L, and a
+        # slack scaled by the largest of them (2.8e25) let every point with
+        # |u| < 3.4 pass; moving the points near u = 0.5 out by 5% breaks
+        # the x-upper bound there by about 4% of its profile
+        c = constant_curvature_curve(-399.5, Interval(-4.0, 4.0))
+        assert coord_bounds_check(c, 0.0, -400.0, -399.0, 4.0).holds
+        read = c.position.array_read
+        moved = dataclasses.replace(
+            c, position=lambda s: read(s) * np.where(np.abs(s - 0.5) < 0.1, 1.05, 1.0)[:, None])
+        rep = coord_bounds_check(moved, 0.0, -400.0, -399.0, 4.0)
+        assert rep.verdict == "violated" and rep.slack == 1e-7
+        assert abs(rep.witness - 0.5) < 0.1 and rep.lhs > 0.01
+
+
+class TestAreaODEResidual:
+    def test_scaled_derivatives_are_violated(self):
+        # derivatives 1.01 times too long: c' wedge c'' = 1.0201, so the
+        # residual is 0.01005 on a scale of about 1.01
+        c = constant_curvature_curve(-0.8, Interval(0.0, 2.0))
+        assert area_ode_residual(c, 0.0, 1e-5).holds
+        read = c.derivatives.array_read
+        scaled = dataclasses.replace(c, derivatives=lambda s: tuple(1.01 * d for d in read(s)))
+        rep = area_ode_residual(scaled, 0.0, 1e-5)
+        assert rep.verdict == "violated"
+        assert rep.lhs == pytest.approx(9.95e-3, rel=1e-3)
 
 
 class TestTriangleBounds:
