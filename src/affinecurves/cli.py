@@ -229,7 +229,7 @@ def _verify_thm23(args, rng):
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, -2.0, 1.0)
         curve = reconstruct_from_curvature(kap, Interval(0.0, args.L))
-        reports.append(cmp.area_ode_residual(curve, 0.0, args.tol or 1e-5))
+        reports.append(cmp.area_ode_residual(curve, args.tol or 1e-5))
     return reports
 
 

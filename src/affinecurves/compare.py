@@ -19,7 +19,8 @@ from .kfuncs import DomainError, Interval, abar, hk, sk, ybar
 # solve_ivp is not called here: it stays a name of this module because the
 # benchmark's tracer wraps it wherever the package imports it, and
 # bench/test_bench.py reads it as compare.solve_ivp
-from .odekernel import POSITIVITY_TOL, _compare, _table_jets, power_op, solve_ivp, step_propagators
+from .odekernel import (POSITIVITY_TOL, _compare, _table_jets, grid_jets, power_op, solve_ivp,
+                        step_propagators)
 from .reports import BoundReport, Hypothesis, sturm_range
 
 DEFAULT_SLACK = 1e-7
@@ -70,28 +71,34 @@ def area_bounds(k0: float, k1: float, length: float) -> tuple[float, float]:
     return lower, upper
 
 
-def area_ode_residual(curve: AffineCurve, a: float, tol: float) -> BoundReport:
-    """The area ODE A''' + kappa A' = 1/2 of the area swept from p = c(a)
-    (thm2.3), at 41 equally spaced points of the domain.
+def area_ode_residual(curve: AffineCurve, tol: float) -> BoundReport:
+    """The area ODE A''' + kappa A' = 1/2 of the area A swept from p, the
+    curve's first point (thm2.3), at 41 equally spaced points of the domain.
 
-    A' = 1/2 (c - p) wedge c' and A''' = 1/2 (c' wedge c'' + (c - p) wedge
-    c''') come from one array read of the points (p among them) and one
-    of the derivatives.  Each point's residual |A''' + kappa A' - 1/2| is
-    taken relative to |A'''| + |kappa A'| + 1/2; lhs is the largest, with
-    slack tol, and the witness is its s.  The hypothesis
-    `jet-conditioning` asks that the rounding bound
-    eps (|c'| |c''| + |c - p| |c'''|) of the two wedges, on the same
-    scale, is at most tol at every point.
+    A' = 1/2 (c - p) wedge c', A'' = 1/2 (c - p) wedge c'' and A''' from one
+    read of the points and one of the derivatives.  At each point the
+    residual |A''' + kappa A' - 1/2| is taken relative to |A'''| + |kappa A'|
+    + 1/2, and (A', A'') against the jet of the ODE's solution from a zero
+    jet at p (`grid_jets`, which reads kappa alone) relative to
+    1/2 |c - p| |c'|, |c''| + 1/2: there the points enter, which cancel from
+    the first where c''' = -kappa c' by construction.  lhs is the largest,
+    with slack tol, and the witness its s.  `jet-conditioning` asks that
+    eps (|c'| |c''| + |c - p| |c'''|) on the first's scale is at most tol.
     """
     ss = np.linspace(curve.domain.lo, curve.domain.hi, 41)
-    pts = curve.point(np.append(a, ss))
-    r = pts[1:] - pts[0]
+    pts = curve.point(ss)
+    r = pts - pts[0]
     d1, d2, d3 = curve.derivatives(ss)
-    ka1 = curve.curvature(ss) * (0.5 * _wedge_rows(r, d1))
+    n1, n2, n3, nr = (np.linalg.norm(v, axis=1) for v in (d1, d2, d3, r))
+    a1, a2 = 0.5 * _wedge_rows(r, d1), 0.5 * _wedge_rows(r, d2)
+    ka1 = curve.curvature(ss) * a1
     a3 = 0.5 * (_wedge_rows(d1, d2) + _wedge_rows(r, d3))
     scale = np.abs(a3) + np.abs(ka1) + 0.5
-    res = np.abs(a3 + ka1 - 0.5) / scale
-    n1, n2, n3, nr = (np.linalg.norm(v, axis=1) for v in (d1, d2, d3, r))
+    jets = grid_jets(power_op(3, 1, curve.curvature, curve.domain), 0.5, (0.0, 0.0, 0.0),
+                     ss, AREA_TOL)
+    res = np.max((np.abs(a3 + ka1 - 0.5) / scale,
+                  np.abs(a1 - jets[:, 1]) / (0.5 * nr * n1 + 0.5),
+                  np.abs(a2 - jets[:, 2]) / (0.5 * nr * n2 + 0.5)), axis=0)
     rounding = float(np.max(math.ulp(1.0) * (n1 * n2 + nr * n3) / scale))
     worst = int(np.argmax(res))
     hyps = [Hypothesis("jet-conditioning", rounding <= tol,
@@ -147,7 +154,7 @@ def coord_bounds_check(curve: AffineCurve, s0: float, k0: float, k1: float,
         j = int(np.flatnonzero(met.any(axis=0))[0])
         name = ("x-lower", "x-upper", "y-lower", "y-upper")[int(np.argmax(met[:, j]))]
         const = k1 if "lower" in name else k0
-        eq = _sample_constant(kv[(us * us[j] > 0.0) & (au <= au[j])], const)
+        eq = _sample_constant(curve.curvature(s0 + np.linspace(0.0, us[j], 33)), const)
         notes += (f"; equality on {name} at u = {us[j]:.6g}: curvature constant {const}" if eq
                   else f"; near-equality on {name} at u = {us[j]:.6g} without constant curvature")
 
@@ -198,8 +205,10 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
     # from a zero jet at a: entry [0, 3] of the forced propagator from a to b
     props = step_propagators(power_op(3, 1, curve.curvature, Interval(s1, s3)),
                              np.array(vertices, dtype=float), 0.5, AREA_TOL)
+    n23 = max(1.0, float(np.abs(props[1]).max()))
     a23 = float(props[1, 0, 3])
     a12, a13 = _table_jets(props, (0.0, 0.0, 0.0), s1)[1:, 0].tolist()
+    n12, n13 = np.maximum(1.0, np.abs(props).max(axis=(1, 2))).tolist()  # P12, P23 P12
     area = a13 - a12 - a23
 
     hyps = [Hypothesis("curvature-lower-bound", bool(np.all(kv >= k0 - 1e-9)),
@@ -223,10 +232,11 @@ def verify_triangle_bound(curve: AffineCurve, vertices: tuple[float, float, floa
     else:
         raise ValueError(f"unknown bound kind {bound_kind!r}")
 
-    # each area carries an error of about AREA_TOL times itself, which
+    # `_refine` accepts a step to AREA_TOL max(1, its largest entry), so each
+    # area errs by about AREA_TOL nij, that of its propagator; their sum
     # must stay under the slack for a verdict
     slack = _slack(bound, tol)
-    error = AREA_TOL * (a13 + a12 + a23)
+    error = AREA_TOL * (n12 + n23 + n13)
     hyps.append(Hypothesis("area-conditioning", error <= slack,
                            f"area error bound {error:.3g} vs slack {slack:.3g}"))
 

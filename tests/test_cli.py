@@ -816,7 +816,9 @@ class TestVerify:
     ], ids=["prop4.3 q80", "thm5.8 seed 659"])
     def test_stiff_triangle_corner_holds(self, capsys, monkeypatch, argv):
         """Each triangle A13 - A12 - A23, from one table of the area ODE,
-        against DOP853 solves of A''' + kappa A' = 1/2 from s1 and from s2."""
+        against DOP853 solves of A''' + kappa A' = 1/2 from s1 and from s2,
+        which differ by less than the error bound that area-conditioning
+        prints."""
         seen = []
         check = cli.cmp.verify_triangle_bound
 
@@ -835,6 +837,9 @@ class TestVerify:
                                                 atol=1e-30) for s in (s1, s2))
             want = from1(s3) - from1(s2) - from2(s3)
             assert abs(report["lhs"] - want) <= 1e-9 * want
+            (detail,) = [h["detail"] for h in report["hypotheses"]
+                         if h["name"] == "area-conditioning"]
+            assert abs(report["lhs"] - want) <= float(detail.split()[3])
 
     @pytest.mark.parametrize("theorem, k0, k1, length, seed", [
         # q = sqrt(-k0) L = 44.6: the swept quadrature lost every digit here

@@ -181,12 +181,24 @@ class TestAreaODEResidual:
         # derivatives 1.01 times too long: c' wedge c'' = 1.0201, so the
         # residual is 0.01005 on a scale of about 1.01
         c = constant_curvature_curve(-0.8, Interval(0.0, 2.0))
-        assert area_ode_residual(c, 0.0, 1e-5).holds
+        assert area_ode_residual(c, 1e-5).holds
         read = c.derivatives.array_read
         scaled = dataclasses.replace(c, derivatives=lambda s: tuple(1.01 * d for d in read(s)))
-        rep = area_ode_residual(scaled, 0.0, 1e-5)
+        rep = area_ode_residual(scaled, 1e-5)
         assert rep.verdict == "violated"
         assert rep.lhs == pytest.approx(9.95e-3, rel=1e-3)
+
+    def test_moved_points_are_violated(self):
+        # the points past s = 1 moved by (0.01, 0.01), derivatives kept:
+        # c''' = -kappa c' still holds to rounding, so only the jet of the
+        # area ODE, which reads kappa alone, sees that (c - p) wedge c' moved
+        c = constant_curvature_curve(-0.8, Interval(0.0, 2.0))
+        read = c.position.array_read
+        moved = dataclasses.replace(
+            c, position=lambda s: read(s) + np.where(s > 1.0, 0.01, 0.0)[:, None])
+        rep = area_ode_residual(moved, 1e-5)
+        assert rep.verdict == "violated"
+        assert rep.witness > 1.0 and rep.lhs > 1e-3
 
 
 class TestTriangleBounds:

@@ -597,15 +597,18 @@ class TestAreaFunction:
 
     def test_ode_residual(self):
         parab = parabola_curve(Interval(0.0, 3.0))
-        assert area_ode_residual(parab, 0.0, 1e-6).holds
+        assert area_ode_residual(parab, 1e-6).holds
+        assert differenced_ode_residual(area_function(parab, 0.0)) <= 1e-6
 
         conic = Conic.make(1, -1, -1, 0, 0, -1)
         hyp = conic.branch_curve((1.0, 0.0), Interval(0.0, 2.0))
-        assert area_ode_residual(hyp, 0.0, 1e-6).holds
+        assert area_ode_residual(hyp, 1e-6).holds
+        assert differenced_ode_residual(area_function(hyp, 0.0)) <= 1e-6
 
         kap = lambda s: -0.8 + 0.3 * s
         rec = reconstruct_from_curvature(kap, Interval(0.0, 2.0))
-        assert area_ode_residual(rec, 0.0, 1e-5).holds
+        assert area_ode_residual(rec, 1e-5).holds
+        assert differenced_ode_residual(area_function(rec, 0.0)) <= 1e-5
 
     def test_ode_residual_of_band_reconstructions(self):
         # the reads between the reconstruction's nodes are its own Magnus
