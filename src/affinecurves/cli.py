@@ -219,7 +219,7 @@ def _random_band_curvature(rng, k0, k1):
     mid, amp = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def kap(s, mid=mid, amp=amp, w=w):
-        return mid + amp * math.sin(w * s)
+        return mid + amp * np.sin(w * s)
 
     return kap
 
@@ -259,9 +259,8 @@ def _verify_thm41(args, rng):
             kbar = lambda s, v=kbar_val: v
             kap = _random_band_curvature(rng, args.k0, kbar_val)
         elif case == 1:    # nonpositive reference
-            kbar = _random_band_curvature(rng, min(args.k0, -0.01), 0.0)
-            kbar_ref = kbar
-            kbar = lambda s, f=kbar_ref: min(0.0, f(s))
+            band = _random_band_curvature(rng, min(args.k0, -0.01), 0.0)
+            kbar = lambda s, f=band: np.minimum(0.0, f(s))
             kap = lambda s, f=kbar, g=rng.uniform(0.0, 1.0): f(s) - g
         else:              # bounded positive reference
             k1 = min(args.k1, 0.9 * cap) if args.k1 > 0 else 0.5 * cap
@@ -275,15 +274,22 @@ def _verify_thm41(args, rng):
 
 
 def _verify_cor42(args, rng):
+    """abar(k1, s) <= A(s) <= abar(k0, s) at 41 points of [0, L], each margin
+    relative to max(1, |abar(k0, s)|); lhs is the worst, times the slack's
+    scale max(1, |abar(k0, L)|), and the witness its s."""
     reports = []
-    lo_b, hi_b = abar(args.k1, args.L), abar(args.k0, args.L)
+    ss = np.linspace(0.0, args.L, 41)
+    lo_b, hi_b = (np.array([abar(k, s) for s in ss.tolist()]) for k in (args.k1, args.k0))
+    scale = np.maximum(1.0, np.abs(hi_b))
     for _ in range(args.trials):
         kap = _random_band_curvature(rng, args.k0, args.k1)
-        curve = reconstruct_from_curvature(kap, Interval(0.0, args.L))
-        val = area_function(curve, 0.0)(args.L)
+        area = area_function(reconstruct_from_curvature(kap, Interval(0.0, args.L)), 0.0)(ss)
+        margin = np.maximum(lo_b - area, area - hi_b) / scale * scale[-1]
+        worst = int(np.argmax(margin))
         reports.append(cmp.BoundReport(
-            theorem="cor4.2", lhs=max(lo_b - val, val - hi_b), rhs=0.0,
-            slack=(args.tol or 1e-7) * max(1.0, hi_b), notes=f"area {val} in [{lo_b}, {hi_b}]"))
+            theorem="cor4.2", lhs=float(margin[worst]), rhs=0.0,
+            slack=(args.tol or 1e-7) * scale[-1], witness=float(ss[worst]),
+            notes=f"area {area[-1]} in [{lo_b[-1]}, {hi_b[-1]}]"))
     return reports
 
 
@@ -371,11 +377,10 @@ def cmd_count(args) -> int:
 
     warning = None
     window = _window_constraints(args)
-    if spec.graph is not None:
-        points = enumerate_on_graph(spec.graph, window, lat, curve.inverse)
-    elif spec.exact:
-        arc = ConicArc(conic=spec.conic, constraints=window, bbox=curve_bbox(curve))
-        points = on_curve(curve, lat, enumerate_on_arc(arc, lat).coords, ON_CURVE_TOL)
+    if spec.graph is not None or spec.exact:
+        scan = (enumerate_on_graph(spec.graph, window, lat) if spec.graph is not None else
+                enumerate_on_arc(ConicArc(spec.conic, window, curve_bbox(curve)), lat))
+        points = on_curve(curve, lat, scan.coords, ON_CURVE_TOL)
     else:
         tol = args.tol or 1e-9
         warning = ("no exact membership test for this curve type; "
@@ -407,20 +412,19 @@ def cmd_count(args) -> int:
         cert.hypotheses.append(Hypothesis("exact-membership", False,
                                           f"count {count} > bound {cert.bound} by {tol:g} "
                                           "proximity membership"))
+    rows = [[m, n, float(x), float(y), float(s)]
+            for (m, n), (x, y), s in zip(points.coords, points.positions, points.params)]
     payload = {
         "certificate": cert.to_dict(),
         "count": count,
-        "points": [[m, n, float(x), float(y)] for (m, n), (x, y) in
-                   zip(points.coords, points.positions)],
+        "points": [row[:4] for row in rows],
         "exact_membership": points.exact,
         "sharp": cert.bound is not None and count == cert.bound,
     }
     if warning:
         payload["warning"] = warning
     if args.format == "csv":
-        rows = [[m, n, repr(float(x)), repr(float(y))]
-                for (m, n), (x, y) in zip(points.coords, points.positions)]
-        _emit(_csv_text(["m", "n", "x", "y"], rows), None)
+        _emit(_csv_text(["m", "n", "x", "y"], [row[:4] for row in rows]), None)
     else:
         _json_payload(payload, None)
     summary = f"bound {cert.bound} count {count}"
@@ -428,9 +432,6 @@ def cmd_count(args) -> int:
         summary += " SHARP"
     print(summary)
     if args.out:
-        rows = [[m, n, repr(float(x)), repr(float(y)), repr(float(s))]
-                for (m, n), (x, y), s in
-                zip(points.coords, points.positions, points.params)]
         _emit(_csv_text(["m", "n", "x", "y", "param"], rows), args.out)
     if cert.bound is None or not cert.conclusive:
         return HYPOTHESES

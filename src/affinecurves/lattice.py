@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -236,7 +236,7 @@ class ConicArc:
 
 @dataclass
 class LatticePointSet:
-    """Enumerated lattice points, ordered by parameter (on an arc, the scan index)."""
+    """Enumerated lattice points, ordered by parameter (from a scan, the scan index)."""
 
     coords: list[tuple[int, int]]
     positions: list[Vec2]
@@ -389,11 +389,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
 
 
-def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint], lat: Lattice,
-                       inverse: Callable[[np.ndarray], np.ndarray]) -> LatticePointSet:
+def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint],
+                       lat: Lattice) -> LatticePointSet:
     """Complete enumeration of the lattice points on the graph that satisfy
-    the constraints, in increasing x, each placed at the parameter that
-    `inverse` (a curve's, from a (p, 2) array of points) gives it.
+    the constraints, in scan order (increasing x), with the scan index as
+    parameter, as `enumerate_on_arc` gives a conic's.
 
     Every lattice point lies on a vertical lattice line.  With the lattice
     cleared (`Lattice.cleared`), the x-components x1, x2 of the generators
@@ -407,9 +407,7 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
     cleared of its denominators; the constraints are tested on the point
     cleared of den, also in integers.  Every line whose x lies in
     [lo, hi] is visited, so the scan is complete; more than
-    MAX_SCAN_COLUMNS lines raise BudgetError before the scan.  A point
-    past the float range, which no float curve can place, is a
-    DomainError.
+    MAX_SCAN_COLUMNS lines raise BudgetError before the scan.
     """
     den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
     g, a, b = _xgcd(x1, x2)
@@ -437,11 +435,7 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
         i, rem = divmod(ny - y0 - j * wy, uy)
         if not rem and all(g1 * nx + g2 * ny + g0 * den >= 0 for g1, g2, g0 in gs):
             found.append((j * a + i * (x2 // g), j * b - i * (x1 // g)))
-    try:
-        q = _float_points(lat, found)
-    except OverflowError:
-        raise DomainError("a lattice point on the graph lies past the float range") from None
-    return _point_set(lat, found, inverse(q), True)
+    return _point_set(lat, found, np.arange(float(len(found))), True)
 
 
 def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
@@ -449,20 +443,20 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
     """The lattice points with the given coordinates, the candidates of an
     exact enumeration, that lie on the curve's arc, ordered by parameter.
 
-    The candidates lie on the spec's conic, which the curve follows: a
-    conic spec's seed is on it to a rounding residual (`Conic.branch_curve`).
-    They are placed in closed form, by the curve's `inverse` (every exact
-    spec's curve is a constant-curvature curve, which has one; a curve
-    without one raises ValueError): it gives each candidate's parameter,
-    NaN off the curve's branch.  A candidate whose parameter lies strictly
-    inside the domain is on the arc; no float distance decides it.  A
-    candidate whose parameter lies outside the domain, or within
+    The candidates lie on the spec's conic or graph, which the curve
+    follows (a conic spec's seed is on its conic to a rounding residual,
+    `Conic.branch_curve`).  They are placed in closed form, by the curve's
+    `inverse` (a curve without one raises ValueError): it gives each
+    candidate's parameter, NaN off a conic's branch.  A candidate whose
+    parameter lies in the domain is on the arc; no float distance decides
+    it.  A candidate whose parameter lies outside the domain, or within
     END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put it on
-    either side, is on the arc when each of its coordinates p_i lies
-    within tol max(1, |p_i|) of that of c(lo) or c(hi), the float
-    rounding of a point of that size, and takes that end (lo where both
-    match) as its parameter; so a closed circle's seed point is counted
-    once.
+    either side, is checked against the ends: where each of its
+    coordinates p_i lies within tol max(1, |p_i|) of that of c(lo) or
+    c(hi), the float rounding of a point of that size, it is on the arc
+    and takes that end (lo where both match) as its parameter; so a
+    closed circle's seed point is counted once.  The ends are read only
+    for such a candidate.
     """
     if curve.inverse is None:
         raise ValueError("the curve has no closed-form inverse to place points")
@@ -474,13 +468,15 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
     s = curve.inverse(q)  # NaN off the branch
     lo, hi = curve.domain.lo, curve.domain.hi
     band = END_RTOL * max(1.0, abs(lo), abs(hi))
-    inside = (s > lo + band) & (s < hi - band)
-    ends = curve.point(np.array((lo, hi)))
-    reach = tol * np.maximum(1.0, np.abs(q))
-    at_lo, at_hi = (~inside & ~np.isnan(s) & np.all(np.abs(q - end) <= reach, axis=1)
-                    for end in ends)
-    s = np.where(at_lo, lo, np.where(at_hi, hi, s))
-    on = np.flatnonzero(inside | at_lo | at_hi)
+    near = ~np.isnan(s) & ~((s > lo + band) & (s < hi - band))
+    on = (s >= lo) & (s <= hi)
+    if near.any():
+        reach = tol * np.maximum(1.0, np.abs(q))
+        at_lo, at_hi = (near & np.all(np.abs(q - end) <= reach, axis=1)
+                        for end in curve.point(np.array((lo, hi))))
+        s = np.where(at_lo, lo, np.where(at_hi, hi, s))
+        on |= at_lo | at_hi
+    on = np.flatnonzero(on)
     return _point_set(lat, [coords[j] for j in on.tolist()], s[on], True)
 
 

@@ -759,6 +759,32 @@ class TestExactGraphCounts:
         assert len(rows) >= 1
         np.testing.assert_allclose([float(r[4]) for r in rows], near.params, rtol=0, atol=1e-13)
 
+    def test_point_at_a_domain_end_takes_the_end(self, tmp_path, z2_spec):
+        # (2, 4) lies at x = hi; the graph's inverse read 3.873285463223492
+        # there, one unit in the last place below the end
+        doc = {"type": "graph", "coeffs": ["0.0", "-0.125", "1.125", "-0.03125"],
+               "domain": ["-1", "2"]}
+        spec, out = write_json(tmp_path / "g.json", doc), tmp_path / "points.csv"
+        code, _, _ = self._count(["count", spec, z2_spec, "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[:4] for r in rows] == [["0", "0", "0.0", "0.0"], ["2", "4", "2.0", "4.0"]]
+        assert float(rows[-1][4]) == load_curve_spec(spec).curve.domain.hi
+
+    def test_points_near_a_flat_end_stay_on_the_arc(self, tmp_path):
+        # on y = x^4 from x = 1e-8 the parameter grows like x^(5/3): the
+        # points at x = 2e-8, ..., 6e-8 lie within END_RTOL of s = 0 but
+        # 1e-8 from c(0), and in the domain, so on the arc
+        spec = write_json(tmp_path / "g.json", {
+            "type": "graph", "coeffs": ["0", "0", "0", "0", "1"],
+            "domain": ["1/100000000", "1/1000000"]})
+        lat = write_json(tmp_path / "lat.json", {
+            "v0": ["0", "0"], "v1": ["1/100000000", "0"], "v2": ["0", f"1/{10**32}"]})
+        code, out, _ = self._count(["count", spec, lat])
+        assert code == 0
+        payload = json.loads(out[:out.rindex("}") + 1])
+        assert [p[:2] for p in payload["points"]] == [[k, k ** 4] for k in range(1, 101)]
+
 
 class TestVerify:
     def test_thm41_sweep_holds(self, capsys):
@@ -877,6 +903,43 @@ class TestVerify:
         assert [(r["verdict"], r["hypotheses"]) for r in reports] == [("holds", [])] * 3
         lo, hi = kfuncs.abar(0.0, 2.0), kfuncs.abar(-1.0, 2.0)
         assert all(lo <= _report_area(r) <= hi for r in reports)
+
+    def test_cor42_reads_the_whole_arc(self, capsys, monkeypatch):
+        """A curvature below k0 = -1 on the first half of [0, 2] and above
+        k1 = 0 on the second breaks the sandwich inside the arc, while A(L)
+        lies in it: the report is violated, with its witness below L."""
+        kap = lambda s: -3.0 + 2.5 * (1.0 + np.tanh(6.0 * (np.asarray(s) - 1.0)))
+        monkeypatch.setattr(cli, "_random_band_curvature", lambda rng, k0, k1: kap)
+        assert main(["verify", "cor4.2", "--trials", "1"]) == cli.VIOLATED
+        out = capsys.readouterr().out
+        (report,) = json.loads(out[out.index("{"):])["reports"]
+        assert report["verdict"] == "violated"
+        assert 0.0 < report["witness"] < 2.0
+        assert kfuncs.abar(0.0, 2.0) <= _report_area(report) <= kfuncs.abar(-1.0, 2.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "20", "--seed", "3"],
+        ["--k0=-158.32950352406675", "--k1=-158.28296741619855", "--L=3.5408603545701647",
+         "--trials", "1", "--seed", "57"],
+    ])
+    def test_cor42_witness_lies_on_the_arc(self, capsys, argv):
+        assert main(["verify", "cor4.2", *argv]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{"):])
+        length = float(argv[2].split("=")[1]) if argv[0].startswith("--k0") else 2.0
+        assert payload["reports"]
+        assert all(0.0 <= r["witness"] <= length for r in payload["reports"])
+
+    def test_band_sin_is_math_sin(self):
+        """The band closures read np.sin on an array (one `values_at` call
+        per read) and on a float (each DOP853 step of a reconstruction);
+        both must equal math.sin bit for bit, which NumPy does not promise.
+        The arguments are the bands' w s, w in [0.5, 2] and |s| <= 40."""
+        rng = np.random.default_rng(0)
+        args = rng.uniform(0.5, 2.0, 200_000) * rng.uniform(-40.0, 40.0, 200_000)
+        want = [math.sin(x) for x in args.tolist()]
+        assert np.sin(args).tolist() == want
+        assert [float(np.sin(x)) for x in args[:20_000].tolist()] == want[:20_000]
 
     @staticmethod
     def _trials(monkeypatch, capsys, argv):
@@ -1726,14 +1789,15 @@ class TestQuadraticGraphs:
             on_curve(curve, Lattice.standard(), [(0, 0)], 1e-6)
         assert enumerate_near_curve(curve, Lattice.standard(), 1e-9).coords == [(0, 0)]
 
-    def test_graph_candidates_are_placed_by_the_graph_inverse(self):
+    def test_graph_candidates_are_placed_by_on_curve(self):
         spec = parse_curve_spec({"type": "graph", "coeffs": ["0", "0", "1", "0.05"],
                                  "domain": ["-1", "1"]})
-        exact = enumerate_on_graph(spec.graph, (), Lattice.standard(), spec.curve.inverse)
-        placed = on_curve(spec.curve, Lattice.standard(), [(0, 0)], 1e-6)
-        assert exact.coords == placed.coords == [(0, 0)]
-        assert exact.exact and placed.exact
-        assert exact.params == placed.params
+        scan = enumerate_on_graph(spec.graph, (), Lattice.standard())
+        placed = on_curve(spec.curve, Lattice.standard(), scan.coords, 1e-6)
+        assert scan.coords == placed.coords == [(0, 0)]
+        assert scan.exact and placed.exact
+        assert scan.params == [0.0]  # the scan index
+        assert placed.params == spec.curve.inverse(np.zeros((1, 2))).tolist()
 
 
 class TestPlacementCost:

@@ -568,10 +568,6 @@ class TestGraphEnumeration:
     """enumerate_on_graph, one divisibility test per vertical lattice line,
     against independent routes."""
 
-    @staticmethod
-    def _by_x(points):
-        return np.asarray(points, dtype=float)[:, 0]
-
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_box_scan_on_skewed_lattices(self, seed):
         rng = random.Random(seed)
@@ -580,27 +576,28 @@ class TestGraphEnumeration:
             graph = _graph_through_lattice_points(rng, lat, degree)
             want = _box_scan(graph, (), lat)
             assert len(want) >= degree  # the comparison is not vacuous
-            got = enumerate_on_graph(graph, (), lat, self._by_x)
-            assert got.coords == want
+            got = enumerate_on_graph(graph, (), lat)
+            assert got.coords == want  # scan order is increasing x
             assert got.exact
-            assert got.params == sorted(got.params)
+            assert got.params == list(range(len(want)))  # the scan index
             assert got.positions == [lat.point(m, n) for m, n in want]
             # a window cut through the middle of the domain
             cut = LinearConstraint.make(rng.choice((-1, 1)), Fraction(1, 7),
                                         -(graph.lo + graph.hi) / 2)
-            got = enumerate_on_graph(graph, (cut,), lat, self._by_x)
+            got = enumerate_on_graph(graph, (cut,), lat)
             assert got.coords == [c for c in want if cut.satisfied(*lat.point(*c))]
 
     @pytest.mark.parametrize("coeffs,lo,hi", NEAR_CURVE_GRAPHS)
     def test_matches_float_proximity_scan(self, coeffs, lo, hi):
         spec = parse_curve_spec({"type": "graph", "coeffs": list(coeffs),
                                  "domain": [str(lo), str(hi)]})
-        got = enumerate_on_graph(spec.graph, (), Z2, spec.curve.inverse)
+        scan = enumerate_on_graph(spec.graph, (), Z2)
+        got = on_curve(spec.curve, Z2, scan.coords, ON_CURVE_TOL)
         near = lattice_mod.enumerate_near_curve(spec.curve, Z2, 1e-6)
-        assert got.coords == near.coords
+        assert got.coords == scan.coords == near.coords
         assert got.exact and not near.exact
-        # the two placements of each point: the graph inverse and the
-        # tangency root of the float scan
+        # the two placements of each point: `on_curve`, by the graph's
+        # inverse, and the tangency root of the float scan
         np.testing.assert_allclose(got.params, near.params, rtol=0, atol=1e-13)
 
     def test_line_budget(self, monkeypatch):
@@ -608,16 +605,17 @@ class TestGraphEnumeration:
         half = Lattice.make((0, 0), (Fraction(1, 2), 0), (0, 1))
         square = (Fraction(0), Fraction(0), Fraction(1))
         graph = PolyGraph(square, Fraction(0), Fraction(19, 2))  # x = 0, 1/2, ..., 19/2
-        assert enumerate_on_graph(graph, (), half, self._by_x).coords == [
-            (2 * x, x * x) for x in range(10)]
+        assert enumerate_on_graph(graph, (), half).coords == [(2 * x, x * x) for x in range(10)]
         with pytest.raises(lattice_mod.BudgetError, match="21 vertical lattice lines"):
-            enumerate_on_graph(PolyGraph(square, Fraction(0), Fraction(10)), (), half,
-                               self._by_x)
+            enumerate_on_graph(PolyGraph(square, Fraction(0), Fraction(10)), (), half)
 
-    def test_point_past_the_float_range_is_a_domain_error(self):
+    def test_point_past_the_float_range_is_a_candidate(self):
+        # the scan is exact: the points past the float range are candidates
+        # like the others, for `on_curve` to place or drop
         graph = PolyGraph((Fraction(0), Fraction(0), Fraction(10**307)), Fraction(0), Fraction(10))
-        with pytest.raises(lattice_mod.DomainError, match="past the float range"):
-            enumerate_on_graph(graph, (), Z2, self._by_x)
+        got = enumerate_on_graph(graph, (), Z2)
+        assert got.coords == [(x, 10**307 * x * x) for x in range(11)]
+        assert got.params == list(range(11))
 
 
 class TestCountBounds:
