@@ -274,11 +274,11 @@ def _verify_thm41(args, rng):
 
 
 def _verify_cor42(args, rng):
-    """abar(k1, s) <= A(s) <= abar(k0, s) at 41 points of [0, L], each margin
-    relative to max(1, |abar(k0, s)|); lhs is the worst, times the slack's
-    scale max(1, |abar(k0, L)|), and the witness its s."""
+    """abar(k1, s) <= A(s) <= abar(k0, s) at s = L/40, ..., L (all three are 0
+    at s = 0), each margin relative to max(1, |abar(k0, s)|); lhs is the
+    worst, times the slack's scale max(1, |abar(k0, L)|), the witness its s."""
     reports = []
-    ss = np.linspace(0.0, args.L, 41)
+    ss = np.linspace(0.0, args.L, 41)[1:]
     lo_b, hi_b = (np.array([abar(k, s) for s in ss.tolist()]) for k in (args.k1, args.k0))
     scale = np.maximum(1.0, np.abs(hi_b))
     for _ in range(args.trials):

@@ -313,7 +313,7 @@ def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCur
     first step of at most 1e-9 in u, which leaves an error of about that
     step's square, or after 8 steps, so an entry reads the same bits in
     an array as alone; arrays are solved AREA_BLOCK entries at a time.
-    s = 0 reads t0 and s = lambda reads t1, and t is clipped to [t0, t1].
+    s = 0 reads t0 and s = lambda t1, unsolved; t is clipped to [t0, t1].
     The derivatives follow from (1, f'), (0, f''), (0, f'''), (0, f'''')
     and t' = f''^(-1/3) by the chain rule, a zero x-component kept as its
     term 0.0 (0.0 + t'', so a zero t'' reads +0.0).  The inverse takes a
@@ -336,8 +336,10 @@ def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCur
             j = np.maximum(np.searchsorted(edges, sb) - 1, first)
             lj, aj, hj, oj = lift[j], a[j], t_half[j], offset[j]
             u = np.clip(2.0 * (sb - edges[j]) / (edges[j + 1] - edges[j]) - 1.0, -1.0, 1.0)
-            live = np.ones(sb.shape, dtype=bool)
+            live = (sb > 0.0) & (sb < lam)  # the ends are set below
             for _ in range(8):
+                if not live.any():
+                    break
                 acc, slope = lj[:, -1], aj[:, -1]
                 for k in range(ARC_DEGREE - 1, -1, -1):
                     acc = acc * u + lj[:, k]
@@ -345,8 +347,6 @@ def reparam_unit_speed(f: Sequence[Callable], t0: float, t1: float) -> AffineCur
                 step = (oj + hj * (acc * u) - sb) / hj / slope  # hj * slope can underflow
                 u = np.where(live, np.clip(u - step, -1.0, 1.0), u)
                 live &= np.abs(step) > 1e-9
-                if not live.any():
-                    break
             t[b:b + AREA_BLOCK] = t_mid[j] + hj * u
         t[s <= 0.0] = t0
         t[s >= lam] = t1

@@ -405,9 +405,10 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
     an integer multiple i of uy, the y-components of den w and den u.
     That is one divisibility test per line over Python integers, with p
     cleared of its denominators; the constraints are tested on the point
-    cleared of den, also in integers.  Every line whose x lies in
-    [lo, hi] is visited, so the scan is complete; more than
-    MAX_SCAN_COLUMNS lines raise BudgetError before the scan.
+    cleared of den, also in integers.  Every line whose x lies in [lo, hi]
+    is visited, so the scan is complete; more than MAX_SCAN_COLUMNS lines
+    raise BudgetError before the scan.  A point past the float range,
+    which no float curve can place, is a DomainError.
     """
     den, (x0, x1, x2), (y0, y1, y2) = lat.cleared
     g, a, b = _xgcd(x1, x2)
@@ -435,6 +436,10 @@ def enumerate_on_graph(graph: PolyGraph, constraints: Sequence[LinearConstraint]
         i, rem = divmod(ny - y0 - j * wy, uy)
         if not rem and all(g1 * nx + g2 * ny + g0 * den >= 0 for g1, g2, g0 in gs):
             found.append((j * a + i * (x2 // g), j * b - i * (x1 // g)))
+    try:
+        _float_points(lat, found)
+    except OverflowError:
+        raise DomainError("a lattice point on the graph lies past the float range") from None
     return _point_set(lat, found, np.arange(float(len(found))), True)
 
 
@@ -443,26 +448,23 @@ def on_curve(curve, lat: Lattice, coords: Sequence[tuple[int, int]],
     """The lattice points with the given coordinates, the candidates of an
     exact enumeration, that lie on the curve's arc, ordered by parameter.
 
-    The candidates lie on the spec's conic or graph, which the curve
-    follows (a conic spec's seed is on its conic to a rounding residual,
-    `Conic.branch_curve`).  They are placed in closed form, by the curve's
-    `inverse` (a curve without one raises ValueError): it gives each
-    candidate's parameter, NaN off a conic's branch.  A candidate whose
-    parameter lies in the domain is on the arc; no float distance decides
-    it.  A candidate whose parameter lies outside the domain, or within
-    END_RTOL max(1, |lo|, |hi|) of an end, where rounding could put it on
-    either side, is checked against the ends: where each of its
-    coordinates p_i lies within tol max(1, |p_i|) of that of c(lo) or
-    c(hi), the float rounding of a point of that size, it is on the arc
-    and takes that end (lo where both match) as its parameter; so a
-    closed circle's seed point is counted once.  The ends are read only
-    for such a candidate.
+    The candidates lie on the spec's conic or graph, which the curve follows
+    (a conic spec's seed is on its conic to a rounding residual,
+    `Conic.branch_curve`).  The curve's `inverse` (a curve without one raises
+    ValueError) places each in closed form, NaN off a conic's branch; one
+    whose parameter lies in the domain is on the arc, and no float distance
+    decides it.  One outside the domain or within END_RTOL max(1, |lo|, |hi|)
+    of an end, where rounding could put it on either side, is on the arc
+    where each coordinate p_i lies within tol max(1, |p_i|) of that of c(lo)
+    or c(hi), the float rounding of a point of that size, and takes that end
+    (lo where both match); so a closed circle's seed point is counted once.
+    The ends are read only for such a candidate.
     """
     if curve.inverse is None:
         raise ValueError("the curve has no closed-form inverse to place points")
     try:
         q = _float_points(lat, coords)
-    except OverflowError:  # a candidate past the float range is far from the curve
+    except OverflowError:  # a conic candidate past the float range is off its arc
         coords = [c for c in coords if _fits_float(lat, c)]
         q = _float_points(lat, coords)
     s = curve.inverse(q)  # NaN off the branch

@@ -305,6 +305,22 @@ class TestEnumeration:
         for d in ds:
             assert d == pytest.approx(BIG_L, abs=1e-12)
 
+    @pytest.mark.parametrize("past, kept", [(5e-13, True), (-5e-13, False)])
+    def test_conic_point_near_an_end_is_placed_by_its_parameter(self, past, kept):
+        # on x^2 + 10^24 y^2 = 1 the speed is about 10^4, so the arc's end
+        # 5e-13 (within END_RTOL) past or short of the point (3/5, 4e-12/5)
+        # lies 4e-9 from it in x, matching neither end point: the point is
+        # on the arc exactly when its parameter lies in the domain
+        lat = Lattice.make((0, 0), (Fraction(1, 5), 0), (0, Fraction(1, 5 * 10**12)))
+        doc = {"type": "conic", "coeffs": ["1", "0", "1e24", "0", "0", "-1"], "seed": ["1", "0"]}
+        (end,) = parse_curve_spec({**doc, "domain": ["0", "1e-4"]}).curve.inverse(
+            np.array([[0.6, 0.8e-12]])).tolist()
+        curve = parse_curve_spec({**doc, "domain": ["0", repr(end + past)]}).curve
+        assert not np.allclose(curve.point(curve.domain.hi), (0.6, 0.8e-12), rtol=ON_CURVE_TOL,
+                               atol=ON_CURVE_TOL)
+        placed = on_curve(curve, lat, [(5, 0), (4, 3), (3, 4)], ON_CURVE_TOL)
+        assert placed.coords == [(5, 0), (4, 3), (3, 4)][:3 if kept else 2]
+
     def test_empty_window(self):
         arc = ConicArc(
             conic=Conic.make(1, 0, 1, 0, 0, -25),
@@ -609,13 +625,10 @@ class TestGraphEnumeration:
         with pytest.raises(lattice_mod.BudgetError, match="21 vertical lattice lines"):
             enumerate_on_graph(PolyGraph(square, Fraction(0), Fraction(10)), (), half)
 
-    def test_point_past_the_float_range_is_a_candidate(self):
-        # the scan is exact: the points past the float range are candidates
-        # like the others, for `on_curve` to place or drop
+    def test_point_past_the_float_range_is_a_domain_error(self):
         graph = PolyGraph((Fraction(0), Fraction(0), Fraction(10**307)), Fraction(0), Fraction(10))
-        got = enumerate_on_graph(graph, (), Z2)
-        assert got.coords == [(x, 10**307 * x * x) for x in range(11)]
-        assert got.params == list(range(11))
+        with pytest.raises(lattice_mod.DomainError, match="past the float range"):
+            enumerate_on_graph(graph, (), Z2)
 
 
 class TestCountBounds:
